@@ -103,7 +103,6 @@ class ExperimentConfig:
     n_grid: tuple[int, ...] = (125, 250, 500, 1000, 2000)
     replicates: int = 64
     seed: int = 0
-    g_kind: str = "haversine"
     methods: tuple[str, ...] = ()
     boundary: dict = field(
         default_factory=lambda: {"type": "colatitude", "a0": 0.5 * np.pi, "side": "greater"}
@@ -571,7 +570,8 @@ def run_storms(
     estimator under both scaling functions. The JSON report carries each
     fit in latitude/longitude and embedding coordinates, the bearing from
     the MLE fit to each truncated fit, and the event coordinates for
-    external plotting.
+    external plotting. Both truncated fits are closed-form, so `seed` is
+    only recorded in the report and no longer changes the fits.
     """
     data, records, _ = ingest_events(events_path)
     boundary = load_boundary_csv(boundary_path)

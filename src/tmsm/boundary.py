@@ -26,7 +26,7 @@ tangential inner products downstream.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -50,11 +50,16 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
     parser.add_argument("--seed", type=int, help="base seed (default 0)")
     parser.add_argument("--out-dir", help="artifact directory (default out)")
+
+
+def _replicate_flags(parser: argparse.ArgumentParser) -> None:
+    _common_flags(parser)
+    parser.add_argument("--replicates", type=int)
+    parser.add_argument("--n-grid", help="comma-separated sample sizes")
+    parser.add_argument("--methods", help="comma-separated method names")
     parser.add_argument("--workers", type=int, help="parallel replicate workers (default 1)")
-    parser.add_argument(
-        "--g", choices=("haversine", "projected", "unit"), dest="g_kind",
-        help="scaling function variant",
-    )
+    parser.add_argument("--timings", action="store_true",
+                        help="record wall times (breaks byte-identical reruns)")
 
 
 def _boundary_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,6 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     _boundary_flags(p)
     p.add_argument("--data", required=True, help="dataset CSV (a_rad,b_rad)")
+    p.add_argument("--g", choices=("haversine", "projected", "unit"), dest="g_kind",
+                   help="scaling function variant (default haversine)")
     p.add_argument("--degrees", action="store_true",
                    help="ingest --data as latitude/longitude degree columns")
     p.add_argument("--model-kind", default="vmf_mu_kappa",
@@ -98,22 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coordinate number (x1..x3) zeroed by --g projected")
 
     p = sub.add_parser("benchmark", help="replicate experiment -> CSV/JSON")
-    _common_flags(p)
+    _replicate_flags(p)
     p.add_argument("--experiment",
                    choices=("vmf_known_kappa", "vmf_unknown_kappa", "kent_known_shape"))
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--n-grid", help="comma-separated sample sizes")
-    p.add_argument("--methods", help="comma-separated method names")
-    p.add_argument("--timings", action="store_true",
-                   help="record wall times (breaks byte-identical reruns)")
 
     p = sub.add_parser("kappa-benchmark",
                        help="concentration-recovery benchmark (unknown-kappa only)")
-    _common_flags(p)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--n-grid", help="comma-separated sample sizes")
-    p.add_argument("--methods", help="comma-separated method names")
-    p.add_argument("--timings", action="store_true")
+    _replicate_flags(p)
 
     p = sub.add_parser("storms", help="fit mean direction of events in a border")
     _common_flags(p)
@@ -154,7 +152,6 @@ def _experiment_config(args: argparse.Namespace, experiment_default: str | None 
         "replicates": "replicates",
         "out_dir": "out_dir",
         "workers": "workers",
-        "g_kind": "g_kind",
         "timings": "timings",
     })
     if getattr(args, "n_grid", None):

@@ -12,6 +12,12 @@ where psi is the model score and all products are tangential. Minimizing
 over beta needs no normalizing constant and no model of the truncation
 mechanism beyond g itself.
 
+For the von Mises-Fisher model the objective is a quadratic form in the
+natural parameter eta = kappa mu, so `estimate` fits it in closed form: a
+3x3 linear solve when kappa is free, and a trust-region boundary problem
+(eigendecomposition plus a 1-D secular equation) when kappa is known. The
+Kent frame fit has no such form and keeps a multistart local search.
+
 `ibp_identity_check` verifies by quadrature that this three-term form
 agrees with the population score-matching divergence it rewrites, which
 holds only because g is zero on the boundary; it doubles as a convergence
@@ -25,7 +31,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.optimize import brentq, minimize
 
 from .boundary import Boundary, ColatitudeBoundary, scaling_values
 from .geometry import (
@@ -36,6 +44,7 @@ from .geometry import (
     unit_vector,
 )
 from .models import (
+    KAPPA_CAP,
     KentParams,
     ModelParams,
     VmfParams,
@@ -44,7 +53,6 @@ from .models import (
 )
 
 MODEL_KINDS = ("vmf_mu_only", "vmf_mu_kappa", "kent_frame")
-_LOG_KAPPA_CLIP = 30.0
 
 
 @dataclass
@@ -132,6 +140,19 @@ class ObjectiveTerms:
 
 @dataclass
 class EstimationResult:
+    """Fitted parameters and how the fit was obtained.
+
+    Attributes:
+        params: fitted model parameters.
+        objective: objective total at `params`.
+        iterations: objective evaluations made by the search; 0 for the
+            closed-form vMF fits.
+        converged: False when no "kent_frame" start satisfied the
+            optimizer's own criteria (the best candidate is still
+            returned); always True for the closed-form vMF fits.
+        restarts_used: "kent_frame" starts run; 0 for the vMF fits.
+    """
+
     params: ModelParams
     objective: float
     iterations: int
@@ -152,7 +173,6 @@ class _ScalingStats:
         self.x = x
         self.g = g
         self.grad = grad
-        n = x.shape[0]
         self.gbar = float(g.mean())
         self.quad = (g[:, None, None] * (x[:, :, None] * x[:, None, :])).mean(axis=0)
         self.first = (g[:, None] * x).mean(axis=0)
@@ -223,82 +243,105 @@ def _start_directions(x: np.ndarray, n_starts: int, seed: int) -> list[np.ndarra
     starts = [mu0]
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5747)))
     while len(starts) < n_starts:
-        axis = unit_vector(rng.standard_normal(3))
+        k = unit_vector(rng.standard_normal(3))
         angle = rng.uniform(0.25 * np.pi, np.pi)
-        k = axis
-        v = mu0
-        # Rodrigues rotation of the mean start about a random axis.
+        # Rodrigues rotation of the mean start about a random axis k.
         rot = (
-            v * np.cos(angle)
-            + np.cross(k, v) * np.sin(angle)
-            + k * (k @ v) * (1.0 - np.cos(angle))
+            mu0 * np.cos(angle)
+            + np.cross(k, mu0) * np.sin(angle)
+            + k * (k @ mu0) * (1.0 - np.cos(angle))
         )
         starts.append(unit_vector(rot))
     return starts
 
 
-def _kappa_start(x: np.ndarray) -> float:
-    rbar = float(np.linalg.norm(x.mean(axis=0)))
-    rbar = min(max(rbar, 1e-3), 1.0 - 1e-6)
-    # Low-order inversion of the mean resultant length; a rough start only.
-    return max(rbar * (3.0 - rbar * rbar) / (1.0 - rbar * rbar), 1e-2)
+def _kent_objective(stats: _ScalingStats, kappa: float, alpha: float, mu_ref: np.ndarray):
+    """Map frame rotation angles about a reference triad to the objective total."""
+    v1, v2 = complete_frame(mu_ref)
+    ref = np.stack([unit_vector(mu_ref), v1, v2])  # rows: mu, gamma1, gamma2
+
+    def unpack(theta: np.ndarray) -> KentParams:
+        frame = (rotation_from_angles(theta[0], theta[1], theta[2]) @ ref.T).T
+        return KentParams(frame[0], frame[1], frame[2], kappa, alpha)
+
+    def fun(theta: np.ndarray) -> float:
+        return stats.general_terms(unpack(theta)).total
+
+    return fun, unpack
 
 
-def _make_objective(
-    stats: _ScalingStats, model_kind: str, fixed: dict | None, mu_ref: np.ndarray
-):
-    """Map an unconstrained parameter vector to the objective total."""
-    fixed = fixed or {}
+def _eta_on_sphere(m: np.ndarray, c: np.ndarray, kappa: float) -> np.ndarray:
+    """
+    Minimiser of eta^T M eta - 2 c^T eta subject to |eta| = kappa.
+
+    The global minimiser solves (M + t I) eta = c with M + t I positive
+    semidefinite (More & Sorensen 1983). In the eigenbasis of M, with
+    s = t + lambda_min, |eta(s)| = |c'_i / (lambda_i - lambda_min + s)|
+    decreases monotonically on s > 0, so the secular equation
+    |eta(s)| = kappa has one root, bracketed by [|c'_0| / 2, 2 |c|] / kappa.
+    When c'_0 = 0 and |eta(0)| <= kappa there is no root (the hard case):
+    the remaining length goes along the bottom eigenvector.
+    """
+    lam, vecs = eigh(m)
+    cp = vecs.T @ c
+    gap = lam - lam[0]
+
+    def eta_of(s: float) -> np.ndarray:
+        return np.divide(cp, gap + s, out=np.zeros(3), where=cp != 0.0)
+
+    def excess(s: float) -> float:
+        return np.linalg.norm(eta_of(s)) - kappa
+
+    lo = abs(cp[0]) / (2.0 * kappa)
+    hi = 2.0 * np.linalg.norm(c) / kappa
+    if lo == 0.0 and excess(0.0) <= 0.0:
+        y = eta_of(0.0)
+        y[0] = np.sqrt(kappa * kappa - y @ y)
+        return vecs @ y
+    if lo == 0.0:
+        s = brentq(excess, 0.0, hi, xtol=4e-16 * hi)
+    else:
+        # Near the hard case the root sits just above s = 0 at the scale of
+        # |c'_0|, so search log s to keep the iteration count bounded.
+        s = np.exp(brentq(lambda u: excess(np.exp(u)), np.log(lo), np.log(hi)))
+    return vecs @ eta_of(s)
+
+
+def _fit_vmf(stats: _ScalingStats, model_kind: str, fixed: dict) -> EstimationResult:
+    """
+    Closed-form vMF fit in the natural parameter eta = kappa mu.
+
+    vmf_terms(mu, kappa).total = eta^T M eta - 2 c^T eta with M = gbar I -
+    quad, which is positive semidefinite because g >= 0, and
+    c = 2 first - tgrad.
+    """
+    m = stats.gbar * np.eye(3) - stats.quad
+    c = 2.0 * stats.first - stats.tgrad
     if model_kind == "vmf_mu_only":
         kappa = float(fixed["kappa"])
-
-        def unpack(theta: np.ndarray) -> VmfParams:
-            return VmfParams(to_euclidean(theta[0], theta[1]), kappa)
-
-        def fun(theta: np.ndarray) -> float:
-            mu = to_euclidean(theta[0], theta[1])
-            return stats.vmf_terms(mu, kappa).total
-
-        return fun, unpack
-
-    if model_kind == "vmf_mu_kappa":
-
-        def unpack(theta: np.ndarray) -> VmfParams:
-            lk = float(np.clip(theta[2], -_LOG_KAPPA_CLIP, _LOG_KAPPA_CLIP))
-            return VmfParams(to_euclidean(theta[0], theta[1]), np.exp(lk))
-
-        def fun(theta: np.ndarray) -> float:
-            lk = float(np.clip(theta[2], -_LOG_KAPPA_CLIP, _LOG_KAPPA_CLIP))
-            mu = to_euclidean(theta[0], theta[1])
-            return stats.vmf_terms(mu, np.exp(lk)).total
-
-        return fun, unpack
-
-    if model_kind == "kent_frame":
-        kappa = float(fixed["kappa"])
-        alpha = float(fixed["alpha"])
-        v1, v2 = complete_frame(mu_ref)
-        ref = np.stack([unit_vector(mu_ref), v1, v2])  # rows: mu, gamma1, gamma2
-
-        def unpack(theta: np.ndarray) -> KentParams:
-            frame = (rotation_from_angles(theta[0], theta[1], theta[2]) @ ref.T).T
-            return KentParams(frame[0], frame[1], frame[2], kappa, alpha)
-
-        def fun(theta: np.ndarray) -> float:
-            return stats.general_terms(unpack(theta)).total
-
-        return fun, unpack
-
-    raise ValueError(f"unknown model_kind {model_kind!r}; expected one of {MODEL_KINDS}")
-
-
-def _initial_theta(model_kind: str, mu_start: np.ndarray, kappa_start: float) -> np.ndarray:
-    a, b = to_spherical(mu_start)
-    if model_kind == "vmf_mu_only":
-        return np.array([a, b])
-    if model_kind == "vmf_mu_kappa":
-        return np.array([a, b, np.log(kappa_start)])
-    return np.zeros(3)  # kent_frame: identity rotation of the start frame
+        eta = _eta_on_sphere(m, c, kappa)
+    else:
+        try:
+            eta = cho_solve(cho_factor(m), c)
+        except LinAlgError as exc:
+            raise FloatingPointError(
+                "the free-concentration objective has no unique finite minimiser: the "
+                "weighted data do not span a tangent plane (too few distinct points?)"
+            ) from exc
+        kappa = float(np.linalg.norm(eta))
+        if not 0.0 < kappa <= KAPPA_CAP:
+            raise FloatingPointError(
+                f"fitted concentration {kappa:.6g} is outside (0, {KAPPA_CAP:.0e}]; "
+                "the data do not determine a vMF fit"
+            )
+    params = VmfParams(eta, kappa)
+    return EstimationResult(
+        params=params,
+        objective=stats.vmf_terms(params.mu, kappa).total,
+        iterations=0,
+        converged=True,
+        restarts_used=0,
+    )
 
 
 def estimate(
@@ -312,14 +355,20 @@ def estimate(
     drop_axis: int | None = None,
 ) -> EstimationResult:
     """
-    Minimize the truncated objective over an unconstrained parameterization.
+    Minimize the truncated objective; g is computed once per call.
 
-    The mean direction is searched through its chart angles, concentration
-    through its logarithm, and the three-axis frame through rotation
-    angles applied to a per-start reference triad, so every candidate is a
-    valid parameter set by construction. Each start runs a Nelder-Mead
-    simplex search followed by a BFGS polish with central-difference
-    gradients; the best start wins.
+    The solver depends on model_kind:
+
+    * "vmf_mu_kappa": the objective is eta^T M eta - 2 c^T eta in the
+      natural parameter eta = kappa mu, so the fit is the linear solve
+      M eta = c by Cholesky.
+    * "vmf_mu_only": the same quadratic on the sphere |eta| = kappa,
+      solved through the eigendecomposition of M and a monotone 1-D
+      secular equation.
+    * "kent_frame": the frame is searched through rotation angles applied
+      to a per-start reference triad. Each start runs a Nelder-Mead
+      simplex search followed by a BFGS polish with central-difference
+      gradients; the best start wins.
 
     Args:
         data: observed points inside the region.
@@ -328,36 +377,44 @@ def estimate(
         model_kind: "vmf_mu_only" (needs fixed["kappa"]), "vmf_mu_kappa",
             or "kent_frame" (needs fixed["kappa"] and fixed["alpha"]).
         fixed: known parameters per model_kind.
-        seed: start-point seed; results are deterministic given it.
-        n_starts: number of multi-start local searches.
+        seed: start-point seed for "kent_frame"; the vMF fits ignore it.
+        n_starts: number of "kent_frame" local searches; the vMF fits
+            ignore it.
         drop_axis: projection axis for g_kind "projected".
 
     Returns:
-        EstimationResult with the best parameters found. `converged` is
-        False when no start satisfied the optimizer's own criteria; the
-        best candidate is still returned.
+        EstimationResult with the best parameters found.
+
+    Raises:
+        ValueError: on an unknown model_kind, missing fixed parameters, or
+            data outside the region.
+        FloatingPointError: when "vmf_mu_kappa" has no finite minimiser
+            (the weighted data span no tangent plane, e.g. a single point)
+            or its concentration falls outside (0, KAPPA_CAP].
     """
     fixed = fixed or {}
+    if model_kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model_kind {model_kind!r}; expected one of {MODEL_KINDS}")
     if model_kind == "vmf_mu_only" and "kappa" not in fixed:
         raise ValueError("model_kind 'vmf_mu_only' requires fixed['kappa']")
     if model_kind == "kent_frame" and not {"kappa", "alpha"} <= fixed.keys():
         raise ValueError("model_kind 'kent_frame' requires fixed['kappa'] and fixed['alpha']")
 
     stats = _scaling_stats(data, boundary, g_kind, drop_axis)
-    kappa0 = float(fixed.get("kappa", _kappa_start(data.x)))
-    starts = _start_directions(data.x, n_starts, seed)
+    if model_kind != "kent_frame":
+        return _fit_vmf(stats, model_kind, fixed)
 
-    best_theta = None
+    kappa, alpha = float(fixed["kappa"]), float(fixed["alpha"])
+    best_params = None
     best_val = np.inf
-    best_unpack = None
     iterations = 0
     converged = False
+    starts = _start_directions(data.x, n_starts, seed)
     for mu_start in starts:
-        fun, unpack = _make_objective(stats, model_kind, fixed, mu_start)
-        theta0 = _initial_theta(model_kind, mu_start, kappa0)
+        fun, unpack = _kent_objective(stats, kappa, alpha, mu_start)
         res = minimize(
             fun,
-            theta0,
+            np.zeros(3),  # identity rotation of the start frame
             method="Nelder-Mead",
             options={"maxfev": 2000, "xatol": 1e-8, "fatol": 1e-10},
         )
@@ -373,15 +430,12 @@ def estimate(
             pass
         if val < best_val:
             best_val = val
-            best_theta = theta
-            best_unpack = unpack
+            best_params = unpack(theta)
         converged = converged or ok
 
-    params = best_unpack(best_theta)
-    objective = tmsm_objective(params, data, boundary, g_kind, drop_axis).total
     return EstimationResult(
-        params=params,
-        objective=float(objective),
+        params=best_params,
+        objective=float(best_val),
         iterations=int(iterations),
         converged=bool(converged),
         restarts_used=len(starts),

@@ -13,7 +13,7 @@ Every operation broadcasts over leading point axes, so `x` may be a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -163,17 +163,6 @@ def model_laplacian_term(params: ModelParams, x: np.ndarray) -> float | np.ndarr
     return laplace_beltrami(x, score(params, x), score_jacobian(params, x))
 
 
-@dataclass(frozen=True)
-class _KentArrays:
-    """Frame unpacked for the vectorized objective; internal."""
-
-    mu: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    kappa: float
-    alpha: float
-
-
 def batch_terms(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     Per-point (score, <psi,psi>_M, Laplacian) for a batch of points.
@@ -195,7 +184,6 @@ def batch_terms(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndar
         inner = params.kappa**2 * (1.0 - t * t)
         lap = -2.0 * params.kappa * t
         return psi, inner, lap
-    t0 = x @ params.mu
     t1 = x @ params.gamma1
     t2 = x @ params.gamma2
     psi = (

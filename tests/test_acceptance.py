@@ -24,7 +24,7 @@ from tmsm.boundary import (
 )
 from tmsm.estimator import (
     Dataset,
-    _make_objective,
+    _kent_objective,
     _scaling_stats,
     ibp_identity_check,
     sphere_grid,
@@ -293,13 +293,12 @@ def test_criterion_7_determinism_and_finite_objectives(tmp_path):
     data = Dataset(sample_truncated(VmfParams(MU, 6.0), HEMI, 500,
                                     substream_rng(70, 0), 1000).x)
     stats = _scaling_stats(data, HEMI, "haversine", None)
-    fun_vmf, _ = _make_objective(stats, "vmf_mu_kappa", None, MU)
-    fun_kent, _ = _make_objective(stats, "kent_frame",
-                                  {"kappa": 10.0, "alpha": 3.0}, MU)
+    fun_kent, _ = _kent_objective(stats, 10.0, 3.0, MU)
     rng = np.random.default_rng(71)
     bad = 0
     for theta in rng.uniform(-30.0, 30.0, size=(90000, 3)):
-        if not np.isfinite(fun_vmf(theta)):
+        mu, kappa = to_euclidean(theta[0], theta[1]), np.exp(theta[2])
+        if not np.isfinite(stats.vmf_terms(mu, kappa).total):
             bad += 1
     for theta in rng.uniform(-30.0, 30.0, size=(10000, 3)):
         if not np.isfinite(fun_kent(theta)):

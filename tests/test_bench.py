@@ -22,7 +22,7 @@ from tmsm.bench import (
 from tmsm.boundary import ColatitudeBoundary, PolylineBoundary, spherical_to_latlon
 from tmsm.cli import main
 from tmsm.estimator import Dataset, estimate
-from tmsm.geometry import geodesic_angle
+from tmsm.geometry import geodesic_angle, to_euclidean
 from tmsm.models import KentParams, VmfParams
 from tmsm.sampling import sample_truncated, substream_rng
 
@@ -403,6 +403,30 @@ def test_cli_numeric_failure_exit_4(tmp_path):
         "out_dir": str(tmp_path),
     }))
     assert main(["benchmark", "--config", str(cfg)]) == 4
+    # one point leaves the free-concentration objective without a finite minimiser
+    one = tmp_path / "one.csv"
+    Dataset(to_euclidean(2.0, 1.0)).to_csv(one)
+    assert main(["estimate", "--data", str(one), "--out-dir", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["benchmark", "--g", "projected"],
+    ["kappa-benchmark", "--g", "projected"],
+    ["storms", "--events", "e.csv", "--boundary-csv", "b.csv", "--g", "projected"],
+    ["simulate", "--workers", "2"],
+    ["estimate", "--data", "d.csv", "--workers", "2"],
+    ["storms", "--events", "e.csv", "--boundary-csv", "b.csv", "--workers", "2"],
+])
+def test_cli_rejects_flags_the_command_ignores(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_config_g_kind_rejected_by_benchmark(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g_kind": "projected", "out_dir": str(tmp_path)}))
+    assert main(["benchmark", "--config", str(cfg)]) == 2
 
 
 def test_cli_simulate_estimate_roundtrip(tmp_path):

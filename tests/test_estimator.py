@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from tmsm.boundary import ColatitudeBoundary, PolylineBoundary
 from tmsm.estimator import (
@@ -14,8 +15,8 @@ from tmsm.estimator import (
     sphere_grid,
     tmsm_objective,
 )
-from tmsm.estimator import _make_objective, _scaling_stats
-from tmsm.geometry import geodesic_angle, to_euclidean
+from tmsm.estimator import _eta_on_sphere, _scaling_stats
+from tmsm.geometry import geodesic_angle, to_euclidean, unit_vector
 from tmsm.models import KentParams, VmfParams
 from tmsm.sampling import sample_truncated, sample_vmf, substream_rng
 
@@ -203,6 +204,95 @@ def test_estimate_equivariant_under_axial_rotation():
     r1 = estimate(d, HEMI, model_kind="vmf_mu_only", fixed={"kappa": 6.0}, seed=0)
     r2 = estimate(d_rot, HEMI, model_kind="vmf_mu_only", fixed={"kappa": 6.0}, seed=0)
     assert geodesic_angle(rot @ r1.params.mu, r2.params.mu) < 1e-5
+
+
+def _brute_force_vmf(stats, kappa=None):
+    """Best of many tight Nelder-Mead runs on stats.vmf_terms; (mu, kappa, total)."""
+    rng = np.random.default_rng(12)
+    if kappa is None:
+        def fun(eta):
+            k = np.linalg.norm(eta)
+            return stats.vmf_terms(eta / k, k).total
+        starts = rng.standard_normal((8, 3)) * 5.0
+    else:
+        def fun(ab):
+            return stats.vmf_terms(to_euclidean(ab[0], ab[1]), kappa).total
+        starts = np.column_stack([rng.uniform(0.1, np.pi - 0.1, 8),
+                                  rng.uniform(0.0, 2.0 * np.pi, 8)])
+    best = min((minimize(fun, s, method="Nelder-Mead",
+                         options={"xatol": 1e-10, "fatol": 1e-13, "maxfev": 5000})
+                for s in starts), key=lambda r: r.fun)
+    if kappa is None:
+        k = np.linalg.norm(best.x)
+        return best.x / k, k, best.fun
+    return to_euclidean(best.x[0], best.x[1]), kappa, best.fun
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_closed_form_vmf_matches_brute_force(g_kind, axis):
+    boundary = None if g_kind == "unit" else HEMI
+    for seed in (20, 21):
+        d = hemi_dataset(300, seed=seed)
+        stats = _scaling_stats(d, boundary, g_kind, axis)
+        for model_kind, fixed in (("vmf_mu_kappa", None), ("vmf_mu_only", {"kappa": 6.0})):
+            res = estimate(d, boundary, g_kind=g_kind, model_kind=model_kind,
+                           fixed=fixed, drop_axis=axis)
+            mu, kappa, best = _brute_force_vmf(stats, None if fixed is None else fixed["kappa"])
+            assert geodesic_angle(res.params.mu, mu) < 1e-6
+            assert res.params.kappa == pytest.approx(kappa, rel=1e-6)
+            assert res.objective <= best + 1e-12
+            assert res.objective == stats.vmf_terms(res.params.mu, res.params.kappa).total
+            assert (res.iterations, res.restarts_used, res.converged) == (0, 0, True)
+
+
+@pytest.mark.parametrize("interleaved", [True, False])
+def test_closed_form_vmf_hard_case(interleaved):
+    # antipodal pairs under unit g: c = 2 first - tgrad vanishes, so the
+    # known-kappa fit is the bottom eigenvector of M = I - quad, i.e. the top
+    # eigenvector of quad, and the free-kappa minimiser is eta = 0. Summing
+    # interleaved pairs makes c exactly zero; stacked halves leave rounding.
+    x = sample_vmf(VmfParams(mu=MU, kappa=3.0), 200, substream_rng(13, 0))
+    x = np.stack([x, -x], axis=1).reshape(-1, 3) if interleaved else np.vstack([x, -x])
+    d = Dataset(x)
+    stats = _scaling_stats(d, None, "unit", None)
+    top = np.linalg.eigh(stats.quad)[1][:, -1]
+    res = estimate(d, None, g_kind="unit", model_kind="vmf_mu_only", fixed={"kappa": 4.0})
+    assert abs(abs(res.params.mu @ top) - 1.0) < 1e-10
+    assert res.params.kappa == 4.0
+    if interleaved:
+        with pytest.raises(FloatingPointError, match="outside"):
+            estimate(d, None, g_kind="unit", model_kind="vmf_mu_kappa")
+
+
+@pytest.mark.parametrize("c,expect", [
+    ([0.0, 0.5, 0.0], [np.sqrt(3.75), 0.5, 0.0]),  # hard case, either sign
+    ([1e-12, 0.5, 0.0], [np.sqrt(3.75), 0.5, 0.0]),
+    ([-1e-30, 0.5, 0.0], [-np.sqrt(3.75), 0.5, 0.0]),
+    ([0.0, 5.0, 0.0], [0.0, 2.0, 0.0]),  # c'_0 = 0 but a root exists
+    ([3.0, 1.0, -2.0], None),
+])
+def test_eta_on_sphere_against_lagrange_conditions(c, expect):
+    m, c, kappa = np.diag([1.0, 2.0, 3.0]), np.array(c), 2.0
+    eta = _eta_on_sphere(m, c, kappa)
+    assert np.linalg.norm(eta) == pytest.approx(kappa, rel=1e-10)
+    if expect is not None:
+        got = eta.copy()
+        if c[0] == 0.0:
+            got[0] = abs(got[0])  # the sign along the bottom eigenvector is free
+        assert np.allclose(got, expect, atol=1e-9)
+    # global minimum on the sphere: (M + t I) eta = c with t >= -lambda_min
+    t = (c - m @ eta) @ eta / kappa**2
+    assert np.allclose((m + t * np.eye(3)) @ eta, c, atol=1e-9)
+    assert t >= -1.0 - 1e-9
+
+
+@pytest.mark.parametrize("g_kind", ["haversine", "projected"])
+def test_estimate_single_point_fails_loudly(g_kind):
+    # M = g (I - x x^T) is singular: Cholesky either fails or, after
+    # rounding, yields a concentration far above KAPPA_CAP
+    d = Dataset(unit_vector(np.array([-0.3, -0.9, 0.2])))
+    with pytest.raises(FloatingPointError):
+        estimate(d, HEMI, g_kind=g_kind, model_kind="vmf_mu_kappa")
 
 
 # --------------------------------------------------------------- quadrature
