@@ -33,14 +33,9 @@ from .boundary import (
     Boundary,
     ColatitudeBoundary,
     PolylineBoundary,
-    ScalingValue,
     default_drop_axis,
-    g_haversine,
-    g_projected_euclidean,
-    haversine_distance,
     latlon_to_spherical,
     load_boundary_csv,
-    nearest_boundary_point,
     spherical_to_latlon,
 )
 from .estimator import (
@@ -92,16 +87,12 @@ __all__ = [
     "ObjectiveTerms",
     "PolylineBoundary",
     "SampleRequest",
-    "ScalingValue",
     "SphericalCoord",
     "TruncatedSample",
     "VmfParams",
     "default_drop_axis",
     "estimate",
-    "g_haversine",
-    "g_projected_euclidean",
     "geodesic_angle",
-    "haversine_distance",
     "hemisphere_chart_segments",
     "ibp_identity_check",
     "ingest_events",
@@ -111,7 +102,6 @@ __all__ = [
     "log_unnormalized_density",
     "manifold_inner",
     "mle_vmf",
-    "nearest_boundary_point",
     "projection",
     "rmse",
     "rmse_embedding",

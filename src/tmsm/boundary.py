@@ -2,60 +2,53 @@
 Observation-region boundaries on the sphere and the scaling functions that
 vanish there.
 
-A `Boundary` describes the closed curve bounding the observed region, holds
-a precomputed dense point sample of the curve, and answers region
-membership. Two boundary variants are provided: a constant-colatitude
-circle (with exact closed-form distances) and an arbitrary closed polyline
-of unit vectors.
+A `Boundary` describes the closed curve bounding the observed region,
+answers region membership, and holds a dense point sample of the curve.
+Two boundary variants are provided: a constant-colatitude circle (with
+exact closed-form distances) and a closed polyline of unit vectors joined
+by minor great-circle arcs, whose membership and geodesic distance are
+computed exactly on those vertex arcs. A polyline's region is the side of
+the curve that holds its interior hint; selecting a side larger than a
+hemisphere needs an explicit hint.
 
 Two scaling functions are implemented, both zero exactly on the boundary:
 
 * great-circle (haversine) geodesic distance to the boundary, with its
-  gradient obtained by the chart chain rule at the nearest boundary point;
+  gradient -(p - (x.p) x) / sin d at the nearest boundary point p;
 * Euclidean distance after dropping one embedding coordinate (projecting
-  the sphere onto a plane), with the in-plane unit direction as gradient.
+  the sphere onto a plane) to the nearest projected boundary sample, with
+  the in-plane unit direction as gradient.
 
 Gradients of a min-over-points distance are taken holding the minimizing
 boundary point fixed, which is valid away from the measure-zero set of
-argmin ties. Returned haversine gradients are tangentially projected (the
-gradient of the radially-constant extension); projected-Euclidean gradients
-are the lifted in-plane unit vectors. Either convention yields the same
-tangential inner products downstream.
+argmin ties. Returned haversine gradients are tangential (the gradient of
+the radially-constant extension); projected-Euclidean gradients are the
+lifted in-plane unit vectors. Either convention yields the same tangential
+inner products downstream.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import (
-    POLE_SIN_TOL,
     SphericalCoord,
     TWO_PI,
+    complete_frame,
     geodesic_angle,
-    project_tangent,
     to_euclidean,
-    to_spherical,
     unit_vector,
     wrap_azimuth,
 )
 
 DEFAULT_RESOLUTION = 4096
 
-# Rotation by pi/2 about the x3 axis; moves the x1 poles onto the equator
-# for the rotated-chart gradient fallback.
-_POLE_ESCAPE_ROT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-
-@dataclass
-class ScalingValue:
-    """Scaling function value and ambient gradient at a query point."""
-
-    g: float
-    grad: np.ndarray
-    on_boundary: bool = False
+# Query rows per chunk are sized so that query-by-vertex work arrays hold
+# about this many entries.
+_CHUNK_PAIRS = 1 << 16
 
 
 class Boundary:
@@ -63,13 +56,15 @@ class Boundary:
     Base class: a closed curve on the sphere plus the observed region it
     bounds.
 
-    Instances are immutable after construction (the dense sample cache
-    included); all queries are read-only and thread-safe.
+    Instances are immutable after construction (lazily built lookup
+    caches aside); all queries are read-only and thread-safe.
 
     Attributes:
-        samples: (m, 3) dense point sample of the curve.
+        samples: (m, 3) dense point sample of the curve, used by the
+            projected scaling function.
         spacing: largest great-circle gap between consecutive samples.
-        interior_reference: a unit vector inside the region.
+        interior_reference: a unit vector inside the region; a polyline's
+            region is the side of the curve that holds it.
     """
 
     samples: np.ndarray
@@ -78,10 +73,6 @@ class Boundary:
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         """Region membership for point(s) [..., 3]."""
-        raise NotImplementedError
-
-    def resampled(self, resolution: int) -> "Boundary":
-        """A copy of this boundary with a different sample resolution."""
         raise NotImplementedError
 
 
@@ -94,17 +85,16 @@ class ColatitudeBoundary(Boundary):
     fast path by the scaling functions.
     """
 
-    def __init__(self, a0: float, side: str = "greater", resolution: int = DEFAULT_RESOLUTION):
+    def __init__(self, a0: float, side: str = "greater"):
         if not 0.0 < a0 < np.pi:
             raise ValueError(f"a0 must lie strictly inside (0, pi), got {a0}")
         if side not in ("greater", "less"):
             raise ValueError(f"side must be 'greater' or 'less', got {side!r}")
         self.a0 = float(a0)
         self.side = side
-        self.resolution = int(resolution)
-        b = np.arange(self.resolution) * (TWO_PI / self.resolution)
-        self.samples = to_euclidean(np.full(self.resolution, self.a0), b)
-        self.spacing = float(np.sin(self.a0) * TWO_PI / self.resolution)
+        b = np.arange(DEFAULT_RESOLUTION) * (TWO_PI / DEFAULT_RESOLUTION)
+        self.samples = to_euclidean(np.full(DEFAULT_RESOLUTION, self.a0), b)
+        self.spacing = float(np.sin(self.a0) * TWO_PI / DEFAULT_RESOLUTION)
         pole_a = np.pi if side == "greater" else 0.0
         self.interior_reference = to_euclidean(pole_a, 0.0)
 
@@ -118,27 +108,21 @@ class ColatitudeBoundary(Boundary):
         """Polar-angle interval covered by the region."""
         return (self.a0, np.pi) if self.side == "greater" else (0.0, self.a0)
 
-    def resampled(self, resolution: int) -> "ColatitudeBoundary":
-        return ColatitudeBoundary(self.a0, self.side, resolution)
-
 
 class PolylineBoundary(Boundary):
     """
-    Closed polyline of unit vectors; the region is the component of the
-    sphere on which the curve's winding number is +1.
+    Closed polyline of unit vectors joined by minor great-circle arcs; the
+    region is the side of the curve that holds the interior hint.
 
-    Vertex order is normalized at construction so that the supplied
-    interior hint (default: the normalized vertex mean) is inside. The
-    dense sample is an equal-arc-length resampling along the great-circle
-    segments.
+    The hint defaults to the normalized vertex mean, which lies on the
+    smaller side of most curves; a region larger than a hemisphere needs
+    an explicit hint. Membership is the parity of the vertex arcs crossed
+    by the minor arc from the hint to the query (Bevis & Chatelain 1989),
+    so vertex order does not matter. `samples` is an equal-arc-length
+    resampling along the arcs.
     """
 
-    def __init__(
-        self,
-        vertices: np.ndarray,
-        interior_hint: np.ndarray | None = None,
-        resolution: int = DEFAULT_RESOLUTION,
-    ):
+    def __init__(self, vertices: np.ndarray, interior_hint: np.ndarray | None = None):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 3 or vertices.shape[0] < 3:
             raise ValueError("vertices must be an (k, 3) array with k >= 3")
@@ -155,25 +139,26 @@ class PolylineBoundary(Boundary):
             interior_hint = unit_vector(mean)
         else:
             interior_hint = unit_vector(np.asarray(interior_hint, dtype=float))
-
-        self.resolution = int(resolution)
-        self.samples = _resample_closed(vertices, self.resolution)
-        step = geodesic_angle(self.samples, np.roll(self.samples, -1, axis=0))
-        self.spacing = float(np.max(step))
-        if _winding(self.samples, interior_hint) < 0.0:
-            vertices = vertices[::-1].copy()
-            self.samples = self.samples[::-1].copy()
         self.vertices = vertices
         self.interior_reference = interior_hint
+        self.samples = _resample_closed(vertices, DEFAULT_RESOLUTION)
+        step = geodesic_angle(self.samples, np.roll(self.samples, -1, axis=0))
+        self.spacing = float(np.max(step))
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return _winding(self.samples, x) > np.pi
-        return np.array([_winding(self.samples, q) > np.pi for q in x])
-
-    def resampled(self, resolution: int) -> "PolylineBoundary":
-        return PolylineBoundary(self.vertices, self.interior_reference, resolution)
+        q = x.reshape(-1, 3)
+        ref = self.interior_reference
+        odd = _crossing_parity(self.vertices, ref, q)
+        # The minor arc from ref is undefined at +-ref: detour through a
+        # point a quarter turn away.
+        bad = np.linalg.norm(np.cross(q, ref), axis=1) < 1e-8
+        if np.any(bad):
+            via = complete_frame(ref)[0]
+            via_odd = _crossing_parity(self.vertices, ref, via[None, :])[0]
+            odd[bad] = via_odd ^ _crossing_parity(self.vertices, via, q[bad])
+        inside = ~odd.reshape(x.shape[:-1])
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 def _resample_closed(vertices: np.ndarray, m: int) -> np.ndarray:
@@ -191,84 +176,98 @@ def _resample_closed(vertices: np.ndarray, m: int) -> np.ndarray:
     return unit_vector(out)
 
 
-def _winding(samples: np.ndarray, q: np.ndarray) -> float:
+def _row_chunks(n: int, k: int):
+    """Row slices that keep n-by-k work arrays near _CHUNK_PAIRS entries."""
+    step = max(1, _CHUNK_PAIRS // k)
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
+def _crossing_parity(vertices: np.ndarray, origin: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
-    Signed total azimuth swept by the curve in the chart whose pole is q.
+    True where the minor arc origin -> q crosses an odd number of the arcs
+    vertices[i] -> vertices[i + 1].
 
-    Approximately +2*pi when q is in the region the curve encircles
-    counterclockwise, -2*pi on the complementary side.
+    The path crosses arc (a, b) when origin and q straddle the plane of
+    (a, b), a and b straddle the plane of (origin, q), and the path meets
+    that great circle at P = |s_o| q + |s_q| origin (s = signed side)
+    with P.(a + b) > 0, i.e. on the arc rather than at its antipode.
+    Zero sides count as positive, so a path through a vertex is counted
+    once for its two arcs.
     """
-    # Build an orthonormal frame (q, e, f) and read azimuths atan2(f.s, e.s).
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(q)))] = 1.0
-    e = unit_vector(np.cross(q, seed))
-    f = np.cross(q, e)
-    az = np.arctan2(samples @ f, samples @ e)
-    d = np.diff(np.concatenate([az, az[:1]]))
-    d = np.mod(d + np.pi, TWO_PI) - np.pi
-    return float(np.sum(d))
+    nxt = np.roll(vertices, -1, axis=0)
+    normals = np.cross(vertices, nxt)
+    mids = vertices + nxt
+    s_o = normals @ origin
+    o_pos = s_o >= 0.0
+    o_sign = np.where(o_pos, 1.0, -1.0)
+    o_mid = mids @ origin
+    v_side = np.cross(vertices, origin)  # q . (v x origin) = det(origin, q, v)
+    odd = np.empty(len(q), dtype=bool)
+    for rows in _row_chunks(len(q), len(vertices)):
+        qc = q[rows]
+        s_q = qc @ normals.T
+        v_pos = qc @ v_side.T >= 0.0
+        crosses = (
+            (o_pos != (s_q >= 0.0))
+            & (v_pos != np.roll(v_pos, -1, axis=1))
+            & (o_sign * (s_o * (qc @ mids.T) - s_q * o_mid) > 0.0)
+        )
+        odd[rows] = np.count_nonzero(crosses, axis=1) % 2 == 1
+    return odd
 
 
-def haversine_distance(z: SphericalCoord | tuple, zp: SphericalCoord | tuple) -> float | np.ndarray:
+def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
-    Great-circle distance between two chart points on the unit sphere.
+    Geodesic distance from each query (n, 3) to the closed polyline of
+    vertex arcs, and the nearest point on it (on the ray through it; not
+    normalized).
 
-    2*arcsin(sqrt(u)) with
-    u = sin^2((a'-a)/2) + sin(a) sin(a') sin^2((b'-b)/2),
-    which coincides with arccos(x . x') of the embedded points. (With the
-    polar angle measured from the axis, the latitude-form cosine factors of
-    the textbook formula become sines.) u is clamped to [0, 1] against
-    rounding.
+    The distance to arc (a, b) with unit normal n is the distance to its
+    great circle when the foot of the perpendicular lies on the arc
+    (x.(n x a) >= 0 and x.(b x n) >= 0), else to the nearer endpoint. Every
+    angle is atan2(|cross|, dot), accurate at both ends of [0, pi].
     """
-    a, b = np.asarray(z[0], dtype=float), np.asarray(z[1], dtype=float)
-    ap, bp = np.asarray(zp[0], dtype=float), np.asarray(zp[1], dtype=float)
-    u = np.sin(0.5 * (ap - a)) ** 2 + np.sin(a) * np.sin(ap) * np.sin(0.5 * (bp - b)) ** 2
-    d = 2.0 * np.arcsin(np.sqrt(np.clip(u, 0.0, 1.0)))
-    return float(d) if d.ndim == 0 else d
-
-
-def _chart_gradient(x: np.ndarray, nearest: np.ndarray) -> np.ndarray:
-    """
-    Ambient gradient of the haversine distance to a fixed boundary point,
-    via the chain rule through the (a, b) chart, tangentially projected.
-
-    Queries within POLE_SIN_TOL of a chart pole are evaluated in a rotated
-    chart and mapped back (the chart Jacobian is singular at the poles).
-    """
-    if abs(x[0]) > 1.0 - 0.5 * POLE_SIN_TOL**2:
-        r = _POLE_ESCAPE_ROT
-        return r.T @ _chart_gradient(r @ x, r @ nearest)
-    a, b = to_spherical(x)
-    ap, bp = to_spherical(nearest)
-    sa, sap = np.sin(a), np.sin(ap)
-    u = np.sin(0.5 * (ap - a)) ** 2 + sa * sap * np.sin(0.5 * (bp - b)) ** 2
-    u = min(max(u, 0.0), 1.0)
-    if u <= 0.0 or u >= 1.0:
-        return np.zeros(3)
-    dg_du = 1.0 / np.sqrt(u * (1.0 - u))
-    du_da = 0.5 * np.sin(a - ap) + np.cos(a) * sap * np.sin(0.5 * (bp - b)) ** 2
-    du_db = 0.5 * sa * sap * np.sin(b - bp)
-    grad_a = np.array([-1.0 / sa, 0.0, 0.0])
-    grad_b = np.array([0.0, -x[2], x[1]]) / (sa * sa)
-    return project_tangent(x, dg_du * (du_da * grad_a + du_db * grad_b))
-
-
-def _nearest_haversine_idx(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index of the geodesically nearest sample per query (first on ties)."""
-    return np.argmax(np.atleast_2d(x) @ samples.T, axis=1)
+    nxt = np.roll(vertices, -1, axis=0)
+    normals = unit_vector(np.cross(vertices, nxt))
+    start_side = np.cross(normals, vertices)
+    end_side = np.cross(nxt, normals)
+    dist = np.empty(len(x))
+    near = np.empty_like(x)
+    for rows in _row_chunks(len(x), len(vertices)):
+        q = x[rows]
+        lift = q @ normals.T
+        to_circle = np.arctan2(np.abs(lift), np.linalg.norm(np.cross(q[:, None], normals), axis=2))
+        to_vertex = np.arctan2(np.linalg.norm(np.cross(q[:, None], vertices), axis=2), q @ vertices.T)
+        to_next = np.roll(to_vertex, -1, axis=1)
+        on_arc = (q @ start_side.T >= 0.0) & (q @ end_side.T >= 0.0)
+        arc_dist = np.where(on_arc, to_circle, np.minimum(to_vertex, to_next))
+        j = np.argmin(arc_dist, axis=1)
+        i = np.arange(len(q))
+        dist[rows] = arc_dist[i, j]
+        foot = q - lift[i, j][:, None] * normals[j]
+        end = np.where((to_vertex[i, j] <= to_next[i, j])[:, None], vertices[j], nxt[j])
+        near[rows] = np.where(on_arc[i, j][:, None], foot, end)
+    return dist, near
 
 
 def haversine_scaling(boundary: Boundary, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     Vectorized geodesic-distance scaling for a batch of query points.
 
+    g is the great-circle distance to the boundary: |a - a0| for a
+    colatitude circle, the exact distance to the nearest vertex arc for a
+    polyline. The gradient is -(p - (x.p) x) / sin g at the nearest
+    boundary point p, a unit tangent vector.
+
     Args:
-        boundary: the region boundary.
+        boundary: the region boundary; for a polyline the region is the
+            side that holds its interior hint.
         x: Queries (n, 3).
 
     Returns:
-        (g (n,), grad (n, 3), on_boundary (n,) bool). Points on or outside
-        the region get g = 0 and a zero gradient, flagged on_boundary.
+        (g (n,), grad (n, 3), on_boundary (n,) bool). Points outside the
+        region or within 1e-12 of the boundary get g = 0 and a zero
+        gradient, flagged on_boundary.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -290,36 +289,16 @@ def haversine_scaling(boundary: Boundary, x: np.ndarray) -> tuple[np.ndarray, np
             axis=-1,
         )
         grad[ok] = sign * tang
-        on_b = ~ok
-        return g, grad, on_b
+        return g, grad, ~ok
 
-    idx = _nearest_haversine_idx(boundary.samples, x)
-    nearest = boundary.samples[idx]
-    za, zb = to_spherical(x)
-    na, nb = to_spherical(nearest)
-    dist = haversine_distance((za, zb), (na, nb))
-    tol = 0.5 * boundary.spacing
-    ok = inside & (np.atleast_1d(dist) > tol)
-    g[ok] = np.atleast_1d(dist)[ok]
-    for i in np.flatnonzero(ok):
-        grad[i] = _chart_gradient(x[i], nearest[i])
+    g[inside], near = _nearest_on_arcs(boundary.vertices, x[inside])
+    ok = g > 1e-12
+    xo = x[ok]
+    # (x x p) x x = p - (x.p) x, with norm sin g times |p|.
+    toward = np.cross(np.cross(xo, near[ok[inside]]), xo)
+    grad[ok] = -toward / np.linalg.norm(toward, axis=1, keepdims=True)
+    g[~ok] = 0.0
     return g, grad, ~ok
-
-
-def g_haversine(boundary: Boundary, x: np.ndarray) -> ScalingValue:
-    """
-    Geodesic distance from x to the boundary, with its gradient.
-
-    The distance is the minimum haversine distance over the boundary's
-    dense sample (closed form for colatitude circles); the gradient
-    differentiates that distance holding the nearest boundary point fixed
-    and maps the chart derivatives to ambient coordinates.
-
-    Points on the boundary (within sampling resolution) or outside the
-    region return g = 0, grad = 0, flagged `on_boundary`.
-    """
-    g, grad, on_b = haversine_scaling(boundary, np.asarray(x, dtype=float)[None, :])
-    return ScalingValue(float(g[0]), grad[0], bool(on_b[0]))
 
 
 def default_drop_axis(boundary: Boundary) -> int:
@@ -336,6 +315,18 @@ def _drop_index(drop_axis: int) -> int:
     return drop_axis - 1
 
 
+def _sample_tree(boundary: Boundary, drop_idx: int | None = None) -> cKDTree:
+    """
+    KD-tree over the boundary samples (all three coordinates, or the two
+    kept when dropping coordinate drop_idx), built once per boundary.
+    """
+    cache = boundary.__dict__.setdefault("_tree_cache", {})
+    if drop_idx not in cache:
+        pts = boundary.samples if drop_idx is None else np.delete(boundary.samples, drop_idx, axis=1)
+        cache[drop_idx] = cKDTree(pts)
+    return cache[drop_idx]
+
+
 def _mirror_symmetric(boundary: Boundary, drop_idx: int) -> bool:
     """
     True when negating the dropped coordinate maps the boundary sample set
@@ -349,9 +340,8 @@ def _mirror_symmetric(boundary: Boundary, drop_idx: int) -> bool:
     if drop_idx not in cache:
         mirrors = boundary.samples.copy()
         mirrors[:, drop_idx] *= -1.0
-        cos_near = np.max(mirrors @ boundary.samples.T, axis=1)
-        dist = np.arccos(np.clip(cos_near, -1.0, 1.0))
-        cache[drop_idx] = bool(np.max(dist) <= boundary.spacing + 1e-9)
+        chord = np.max(_sample_tree(boundary).query(mirrors)[0])
+        cache[drop_idx] = bool(2.0 * np.arcsin(min(0.5 * chord, 1.0)) <= boundary.spacing + 1e-9)
     return cache[drop_idx]
 
 
@@ -437,38 +427,13 @@ def projected_scaling(
         grad[np.ix_(np.flatnonzero(ok), keep)] = unit
         return np.where(ok, g, 0.0), grad, ~ok
 
-    se = boundary.samples[:, keep]
-    # Squared planar distances via the expansion |a-b|^2 = |a|^2 - 2ab + |b|^2.
-    d2 = (
-        np.sum(xe * xe, axis=1)[:, None]
-        - 2.0 * xe @ se.T
-        + np.sum(se * se, axis=1)[None, :]
-    )
-    idx = np.argmin(d2, axis=1)
-    diff = xe - se[idx]
+    idx = _sample_tree(boundary, drop_idx).query(xe)[1]
+    diff = xe - boundary.samples[idx][:, keep]
     g = np.linalg.norm(diff, axis=1)
-    tol = 0.5 * boundary.spacing
-    ok = inside & (g > tol)
+    ok = inside & (g > 0.5 * boundary.spacing)
     unit = diff[ok] / g[ok][:, None]
     grad[np.ix_(np.flatnonzero(ok), keep)] = unit
-    g = np.where(ok, g, 0.0)
-    return g, grad, ~ok
-
-
-def g_projected_euclidean(
-    boundary: Boundary, x: np.ndarray, drop_axis: int | None = None
-) -> ScalingValue:
-    """
-    Planar distance from the projected query to the projected boundary.
-
-    `drop_axis` names the embedding coordinate to zero (1, 2, or 3 for
-    x1, x2, x3); by default the axis best aligned with the region's
-    interior. The boundary must either sit in one hemisphere of that axis
-    or be mirror-symmetric in it, so that the projected distance vanishes
-    only on the boundary itself.
-    """
-    g, grad, on_b = projected_scaling(boundary, np.asarray(x, dtype=float)[None, :], drop_axis)
-    return ScalingValue(float(g[0]), grad[0], bool(on_b[0]))
+    return np.where(ok, g, 0.0), grad, ~ok
 
 
 def scaling_values(
@@ -496,28 +461,6 @@ def scaling_values(
     raise ValueError(f"unknown g_kind {g_kind!r}")
 
 
-def nearest_boundary_point(
-    boundary: Boundary, query: np.ndarray, metric: str = "haversine", drop_axis: int | None = None
-) -> np.ndarray:
-    """
-    The boundary sample nearest the query under the chosen metric.
-
-    Ties break deterministically to the lowest sample index.
-    """
-    query = np.asarray(query, dtype=float)
-    if metric == "haversine":
-        idx = int(np.argmax(boundary.samples @ query))
-    elif metric == "projected":
-        if drop_axis is None:
-            drop_axis = default_drop_axis(boundary)
-        keep = [i for i in range(3) if i != _drop_index(drop_axis)]
-        d2 = np.sum((boundary.samples[:, keep] - query[keep]) ** 2, axis=1)
-        idx = int(np.argmin(d2))
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return boundary.samples[idx].copy()
-
-
 def latlon_to_spherical(lat_deg: np.ndarray, lon_deg: np.ndarray) -> SphericalCoord:
     """Degrees latitude/longitude to chart angles (a, b)."""
     a = 0.5 * np.pi - np.deg2rad(np.asarray(lat_deg, dtype=float))
@@ -533,9 +476,7 @@ def spherical_to_latlon(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     return lat, lon
 
 
-def load_boundary_csv(
-    path, interior_hint: np.ndarray | None = None, resolution: int = DEFAULT_RESOLUTION
-) -> PolylineBoundary:
+def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> PolylineBoundary:
     """
     Read a boundary polyline from CSV.
 
@@ -559,4 +500,4 @@ def load_boundary_csv(
         raise ValueError(
             f"{path}: boundary CSV needs columns lat_deg,lon_deg or a_rad,b_rad"
         )
-    return PolylineBoundary(to_euclidean(a, b), interior_hint=interior_hint, resolution=resolution)
+    return PolylineBoundary(to_euclidean(a, b), interior_hint=interior_hint)

@@ -165,8 +165,8 @@ class _ScalingStats:
 
     Holds the raw g values and gradients plus the sufficient statistics
     that make the vMF objective O(1) per evaluation: gbar = mean g,
-    quad = mean g x x^T, first = mean g x, and tgrad = mean tangential
-    part of grad g.
+    quad = mean g x x^T, first = mean g x, tgrad = mean tangential part of
+    grad g, and tgrad_abs = mean norm of that part.
     """
 
     def __init__(self, x: np.ndarray, g: np.ndarray, grad: np.ndarray):
@@ -177,7 +177,9 @@ class _ScalingStats:
         self.quad = (g[:, None, None] * (x[:, :, None] * x[:, None, :])).mean(axis=0)
         self.first = (g[:, None] * x).mean(axis=0)
         xg = np.sum(x * grad, axis=1)
-        self.tgrad = (grad - xg[:, None] * x).mean(axis=0)
+        tang = grad - xg[:, None] * x
+        self.tgrad = tang.mean(axis=0)
+        self.tgrad_abs = float(np.linalg.norm(tang, axis=1).mean())
 
     def vmf_terms(self, mu: np.ndarray, kappa: float) -> ObjectiveTerms:
         inner = kappa * kappa * (self.gbar - mu @ self.quad @ mu)
@@ -329,6 +331,9 @@ def _fit_vmf(stats: _ScalingStats, model_kind: str, fixed: dict) -> EstimationRe
                 "weighted data do not span a tangent plane (too few distinct points?)"
             ) from exc
         kappa = float(np.linalg.norm(eta))
+        # c at the rounding size of its terms is eta = 0 up to noise.
+        if np.linalg.norm(c) <= 1e-12 * (2.0 * stats.gbar + stats.tgrad_abs):
+            kappa = 0.0
         if not 0.0 < kappa <= KAPPA_CAP:
             raise FloatingPointError(
                 f"fitted concentration {kappa:.6g} is outside (0, {KAPPA_CAP:.0e}]; "

@@ -20,11 +20,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Chart points closer to a pole than this use rotated-frame fallbacks where
-# the (a, b) Jacobian is singular.
-POLE_SIN_TOL = 1e-6
-
-
 class SphericalCoord(NamedTuple):
     """Chart angles (a, b); fields may be scalars or broadcastable arrays."""
 

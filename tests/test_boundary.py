@@ -4,22 +4,20 @@ import pytest
 from tmsm.boundary import (
     ColatitudeBoundary,
     PolylineBoundary,
-    ScalingValue,
+    _nearest_on_arcs,
+    _resample_closed,
     default_drop_axis,
-    g_haversine,
-    g_projected_euclidean,
-    haversine_distance,
     haversine_scaling,
     latlon_to_spherical,
     load_boundary_csv,
-    nearest_boundary_point,
     projected_scaling,
     scaling_values,
     spherical_to_latlon,
 )
-from tmsm.geometry import geodesic_angle, to_euclidean, to_spherical, unit_vector
+from tmsm.geometry import TWO_PI, geodesic_angle, to_euclidean, to_spherical, unit_vector
 
 HEMI = ColatitudeBoundary(np.pi / 2.0)
+USA = load_boundary_csv("src/tmsm/data/usa_outline.csv")
 
 
 def hemisphere_points(rng, n, margin=0.15):
@@ -48,14 +46,13 @@ def test_colatitude_validation():
 
 
 def test_colatitude_basics():
-    b = ColatitudeBoundary(1.2, side="less", resolution=512)
+    b = ColatitudeBoundary(1.2, side="less")
     assert b.a_interval() == (0.0, 1.2)
     assert b.contains(to_euclidean(0.5, 1.0))
     assert not b.contains(to_euclidean(1.4, 1.0))
     a_s, _ = to_spherical(b.samples)
     assert np.allclose(a_s, 1.2, atol=1e-12)
-    fine = b.resampled(1024)
-    assert fine.spacing == pytest.approx(b.spacing / 2.0)
+    assert b.spacing == pytest.approx(np.sin(1.2) * 2.0 * np.pi / len(b.samples))
     # hemisphere membership is the sign of x1
     assert HEMI.contains(np.array([-0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
     assert np.array_equal(
@@ -75,12 +72,12 @@ def test_polyline_validation():
 def test_polyline_winding_containment():
     # triangle of colatitude 0.4 around the +x1 pole
     tri = to_euclidean([0.4] * 3, [0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
-    b = PolylineBoundary(tri, resolution=1024)
+    b = PolylineBoundary(tri)
     assert b.contains(np.array([1.0, 0.0, 0.0]))
     assert not b.contains(np.array([-1.0, 0.0, 0.0]))
     assert not b.contains(to_euclidean(1.0, 0.3))
-    # vertex order must not matter: orientation is normalized internally
-    rev = PolylineBoundary(tri[::-1], resolution=1024)
+    # vertex order must not matter: the region is the side holding the hint
+    rev = PolylineBoundary(tri[::-1])
     rng = np.random.default_rng(0)
     probes = unit_vector(rng.standard_normal((50, 3)))
     assert np.array_equal(b.contains(probes), rev.contains(probes))
@@ -88,23 +85,97 @@ def test_polyline_winding_containment():
 
 def test_polyline_resampling_even_and_on_sphere():
     tri = to_euclidean([0.7] * 3, [0.5, 2.5, 4.5])
-    b = PolylineBoundary(tri, resolution=600)
+    b = PolylineBoundary(tri)
     assert np.allclose(np.linalg.norm(b.samples, axis=1), 1.0, atol=1e-12)
     steps = geodesic_angle(b.samples, np.roll(b.samples, -1, axis=0))
     assert steps.max() < 2.5 * steps.min()  # near-uniform arc steps
     assert b.spacing == pytest.approx(steps.max())
 
 
+def winding(samples, q):
+    """
+    Signed total azimuth swept by the sampled curve in the chart whose pole
+    is q: about +2*pi when q is in the region the curve encircles
+    counterclockwise. A membership oracle for regions smaller than a
+    hemisphere.
+    """
+    seed = np.zeros(3)
+    seed[int(np.argmin(np.abs(q)))] = 1.0
+    e = unit_vector(np.cross(q, seed))
+    f = np.cross(q, e)
+    az = np.arctan2(samples @ f, samples @ e)
+    d = np.diff(np.concatenate([az, az[:1]]))
+    d = np.mod(d + np.pi, TWO_PI) - np.pi
+    return float(np.sum(d))
+
+
+def winding_contains(b, x):
+    samples = _resample_closed(b.vertices, 4096)
+    if winding(samples, b.interior_reference) < 0.0:
+        samples = samples[::-1]
+    return np.array([winding(samples, q) > np.pi for q in x])
+
+
+def latlon_polygon(lat, lon):
+    return to_euclidean(*latlon_to_spherical(np.array(lat, float), np.array(lon, float)))
+
+
+POLYGONS = {
+    "antimeridian": latlon_polygon([-10, -12, 15, 20], [170, -165, -170, 175]),
+    "pole_pentagon": to_euclidean([0.5] * 5, np.arange(5) * 2.0 * np.pi / 5.0 + 0.1),
+    "reversed_box": latlon_polygon([30, 30, 45, 45], [-100, -80, -80, -100])[::-1],
+    "concave_hexagon": latlon_polygon([0, 0, 20, 12, 12, 20], [0, 40, 40, 25, 15, 0]),
+}
+
+
+def probe_points(b, seed, n=4400):
+    """Uniform points plus points near the region, kept 1e-6 off the border."""
+    rng = np.random.default_rng(seed)
+    near = unit_vector(b.interior_reference + 0.4 * rng.standard_normal((n // 2, 3)))
+    x = np.vstack([unit_vector(rng.standard_normal((n - n // 2, 3))), near])
+    d, _ = _nearest_on_arcs(b.vertices, x)
+    return x[d > 1e-6]
+
+
+@pytest.mark.parametrize("name", sorted(POLYGONS))
+def test_polyline_parity_matches_winding_oracle(name):
+    b = PolylineBoundary(POLYGONS[name])
+    x = probe_points(b, seed=sorted(POLYGONS).index(name))
+    assert len(x) >= 4000
+    inside = b.contains(x)
+    assert 0 < inside.sum() < len(x)
+    assert np.array_equal(inside, winding_contains(b, x))
+    # a hint on the other side selects exactly the complement
+    outside_hint = x[~inside][0]
+    assert np.array_equal(PolylineBoundary(POLYGONS[name], outside_hint).contains(x), ~inside)
+
+
+def test_polyline_region_larger_than_hemisphere():
+    # the complement of a small triangle around +x1, selected by its hint
+    tri = to_euclidean([0.4] * 3, [0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
+    small = PolylineBoundary(tri)
+    big = PolylineBoundary(tri, interior_hint=[-1.0, 0.0, 0.0])
+    rng = np.random.default_rng(15)
+    x = unit_vector(rng.standard_normal((2000, 3)))
+    assert np.array_equal(big.contains(x), ~small.contains(x))
+    assert big.contains(x).sum() > 1900
+    # the reference is inside; its exact antipode follows the region
+    assert small.contains(small.interior_reference)
+    assert not small.contains(-small.interior_reference)
+    assert big.contains(big.interior_reference)
+    assert not big.contains(-big.interior_reference)  # +x1, inside the triangle
+    side = PolylineBoundary(tri, interior_hint=[0.0, 1.0, 0.0])
+    assert side.contains(np.array([0.0, 1.0, 0.0]))
+    assert side.contains(np.array([0.0, -1.0, 0.0]))
+    # queries a hair from the reference or its antipode take the detour path
+    eps = np.array([0.0, 1e-12, 0.0])
+    assert np.array_equal(
+        big.contains(unit_vector(np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) + eps)),
+        [True, False],
+    )
+
+
 # ---------------------------------------------------------------- haversine
-
-
-def test_haversine_distance_equals_arccos_dot():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        x = unit_vector(rng.standard_normal(3))
-        y = unit_vector(rng.standard_normal(3))
-        d = haversine_distance(to_spherical(x), to_spherical(y))
-        assert d == pytest.approx(geodesic_angle(x, y), abs=1e-12)
 
 
 def test_haversine_colatitude_closed_form():
@@ -125,12 +196,14 @@ def test_haversine_colatitude_closed_form():
 
 def test_haversine_zero_outside_and_on_boundary():
     x_out = to_euclidean(0.4, 1.0)  # outside the hemisphere
-    v = g_haversine(HEMI, x_out)
-    assert isinstance(v, ScalingValue)
-    assert v.g == 0.0 and v.on_boundary
-    assert np.allclose(v.grad, 0.0)
     x_on = to_euclidean(np.pi / 2.0, 1.0)
-    assert g_haversine(HEMI, x_on).g == 0.0
+    for b in (HEMI, USA):
+        g, grad, on_b = haversine_scaling(b, np.stack([x_out, x_on]))
+        assert np.all(g == 0.0) and np.all(on_b)
+        assert np.all(grad == 0.0)
+    # a polyline vertex is on the boundary
+    g, _, on_b = haversine_scaling(USA, USA.vertices[:5])
+    assert np.all(g == 0.0) and np.all(on_b)
 
 
 def test_haversine_gradient_matches_fd():
@@ -148,38 +221,63 @@ def test_haversine_gradient_matches_fd():
 
 
 def test_haversine_polyline_equator_matches_colatitude():
-    # an equator polyline is the same curve as the hemisphere circle, so the
-    # sampled-minimum path must agree with the closed form; the gradient
-    # picks up an along-curve component of order half-spacing / g from
-    # holding the nearest sample fixed, hence the looser tolerance
+    # the arcs of an equator polyline make up the hemisphere circle itself,
+    # so the exact arc distance and its gradient equal the closed form
     eq = PolylineBoundary(
         to_euclidean([np.pi / 2.0] * 64, np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)),
         interior_hint=np.array([-1.0, 0.0, 0.0]),
-        resolution=16384,
     )
     rng = np.random.default_rng(4)
     x = hemisphere_points(rng, 40)
     g_poly, grad_poly, _ = haversine_scaling(eq, x)
     g_circ, grad_circ, _ = haversine_scaling(HEMI, x)
-    assert np.allclose(g_poly, g_circ, atol=1e-6)
-    assert np.allclose(grad_poly, grad_circ, atol=2e-3)
+    assert np.allclose(g_poly, g_circ, atol=1e-12)
+    assert np.allclose(grad_poly, grad_circ, atol=1e-12)
 
 
-def test_haversine_polyline_is_sampled_minimum():
-    eq = PolylineBoundary(
-        to_euclidean([np.pi / 2.0] * 64, np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)),
-        interior_hint=np.array([-1.0, 0.0, 0.0]),
-    )
+def usa_interior_points(rng, n):
+    lat = rng.uniform(26.0, 49.0, 4 * n)
+    lon = rng.uniform(-124.0, -67.0, 4 * n)
+    x = to_euclidean(*latlon_to_spherical(lat, lon))
+    x = x[USA.contains(x)][:n]
+    assert len(x) == n
+    return x
+
+
+def test_haversine_polyline_is_exact_minimum():
+    # exact arc distance against the minimum over a 400,000-point sample of
+    # the same arcs: never above it beyond rounding, and within the sample's
+    # reach below it
     rng = np.random.default_rng(5)
-    x = hemisphere_points(rng, 20)
-    g, _, _ = haversine_scaling(eq, x)
-    direct = np.arccos(np.clip(x @ eq.samples.T, -1.0, 1.0)).min(axis=1)
-    assert np.allclose(g, direct, atol=1e-9)
+    x = usa_interior_points(rng, 300)
+    g, _, on_b = haversine_scaling(USA, x)
+    assert not np.any(on_b)
+    dense = _resample_closed(USA.vertices, 400_000)
+    nearest = dense[[np.argmax(dense @ q) for q in x]]
+    brute = np.arctan2(np.linalg.norm(np.cross(x, nearest), axis=1), np.sum(x * nearest, axis=1))
+    assert np.all(g <= brute + 1e-12)
+    assert np.all(brute - g <= 1e-5)
+
+
+def test_haversine_polyline_gradient_matches_fd():
+    rng = np.random.default_rng(14)
+    x = usa_interior_points(rng, 200)
+    _, grad, _ = haversine_scaling(USA, x)
+    assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(np.sum(grad * x, axis=1), 0.0, atol=1e-12)
+    f = lambda y: haversine_scaling(USA, y[None, :])[0][0]
+    for i in range(len(x)):
+        v1 = unit_vector(np.cross(x[i], [0.0, 0.0, 1.0]))
+        for v in (v1, np.cross(x[i], v1)):
+            assert fd_tangent_derivative(f, x[i], v, h=1e-6) == pytest.approx(
+                float(grad[i] @ v), abs=1e-6
+            )
 
 
 def test_chart_pole_fallback_gradient():
-    # near the chart pole the (a, b) Jacobian degenerates; the rotated-chart
-    # fallback must still produce the colatitude gradient
+    # at the -x1 pole of the (a, b) chart the 128 equator arcs are nearly
+    # equidistant; the exact distance must still pick the arc under the
+    # query and give the colatitude gradient
     eq = PolylineBoundary(
         to_euclidean([np.pi / 2.0] * 128, np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)),
         interior_hint=np.array([-1.0, 0.0, 0.0]),
@@ -192,6 +290,10 @@ def test_chart_pole_fallback_gradient():
     assert abs(float(grad[0] @ x[0])) < 1e-9
     _, grad_circ, _ = haversine_scaling(HEMI, x)
     assert np.allclose(grad[0], grad_circ[0], atol=1e-3)
+    # -(e1 - x1 x) / sin a, written without cancellation
+    x1, x2, x3 = x[0]
+    exact = -unit_vector(np.array([x2 * x2 + x3 * x3, -x1 * x2, -x1 * x3]))
+    assert np.allclose(grad[0], exact, atol=1e-12)
 
 
 # ---------------------------------------------------------------- projected
@@ -201,8 +303,7 @@ def test_default_drop_axis_is_coordinate_number():
     assert default_drop_axis(HEMI) == 1  # interior reference is the -x1 pole
     tri = to_euclidean([0.4] * 3, [0.0, 2.0, 4.0])
     assert default_drop_axis(PolylineBoundary(tri)) == 1
-    usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
-    assert default_drop_axis(usa) == 3
+    assert default_drop_axis(USA) == 3
 
 
 def test_projected_colatitude_disk_closed_form():
@@ -290,15 +391,14 @@ def test_projected_gradient_matches_fd():
 
 
 def test_projected_polyline_matches_brute_force():
-    usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
     rng = np.random.default_rng(10)
     lat = rng.uniform(36.0, 44.0, 15)
     lon = rng.uniform(-110.0, -90.0, 15)
     x = to_euclidean(*latlon_to_spherical(lat, lon))
-    g, grad, _ = projected_scaling(usa, x, drop_axis=3)
+    g, grad, _ = projected_scaling(USA, x, drop_axis=3)
     keep = [0, 1]
     brute = np.min(
-        np.linalg.norm(x[:, None, keep] - usa.samples[None, :, keep], axis=2), axis=1
+        np.linalg.norm(x[:, None, keep] - USA.samples[None, :, keep], axis=2), axis=1
     )
     assert np.allclose(g, brute, atol=1e-12)
     assert np.allclose(grad[:, 2], 0.0)
@@ -327,21 +427,11 @@ def test_scaling_values_dispatch_and_errors():
         scaling_values(HEMI, x, "mystery")
 
 
-def test_g_projected_single_point_wrapper():
-    x = to_euclidean(2.4, 0.8)
-    v = g_projected_euclidean(HEMI, x, drop_axis=1)
-    assert v.g == pytest.approx(1.0 - np.sin(2.4), abs=1e-12)
-    assert not v.on_boundary
-
-
-def test_nearest_boundary_point():
-    q = to_euclidean(2.0, 0.7)
-    p = nearest_boundary_point(HEMI, q, metric="haversine")
-    a_p, b_p = to_spherical(p)
-    assert a_p == pytest.approx(np.pi / 2.0, abs=1e-12)
-    assert b_p == pytest.approx(0.7, abs=HEMI.spacing)
-    with pytest.raises(ValueError):
-        nearest_boundary_point(HEMI, q, metric="chebyshev")
+def test_projected_single_point():
+    g, _, on_b = projected_scaling(HEMI, to_euclidean(2.4, 0.8), drop_axis=1)
+    assert g.shape == (1,)
+    assert g[0] == pytest.approx(1.0 - np.sin(2.4), abs=1e-12)
+    assert not on_b[0]
 
 
 # -------------------------------------------------------------- geo helpers
@@ -375,7 +465,6 @@ def test_load_boundary_csv_formats(tmp_path):
 
 
 def test_usa_outline_fixture_loads():
-    usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
-    assert len(usa.vertices) >= 150  # coarse but not a toy polygon
-    assert usa.contains(to_euclidean(*latlon_to_spherical(39.0, -98.5)))  # Kansas
-    assert not usa.contains(to_euclidean(*latlon_to_spherical(25.0, -70.0)))
+    assert len(USA.vertices) >= 150  # coarse but not a toy polygon
+    assert USA.contains(to_euclidean(*latlon_to_spherical(39.0, -98.5)))  # Kansas
+    assert not USA.contains(to_euclidean(*latlon_to_spherical(25.0, -70.0)))

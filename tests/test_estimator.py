@@ -250,7 +250,8 @@ def test_closed_form_vmf_hard_case(interleaved):
     # antipodal pairs under unit g: c = 2 first - tgrad vanishes, so the
     # known-kappa fit is the bottom eigenvector of M = I - quad, i.e. the top
     # eigenvector of quad, and the free-kappa minimiser is eta = 0. Summing
-    # interleaved pairs makes c exactly zero; stacked halves leave rounding.
+    # interleaved pairs makes c exactly zero; stacked halves leave rounding,
+    # which must fail the same way.
     x = sample_vmf(VmfParams(mu=MU, kappa=3.0), 200, substream_rng(13, 0))
     x = np.stack([x, -x], axis=1).reshape(-1, 3) if interleaved else np.vstack([x, -x])
     d = Dataset(x)
@@ -259,9 +260,8 @@ def test_closed_form_vmf_hard_case(interleaved):
     res = estimate(d, None, g_kind="unit", model_kind="vmf_mu_only", fixed={"kappa": 4.0})
     assert abs(abs(res.params.mu @ top) - 1.0) < 1e-10
     assert res.params.kappa == 4.0
-    if interleaved:
-        with pytest.raises(FloatingPointError, match="outside"):
-            estimate(d, None, g_kind="unit", model_kind="vmf_mu_kappa")
+    with pytest.raises(FloatingPointError, match="outside"):
+        estimate(d, None, g_kind="unit", model_kind="vmf_mu_kappa")
 
 
 @pytest.mark.parametrize("c,expect", [
