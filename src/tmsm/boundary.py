@@ -280,14 +280,13 @@ def haversine_scaling(boundary: Boundary, x: np.ndarray) -> tuple[np.ndarray, np
         signed = a - boundary.a0 if boundary.side == "greater" else boundary.a0 - a
         g = np.where(inside, np.maximum(signed, 0.0), 0.0)
         ok = inside & (g > 1e-12)
-        sa = np.sin(a[ok])
+        # sin a and cos a from the coordinates: sin(arccos(x1)) loses all
+        # precision within about 1e-8 rad of either pole.
+        sa = np.hypot(x[ok, 1], x[ok, 2])
+        cot = x[ok, 0] / np.where(sa > 0, sa, 1.0)
         sign = 1.0 if boundary.side == "greater" else -1.0
         # Tangential projection of sign * grad(a): unit vector along -d/da.
-        tang = np.stack(
-            [-sa, (np.cos(a[ok]) / np.where(sa > 0, sa, 1.0)) * x[ok, 1],
-             (np.cos(a[ok]) / np.where(sa > 0, sa, 1.0)) * x[ok, 2]],
-            axis=-1,
-        )
+        tang = np.stack([-sa, cot * x[ok, 1], cot * x[ok, 2]], axis=-1)
         grad[ok] = sign * tang
         return g, grad, ~ok
 

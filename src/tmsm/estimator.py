@@ -16,7 +16,11 @@ For the von Mises-Fisher model the objective is a quadratic form in the
 natural parameter eta = kappa mu, so `estimate` fits it in closed form: a
 3x3 linear solve when kappa is free, and a trust-region boundary problem
 (eigendecomposition plus a 1-D secular equation) when kappa is known. The
-Kent frame fit has no such form and keeps a multistart local search.
+Kent score eta + A x is linear in (eta, A) as well, so its objective is a
+fixed quadratic form in those parameters, built once from g-weighted data
+moments. With kappa and alpha known the frame still enters nonlinearly, so
+the Kent frame fit keeps a multistart local search, each evaluation O(1) in
+the sample size.
 
 `ibp_identity_check` verifies by quadrature that this three-term form
 agrees with the population score-matching divergence it rewrites, which
@@ -29,6 +33,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -166,7 +171,10 @@ class _ScalingStats:
     Holds the raw g values and gradients plus the sufficient statistics
     that make the vMF objective O(1) per evaluation: gbar = mean g,
     quad = mean g x x^T, first = mean g x, tgrad = mean tangential part of
-    grad g, and tgrad_abs = mean norm of that part.
+    grad g, and tgrad_abs = mean norm of that part. The higher moments the
+    Kent objective needs are built on first use by `kent_form`, so the vMF
+    fits never pay for them. `general_terms` is the O(n) reference that
+    both fast paths must match.
     """
 
     def __init__(self, x: np.ndarray, g: np.ndarray, grad: np.ndarray):
@@ -177,15 +185,57 @@ class _ScalingStats:
         self.quad = (g[:, None, None] * (x[:, :, None] * x[:, None, :])).mean(axis=0)
         self.first = (g[:, None] * x).mean(axis=0)
         xg = np.sum(x * grad, axis=1)
-        tang = grad - xg[:, None] * x
-        self.tgrad = tang.mean(axis=0)
-        self.tgrad_abs = float(np.linalg.norm(tang, axis=1).mean())
+        self.tang = grad - xg[:, None] * x
+        self.tgrad = self.tang.mean(axis=0)
+        self.tgrad_abs = float(np.linalg.norm(self.tang, axis=1).mean())
 
     def vmf_terms(self, mu: np.ndarray, kappa: float) -> ObjectiveTerms:
         inner = kappa * kappa * (self.gbar - mu @ self.quad @ mu)
         lap = -2.0 * kappa * (self.first @ mu)
         gg = kappa * (self.tgrad @ mu)
         return ObjectiveTerms(float(inner), float(lap), float(gg))
+
+    @cached_property
+    def kent_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """
+        (W, b_lap, b_gg): the Kent terms as forms in theta = (eta, vec A).
+
+        The Kent score is psi = eta + A x with eta = kappa mu and
+        A = 2 alpha (gamma1 gamma1^T - gamma2 gamma2^T), symmetric and
+        traceless. Averaging the per-point terms of `batch_terms` gives
+
+            inner      = eta^T (gbar I - Q) eta + 2 eta^T (A f - T3:A)
+                         + <A^2, Q> - vec(A)^T T4 vec(A) = theta^T W theta,
+            laplacian  = -3 <A, Q> - 2 eta.f                = b_lap . theta,
+            gradient_g = tgrad.eta + <A, G>                  = b_gg . theta,
+
+        with f = first, Q = quad, T3 = mean g x(x)x(x)x (9x3),
+        T4 = mean g (x(x)x)(x(x)x)^T (9x9) and G = mean t x^T, t the
+        tangential part of grad g. vec is row-major, and <A^2, Q> is
+        vec(A)^T (I (x) Q) vec(A) because A is symmetric.
+        """
+        x, n = self.x, self.x.shape[0]
+        xx = (x[:, :, None] * x[:, None, :]).reshape(n, 9)
+        gxx = self.g[:, None] * xx
+        t3 = gxx.T @ x / n
+        t4 = gxx.T @ xx / n
+        cross = np.kron(np.eye(3), self.first[None, :]) - t3.T
+        w = np.block([
+            [self.gbar * np.eye(3) - self.quad, cross],
+            [cross.T, np.kron(np.eye(3), self.quad) - t4],
+        ])
+        b_lap = np.concatenate([-2.0 * self.first, -3.0 * self.quad.ravel()])
+        b_gg = np.concatenate([self.tgrad, (self.tang.T @ x / n).ravel()])
+        return w, b_lap, b_gg
+
+    def kent_terms(
+        self, mu: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray, kappa: float, alpha: float
+    ) -> ObjectiveTerms:
+        """Kent objective terms from `kent_form`, for an orthonormal frame."""
+        w, b_lap, b_gg = self.kent_form
+        a = 2.0 * alpha * (np.outer(gamma1, gamma1) - np.outer(gamma2, gamma2))
+        theta = np.concatenate([kappa * mu, a.ravel()])
+        return ObjectiveTerms(float(theta @ w @ theta), float(b_lap @ theta), float(b_gg @ theta))
 
     def general_terms(self, params: ModelParams) -> ObjectiveTerms:
         psi, inner, lap = batch_terms(params, self.x)
@@ -258,17 +308,25 @@ def _start_directions(x: np.ndarray, n_starts: int, seed: int) -> list[np.ndarra
 
 
 def _kent_objective(stats: _ScalingStats, kappa: float, alpha: float, mu_ref: np.ndarray):
-    """Map frame rotation angles about a reference triad to the objective total."""
+    """
+    Map frame rotation angles about a reference triad to the objective total.
+
+    `fun` evaluates `stats.kent_terms` on the rotated triad, O(1) in the
+    sample size; `unpack` builds the `KentParams` of a search result.
+    """
     v1, v2 = complete_frame(mu_ref)
     ref = np.stack([unit_vector(mu_ref), v1, v2])  # rows: mu, gamma1, gamma2
 
+    def frame(theta: np.ndarray) -> np.ndarray:
+        return ref @ rotation_from_angles(theta[0], theta[1], theta[2]).T
+
     def unpack(theta: np.ndarray) -> KentParams:
-        frame = (rotation_from_angles(theta[0], theta[1], theta[2]) @ ref.T).T
-        return KentParams(frame[0], frame[1], frame[2], kappa, alpha)
+        return KentParams(*frame(theta), kappa, alpha)
 
     def fun(theta: np.ndarray) -> float:
-        return stats.general_terms(unpack(theta)).total
+        return stats.kent_terms(*frame(theta), kappa, alpha).total
 
+    unpack(np.zeros(3))  # reject an invalid (kappa, alpha) before any search
     return fun, unpack
 
 
@@ -373,7 +431,9 @@ def estimate(
     * "kent_frame": the frame is searched through rotation angles applied
       to a per-start reference triad. Each start runs a Nelder-Mead
       simplex search followed by a BFGS polish with central-difference
-      gradients; the best start wins.
+      gradients; the best start wins. Every evaluation reads the moment
+      form `_ScalingStats.kent_form`, built once per call, so it is O(1)
+      in the sample size.
 
     Args:
         data: observed points inside the region.

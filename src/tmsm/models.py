@@ -167,8 +167,9 @@ def batch_terms(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     Per-point (score, <psi,psi>_M, Laplacian) for a batch of points.
 
-    Equivalent to calling the three scalar operations pointwise; kept as a
-    single pass so the estimator's hot loop stays cheap.
+    Equivalent to calling the three scalar operations pointwise, in one
+    pass. The estimator's O(n) reference objective and the identity-check
+    quadrature use it; the fits themselves work from data moments.
 
     Args:
         params: model parameters.

@@ -115,16 +115,31 @@ def test_objective_rejects_points_outside_region():
         tmsm_objective(VmfParams(mu=MU, kappa=1.0), d, HEMI, g_kind="haversine")
 
 
-def test_vmf_fast_path_matches_general_terms():
+def _random_kent(rng):
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    kappa = rng.uniform(1.0, 8.0)
+    return KentParams(frame[:, 0], frame[:, 1], frame[:, 2], kappa, rng.uniform(0.0, 0.49) * kappa)
+
+
+@pytest.mark.parametrize("model", ["vmf", "kent"])
+def test_fast_path_matches_general_terms(model):
     d = hemi_dataset(150, seed=3)
+    rng = np.random.default_rng(14)
     for g_kind, axis in (("haversine", None), ("projected", 2), ("unit", None)):
         stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
-        p = VmfParams(mu=np.array([0.4, -0.7, 0.3]), kappa=5.0)
-        fast = stats.vmf_terms(p.mu, p.kappa)
-        slow = stats.general_terms(p)
-        assert fast.inner_term == pytest.approx(slow.inner_term, abs=1e-12)
-        assert fast.laplacian_term == pytest.approx(slow.laplacian_term, abs=1e-12)
-        assert fast.gradient_g_term == pytest.approx(slow.gradient_g_term, abs=1e-12)
+        if model == "vmf":
+            p = VmfParams(mu=np.array([0.4, -0.7, 0.3]), kappa=5.0)
+            cases = [(p, stats.vmf_terms(p.mu, p.kappa))]
+        else:
+            cases = []
+            for _ in range(20):
+                p = _random_kent(rng)
+                cases.append((p, stats.kent_terms(p.mu, p.gamma1, p.gamma2, p.kappa, p.alpha)))
+        for p, fast in cases:
+            slow = stats.general_terms(p)
+            assert fast.inner_term == pytest.approx(slow.inner_term, abs=1e-12)
+            assert fast.laplacian_term == pytest.approx(slow.laplacian_term, abs=1e-12)
+            assert fast.gradient_g_term == pytest.approx(slow.gradient_g_term, abs=1e-12)
 
 
 # --------------------------------------------------------------- estimation
@@ -172,6 +187,15 @@ def test_estimate_kent_frame():
     assert res.params.kappa == 10.0 and res.params.alpha == 3.0
     f = res.params.frame()
     assert np.allclose(f.T @ f, np.eye(3), atol=1e-10)
+    # the search value from the cached moments is the reference objective
+    reference = _scaling_stats(Dataset(s.x), HEMI, "haversine", None).general_terms(res.params)
+    assert res.objective == pytest.approx(reference.total, rel=1e-12)
+
+
+def test_estimate_kent_frame_rejects_bimodal_shape():
+    d = hemi_dataset(50, seed=9)
+    with pytest.raises(ValueError, match="unimodality"):
+        estimate(d, HEMI, model_kind="kent_frame", fixed={"kappa": 4.0, "alpha": 2.5})
 
 
 def test_estimate_fixed_requirements():
