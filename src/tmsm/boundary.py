@@ -250,7 +250,9 @@ def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     return dist, near
 
 
-def haversine_scaling(boundary: Boundary, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def haversine_scaling(
+    boundary: Boundary, x: np.ndarray, inside: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     Vectorized geodesic-distance scaling for a batch of query points.
 
@@ -263,6 +265,7 @@ def haversine_scaling(boundary: Boundary, x: np.ndarray) -> tuple[np.ndarray, np
         boundary: the region boundary; for a polyline the region is the
             side that holds its interior hint.
         x: Queries (n, 3).
+        inside: `boundary.contains(x)` when the caller already has it.
 
     Returns:
         (g (n,), grad (n, 3), on_boundary (n,) bool). Points outside the
@@ -273,15 +276,16 @@ def haversine_scaling(boundary: Boundary, x: np.ndarray) -> tuple[np.ndarray, np
     n = x.shape[0]
     g = np.zeros(n)
     grad = np.zeros((n, 3))
-    inside = np.asarray(boundary.contains(x)).reshape(n)
+    inside = np.asarray(boundary.contains(x) if inside is None else inside).reshape(n)
 
     if isinstance(boundary, ColatitudeBoundary):
-        a = np.arccos(np.clip(x[:, 0], -1.0, 1.0))
+        # atan2 keeps a exact near both poles, where arccos(x1) rounds to
+        # the pole within about 1e-8 rad.
+        a = np.arctan2(np.hypot(x[:, 1], x[:, 2]), x[:, 0])
         signed = a - boundary.a0 if boundary.side == "greater" else boundary.a0 - a
         g = np.where(inside, np.maximum(signed, 0.0), 0.0)
         ok = inside & (g > 1e-12)
-        # sin a and cos a from the coordinates: sin(arccos(x1)) loses all
-        # precision within about 1e-8 rad of either pole.
+        # sin a and cos a from the coordinates, not from a.
         sa = np.hypot(x[ok, 1], x[ok, 2])
         cot = x[ok, 0] / np.where(sa > 0, sa, 1.0)
         sign = 1.0 if boundary.side == "greater" else -1.0
@@ -385,7 +389,10 @@ def _check_hemisphere(boundary: Boundary, drop_idx: int, x: np.ndarray) -> None:
 
 
 def projected_scaling(
-    boundary: Boundary, x: np.ndarray, drop_axis: int | None = None
+    boundary: Boundary,
+    x: np.ndarray,
+    drop_axis: int | None = None,
+    inside: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     Vectorized projected-plane Euclidean scaling for a batch of queries.
@@ -396,7 +403,8 @@ def projected_scaling(
     the gradient is the planar unit vector away from it, lifted back with
     0 in the dropped coordinate. A colatitude circle dropped along its
     own x1 axis projects to a circle of radius sin(a0), handled in closed
-    form.
+    form. `inside` is `boundary.contains(x)` when the caller already has
+    it.
 
     Returns:
         (g (n,), grad (n, 3), on_boundary (n,) bool).
@@ -415,7 +423,7 @@ def projected_scaling(
     keep = [i for i in range(3) if i != drop_idx]
     xe = x[:, keep]
     n = x.shape[0]
-    inside = np.asarray(boundary.contains(x)).reshape(n)
+    inside = np.asarray(boundary.contains(x) if inside is None else inside).reshape(n)
     grad = np.zeros((n, 3))
 
     if isinstance(boundary, ColatitudeBoundary) and drop_axis == 1:
@@ -440,12 +448,15 @@ def scaling_values(
     x: np.ndarray,
     g_kind: str,
     drop_axis: int | None = None,
+    inside: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     Dispatch to the configured scaling function for a batch of points.
 
     g_kind "unit" gives g = 1, grad = 0 everywhere (no boundary needed),
-    reducing the truncated objective to the untruncated one.
+    reducing the truncated objective to the untruncated one. `inside` is
+    `boundary.contains(x)` when the caller already has it, so membership
+    is not tested twice.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if g_kind == "unit":
@@ -454,9 +465,9 @@ def scaling_values(
     if boundary is None:
         raise ValueError(f"g_kind={g_kind!r} requires a boundary")
     if g_kind == "haversine":
-        return haversine_scaling(boundary, x)
+        return haversine_scaling(boundary, x, inside)
     if g_kind == "projected":
-        return projected_scaling(boundary, x, drop_axis)
+        return projected_scaling(boundary, x, drop_axis, inside)
     raise ValueError(f"unknown g_kind {g_kind!r}")
 
 

@@ -19,8 +19,10 @@ natural parameter eta = kappa mu, so `estimate` fits it in closed form: a
 Kent score eta + A x is linear in (eta, A) as well, so its objective is a
 fixed quadratic form in those parameters, built once from g-weighted data
 moments. With kappa and alpha known the frame still enters nonlinearly, so
-the Kent frame fit keeps a multistart local search, each evaluation O(1) in
-the sample size.
+the Kent frame fit scores a fixed grid of frames in one batched form,
+then polishes the best separated grid frames by BFGS on the closed-form
+gradient over rotations; no start is random and every evaluation is O(1)
+in the sample size.
 
 `ibp_identity_check` verifies by quadrature that this three-term form
 agrees with the population score-matching divergence it rewrites, which
@@ -90,8 +92,8 @@ class Dataset:
     def spherical(self) -> tuple[np.ndarray, np.ndarray]:
         return to_spherical(self.x)
 
-    def validate_membership(self, boundary: Boundary) -> None:
-        """Raise if any point falls outside the region."""
+    def validate_membership(self, boundary: Boundary) -> np.ndarray:
+        """Membership mask of the points; raise if any falls outside the region."""
         inside = np.asarray(boundary.contains(self.x))
         if not np.all(inside):
             bad = int(np.flatnonzero(~inside)[0])
@@ -99,6 +101,7 @@ class Dataset:
                 f"{int((~inside).sum())} data point(s) outside the region "
                 f"(first at row {bad}); the scaling function is undefined there"
             )
+        return inside
 
     def to_csv(self, path, include_euclidean: bool = True) -> None:
         a, b = self.spherical()
@@ -150,12 +153,14 @@ class EstimationResult:
     Attributes:
         params: fitted model parameters.
         objective: objective total at `params`.
-        iterations: objective evaluations made by the search; 0 for the
-            closed-form vMF fits.
-        converged: False when no "kent_frame" start satisfied the
-            optimizer's own criteria (the best candidate is still
-            returned); always True for the closed-form vMF fits.
-        restarts_used: "kent_frame" starts run; 0 for the vMF fits.
+        iterations: evaluations of the value and gradient made by the
+            "kent_frame" polishes (the grid scoring is not counted); 0 for
+            the closed-form vMF fits.
+        converged: for "kent_frame", whether the chosen polish ended with
+            a gradient norm in its rotation angles of at most
+            1e-6 max(1, |objective|) (the frame is returned either way);
+            always True for the closed-form vMF fits.
+        restarts_used: "kent_frame" polishes run; 0 for the vMF fits.
     """
 
     params: ModelParams
@@ -228,15 +233,6 @@ class _ScalingStats:
         b_gg = np.concatenate([self.tgrad, (self.tang.T @ x / n).ravel()])
         return w, b_lap, b_gg
 
-    def kent_terms(
-        self, mu: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray, kappa: float, alpha: float
-    ) -> ObjectiveTerms:
-        """Kent objective terms from `kent_form`, for an orthonormal frame."""
-        w, b_lap, b_gg = self.kent_form
-        a = 2.0 * alpha * (np.outer(gamma1, gamma1) - np.outer(gamma2, gamma2))
-        theta = np.concatenate([kappa * mu, a.ravel()])
-        return ObjectiveTerms(float(theta @ w @ theta), float(b_lap @ theta), float(b_gg @ theta))
-
     def general_terms(self, params: ModelParams) -> ObjectiveTerms:
         psi, inner, lap = batch_terms(params, self.x)
         xg = np.sum(self.x * self.grad, axis=1)
@@ -252,11 +248,12 @@ class _ScalingStats:
 def _scaling_stats(
     data: Dataset, boundary: Boundary | None, g_kind: str, drop_axis: int | None
 ) -> _ScalingStats:
+    inside = None
     if g_kind != "unit":
         if boundary is None:
             raise ValueError(f"g_kind={g_kind!r} requires a boundary")
-        data.validate_membership(boundary)
-    g, grad, _ = scaling_values(boundary, data.x, g_kind, drop_axis)
+        inside = data.validate_membership(boundary)
+    g, grad, _ = scaling_values(boundary, data.x, g_kind, drop_axis, inside)
     return _ScalingStats(data.x, g, grad)
 
 
@@ -288,34 +285,93 @@ def tmsm_objective(
     return stats.general_terms(params)
 
 
-def _start_directions(x: np.ndarray, n_starts: int, seed: int) -> list[np.ndarray]:
-    """Data spherical mean plus seeded random rotations of it."""
-    mean = x.mean(axis=0)
-    mu0 = unit_vector(mean) if np.linalg.norm(mean) > 1e-12 else np.array([1.0, 0.0, 0.0])
-    starts = [mu0]
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5747)))
-    while len(starts) < n_starts:
-        k = unit_vector(rng.standard_normal(3))
-        angle = rng.uniform(0.25 * np.pi, np.pi)
-        # Rodrigues rotation of the mean start about a random axis k.
-        rot = (
-            mu0 * np.cos(angle)
-            + np.cross(k, mu0) * np.sin(angle)
-            + k * (k @ mu0) * (1.0 - np.cos(angle))
-        )
-        starts.append(unit_vector(rot))
-    return starts
+def _frame_grid(n_directions: int, n_angles: int) -> np.ndarray:
+    """
+    Frames (rows mu, gamma1, gamma2) over Fibonacci directions for mu and
+    evenly spaced gamma1 angles in [0, pi), shape (n_directions * n_angles, 3, 3).
+
+    [0, pi) suffices because A is unchanged by (gamma1, gamma2) ->
+    (-gamma1, -gamma2).
+    """
+    i = np.arange(n_directions) + 0.5
+    z = 1.0 - 2.0 * i / n_directions
+    turn = np.pi * (3.0 - np.sqrt(5.0)) * i
+    r = np.sqrt(1.0 - z * z)
+    mu = np.stack([z, r * np.cos(turn), r * np.sin(turn)], axis=-1)
+    v1 = np.cross(mu, np.eye(3)[np.argmin(np.abs(mu), axis=1)])  # as in complete_frame
+    v1 /= np.linalg.norm(v1, axis=1, keepdims=True)
+    v2 = np.cross(mu, v1)
+    psi = np.arange(n_angles) * (np.pi / n_angles)
+    c, s = np.cos(psi)[None, :, None], np.sin(psi)[None, :, None]
+    gamma1 = c * v1[:, None] + s * v2[:, None]
+    gamma2 = c * v2[:, None] - s * v1[:, None]  # mu x gamma1
+    mu = np.broadcast_to(mu[:, None], gamma1.shape)
+    return np.stack([mu, gamma1, gamma2], axis=2).reshape(-1, 3, 3)
 
 
-def _kent_objective(stats: _ScalingStats, kappa: float, alpha: float, mu_ref: np.ndarray):
+# 300 directions x 12 gamma1 angles, built once per process. The
+# _POLISH_STARTS best grid frames that are pairwise more than
+# _START_SEPARATION rad apart start the polishes. _GRID_SHAPE holds
+# vec(gamma1 gamma1^T - gamma2 gamma2^T) of each frame, so A = 2 alpha times it.
+_FRAME_GRID = _frame_grid(300, 12)
+_GRID_SHAPE = (
+    _FRAME_GRID[:, 1, :, None] * _FRAME_GRID[:, 1, None, :]
+    - _FRAME_GRID[:, 2, :, None] * _FRAME_GRID[:, 2, None, :]
+).reshape(-1, 9)
+_POLISH_STARTS = 4
+_START_SEPARATION = 0.5
+# A polish counts as converged when its final gradient in the rotation
+# angles has norm at most _GRAD_TOL max(1, |J|). BFGS stops at a max-norm
+# of 1e-8 or earlier, when its line search can no longer resolve the
+# decrease against the rounding of J; that floor grows with |J|.
+_GRAD_TOL = 1e-6
+
+
+def _frame_distance(frames: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """
+    Rotation angle between each of `frames` (m, 3, 3) and `frame` (3, 3),
+    the smaller of the two under (gamma1, gamma2) -> (-gamma1, -gamma2).
+    """
+    dots = np.einsum("mki,ki->mk", frames, frame)
+    trace = np.maximum(dots.sum(axis=1), dots[:, 0] - dots[:, 1] - dots[:, 2])
+    return np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
+
+
+def _kent_objective(
+    stats: _ScalingStats,
+    kappa: float,
+    alpha: float,
+    mu_ref: np.ndarray,
+    gamma1_ref: np.ndarray | None = None,
+    jac: bool = False,
+):
     """
     Map frame rotation angles about a reference triad to the objective total.
 
-    `fun` evaluates `stats.kent_terms` on the rotated triad, O(1) in the
-    sample size; `unpack` builds the `KentParams` of a search result.
+    The triad is (mu_ref, gamma1_ref, mu_ref x gamma1_ref), or mu_ref
+    completed by `complete_frame` when gamma1_ref is None. The angles
+    rotate its rows r_k to R r_k with R = `rotation_from_angles`. `fun`
+    reads the form `stats.kent_form`, O(1) in the sample size; with
+    jac=True it returns (value, gradient), as `minimize(jac=True)` expects.
+    `unpack` builds the `KentParams` of a search result.
+
+    The gradient: with u = 2 W t + b the gradient of the form in
+    t = (kappa mu, vec A) and U = u[3:] as a 3x3 matrix,
+
+        dJ/dmu = kappa u[:3],  dJ/dgamma1 = 2 alpha (U + U^T) gamma1,
+        dJ/dgamma2 = -2 alpha (U + U^T) gamma2.
+
+    A turn d omega moves each row by d omega x r_k, so dJ = d omega . spin
+    with spin = sum_k r_k x dJ/dr_k. The three angles of Rx Ry Rz turn
+    about e1, Rx e2 and Rx Ry e3, so their gradient is those axes dotted
+    with spin.
     """
-    v1, v2 = complete_frame(mu_ref)
-    ref = np.stack([unit_vector(mu_ref), v1, v2])  # rows: mu, gamma1, gamma2
+    mu_ref = unit_vector(mu_ref)
+    if gamma1_ref is None:
+        gamma1_ref = complete_frame(mu_ref)[0]
+    ref = np.stack([mu_ref, gamma1_ref, np.cross(mu_ref, gamma1_ref)])
+    w, b_lap, b_gg = stats.kent_form
+    b = 2.0 * (b_lap + b_gg)
 
     def frame(theta: np.ndarray) -> np.ndarray:
         return ref @ rotation_from_angles(theta[0], theta[1], theta[2]).T
@@ -323,11 +379,70 @@ def _kent_objective(stats: _ScalingStats, kappa: float, alpha: float, mu_ref: np
     def unpack(theta: np.ndarray) -> KentParams:
         return KentParams(*frame(theta), kappa, alpha)
 
-    def fun(theta: np.ndarray) -> float:
-        return stats.kent_terms(*frame(theta), kappa, alpha).total
+    def fun(theta: np.ndarray):
+        mu, g1, g2 = frame(theta)
+        shape = np.outer(g1, g1) - np.outer(g2, g2)
+        t = np.concatenate([kappa * mu, 2.0 * alpha * shape.ravel()])
+        wt = w @ t
+        value = t @ wt + b @ t
+        if not jac:
+            return value
+        u = 2.0 * wt + b
+        su = u[3:].reshape(3, 3)
+        su = 2.0 * alpha * (su + su.T)
+        # spin_i = eps_ijl m_jl with m = sum_k r_k (dJ/dr_k)^T
+        m = np.outer(mu, kappa * u[:3]) + np.outer(g1, su @ g1) - np.outer(g2, su @ g2)
+        spin = np.array([m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]])
+        c1, s1 = np.cos(theta[0]), np.sin(theta[0])
+        c2, s2 = np.cos(theta[1]), np.sin(theta[1])
+        axes = np.array([[1.0, 0.0, 0.0], [0.0, c1, s1], [s2, -s1 * c2, c1 * c2]])
+        return value, axes @ spin
 
     unpack(np.zeros(3))  # reject an invalid (kappa, alpha) before any search
     return fun, unpack
+
+
+def _grid_starts(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray:
+    """
+    Grid frames that start the polishes, best first: the _POLISH_STARTS
+    lowest grid frames pairwise more than _START_SEPARATION rad apart.
+    """
+    w, b_lap, b_gg = stats.kent_form
+    t = np.hstack([kappa * _FRAME_GRID[:, 0], 2.0 * alpha * _GRID_SHAPE])
+    values = np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ (2.0 * (b_lap + b_gg))
+    free = np.ones(len(values), dtype=bool)
+    picked = []
+    while len(picked) < _POLISH_STARTS and free.any():
+        k = np.flatnonzero(free)[np.argmin(values[free])]
+        picked.append(k)
+        free &= _frame_distance(_FRAME_GRID, _FRAME_GRID[k]) > _START_SEPARATION
+    return _FRAME_GRID[picked]
+
+
+def _polish(stats: _ScalingStats, kappa: float, alpha: float, start: np.ndarray):
+    """BFGS on the analytic gradient from one start frame; (result, unpack)."""
+    fun, unpack = _kent_objective(stats, kappa, alpha, start[0], start[1], jac=True)
+    res = minimize(fun, np.zeros(3), jac=True, method="BFGS",
+                   options={"gtol": 1e-8, "maxiter": 200})
+    return res, unpack
+
+
+def _fit_kent_frame(stats: _ScalingStats, kappa: float, alpha: float) -> EstimationResult:
+    """
+    Seed-free frame fit: score the fixed frame grid in one quadratic form,
+    polish the separated best frames by BFGS, keep the lowest.
+    """
+    KentParams(*_FRAME_GRID[0], kappa, alpha)  # reject an invalid (kappa, alpha) first
+    starts = _grid_starts(stats, kappa, alpha)
+    polishes = [_polish(stats, kappa, alpha, start) for start in starts]
+    best, unpack = min(polishes, key=lambda p: p[0].fun)
+    return EstimationResult(
+        params=unpack(best.x),
+        objective=float(best.fun),
+        iterations=sum(p[0].nfev for p in polishes),
+        converged=bool(np.linalg.norm(best.jac) <= _GRAD_TOL * max(1.0, abs(best.fun))),
+        restarts_used=len(polishes),
+    )
 
 
 def _eta_on_sphere(m: np.ndarray, c: np.ndarray, kappa: float) -> np.ndarray:
@@ -414,7 +529,6 @@ def estimate(
     model_kind: str = "vmf_mu_kappa",
     fixed: dict | None = None,
     seed: int = 0,
-    n_starts: int = 8,
     drop_axis: int | None = None,
 ) -> EstimationResult:
     """
@@ -428,12 +542,13 @@ def estimate(
     * "vmf_mu_only": the same quadratic on the sphere |eta| = kappa,
       solved through the eigendecomposition of M and a monotone 1-D
       secular equation.
-    * "kent_frame": the frame is searched through rotation angles applied
-      to a per-start reference triad. Each start runs a Nelder-Mead
-      simplex search followed by a BFGS polish with central-difference
-      gradients; the best start wins. Every evaluation reads the moment
-      form `_ScalingStats.kent_form`, built once per call, so it is O(1)
-      in the sample size.
+    * "kent_frame": a fixed grid of 3,600 frames (300 Fibonacci directions
+      for mu times 12 gamma1 angles) is scored in one batched quadratic
+      form. The 4 best grid frames that are pairwise more than 0.5 rad
+      apart each start a BFGS polish on the analytic gradient over
+      rotations, and the lowest polish wins. Every evaluation reads the
+      moment form `_ScalingStats.kent_form`, built once per call, so it
+      is O(1) in the sample size.
 
     Args:
         data: observed points inside the region.
@@ -442,9 +557,8 @@ def estimate(
         model_kind: "vmf_mu_only" (needs fixed["kappa"]), "vmf_mu_kappa",
             or "kent_frame" (needs fixed["kappa"] and fixed["alpha"]).
         fixed: known parameters per model_kind.
-        seed: start-point seed for "kent_frame"; the vMF fits ignore it.
-        n_starts: number of "kent_frame" local searches; the vMF fits
-            ignore it.
+        seed: accepted for compatibility and ignored: every fit is
+            deterministic and has no random starts.
         drop_axis: projection axis for g_kind "projected".
 
     Returns:
@@ -469,42 +583,7 @@ def estimate(
     if model_kind != "kent_frame":
         return _fit_vmf(stats, model_kind, fixed)
 
-    kappa, alpha = float(fixed["kappa"]), float(fixed["alpha"])
-    best_params = None
-    best_val = np.inf
-    iterations = 0
-    converged = False
-    starts = _start_directions(data.x, n_starts, seed)
-    for mu_start in starts:
-        fun, unpack = _kent_objective(stats, kappa, alpha, mu_start)
-        res = minimize(
-            fun,
-            np.zeros(3),  # identity rotation of the start frame
-            method="Nelder-Mead",
-            options={"maxfev": 2000, "xatol": 1e-8, "fatol": 1e-10},
-        )
-        iterations += res.nfev
-        theta, val, ok = res.x, res.fun, bool(res.success)
-        try:
-            ref = minimize(fun, theta, method="BFGS", jac="3-point", options={"maxiter": 100})
-            iterations += ref.nfev
-            if np.isfinite(ref.fun) and ref.fun <= val:
-                theta, val = ref.x, ref.fun
-                ok = ok or bool(ref.success)
-        except (ValueError, FloatingPointError):
-            pass
-        if val < best_val:
-            best_val = val
-            best_params = unpack(theta)
-        converged = converged or ok
-
-    return EstimationResult(
-        params=best_params,
-        objective=float(best_val),
-        iterations=int(iterations),
-        converged=bool(converged),
-        restarts_used=len(starts),
-    )
+    return _fit_kent_frame(stats, float(fixed["kappa"]), float(fixed["alpha"]))
 
 
 def region_grid(

@@ -298,8 +298,8 @@ def test_chart_pole_fallback_gradient():
 
 @pytest.mark.parametrize("side", ["greater", "less"])
 def test_colatitude_gradient_unit_near_far_pole(side):
-    # arccos(x1) rounds to the pole within about 1e-8 rad of it, so sin a
-    # must come from hypot(x2, x3)
+    # arccos(x1) rounds to the pole within about 1e-8 rad of it, so a must
+    # come from atan2(hypot(x2, x3), x1) and sin a from hypot(x2, x3)
     boundary = ColatitudeBoundary(np.pi / 2.0, side)
     sign = 1.0 if side == "greater" else -1.0
     for eps in (1e-7, 1e-8):
@@ -307,6 +307,7 @@ def test_colatitude_gradient_unit_near_far_pole(side):
         x = to_euclidean(np.full(3, a), np.array([0.3, 2.0, 4.5]))
         g, grad, on_b = haversine_scaling(boundary, x)
         assert not on_b.any()
+        assert np.allclose(g, np.pi / 2.0 - eps, rtol=0.0, atol=1e-15)
         assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, rtol=0.0, atol=1e-12)
         x1, x2, x3 = x.T
         exact = -sign * unit_vector(np.stack([x2 * x2 + x3 * x3, -x1 * x2, -x1 * x3], axis=-1))

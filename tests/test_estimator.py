@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.spatial.transform import Rotation
 
 from tmsm.boundary import ColatitudeBoundary, PolylineBoundary
 from tmsm.estimator import (
@@ -15,10 +16,16 @@ from tmsm.estimator import (
     sphere_grid,
     tmsm_objective,
 )
-from tmsm.estimator import _eta_on_sphere, _scaling_stats
+from tmsm.estimator import (
+    _eta_on_sphere,
+    _grid_starts,
+    _kent_objective,
+    _polish,
+    _scaling_stats,
+)
 from tmsm.geometry import geodesic_angle, to_euclidean, unit_vector
 from tmsm.models import KentParams, VmfParams
-from tmsm.sampling import sample_truncated, sample_vmf, substream_rng
+from tmsm.sampling import sample_kent, sample_truncated, sample_vmf, substream_rng
 
 HEMI = ColatitudeBoundary(np.pi / 2.0)
 MU = np.array([0.0, -1.0, 0.0])
@@ -64,6 +71,35 @@ def test_dataset_membership_validation():
     d = Dataset(to_euclidean(np.array([0.3, 2.0]), np.array([0.0, 1.0])))
     with pytest.raises(ValueError, match="outside the region"):
         d.validate_membership(HEMI)
+
+
+class CountingHemisphere(ColatitudeBoundary):
+    """The hemisphere a > pi/2, counting its membership calls."""
+
+    def __init__(self):
+        super().__init__(np.pi / 2.0)
+        self.calls = 0
+
+    def contains(self, x):
+        self.calls += 1
+        return super().contains(x)
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2)])
+def test_estimate_tests_membership_once(g_kind, axis):
+    d = hemi_dataset(200, seed=15)
+    for model_kind, fixed in (("vmf_mu_kappa", None), ("vmf_mu_only", {"kappa": 6.0}),
+                              ("kent_frame", {"kappa": 6.0, "alpha": 1.0})):
+        boundary = CountingHemisphere()
+        estimate(d, boundary, g_kind=g_kind, model_kind=model_kind, fixed=fixed, drop_axis=axis)
+        assert boundary.calls == 1
+    x = d.x.copy()
+    x[[3, 7], 0] *= -1.0  # mirror two points into the unobserved half
+    boundary = CountingHemisphere()
+    expect = r"^2 data point\(s\) outside the region \(first at row 3\)"
+    with pytest.raises(ValueError, match=expect):
+        estimate(Dataset(x), boundary, g_kind=g_kind, drop_axis=axis)
+    assert boundary.calls == 1
 
 
 # ---------------------------------------------------------------- objective
@@ -115,6 +151,14 @@ def test_objective_rejects_points_outside_region():
         tmsm_objective(VmfParams(mu=MU, kappa=1.0), d, HEMI, g_kind="haversine")
 
 
+def _form_terms(stats, p):
+    """The Kent terms read off `stats.kent_form` at the parameters p."""
+    w, b_lap, b_gg = stats.kent_form
+    a = 2.0 * p.alpha * (np.outer(p.gamma1, p.gamma1) - np.outer(p.gamma2, p.gamma2))
+    theta = np.concatenate([p.kappa * p.mu, a.ravel()])
+    return ObjectiveTerms(theta @ w @ theta, b_lap @ theta, b_gg @ theta)
+
+
 def _random_kent(rng):
     frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     kappa = rng.uniform(1.0, 8.0)
@@ -134,7 +178,7 @@ def test_fast_path_matches_general_terms(model):
             cases = []
             for _ in range(20):
                 p = _random_kent(rng)
-                cases.append((p, stats.kent_terms(p.mu, p.gamma1, p.gamma2, p.kappa, p.alpha)))
+                cases.append((p, _form_terms(stats, p)))
         for p, fast in cases:
             slow = stats.general_terms(p)
             assert fast.inner_term == pytest.approx(slow.inner_term, abs=1e-12)
@@ -357,3 +401,95 @@ def test_identity_check_polyline_unsupported():
     p = VmfParams(mu=MU, kappa=2.0)
     with pytest.raises(NotImplementedError):
         ibp_identity_check(p, p, tri)
+
+
+# ------------------------------------------------------- kent frame search
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_kent_gradient_matches_central_differences(g_kind, axis):
+    d = hemi_dataset(150, seed=16)
+    stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
+    rng = np.random.default_rng(17)
+    h = 1e-6
+    for _ in range(20):
+        p = _random_kent(rng)
+        fun, unpack = _kent_objective(stats, p.kappa, p.alpha, p.mu, p.gamma1, jac=True)
+        theta = rng.uniform(-1.0, 1.0, 3)
+        value, grad = fun(theta)
+        assert value == pytest.approx(_form_terms(stats, unpack(theta)).total, abs=1e-12)
+        fd = [(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2.0 * h) for e in np.eye(3)]
+        assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+
+def _brute_force_kent(stats, kappa, alpha):
+    """
+    Dense minimum over SO(3): Nelder-Mead from each of the 24 best of 72,000
+    random frames whose mu or gamma1 axis is at least 0.3 rad from every
+    better start; (objective, KentParams).
+    """
+    frames = Rotation.random(72000, random_state=18).as_matrix()  # rows: mu, gamma1, gamma2
+    shape = (frames[:, 1, :, None] * frames[:, 1, None, :]
+             - frames[:, 2, :, None] * frames[:, 2, None, :]).reshape(-1, 9)
+    t = np.hstack([kappa * frames[:, 0], 2.0 * alpha * shape])
+    w, b_lap, b_gg = stats.kent_form
+    values = ((t @ w) * t).sum(axis=1) + t @ (2.0 * (b_lap + b_gg))
+    best = (np.inf, None)
+    free = np.ones(len(frames), dtype=bool)
+    for _ in range(24):
+        k = np.flatnonzero(free)[np.argmin(values[free])]
+        near = (frames[:, 0] @ frames[k, 0] > np.cos(0.3)) & (
+            np.abs(frames[:, 1] @ frames[k, 1]) > np.cos(0.3))
+        free &= ~near
+        fun, unpack = _kent_objective(stats, kappa, alpha, frames[k, 0], frames[k, 1])
+        res = minimize(fun, np.zeros(3), method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000})
+        if res.fun < best[0]:
+            best = (res.fun, unpack(res.x))
+    return best
+
+
+def _axis_angle(u, v):
+    return min(geodesic_angle(u, v), geodesic_angle(u, -v))
+
+
+@pytest.mark.parametrize("case", ["hemisphere", "multimodal"])
+def test_kent_frame_matches_brute_force(case):
+    if case == "hemisphere":
+        g1 = np.array([0.0, 0.0, 1.0])
+        truth = KentParams(mu=MU, gamma1=g1, gamma2=np.cross(MU, g1), kappa=10.0, alpha=3.0)
+        boundary, g_kind, kappa, alpha = HEMI, "haversine", 10.0, 3.0
+        x = sample_truncated(truth, boundary, 300, substream_rng(19, 300), 1000).x
+    else:
+        # vMF data fitted with a strong Kent shape: the objective has close
+        # basins, and polishing only the best grid frame ends in the wrong one
+        truth = VmfParams(to_euclidean(2.669, 2.1101), 7.773)
+        boundary, g_kind, kappa, alpha = ColatitudeBoundary(2.2), "projected", 5.0919, 2.1407
+        x = sample_truncated(truth, boundary, 40, substream_rng(194, 40), 1000).x
+    d = Dataset(x)
+    stats = _scaling_stats(d, boundary, g_kind, None)
+    res = estimate(d, boundary, g_kind=g_kind, model_kind="kent_frame",
+                   fixed={"kappa": kappa, "alpha": alpha})
+    best, p = _brute_force_kent(stats, kappa, alpha)
+    assert res.objective <= best + 1e-10
+    assert geodesic_angle(res.params.mu, p.mu) < 1e-6
+    assert _axis_angle(res.params.gamma1, p.gamma1) < 1e-6
+    assert res.converged and res.restarts_used == 4 and res.iterations > 0
+    single = _polish(stats, kappa, alpha, _grid_starts(stats, kappa, alpha)[0])[0]
+    if case == "multimodal":
+        assert single.fun > res.objective + 1e-3
+    else:
+        assert single.fun == pytest.approx(res.objective, abs=1e-10)
+
+
+def test_kent_frame_rotation_equivariant_unit_g():
+    g1 = np.array([0.0, 0.0, 1.0])
+    truth = KentParams(mu=MU, gamma1=g1, gamma2=np.cross(MU, g1), kappa=10.0, alpha=3.0)
+    x = sample_kent(truth, 500, substream_rng(20, 0))
+    fixed = {"kappa": 10.0, "alpha": 3.0}
+    r1 = estimate(Dataset(x), None, g_kind="unit", model_kind="kent_frame", fixed=fixed)
+    for q in Rotation.random(3, random_state=21).as_matrix():
+        r2 = estimate(Dataset(x @ q.T), None, g_kind="unit", model_kind="kent_frame", fixed=fixed)
+        assert geodesic_angle(q @ r1.params.mu, r2.params.mu) < 1e-6
+        assert _axis_angle(q @ r1.params.gamma1, r2.params.gamma1) < 1e-6
+        assert r2.objective == pytest.approx(r1.objective, abs=1e-10)
