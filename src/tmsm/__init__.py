@@ -14,9 +14,7 @@ from .baselines import (
     MvnChartModel,
     hemisphere_chart_segments,
     mle_vmf,
-    rmse,
     rmse_embedding,
-    rmse_summary,
     solve_concentration,
     truncsm_mvn,
 )
@@ -26,7 +24,6 @@ from .bench import (
     GeoEventRecord,
     ingest_events,
     run_benchmark,
-    run_kappa_benchmark,
     run_storms,
 )
 from .boundary import (
@@ -63,7 +60,6 @@ from .models import (
     score_jacobian,
 )
 from .sampling import (
-    SampleRequest,
     TruncatedSample,
     sample_kent,
     sample_truncated,
@@ -86,7 +82,6 @@ __all__ = [
     "MvnChartModel",
     "ObjectiveTerms",
     "PolylineBoundary",
-    "SampleRequest",
     "SphericalCoord",
     "TruncatedSample",
     "VmfParams",
@@ -103,11 +98,8 @@ __all__ = [
     "manifold_inner",
     "mle_vmf",
     "projection",
-    "rmse",
     "rmse_embedding",
-    "rmse_summary",
     "run_benchmark",
-    "run_kappa_benchmark",
     "run_storms",
     "sample_kent",
     "sample_truncated",

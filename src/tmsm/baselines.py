@@ -9,9 +9,11 @@ the biased reference the truncated methods are judged against.
 `truncsm_mvn` treats the chart angles (a, b) as flat Euclidean
 coordinates, models them as an isotropic bivariate normal, and minimizes
 the Euclidean truncated score-matching objective with a planar
-distance-to-boundary weight. Deliberately chart-naive: the azimuth wrap
-and the metric distortion are ignored, which is the point of the
-comparison.
+distance-to-boundary weight. The objective is quadratic in the natural
+parameters (mu_z / kappa_inv, 1 / kappa_inv), so both the mean and the
+variance have closed forms; no search runs. Deliberately chart-naive:
+the azimuth wrap and the metric distortion are ignored, which is the
+point of the comparison.
 """
 
 from __future__ import annotations
@@ -183,8 +185,6 @@ def _truncsm_profile(
 ) -> tuple[np.ndarray, float]:
     """Closed-form mean for fixed variance, plus the objective value."""
     g_sum = g.sum()
-    if g_sum <= 0.0:
-        raise ValueError("all boundary weights are zero; normal equations singular")
     mu = (g @ z - kappa_inv * grad_g.sum(axis=0)) / g_sum
     r = z - mu
     n = z.shape[0]
@@ -208,61 +208,42 @@ def truncsm_mvn(
 
     The score is psi(z) = -(z - mu_z)/kappa_inv with constant divergence,
     so for fixed kappa_inv the objective is quadratic in mu_z and solved
-    in closed form. When the variance is estimated, a golden-section
-    search over log kappa_inv in [-6, 6] wraps the profile solve.
+    in closed form. Profiling mu_z out leaves, with u = 1/kappa_inv,
+
+        n J = V u^2 - (4G + 2Q) u - const,
+        G = sum g,  zbar = g.z / G,  V = sum g |z - zbar|^2,
+        Q = sum grad g . (z - zbar),
+
+    so the estimated variance is kappa_inv = V / (2G + Q), clipped to
+    exp(LOG_PRECISION_BRACKET); when 2G + Q <= 0 the objective falls as
+    kappa_inv grows and the upper end is taken.
 
     Args:
         data_z: (n, 2) chart coordinates (a, b) of the observed points.
         chart_boundary: planar boundary segments; weight g is the
             distance to them.
-        estimate_precision: search over kappa_inv as well.
+        estimate_precision: estimate kappa_inv as well.
         kappa_inv: fixed variance parameter when not estimated.
     """
     z = np.atleast_2d(np.asarray(data_z, dtype=float))
     if z.shape[1] != 2:
         raise ValueError("chart data must be (n, 2)")
+    if not estimate_precision and kappa_inv is None:
+        raise ValueError("kappa_inv must be given when estimate_precision is False")
     g, grad_g = chart_boundary.distance(z)
-    if not estimate_precision:
-        if kappa_inv is None:
-            raise ValueError("kappa_inv must be given when estimate_precision is False")
-        mu, _ = _truncsm_profile(z, g, grad_g, float(kappa_inv))
-        return MvnChartModel(mu, float(kappa_inv))
-
-    def profiled(log_ki: float) -> float:
-        return _truncsm_profile(z, g, grad_g, float(np.exp(log_ki)))[1]
-
-    lo, hi = LOG_PRECISION_BRACKET
-    inv_phi = 0.5 * (np.sqrt(5.0) - 1.0)
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = profiled(c), profiled(d)
-    for _ in range(120):
-        if hi - lo < 1e-10:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = profiled(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = profiled(d)
-    best = float(np.exp(0.5 * (lo + hi)))
-    mu, _ = _truncsm_profile(z, g, grad_g, best)
-    return MvnChartModel(mu, best)
+    g_sum = g.sum()
+    if g_sum <= 0.0:
+        raise ValueError("all boundary weights are zero; normal equations singular")
+    if estimate_precision:
+        r = z - (g @ z) / g_sum
+        spread = g @ np.sum(r * r, axis=1)
+        slope = 2.0 * g_sum + np.sum(grad_g * r)
+        lo, hi = np.exp(LOG_PRECISION_BRACKET)
+        kappa_inv = hi if slope <= 0.0 else min(max(spread / slope, lo), hi)
+    mu, _ = _truncsm_profile(z, g, grad_g, float(kappa_inv))
+    return MvnChartModel(mu, float(kappa_inv))
 
 
 def rmse_embedding(mu_hat: np.ndarray, mu_true: np.ndarray) -> float:
     """Per-replicate error (1/3) * ||mu_hat - mu_true|| in embedding coords."""
     return float(np.linalg.norm(np.asarray(mu_hat) - np.asarray(mu_true)) / 3.0)
-
-
-def rmse(estimates: list[np.ndarray], truth: np.ndarray) -> float:
-    """Mean of the per-replicate embedding errors."""
-    return float(np.mean([rmse_embedding(e, truth) for e in estimates]))
-
-
-def rmse_summary(estimates: list[np.ndarray], truth: np.ndarray) -> tuple[float, float]:
-    """(mean, standard deviation) of per-replicate embedding errors."""
-    errs = np.array([rmse_embedding(e, truth) for e in estimates])
-    return float(errs.mean()), float(errs.std())

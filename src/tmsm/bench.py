@@ -252,7 +252,7 @@ def _fit_one(
             drop_axis = _projected_drop_axis(config, boundary)
         res = estimate(
             data, boundary, g_kind=g_kind, model_kind=model_kind,
-            fixed=fixed, seed=config.seed, drop_axis=drop_axis,
+            fixed=fixed, drop_axis=drop_axis,
         )
         kappa_hat = res.params.kappa if estimates_kappa else None
         return res.params.mu, kappa_hat
@@ -270,11 +270,11 @@ def _fit_one(
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _replicate_rows(args: tuple[ExperimentConfig, int, int]) -> list[BenchmarkRow]:
+def _replicate_rows(
+    args: tuple[ExperimentConfig, ModelParams, Boundary, int, int],
+) -> list[BenchmarkRow]:
     """All method rows for one (n, replicate) cell; errors become tagged rows."""
-    config, n, replicate = args
-    truth = truth_params(config)
-    boundary = build_boundary(config.boundary)
+    config, truth, boundary, n, replicate = args
     rows = []
     try:
         rng = substream_rng(config.seed, n, replicate)
@@ -309,7 +309,10 @@ def _replicate_rows(args: tuple[ExperimentConfig, int, int]) -> list[BenchmarkRo
 
 
 def _run_replicates(config: ExperimentConfig) -> list[BenchmarkRow]:
-    jobs = [(config, n, r) for n in config.n_grid for r in range(config.replicates)]
+    truth = truth_params(config)
+    boundary = build_boundary(config.boundary)
+    jobs = [(config, truth, boundary, n, r)
+            for n in config.n_grid for r in range(config.replicates)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunks = list(pool.map(_replicate_rows, jobs))
@@ -332,15 +335,15 @@ def _fmt(value: float | int | None) -> str:
     return f"{value:.17g}"
 
 
-def write_rows_csv(rows: list[BenchmarkRow], path: Path, columns=ROW_COLUMNS) -> None:
+def write_rows_csv(rows: list[BenchmarkRow], path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(ROW_COLUMNS)
         for row in rows:
             record = dataclasses.asdict(row)
             writer.writerow([
                 record[c] if isinstance(record[c], str) else _fmt(record[c])
-                for c in columns
+                for c in ROW_COLUMNS
             ])
 
 
@@ -404,38 +407,6 @@ def run_benchmark(config: ExperimentConfig) -> BenchmarkResult:
         "seed": config.seed,
         "replicates": config.replicates,
         "n_grid": list(config.n_grid),
-        "methods": summarize_rows(rows),
-    }
-    _write_json(summary, json_path)
-    return BenchmarkResult(rows, summary, csv_path, json_path)
-
-
-KAPPA_COLUMNS = ("method", "n", "replicate", "seed", "kappa_error", "wall_time_ms", "error")
-
-
-def run_kappa_benchmark(config: ExperimentConfig) -> BenchmarkResult:
-    """
-    Concentration-recovery variant: same replicate protocol, error column
-    |kappa_hat - kappa_true|. Refuses configurations that do not estimate
-    kappa (nothing to measure).
-    """
-    if config.experiment != "vmf_unknown_kappa":
-        raise ConfigError(
-            "kappa benchmark requires experiment vmf_unknown_kappa "
-            f"(got {config.experiment!r}; kappa is not estimated there)"
-        )
-    rows = _run_replicates(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config.experiment}_kappa_rows.csv"
-    json_path = out_dir / f"{config.experiment}_kappa_summary.json"
-    write_rows_csv(rows, csv_path, columns=KAPPA_COLUMNS)
-    summary = {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "replicates": config.replicates,
-        "n_grid": list(config.n_grid),
-        "error": "abs(kappa_hat - kappa_true)",
         "methods": summarize_rows(rows),
     }
     _write_json(summary, json_path)
@@ -591,8 +562,7 @@ def run_storms(
     fits["mle"] = _method_report(p_mle.mu, p_mle.kappa)
     for method, g_kind in (("tmsm_haversine", "haversine"), ("tmsm_projected", "projected")):
         res = estimate(
-            data, boundary, g_kind=g_kind, model_kind="vmf_mu_kappa",
-            seed=seed, drop_axis=drop_axis,
+            data, boundary, g_kind=g_kind, model_kind="vmf_mu_kappa", drop_axis=drop_axis,
         )
         entry = _method_report(res.params.mu, res.params.kappa)
         entry["bearing_from_mle_deg"] = initial_bearing_deg(

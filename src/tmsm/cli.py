@@ -2,11 +2,12 @@
 Command-line interface.
 
 Subcommands:
-    simulate         draw a truncated sample and write it to CSV
-    estimate         fit a model to a dataset file
-    benchmark        replicate experiment -> rows CSV + summary JSON
-    kappa-benchmark  concentration-recovery variant of benchmark
-    storms           fit mean direction of geolocated events in a border
+    simulate   draw a truncated sample and write it to CSV
+    estimate   fit a model to a dataset file
+    benchmark  replicate experiment -> rows CSV + summary JSON; the
+               vmf_unknown_kappa rows and summary carry the concentration
+               error |kappa_hat - kappa_true|
+    storms     fit mean direction of geolocated events in a border
 
 Configuration comes from an optional JSON file (--config) whose keys
 mirror ExperimentConfig; every flag given on the command line overrides
@@ -31,14 +32,13 @@ from .bench import (
     build_boundary,
     ingest_events,
     run_benchmark,
-    run_kappa_benchmark,
     run_storms,
     truth_params,
 )
 from .boundary import spherical_to_latlon
 from .estimator import Dataset, estimate
 from .geometry import to_spherical
-from .sampling import SampleRequest
+from .sampling import sample_truncated, substream_rng
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,12 +48,16 @@ EXIT_NUMERIC = 4
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--seed", type=int, help="base seed (default 0)")
     parser.add_argument("--out-dir", help="artifact directory (default out)")
+
+
+def _seed_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, help="base seed (default 0)")
 
 
 def _replicate_flags(parser: argparse.ArgumentParser) -> None:
     _common_flags(parser)
+    _seed_flag(parser)
     parser.add_argument("--replicates", type=int)
     parser.add_argument("--n-grid", help="comma-separated sample sizes")
     parser.add_argument("--methods", help="comma-separated method names")
@@ -79,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw a truncated sample to CSV")
     _common_flags(p)
+    _seed_flag(p)
     _boundary_flags(p)
     p.add_argument("--model", choices=("vmf", "kent"), default="vmf")
     p.add_argument("--mu-a", type=float, help="truth polar angle (default pi/2)")
@@ -109,12 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment",
                    choices=("vmf_known_kappa", "vmf_unknown_kappa", "kent_known_shape"))
 
-    p = sub.add_parser("kappa-benchmark",
-                       help="concentration-recovery benchmark (unknown-kappa only)")
-    _replicate_flags(p)
-
     p = sub.add_parser("storms", help="fit mean direction of events in a border")
     _common_flags(p)
+    _seed_flag(p)
     p.add_argument("--events", required=True, help="events CSV with lat/lon columns")
     p.add_argument("--boundary-csv", required=True, help="border polyline CSV")
     p.add_argument("--drop-axis", type=int, choices=(1, 2, 3))
@@ -144,7 +146,7 @@ def _merge(raw: dict, args: argparse.Namespace, keys: dict) -> dict:
     return merged
 
 
-def _experiment_config(args: argparse.Namespace, experiment_default: str | None = None) -> ExperimentConfig:
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     raw = _load_config(args.config)
     merged = _merge(raw, args, {
         "experiment": "experiment",
@@ -158,8 +160,6 @@ def _experiment_config(args: argparse.Namespace, experiment_default: str | None 
         merged["n_grid"] = [int(v) for v in str(args.n_grid).split(",") if v]
     if getattr(args, "methods", None):
         merged["methods"] = [m.strip() for m in str(args.methods).split(",") if m.strip()]
-    if experiment_default and "experiment" not in merged:
-        merged["experiment"] = experiment_default
     try:
         return ExperimentConfig.from_dict(merged)
     except TypeError as exc:
@@ -207,11 +207,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     params = truth_params(config_shim)
     boundary = build_boundary(config_shim.boundary)
-    request = SampleRequest(
-        params, args.n, boundary, int(seed),
-        max_draw_factor=args.max_draw_factor or raw.get("max_draw_factor", 1000),
+    sample = sample_truncated(
+        params, boundary, args.n, substream_rng(int(seed), args.n),
+        args.max_draw_factor or raw.get("max_draw_factor", 1000),
     )
-    sample = request.draw()
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = Path(args.out) if args.out else out_dir / "samples.csv"
     Dataset(sample.x).to_csv(out_path)
@@ -222,7 +221,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
     out_dir = Path(args.out_dir or raw.get("out_dir", "out"))
     g_kind = args.g_kind or raw.get("g_kind", "haversine")
     try:
@@ -245,7 +243,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         result = estimate(
             data, boundary, g_kind=g_kind, model_kind=args.model_kind,
-            fixed=fixed or None, seed=int(seed), drop_axis=args.drop_axis,
+            fixed=fixed or None, drop_axis=args.drop_axis,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -287,14 +285,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_kappa_benchmark(args: argparse.Namespace) -> int:
-    config = _experiment_config(args, experiment_default="vmf_unknown_kappa")
-    result = run_kappa_benchmark(config)
-    print(f"wrote {len(result.rows)} rows to {result.csv_path}")
-    print(f"summary: {result.json_path}")
-    return EXIT_OK
-
-
 def cmd_storms(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
@@ -312,7 +302,6 @@ _DISPATCH = {
     "simulate": cmd_simulate,
     "estimate": cmd_estimate,
     "benchmark": cmd_benchmark,
-    "kappa-benchmark": cmd_kappa_benchmark,
     "storms": cmd_storms,
 }
 

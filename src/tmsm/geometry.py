@@ -52,12 +52,6 @@ def unit_vector(x: np.ndarray) -> np.ndarray:
     return x / norm
 
 
-def is_unit(x: np.ndarray, tol: float = 1e-12) -> bool:
-    """Check the unit-norm invariant (squared norm within tol of 1)."""
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(np.abs(np.sum(x * x, axis=-1) - 1.0) <= tol))
-
-
 def to_euclidean(a: float | np.ndarray, b: float | np.ndarray) -> np.ndarray:
     """
     Map chart angles to embedding coordinates.
@@ -198,35 +192,6 @@ def complete_frame(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v1 = unit_vector(np.cross(mu, seed))
     v2 = np.cross(mu, v1)
     return v1, v2
-
-
-def rotation_between(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """
-    Rotation matrix carrying unit vector src onto unit vector dst.
-
-    Uses the Rodrigues form about src x dst; falls back to identity for
-    src == dst and to a half-turn about a perpendicular axis for
-    antipodal inputs.
-    """
-    src = unit_vector(np.asarray(src, dtype=float))
-    dst = unit_vector(np.asarray(dst, dtype=float))
-    c = float(np.dot(src, dst))
-    axis = np.cross(src, dst)
-    s = float(np.linalg.norm(axis))
-    if s < 1e-15:
-        if c > 0.0:
-            return np.eye(3)
-        perp, _ = complete_frame(src)
-        return 2.0 * np.outer(perp, perp) - np.eye(3)
-    axis = axis / s
-    k = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
 def rotation_from_angles(r1: float, r2: float, r3: float) -> np.ndarray:

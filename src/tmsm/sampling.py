@@ -94,32 +94,6 @@ def sample_model(params: ModelParams, size: int, rng: np.random.Generator) -> np
 
 
 @dataclass
-class SampleRequest:
-    """A reproducible truncated-sampling job.
-
-    Attributes:
-        params: model to draw from.
-        n_observed: accepted points to return.
-        boundary: observed region.
-        seed: base seed; the generator is derived as a substream so other
-            stages of an experiment sharing the seed stay independent.
-        max_draw_factor: cap on raw draws as a multiple of n_observed.
-    """
-
-    params: ModelParams
-    n_observed: int
-    boundary: Boundary
-    seed: int
-    max_draw_factor: int = 1000
-
-    def draw(self) -> "TruncatedSample":
-        rng = substream_rng(self.seed, self.n_observed)
-        return sample_truncated(
-            self.params, self.boundary, self.n_observed, rng, self.max_draw_factor
-        )
-
-
-@dataclass
 class TruncatedSample:
     """Accepted truncated draws plus rejection bookkeeping.
 

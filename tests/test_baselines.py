@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from tmsm.baselines import (
+    LOG_PRECISION_BRACKET,
     ChartSegments,
     MvnChartModel,
+    _truncsm_profile,
     hemisphere_chart_segments,
     mean_resultant_length,
     mle_vmf,
-    rmse,
     rmse_embedding,
-    rmse_summary,
     solve_concentration,
     truncsm_mvn,
 )
@@ -174,6 +175,60 @@ def test_truncsm_estimated_precision_reasonable():
     assert np.max(np.abs(model.mu_z - z.mean(axis=0))) < 0.02
 
 
+def _hemisphere_chart_sample(n, seed):
+    s = sample_truncated(VmfParams(mu=MU, kappa=6.0), ColatitudeBoundary(np.pi / 2.0),
+                         n, substream_rng(seed, n), 1000)
+    a = np.arccos(np.clip(s.x[:, 0], -1.0, 1.0))
+    b = np.mod(np.arctan2(s.x[:, 2], s.x[:, 1]), 2.0 * np.pi)
+    return np.column_stack([a, b]), hemisphere_chart_segments()
+
+
+def _line_sample(distances, spread_b):
+    # points at the given distances to the right of the long segment a = 0
+    rng = np.random.default_rng(12)
+    z = np.column_stack([distances, rng.normal(0.0, spread_b, len(distances))])
+    line = ChartSegments(np.array([[0.0, -100.0]]), np.array([[0.0, 100.0]]))
+    return z, line
+
+
+def _truncsm_case(name):
+    if name == "hemisphere_n125":
+        return _hemisphere_chart_sample(125, 13)
+    if name == "hemisphere_n2000":
+        return _hemisphere_chart_sample(2000, 14)
+    if name == "upper_clip":
+        # Var(g) >= 2 mean(g)^2 makes 2G + Q <= 0: the objective falls
+        # as kappa_inv grows, so the estimate is the bracket's upper end
+        return _line_sample(np.r_[np.full(99, 0.01), 10.0], 1.0)
+    # a tight cluster: V -> 0, so V / (2G + Q) lies below the bracket
+    rng = np.random.default_rng(15)
+    return _line_sample(1.0 + rng.normal(0.0, 1e-4, 50), 1e-4)
+
+
+@pytest.mark.parametrize(
+    "case", ["hemisphere_n125", "hemisphere_n2000", "upper_clip", "lower_clip"]
+)
+def test_truncsm_closed_form_variance_matches_bounded_search(case):
+    z, segs = _truncsm_case(case)
+    model = truncsm_mvn(z, segs, estimate_precision=True)
+    g, grad_g = segs.distance(z)
+    search = minimize_scalar(
+        lambda t: _truncsm_profile(z, g, grad_g, float(np.exp(t)))[1],
+        bounds=LOG_PRECISION_BRACKET, method="bounded", options={"xatol": 1e-12},
+    )
+    lo, hi = LOG_PRECISION_BRACKET
+    if case.endswith("clip"):
+        # the search stops just short of the bracket end it runs into
+        end = hi if case == "upper_clip" else lo
+        assert abs(search.x - end) < 1e-6
+        assert model.kappa_inv == np.exp(end)
+        return
+    assert lo + 1e-3 < search.x < hi - 1e-3
+    assert model.kappa_inv == pytest.approx(np.exp(search.x), rel=1e-7)
+    mu_search, _ = _truncsm_profile(z, g, grad_g, float(np.exp(search.x)))
+    assert np.max(np.abs(model.mu_z - mu_search)) < 1e-7
+
+
 def test_truncsm_input_validation():
     segs = hemisphere_chart_segments()
     with pytest.raises(ValueError):
@@ -199,8 +254,3 @@ def test_rmse_conventions():
     truth = np.array([0.0, -1.0, 0.0])
     assert rmse_embedding(truth, truth) == 0.0
     assert rmse_embedding(-truth, truth) == pytest.approx(2.0 / 3.0)
-    ests = [truth, -truth]
-    assert rmse(ests, truth) == pytest.approx(1.0 / 3.0)
-    mean, sd = rmse_summary(ests, truth)
-    assert mean == pytest.approx(1.0 / 3.0)
-    assert sd == pytest.approx(1.0 / 3.0)

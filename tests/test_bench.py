@@ -15,7 +15,6 @@ from tmsm.bench import (
     ingest_events,
     initial_bearing_deg,
     run_benchmark,
-    run_kappa_benchmark,
     run_storms,
     truth_params,
 )
@@ -115,7 +114,7 @@ def test_benchmark_rows_match_direct_recomputation(tmp_path):
 
     res = estimate(
         data, boundary, g_kind="haversine", model_kind="vmf_mu_only",
-        fixed={"kappa": truth.kappa}, seed=11,
+        fixed={"kappa": truth.kappa},
     )
     assert by_method["tmsm_haversine"].rmse_embedding == rmse_embedding(res.params.mu, truth.mu)
 
@@ -176,28 +175,39 @@ def test_kent_benchmark_single_replicate(tmp_path):
 
 
 def test_kappa_benchmark(tmp_path):
+    # the unknown-concentration experiment reports |kappa_hat - kappa_true|
+    # for every default method: tmsm_haversine, truncsm and mle
     config = ExperimentConfig(
         experiment="vmf_unknown_kappa",
         n_grid=(150,),
         replicates=2,
         seed=3,
-        methods=("mle", "tmsm_haversine"),
         out_dir=str(tmp_path),
     )
-    result = run_kappa_benchmark(config)
+    result = run_benchmark(config)
+    assert {r.method for r in result.rows} == {"tmsm_haversine", "truncsm", "mle"}
     for r in result.rows:
         assert r.error == ""
         assert r.kappa_error is not None and r.kappa_error >= 0.0
-    with open(result.csv_path, newline="") as fh:
-        header = next(csv.reader(fh))
-    assert header == ["method", "n", "replicate", "seed", "kappa_error", "wall_time_ms", "error"]
-    assert result.summary["error"] == "abs(kappa_hat - kappa_true)"
+    for by_n in result.summary["methods"].values():
+        assert "kappa_error_mean" in by_n["150"]
 
 
-def test_kappa_benchmark_refuses_fixed_kappa(tmp_path):
-    config = ExperimentConfig(n_grid=(50,), replicates=1, out_dir=str(tmp_path))
-    with pytest.raises(ConfigError, match="vmf_unknown_kappa"):
-        run_kappa_benchmark(config)
+def test_run_benchmark_builds_boundary_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build(spec):
+        calls.append(spec)
+        return build_boundary(spec)
+
+    monkeypatch.setattr("tmsm.bench.build_boundary", counting_build)
+    config = ExperimentConfig(n_grid=(40, 60), replicates=2, methods=("mle",),
+                              out_dir=str(tmp_path))
+    run_benchmark(config)
+    assert len(calls) == 1
+
+
+def test_run_benchmark_refuses_storms(tmp_path):
     with pytest.raises(ConfigError, match="run_storms"):
         run_benchmark(ExperimentConfig(experiment="storms", out_dir=str(tmp_path)))
 
@@ -411,7 +421,7 @@ def test_cli_numeric_failure_exit_4(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["benchmark", "--g", "projected"],
-    ["kappa-benchmark", "--g", "projected"],
+    ["estimate", "--data", "d.csv", "--seed", "1"],
     ["storms", "--events", "e.csv", "--boundary-csv", "b.csv", "--g", "projected"],
     ["simulate", "--workers", "2"],
     ["estimate", "--data", "d.csv", "--workers", "2"],
@@ -443,7 +453,7 @@ def test_cli_simulate_estimate_roundtrip(tmp_path):
 
     code = main([
         "estimate", "--data", str(samples), "--model-kind", "vmf_mu_only",
-        "--fixed-kappa", "6", "--seed", "3", "--out-dir", str(tmp_path),
+        "--fixed-kappa", "6", "--out-dir", str(tmp_path),
     ])
     assert code == 0
     with open(tmp_path / "estimate.json") as fh:
@@ -452,7 +462,7 @@ def test_cli_simulate_estimate_roundtrip(tmp_path):
 
     code = main([
         "estimate", "--data", str(samples), "--model-kind", "vmf_mu_only",
-        "--fixed-kappa", "6", "--seed", "3", "--g", "projected",
+        "--fixed-kappa", "6", "--g", "projected",
         "--drop-axis", "2", "--out-dir", str(tmp_path),
     ])
     assert code == 0

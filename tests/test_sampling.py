@@ -4,7 +4,6 @@ import pytest
 from tmsm.boundary import ColatitudeBoundary
 from tmsm.models import KentParams, VmfParams
 from tmsm.sampling import (
-    SampleRequest,
     TruncatedSample,
     sample_kent,
     sample_model,
@@ -128,17 +127,17 @@ def test_truncated_sampler_draw_limit():
         sample_truncated(p, cap, 100, substream_rng(9, 0), max_draw_factor=10)
 
 
-def test_sample_request_reproducible():
+def test_sample_truncated_substream_reproducible():
     hemi = ColatitudeBoundary(np.pi / 2.0)
-    req = SampleRequest(
-        params=VmfParams(mu=MU, kappa=6.0), n_observed=200, boundary=hemi, seed=11
-    )
-    s1 = req.draw()
-    s2 = req.draw()
+    truth = VmfParams(mu=MU, kappa=6.0)
+
+    def draw(n):
+        return sample_truncated(truth, hemi, n, substream_rng(11, n), 1000)
+
+    s1 = draw(200)
+    s2 = draw(200)
     assert np.array_equal(s1.x, s2.x)
     assert s1.n_raw == s2.n_raw
     # the substream is keyed by n, so a different size is a different stream
-    other = SampleRequest(
-        params=VmfParams(mu=MU, kappa=6.0), n_observed=201, boundary=hemi, seed=11
-    ).draw()
+    other = draw(201)
     assert not np.array_equal(s1.x[:10], other.x[:10])
