@@ -43,7 +43,7 @@ from .boundary import (
     load_boundary_csv,
     spherical_to_latlon,
 )
-from .estimator import Dataset, estimate
+from .estimator import Dataset, _fit_vmf, _scaling_stats, estimate
 from .geometry import geodesic_angle, to_euclidean, to_spherical, unit_vector
 from .models import KentParams, ModelParams, VmfParams
 from .sampling import sample_truncated, substream_rng
@@ -271,10 +271,9 @@ def _fit_one(
 
 
 def _replicate_rows(
-    args: tuple[ExperimentConfig, ModelParams, Boundary, int, int],
+    config: ExperimentConfig, truth: ModelParams, boundary: Boundary, n: int, replicate: int
 ) -> list[BenchmarkRow]:
     """All method rows for one (n, replicate) cell; errors become tagged rows."""
-    config, truth, boundary, n, replicate = args
     rows = []
     try:
         rng = substream_rng(config.seed, n, replicate)
@@ -308,16 +307,34 @@ def _replicate_rows(
     return rows
 
 
+# The run a pooled worker serves, set once per worker process by
+# _init_worker, so that each worker builds its boundary caches once.
+_WORKER_RUN: tuple[ExperimentConfig, ModelParams, Boundary] | None = None
+
+
+def _init_worker(config: ExperimentConfig, truth: ModelParams, boundary: Boundary) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = (config, truth, boundary)
+
+
+def _pooled_rows(cell: tuple[int, int]) -> list[BenchmarkRow]:
+    return _replicate_rows(*_WORKER_RUN, *cell)
+
+
 def _run_replicates(config: ExperimentConfig) -> list[BenchmarkRow]:
     truth = truth_params(config)
     boundary = build_boundary(config.boundary)
-    jobs = [(config, truth, boundary, n, r)
-            for n in config.n_grid for r in range(config.replicates)]
+    cells = [(n, r) for n in config.n_grid for r in range(config.replicates)]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_replicate_rows, jobs))
+        # one cell per task, so the cells of every n spread over the workers
+        with ProcessPoolExecutor(
+            max_workers=config.workers,
+            initializer=_init_worker,
+            initargs=(config, truth, boundary),
+        ) as pool:
+            chunks = list(pool.map(_pooled_rows, cells))
     else:
-        chunks = [_replicate_rows(job) for job in jobs]
+        chunks = [_replicate_rows(config, truth, boundary, n, r) for n, r in cells]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.method, r.n, r.replicate))
     if all(row.error for row in rows):
@@ -542,7 +559,8 @@ def run_storms(
     fit in latitude/longitude and embedding coordinates, the bearing from
     the MLE fit to each truncated fit, and the event coordinates for
     external plotting. Both truncated fits are closed-form, so `seed` is
-    only recorded in the report and no longer changes the fits.
+    only recorded in the report and no longer changes the fits. Membership
+    is tested once: both truncated fits reuse the filter's mask.
     """
     data, records, _ = ingest_events(events_path)
     boundary = load_boundary_csv(boundary_path)
@@ -561,9 +579,9 @@ def run_storms(
     p_mle = mle_vmf(data, estimate_kappa=True)
     fits["mle"] = _method_report(p_mle.mu, p_mle.kappa)
     for method, g_kind in (("tmsm_haversine", "haversine"), ("tmsm_projected", "projected")):
-        res = estimate(
-            data, boundary, g_kind=g_kind, model_kind="vmf_mu_kappa", drop_axis=drop_axis,
-        )
+        # the kept events passed the membership filter above
+        stats = _scaling_stats(data, boundary, g_kind, drop_axis, inside[inside])
+        res = _fit_vmf(stats, "vmf_mu_kappa", {})
         entry = _method_report(res.params.mu, res.params.kappa)
         entry["bearing_from_mle_deg"] = initial_bearing_deg(
             fits["mle"]["mu_lat_deg"], fits["mle"]["mu_lon_deg"],

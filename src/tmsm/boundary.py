@@ -11,6 +11,15 @@ computed exactly on those vertex arcs. A polyline's region is the side of
 the curve that holds its interior hint; selecting a side larger than a
 hemisphere needs an explicit hint.
 
+Two exact spherical-cap bounds keep the polyline queries cheap without
+changing any result. Each arc lies in the cap of radius half its length
+about its midpoint, so only arcs whose cap comes within the nearest-vertex
+distance of a query can hold its nearest point, and the exact distance is
+evaluated on those arcs alone. The vertices lie in a cap about their mean;
+when that cap is smaller than a hemisphere it is convex, holds every arc,
+and leaves the rest of the sphere on one side of the curve, so only
+queries inside the cap need the parity test.
+
 Two scaling functions are implemented, both zero exactly on the boundary:
 
 * great-circle (haversine) geodesic distance to the boundary, with its
@@ -49,6 +58,11 @@ DEFAULT_RESOLUTION = 4096
 # Query rows per chunk are sized so that query-by-vertex work arrays hold
 # about this many entries.
 _CHUNK_PAIRS = 1 << 16
+
+# Cosine-space slack of the exact cap bounds: far above the rounding of a
+# dot product of unit vectors (about 1e-16), so rounding never prunes an
+# arc that can be nearest or skips a query that can be inside.
+_CAP_SLACK = 1e-12
 
 
 class Boundary:
@@ -120,6 +134,16 @@ class PolylineBoundary(Boundary):
     by the minor arc from the hint to the query (Bevis & Chatelain 1989),
     so vertex order does not matter. `samples` is an equal-arc-length
     resampling along the arcs.
+
+    Construction also finds the cap about the normalized vertex mean c
+    that holds every vertex, of radius R. When cos R > 1e-6 the cap lies
+    inside a hemisphere, so it is convex and holds every minor arc between
+    its vertices, hence the whole curve. The set outside it is then a
+    connected cap that the curve does not meet, and membership is the same
+    at all of its points: `contains` runs the parity test only on queries
+    with x.c >= cos R (less a rounding slack) and gives every other query
+    the parity of -c, computed once here. Otherwise, or when the vertex
+    mean vanishes, every query takes the parity test.
     """
 
     def __init__(self, vertices: np.ndarray, interior_hint: np.ndarray | None = None):
@@ -144,10 +168,22 @@ class PolylineBoundary(Boundary):
         self.samples = _resample_closed(vertices, DEFAULT_RESOLUTION)
         step = geodesic_angle(self.samples, np.roll(self.samples, -1, axis=0))
         self.spacing = float(np.max(step))
+        # (centre, cos R less the slack, membership outside the cap); the
+        # cap with cos R = -inf is the whole sphere.
+        self._cap = (interior_hint, -np.inf, False)
+        mean = vertices.mean(axis=0)
+        if np.linalg.norm(mean) >= 1e-9:
+            centre = unit_vector(mean)
+            cos_r = float(np.min(vertices @ centre))
+            if cos_r > 1e-6:
+                self._cap = (centre, cos_r - _CAP_SLACK, bool(self.contains(-centre)))
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = np.asarray(x, dtype=float)
-        q = x.reshape(-1, 3)
+        centre, cos_r, far_inside = self._cap
+        inside = np.full(x.shape[:-1], far_inside)
+        near = x @ centre >= cos_r
+        q = x[near]
         ref = self.interior_reference
         odd = _crossing_parity(self.vertices, ref, q)
         # The minor arc from ref is undefined at +-ref: detour through a
@@ -157,7 +193,7 @@ class PolylineBoundary(Boundary):
             via = complete_frame(ref)[0]
             via_odd = _crossing_parity(self.vertices, ref, via[None, :])[0]
             odd[bad] = via_odd ^ _crossing_parity(self.vertices, via, q[bad])
-        inside = ~odd.reshape(x.shape[:-1])
+        inside[near] = ~odd
         return bool(inside) if inside.ndim == 0 else inside
 
 
@@ -216,6 +252,11 @@ def _crossing_parity(vertices: np.ndarray, origin: np.ndarray, q: np.ndarray) ->
     return odd
 
 
+def _angle(q: np.ndarray, p: np.ndarray, dot: np.ndarray) -> np.ndarray:
+    """Angle between paired rows q and p with q.p = dot, as atan2(|q x p|, q.p)."""
+    return np.arctan2(np.linalg.norm(np.cross(q, p), axis=-1), dot)
+
+
 def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     Geodesic distance from each query (n, 3) to the closed polyline of
@@ -226,26 +267,55 @@ def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     great circle when the foot of the perpendicular lies on the arc
     (x.(n x a) >= 0 and x.(b x n) >= 0), else to the nearer endpoint. Every
     angle is atan2(|cross|, dot), accurate at both ends of [0, pi].
+
+    Only the arcs that can be nearest get that exact formula. Every point
+    of an arc lies within half its length h of its midpoint m, so
+    d(x, arc) >= d(x, m) - h; the nearest vertex, at distance d_v, bounds
+    the answer from above. An arc with d(x, m) > d_v + h therefore cannot
+    be nearest, and the test x.m >= cos(d_v + h) keeps every arc that can,
+    as cos d_v cos h - sin d_v sin h from the unnormalised x, less
+    _CAP_SLACK for rounding. A query with d_v + h >= pi for some arc keeps
+    all arcs. Each kept arc's distance is computed exactly as if all arcs
+    were, and a tie goes to the lowest arc index.
     """
     nxt = np.roll(vertices, -1, axis=0)
     normals = unit_vector(np.cross(vertices, nxt))
     start_side = np.cross(normals, vertices)
     end_side = np.cross(nxt, normals)
+    mids = unit_vector(vertices + nxt)
+    half = 0.5 * geodesic_angle(vertices, nxt)
+    # [x, -cos d_v, sin d_v] @ caps = x.m - cos(d_v + h) for every arc at once.
+    caps = np.vstack([mids.T, np.cos(half), np.sin(half)])
     dist = np.empty(len(x))
     near = np.empty_like(x)
     for rows in _row_chunks(len(x), len(vertices)):
         q = x[rows]
-        lift = q @ normals.T
-        to_circle = np.arctan2(np.abs(lift), np.linalg.norm(np.cross(q[:, None], normals), axis=2))
-        to_vertex = np.arctan2(np.linalg.norm(np.cross(q[:, None], vertices), axis=2), q @ vertices.T)
-        to_next = np.roll(to_vertex, -1, axis=1)
-        on_arc = (q @ start_side.T >= 0.0) & (q @ end_side.T >= 0.0)
-        arc_dist = np.where(on_arc, to_circle, np.minimum(to_vertex, to_next))
-        j = np.argmin(arc_dist, axis=1)
         i = np.arange(len(q))
+        dots = q @ vertices.T
+        k = np.argmax(dots, axis=1)
+        cos_v = dots[i, k]
+        sin_v = np.linalg.norm(np.cross(q, vertices[k]), axis=1)
+        keep = np.column_stack([q, -cos_v, sin_v]) @ caps >= -_CAP_SLACK
+        # cos is not monotone past pi. The arc leaving the nearest vertex
+        # always qualifies; keeping it outright leaves no query without one.
+        keep[np.arctan2(sin_v, cos_v) + half.max() >= np.pi] = True
+        keep[i, k] = True
+        qi, j = np.nonzero(keep)
+        qq, jn = q[qi], (j + 1) % len(vertices)
+        lift = q @ normals.T
+        on_arc = (q @ start_side.T >= 0.0) & (q @ end_side.T >= 0.0)
+        arc_dist = np.full(keep.shape, np.inf)
+        arc_dist[qi, j] = np.where(
+            on_arc[qi, j],
+            np.arctan2(np.abs(lift[qi, j]), np.linalg.norm(np.cross(qq, normals[j]), axis=1)),
+            np.minimum(_angle(qq, vertices[j], dots[qi, j]), _angle(qq, nxt[j], dots[qi, jn])),
+        )
+        j = np.argmin(arc_dist, axis=1)
+        jn = (j + 1) % len(vertices)
         dist[rows] = arc_dist[i, j]
         foot = q - lift[i, j][:, None] * normals[j]
-        end = np.where((to_vertex[i, j] <= to_next[i, j])[:, None], vertices[j], nxt[j])
+        to_start = _angle(q, vertices[j], dots[i, j]) <= _angle(q, nxt[j], dots[i, jn])
+        end = np.where(to_start[:, None], vertices[j], nxt[j])
         near[rows] = np.where(on_arc[i, j][:, None], foot, end)
     return dist, near
 

@@ -246,13 +246,19 @@ class _ScalingStats:
 
 
 def _scaling_stats(
-    data: Dataset, boundary: Boundary | None, g_kind: str, drop_axis: int | None
+    data: Dataset,
+    boundary: Boundary | None,
+    g_kind: str,
+    drop_axis: int | None,
+    inside: np.ndarray | None = None,
 ) -> _ScalingStats:
-    inside = None
+    """g and its gradient at the data; `inside` is a membership mask the
+    caller has already checked, else membership is validated here."""
     if g_kind != "unit":
         if boundary is None:
             raise ValueError(f"g_kind={g_kind!r} requires a boundary")
-        inside = data.validate_membership(boundary)
+        if inside is None:
+            inside = data.validate_membership(boundary)
     g, grad, _ = scaling_values(boundary, data.x, g_kind, drop_axis, inside)
     return _ScalingStats(data.x, g, grad)
 

@@ -207,6 +207,21 @@ def test_run_benchmark_builds_boundary_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_pooled_run_matches_serial_bytes(tmp_path):
+    # pooled workers get the run once and serve one cell per task; the
+    # artifacts must not depend on the worker count
+    artifacts = []
+    for workers in (1, 2):
+        config = ExperimentConfig(
+            n_grid=(40, 80), replicates=3, seed=4, workers=workers,
+            methods=("tmsm_haversine", "tmsm_projected", "mle"),
+            out_dir=str(tmp_path / f"w{workers}"),
+        )
+        result = run_benchmark(config)
+        artifacts.append((result.csv_path.read_bytes(), result.json_path.read_bytes()))
+    assert artifacts[0] == artifacts[1]
+
+
 def test_run_benchmark_refuses_storms(tmp_path):
     with pytest.raises(ConfigError, match="run_storms"):
         run_benchmark(ExperimentConfig(experiment="storms", out_dir=str(tmp_path)))
@@ -345,6 +360,25 @@ def test_storms_consistent_with_benchmark(tmp_path):
     assert row.rmse_embedding == pytest.approx(
         rmse_embedding(np.asarray(report["fits"]["mle"]["mu_x"]), MU), abs=1e-9
     )
+
+
+def test_storms_tests_membership_once(tmp_path, monkeypatch):
+    # the exclusion filter's mask serves both truncated fits
+    border = tmp_path / "border.csv"
+    _write_hemisphere_boundary(border)
+    events = tmp_path / "events.csv"
+    _write_events(events, [(f"e{i}", -40.0 + i, -170.0 + 17.0 * i) for i in range(20)])
+    calls = []
+    contains = PolylineBoundary.contains
+
+    def counting_contains(self, x):
+        calls.append(len(x))
+        return contains(self, x)
+
+    monkeypatch.setattr(PolylineBoundary, "contains", counting_contains)
+    report = run_storms(events, border, out_dir=str(tmp_path), seed=0)
+    assert report["n_events"] == 20
+    assert calls == [20]
 
 
 def test_storms_excludes_outside_events(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from tmsm.boundary import (
     ColatitudeBoundary,
     PolylineBoundary,
+    _crossing_parity,
     _nearest_on_arcs,
     _resample_closed,
     default_drop_axis,
@@ -15,6 +16,8 @@ from tmsm.boundary import (
     spherical_to_latlon,
 )
 from tmsm.geometry import TWO_PI, geodesic_angle, to_euclidean, to_spherical, unit_vector
+from tmsm.models import VmfParams
+from tmsm.sampling import sample_truncated, substream_rng
 
 HEMI = ColatitudeBoundary(np.pi / 2.0)
 USA = load_boundary_csv("src/tmsm/data/usa_outline.csv")
@@ -173,6 +176,115 @@ def test_polyline_region_larger_than_hemisphere():
         big.contains(unit_vector(np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) + eps)),
         [True, False],
     )
+
+
+# A region whose vertices no cap of radius below pi/2 about their mean
+# holds: a band from 20W eastward to 160W, 10 degrees either side of the
+# equator, so membership takes the exact parity test everywhere.
+WIDE_BAND = latlon_polygon([10, 10, 10, -10, -10, -10], [-20, 90, 200, 200, 90, -20])
+
+
+def cap_regions():
+    """(name, boundary) for every test region, each also in reversed order."""
+    regions = {"usa": USA.vertices, "wide_band": WIDE_BAND, **POLYGONS}
+    for name, vertices in sorted(regions.items()):
+        for order in ("forward", "reversed"):
+            v = vertices if order == "forward" else vertices[::-1]
+            yield f"{name}-{order}", PolylineBoundary(v)
+    tri = to_euclidean([0.4] * 3, [0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
+    yield "triangle_complement", PolylineBoundary(tri, interior_hint=[-1.0, 0.0, 0.0])
+
+
+def test_cap_shortcut_matches_crossing_parity():
+    # outside the bounding cap contains() returns one stored value; it must
+    # equal the parity test run on every point
+    x = unit_vector(np.random.default_rng(16).standard_normal((100_000, 3)))
+    for name, b in cap_regions():
+        expected = ~_crossing_parity(b.vertices, b.interior_reference, x)
+        assert np.array_equal(b.contains(x), expected), name
+        if name.startswith("wide_band"):
+            assert b._cap[1] == -np.inf, name  # the whole sphere
+        else:
+            centre, cos_r, _ = b._cap
+            far = x @ centre < cos_r
+            assert 0 < far.sum() < len(x), name
+
+
+def test_truncated_draws_unchanged_by_cap_shortcut():
+    # the shortcut changes no membership, so the sampler consumes the same
+    # raw draws and accepts the same points with and without it
+    for name, b in cap_regions():
+        exact = PolylineBoundary(b.vertices, b.interior_reference)
+        exact._cap = (b.interior_reference, -np.inf, False)
+        mu = unit_vector(b.interior_reference + np.array([0.3, -0.2, 0.1]))
+        fast = sample_truncated(VmfParams(mu, 4.0), b, 400, substream_rng(3, 400), 1000)
+        slow = sample_truncated(VmfParams(mu, 4.0), exact, 400, substream_rng(3, 400), 1000)
+        assert fast.n_raw == slow.n_raw, name
+        assert np.array_equal(fast.x, slow.x), name
+
+
+def test_usa_truncated_draws_pinned():
+    # the criterion-8 truth (25N 75W, kappa 6) outside the USA border; the
+    # values were recorded with the all-arcs membership test
+    mu = to_euclidean(*latlon_to_spherical(np.array(25.0), np.array(-75.0)))
+    s = sample_truncated(VmfParams(mu, 6.0), USA, 300, substream_rng(8, 300, 0), 1000)
+    assert s.n_raw == 3000
+    assert np.allclose(s.x[0], [0.537315501282267, -0.15751558797005025, -0.8285414242077673],
+                       rtol=0.0, atol=1e-14)
+    assert np.allclose(s.x[-1], [0.7050772838791506, -0.2472503525541611, -0.6646301880891679],
+                       rtol=0.0, atol=1e-14)
+    assert np.allclose(s.x.sum(axis=0), [185.2154416041589, -17.174583569933525,
+                                         -228.92189412422582], rtol=0.0, atol=1e-11)
+
+
+def all_arcs_nearest(vertices, x):
+    """Reference: the exact distance to every arc, and the nearest of them."""
+    nxt = np.roll(vertices, -1, axis=0)
+    normals = unit_vector(np.cross(vertices, nxt))
+    lift = x @ normals.T
+    to_circle = np.arctan2(np.abs(lift), np.linalg.norm(np.cross(x[:, None], normals), axis=2))
+    to_vertex = np.arctan2(np.linalg.norm(np.cross(x[:, None], vertices), axis=2), x @ vertices.T)
+    to_next = np.roll(to_vertex, -1, axis=1)
+    on_arc = (x @ np.cross(normals, vertices).T >= 0.0) & (x @ np.cross(nxt, normals).T >= 0.0)
+    arc_dist = np.where(on_arc, to_circle, np.minimum(to_vertex, to_next))
+    j = np.argmin(arc_dist, axis=1)
+    i = np.arange(len(x))
+    foot = x - lift[i, j][:, None] * normals[j]
+    end = np.where((to_vertex[i, j] <= to_next[i, j])[:, None], vertices[j], nxt[j])
+    return arc_dist[i, j], np.where(on_arc[i, j][:, None], foot, end)
+
+
+def equidistant_points(vertices):
+    """
+    Points equidistant from two or more arcs, or nearly so: the great
+    circle bisecting v[i] and v[i + 2] (exactly equidistant from the two
+    arcs through v[i + 1] when the polygon is regular), the centre of the
+    regular pentagon, and the meridian 90W, equally near the east and west
+    arcs of the box.
+    """
+    nxt = np.roll(vertices, -1, axis=0)
+    bisector = unit_vector(vertices + np.roll(vertices, -2, axis=0))
+    t = np.linspace(-0.6, 0.6, 7)[:, None, None]
+    pts = unit_vector(bisector[None] + t * unit_vector(nxt - bisector)[None])
+    lat = np.linspace(31.0, 44.0, 27)
+    meridian = to_euclidean(*latlon_to_spherical(lat, np.full_like(lat, -90.0)))
+    return np.vstack([pts.reshape(-1, 3), unit_vector(vertices.mean(axis=0)), meridian])
+
+
+@pytest.mark.parametrize("name", sorted(POLYGONS) + ["usa"])
+def test_nearest_on_arcs_matches_all_arcs_reference(name):
+    vertices = USA.vertices if name == "usa" else POLYGONS[name]
+    mids = unit_vector(vertices + np.roll(vertices, -1, axis=0))
+    rng = np.random.default_rng(17)
+    x = np.vstack([
+        unit_vector(rng.standard_normal((20_000, 3))),
+        vertices, -vertices, mids, -mids,
+        equidistant_points(vertices),
+    ])
+    dist, near = _nearest_on_arcs(vertices, x)
+    ref_dist, ref_near = all_arcs_nearest(vertices, x)
+    assert np.max(np.abs(dist - ref_dist)) <= 1e-15
+    assert np.max(np.abs(near - ref_near)) <= 1e-15
 
 
 # ---------------------------------------------------------------- haversine
