@@ -31,7 +31,6 @@ import numpy as np
 from .baselines import (
     ChartSegments,
     MvnChartModel,
-    hemisphere_chart_segments,
     mle_vmf,
     rmse_embedding,
     truncsm_mvn,
@@ -186,8 +185,6 @@ def build_boundary(spec: dict) -> Boundary:
 def _chart_segments_for(boundary: Boundary) -> ChartSegments:
     if not isinstance(boundary, ColatitudeBoundary):
         raise ConfigError("the flat chart baseline supports colatitude boundaries only")
-    if abs(boundary.a0 - 0.5 * np.pi) < 1e-12 and boundary.side == "greater":
-        return hemisphere_chart_segments()
     two_pi = 2.0 * np.pi
     far_a = np.pi if boundary.side == "greater" else 0.0
     start = np.array([[boundary.a0, 0.0], [boundary.a0, 0.0], [boundary.a0, two_pi]])

@@ -2,14 +2,14 @@
 Observation-region boundaries on the sphere and the scaling functions that
 vanish there.
 
-A `Boundary` describes the closed curve bounding the observed region,
-answers region membership, and holds a dense point sample of the curve.
-Two boundary variants are provided: a constant-colatitude circle (with
-exact closed-form distances) and a closed polyline of unit vectors joined
-by minor great-circle arcs, whose membership and geodesic distance are
-computed exactly on those vertex arcs. A polyline's region is the side of
-the curve that holds its interior hint; selecting a side larger than a
-hemisphere needs an explicit hint.
+A `Boundary` describes the closed curve bounding the observed region and
+answers region membership. Two boundary variants are provided: a
+constant-colatitude circle (with exact closed-form distances) and a closed
+polyline of unit vectors joined by minor great-circle arcs, whose
+membership and geodesic distance are computed exactly on those vertex
+arcs. A polyline's region is the side of the curve that holds its
+interior hint; selecting a side larger than a hemisphere needs an
+explicit hint.
 
 Two exact spherical-cap bounds keep the polyline queries cheap without
 changing any result. Each arc lies in the cap of radius half its length
@@ -25,8 +25,10 @@ Two scaling functions are implemented, both zero exactly on the boundary:
 * great-circle (haversine) geodesic distance to the boundary, with its
   gradient -(p - (x.p) x) / sin d at the nearest boundary point p;
 * Euclidean distance after dropping one embedding coordinate (projecting
-  the sphere onto a plane) to the nearest projected boundary sample, with
-  the in-plane unit direction as gradient.
+  the sphere onto a plane) to the projected boundary, with the in-plane
+  unit direction as gradient. A colatitude circle projects to a circle or
+  a segment, whose nearest point has a closed form; a polyline projects
+  to a curve of elliptic arcs, measured on a dense point sample of it.
 
 Gradients of a min-over-points distance are taken holding the minimizing
 boundary point fixed, which is valid away from the measure-zero set of
@@ -45,7 +47,6 @@ from scipy.spatial import cKDTree
 
 from .geometry import (
     SphericalCoord,
-    TWO_PI,
     complete_frame,
     geodesic_angle,
     to_euclidean,
@@ -74,15 +75,10 @@ class Boundary:
     caches aside); all queries are read-only and thread-safe.
 
     Attributes:
-        samples: (m, 3) dense point sample of the curve, used by the
-            projected scaling function.
-        spacing: largest great-circle gap between consecutive samples.
         interior_reference: a unit vector inside the region; a polyline's
             region is the side of the curve that holds it.
     """
 
-    samples: np.ndarray
-    spacing: float
     interior_reference: np.ndarray
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
@@ -106,9 +102,6 @@ class ColatitudeBoundary(Boundary):
             raise ValueError(f"side must be 'greater' or 'less', got {side!r}")
         self.a0 = float(a0)
         self.side = side
-        b = np.arange(DEFAULT_RESOLUTION) * (TWO_PI / DEFAULT_RESOLUTION)
-        self.samples = to_euclidean(np.full(DEFAULT_RESOLUTION, self.a0), b)
-        self.spacing = float(np.sin(self.a0) * TWO_PI / DEFAULT_RESOLUTION)
         pole_a = np.pi if side == "greater" else 0.0
         self.interior_reference = to_euclidean(pole_a, 0.0)
 
@@ -133,7 +126,8 @@ class PolylineBoundary(Boundary):
     an explicit hint. Membership is the parity of the vertex arcs crossed
     by the minor arc from the hint to the query (Bevis & Chatelain 1989),
     so vertex order does not matter. `samples` is an equal-arc-length
-    resampling along the arcs.
+    resampling along the arcs, used only by the projected scaling, and
+    `spacing` is the largest great-circle gap between consecutive samples.
 
     Construction also finds the cap about the normalized vertex mean c
     that holds every vertex, of radius R. When cos R > 1e-6 the cap lies
@@ -388,34 +382,34 @@ def _drop_index(drop_axis: int) -> int:
     return drop_axis - 1
 
 
-def _sample_tree(boundary: Boundary, drop_idx: int | None = None) -> cKDTree:
+def _sample_tree(boundary: PolylineBoundary, drop_idx: int) -> cKDTree:
     """
-    KD-tree over the boundary samples (all three coordinates, or the two
-    kept when dropping coordinate drop_idx), built once per boundary.
+    KD-tree over the two kept coordinates of a polyline's samples when
+    dropping coordinate drop_idx, built once per boundary and axis.
     """
     cache = boundary.__dict__.setdefault("_tree_cache", {})
     if drop_idx not in cache:
-        pts = boundary.samples if drop_idx is None else np.delete(boundary.samples, drop_idx, axis=1)
-        cache[drop_idx] = cKDTree(pts)
+        cache[drop_idx] = cKDTree(np.delete(boundary.samples, drop_idx, axis=1))
     return cache[drop_idx]
 
 
-def _mirror_symmetric(boundary: Boundary, drop_idx: int) -> bool:
+def _mirror_symmetric(vertices: np.ndarray, drop_idx: int) -> bool:
     """
-    True when negating the dropped coordinate maps the boundary sample set
-    onto itself (within sampling resolution).
+    True when negating the dropped coordinate maps the closed vertex cycle
+    onto itself, up to rotation and reversal (coordinates within 1e-12).
 
-    In that case the preimage of the projected boundary is exactly the
-    boundary, so the projected distance still vanishes only on it even
-    though the projection folds the sphere.
+    Then the mirror maps every vertex arc onto a vertex arc, so the
+    preimage of the projected boundary is exactly the boundary and the
+    projected distance still vanishes only on it even though the
+    projection folds the sphere.
     """
-    cache = boundary.__dict__.setdefault("_fold_cache", {})
-    if drop_idx not in cache:
-        mirrors = boundary.samples.copy()
-        mirrors[:, drop_idx] *= -1.0
-        chord = np.max(_sample_tree(boundary).query(mirrors)[0])
-        cache[drop_idx] = bool(2.0 * np.arcsin(min(0.5 * chord, 1.0)) <= boundary.spacing + 1e-9)
-    return cache[drop_idx]
+    mirrored = vertices.copy()
+    mirrored[:, drop_idx] *= -1.0
+    for cycle in (vertices, vertices[::-1]):
+        for start in np.flatnonzero(np.all(np.abs(cycle - mirrored[0]) <= 1e-12, axis=1)):
+            if np.all(np.abs(np.roll(cycle, -start, axis=0) - mirrored) <= 1e-12):
+                return True
+    return False
 
 
 def _check_hemisphere(boundary: Boundary, drop_idx: int, x: np.ndarray) -> None:
@@ -427,11 +421,22 @@ def _check_hemisphere(boundary: Boundary, drop_idx: int, x: np.ndarray) -> None:
     mirror-symmetric in that axis (the fold maps boundary onto boundary).
     Anything else would let interior points project onto the projected
     boundary, so it is rejected.
+
+    The extent of the boundary along the dropped axis is exact: a
+    colatitude circle lies in the plane x1 = cos a0 and is mirror-symmetric
+    in x2 and x3; a polyline's minor arcs are conic combinations of their
+    endpoints, so each keeps the sign its two vertices share.
     """
-    coords = boundary.samples[:, drop_idx]
+    if isinstance(boundary, ColatitudeBoundary):
+        c0, s0 = np.cos(boundary.a0), np.sin(boundary.a0)
+        lo, hi = (c0, c0) if drop_idx == 0 else (-s0, s0)
+    else:
+        coords = boundary.vertices[:, drop_idx]
+        lo, hi = coords.min(), coords.max()
     tol = 1e-9
-    if coords.min() < -tol and coords.max() > tol:
-        if not _mirror_symmetric(boundary, drop_idx):
+    if lo < -tol and hi > tol:
+        # A straddling circle is mirror-symmetric; a polyline must be checked.
+        if isinstance(boundary, PolylineBoundary) and not _mirror_symmetric(boundary.vertices, drop_idx):
             raise ValueError(
                 f"boundary straddles the drop-axis coordinate plane "
                 f"asymmetrically (coordinate x{drop_idx + 1}); the projection "
@@ -439,9 +444,9 @@ def _check_hemisphere(boundary: Boundary, drop_idx: int, x: np.ndarray) -> None:
             )
         return
     side = 0.0
-    if coords.max() > tol:
+    if hi > tol:
         side = 1.0
-    elif coords.min() < -tol:
+    elif lo < -tol:
         side = -1.0
     q = x[:, drop_idx]
     if side != 0.0:
@@ -469,12 +474,18 @@ def projected_scaling(
 
     The sphere is projected onto the plane of the two kept coordinates by
     zeroing the `drop_axis` coordinate (numbered 1 to 3 for x1 to x3);
-    g is the planar distance to the nearest projected boundary sample and
-    the gradient is the planar unit vector away from it, lifted back with
-    0 in the dropped coordinate. A colatitude circle dropped along its
-    own x1 axis projects to a circle of radius sin(a0), handled in closed
-    form. `inside` is `boundary.contains(x)` when the caller already has
-    it.
+    g is the planar distance to the nearest point of the projected
+    boundary and the gradient is the planar unit vector away from it,
+    lifted back with 0 in the dropped coordinate.
+
+    A colatitude circle x1 = cos a0 has a closed-form nearest point. Along
+    axis 1 it projects to the circle of radius s0 = sin a0, nearest at
+    s0 xe / |xe| (any rim point at the pole, where the ray is undefined);
+    along axis 2 or 3 it projects to the segment {x1 = cos a0, |xj| <= s0},
+    nearest at (cos a0, clip(xj, -s0, s0)). Queries within 1e-12 of it get
+    g = 0. A polyline is measured on its dense sample through a KD-tree,
+    and queries within half the sample spacing of it get g = 0.
+    `inside` is `boundary.contains(x)` when the caller already has it.
 
     Returns:
         (g (n,), grad (n, 3), on_boundary (n,) bool).
@@ -496,18 +507,20 @@ def projected_scaling(
     inside = np.asarray(boundary.contains(x) if inside is None else inside).reshape(n)
     grad = np.zeros((n, 3))
 
-    if isinstance(boundary, ColatitudeBoundary) and drop_axis == 1:
-        r = np.linalg.norm(xe, axis=1)
-        g = np.maximum(np.sin(boundary.a0) - r, 0.0)
-        ok = inside & (g > 1e-12)
-        unit = -xe[ok] / np.where(r[ok] > 0, r[ok], 1.0)[:, None]
-        grad[np.ix_(np.flatnonzero(ok), keep)] = unit
-        return np.where(ok, g, 0.0), grad, ~ok
-
-    idx = _sample_tree(boundary, drop_idx).query(xe)[1]
-    diff = xe - boundary.samples[idx][:, keep]
+    if isinstance(boundary, ColatitudeBoundary):
+        c0, s0 = np.cos(boundary.a0), np.sin(boundary.a0)
+        if drop_idx == 0:
+            r = np.linalg.norm(xe, axis=1, keepdims=True)
+            nearest = s0 * np.where(r > 0.0, xe, [1.0, 0.0]) / np.where(r > 0.0, r, 1.0)
+        else:
+            nearest = np.column_stack([np.full(n, c0), np.clip(xe[:, 1], -s0, s0)])
+        band = 1e-12
+    else:
+        nearest = boundary.samples[_sample_tree(boundary, drop_idx).query(xe)[1]][:, keep]
+        band = 0.5 * boundary.spacing
+    diff = xe - nearest
     g = np.linalg.norm(diff, axis=1)
-    ok = inside & (g > 0.5 * boundary.spacing)
+    ok = inside & (g > band)
     unit = diff[ok] / g[ok][:, None]
     grad[np.ix_(np.flatnonzero(ok), keep)] = unit
     return np.where(ok, g, 0.0), grad, ~ok

@@ -77,7 +77,8 @@ class Dataset:
         if x.shape[0] < 1 or x.shape[1] != 3:
             raise ValueError("dataset must be a non-empty (n, 3) array")
         norms = np.linalg.norm(x, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        # written as "not <=" so that a NaN norm fails it too
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("dataset rows must be unit vectors")
         self.x = x
 

@@ -433,6 +433,17 @@ def test_cli_data_error_exit_3(tmp_path):
     assert code == 3
 
 
+def test_cli_non_finite_row_is_data_error_exit_3(tmp_path):
+    # a nan row used to reach the membership check and exit 2 as a
+    # config error ("data point(s) outside the region")
+    data = tmp_path / "nan.csv"
+    Dataset(to_euclidean(np.array([2.0, 2.5]), np.array([0.0, 1.0]))).to_csv(data)
+    lines = data.read_text().splitlines()
+    lines[1] = ",".join("nan" for _ in lines[1].split(","))
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", "--data", str(data), "--out-dir", str(tmp_path)]) == 3
+
+
 def test_cli_numeric_failure_exit_4(tmp_path):
     # the observed cap carries almost no mass under the truth, so every
     # replicate exhausts its raw-draw budget

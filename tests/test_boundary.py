@@ -53,9 +53,6 @@ def test_colatitude_basics():
     assert b.a_interval() == (0.0, 1.2)
     assert b.contains(to_euclidean(0.5, 1.0))
     assert not b.contains(to_euclidean(1.4, 1.0))
-    a_s, _ = to_spherical(b.samples)
-    assert np.allclose(a_s, 1.2, atol=1e-12)
-    assert b.spacing == pytest.approx(np.sin(1.2) * 2.0 * np.pi / len(b.samples))
     # hemisphere membership is the sign of x1
     assert HEMI.contains(np.array([-0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
     assert np.array_equal(
@@ -458,9 +455,62 @@ def test_projected_hemisphere_orthogonal_drop_is_linear():
     # to the rim becomes |x1|, linear in the polar gap at the boundary
     rng = np.random.default_rng(7)
     x = hemisphere_points(rng, 40)
-    g, grad, _ = projected_scaling(HEMI, x, drop_axis=2)
-    assert np.allclose(g, np.abs(x[:, 0]), atol=1e-5)
-    assert np.allclose(grad[:, 1], 0.0)
+    for axis in (2, 3):
+        g, grad, _ = projected_scaling(HEMI, x, drop_axis=axis)
+        assert np.max(np.abs(g - np.abs(x[:, 0]))) <= 1e-15
+        assert np.allclose(grad[:, axis - 1], 0.0)
+
+
+def projected_circle_brute_force(b, x, drop_axis, m=400_000):
+    """Planar distance from each query to m points of the projected circle."""
+    keep = [i for i in range(3) if i != drop_axis - 1]
+    ring = to_euclidean(np.full(m, b.a0), np.arange(m) * (TWO_PI / m))[:, keep]
+    return np.array([np.min(np.linalg.norm(ring - q[keep], axis=1)) for q in x])
+
+
+@pytest.mark.parametrize("a0, side", [(1.0, "greater"), (0.6, "less"), (2.0, "less"),
+                                      (2.4, "greater"), (np.pi / 2.0, "greater")])
+@pytest.mark.parametrize("drop_axis", [1, 2, 3])
+def test_projected_colatitude_closed_form_matches_brute_force(a0, side, drop_axis):
+    # the circle x1 = cos a0 projects to a circle of radius sin a0 (axis 1)
+    # or to the segment {x1 = cos a0, |xj| <= sin a0} (axes 2 and 3); the
+    # queries include points beyond the segment ends, where an end is nearest
+    b = ColatitudeBoundary(a0, side)
+    lo, hi = b.a_interval()
+    if drop_axis == 1:
+        # the region must stay on one side of the plane x1 = 0
+        lo, hi = (lo, min(hi, np.pi / 2.0)) if a0 < np.pi / 2.0 else (max(lo, np.pi / 2.0), hi)
+    rng = np.random.default_rng(30 + drop_axis)
+    x = to_euclidean(rng.uniform(lo + 0.02, hi - 0.02, 60), rng.uniform(0.0, TWO_PI, 60))
+    x = np.vstack([x, to_euclidean(np.array([lo + 0.02, hi - 0.02]), np.array([0.0, 0.5 * np.pi]))])
+    g, grad, on_b = projected_scaling(b, x, drop_axis=drop_axis)
+    brute = projected_circle_brute_force(b, x, drop_axis)
+    assert not on_b.any()
+    # the exact distance is never above the sample's minimum, and the
+    # sample's chord gaps (below 1.6e-5) bound how far below it can be
+    assert np.all(g <= brute + 1e-13)
+    assert np.all(brute - g <= 1e-8)
+    assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-12)
+    assert np.all(grad[:, drop_axis - 1] == 0.0)
+    if drop_axis != 1 and lo < np.pi / 2.0 < hi and a0 != np.pi / 2.0:
+        # some queries project past the segment ends
+        assert np.sum(np.abs(x[:, 4 - drop_axis]) > np.sin(a0)) >= 5
+
+
+@pytest.mark.parametrize("a0, side, a_range", [(1.0, "greater", (1.0, np.pi / 2.0)),
+                                               (2.0, "less", (np.pi / 2.0, 2.0))])
+def test_projected_axis1_outside_the_disk(a0, side, a_range):
+    # the region lies outside the projected disk of radius sin a0: g is
+    # |r - sin a0|, positive off the circle, not max(sin a0 - r, 0) = 0
+    b = ColatitudeBoundary(a0, side)
+    rng = np.random.default_rng(31)
+    a = rng.uniform(a_range[0] + 0.01, a_range[1] - 0.01, 40)
+    x = to_euclidean(a, rng.uniform(0.0, TWO_PI, 40))
+    g, grad, on_b = projected_scaling(b, x, drop_axis=1)
+    assert not on_b.any()
+    assert np.allclose(g, np.sin(a) - np.sin(a0), rtol=0.0, atol=1e-12)
+    r = np.hypot(x[:, 1], x[:, 2])
+    assert np.allclose(grad[:, 1:], x[:, 1:] / r[:, None], atol=1e-12)
 
 
 def test_projected_fold_rules():
@@ -477,6 +527,27 @@ def test_projected_fold_rules():
         projected_scaling(wedge, inside, drop_axis=3)
 
 
+def test_projected_symmetric_polyline_any_start_and_order():
+    # a kite mirror-symmetric in x3: two vertices on the plane x3 = 0 and
+    # two at azimuths +-0.4; negating x3 maps the cycle onto its reverse
+    kite = to_euclidean(np.array([1.0, 1.2, 1.5, 1.2]), np.array([0.0, 0.4, 0.0, -0.4]))
+    x = to_euclidean(np.array([1.2, 1.3, 1.25]), np.array([0.0, 0.1, -0.2]))
+    reference = projected_scaling(PolylineBoundary(kite), x, drop_axis=3)[0]
+    for start in range(4):
+        for order in (1, -1):
+            b = PolylineBoundary(np.roll(kite, -start, axis=0)[::order])
+            g, _, on_b = projected_scaling(b, x, drop_axis=3)
+            # the dense sample starts at the first vertex, so g moves
+            # within the sample spacing
+            assert not on_b.any()
+            assert np.allclose(g, reference, rtol=0.0, atol=b.spacing)
+    # moving one off-plane vertex breaks the symmetry
+    bent = kite.copy()
+    bent[1] = to_euclidean(1.25, 0.4)
+    with pytest.raises(ValueError, match="asymmetrically"):
+        projected_scaling(PolylineBoundary(bent), x, drop_axis=3)
+
+
 def test_projected_far_side_query_rejected():
     cap = ColatitudeBoundary(0.4, side="less")  # region around +x1
     far = to_euclidean(2.8, 0.3)[None, :]
@@ -490,14 +561,8 @@ def test_projected_invalid_axis():
 
 
 def test_projected_gradient_matches_fd():
-    # FD stencils that land in different Voronoi cells of the boundary
-    # sample set see the kink between neighboring nearest samples, so only
-    # argmin-stable stencils are checked (the analytic gradient holds the
-    # nearest sample fixed by definition)
-    def nearest_idx(y, axis):
-        keep = [i for i in range(3) if i != axis - 1]
-        return int(np.argmin(np.sum((HEMI.samples[:, keep] - y[keep]) ** 2, axis=1)))
-
+    # the closed-form nearest point moves smoothly with the query, so
+    # every stencil is checked
     rng = np.random.default_rng(9)
     x = hemisphere_points(rng, 40)
     h = 1e-5
@@ -509,10 +574,6 @@ def test_projected_gradient_matches_fd():
             v1 = unit_vector(np.cross(x[i], [0.0, 0.0, 1.0]))
             v2 = np.cross(x[i], v1)
             for v in (v1, v2):
-                xp = unit_vector(x[i] * np.cos(h) + v * np.sin(h))
-                xm = unit_vector(x[i] * np.cos(h) - v * np.sin(h))
-                if nearest_idx(xp, axis) != nearest_idx(xm, axis):
-                    continue
                 assert fd_tangent_derivative(f, x[i], v, h) == pytest.approx(
                     float(grad[i] @ v), abs=1e-4
                 )

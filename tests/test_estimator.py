@@ -45,6 +45,9 @@ def test_dataset_validation():
         Dataset(np.array([[1.0, 1.0, 1.0]]))  # not unit
     with pytest.raises(ValueError):
         Dataset(np.empty((0, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unit vectors"):
+            Dataset(np.array([[bad, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
     d = Dataset(np.array([0.0, 0.0, 1.0]))  # single point is promoted to 2-d
     assert d.n == 1
 
@@ -219,6 +222,19 @@ def test_estimate_projected_orthogonal_drop():
     res = estimate(d, HEMI, g_kind="projected", model_kind="vmf_mu_only",
                    fixed={"kappa": 6.0}, seed=0, drop_axis=2)
     assert geodesic_angle(res.params.mu, MU) < 0.05
+
+
+def test_estimate_projected_axis1_region_outside_the_disk():
+    # the region a > 1.0 near the truth lies outside the projected disk of
+    # radius sin 1.0; a g that vanished there fitted mu = e1 with objective 0
+    boundary = ColatitudeBoundary(1.0)
+    mu = to_euclidean(1.1, 0.5)
+    s = sample_truncated(VmfParams(mu, 200.0), boundary, 500, substream_rng(3, 500), 1000)
+    assert np.all(s.x[:, 0] > 0.0)  # one side of the plane x1 = 0, as axis 1 needs
+    res = estimate(Dataset(s.x), boundary, g_kind="projected", model_kind="vmf_mu_only",
+                   fixed={"kappa": 200.0}, drop_axis=1)
+    assert res.objective < 0.0
+    assert geodesic_angle(res.params.mu, mu) < 0.01
 
 
 def test_estimate_kent_frame():
