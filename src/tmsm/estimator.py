@@ -329,10 +329,8 @@ _GRID_SHAPE = (
 _POLISH_STARTS = 4
 _START_SEPARATION = 0.5
 # A polish counts as converged when its final gradient over rotations has
-# norm at most _GRAD_TOL max(1, |J|). Newton stops at 1e-10 max(1, |J|) or
-# earlier, when its line search can no longer resolve the decrease against
-# the rounding of J; on hemisphere fits that floor leaves gradients of up to
-# about 1e-7 max(1, |J|).
+# norm at most _GRAD_TOL max(1, |J|). Newton stops at 1e-10 max(1, |J|),
+# since it takes the full steps whose decrease J cannot resolve.
 _GRAD_TOL = 1e-6
 
 
@@ -508,8 +506,13 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
     their absolute values (floored at 1e-8 max|lambda|), so it points
     downhill even where H is indefinite. The step is halved until it
     passes the Armijo test and then turns the frame by Rodrigues' formula.
-    A start stops when its gradient norm is at most 1e-10 max(1, |J|), or
-    when halving finds no decrease above the rounding of J.
+    A full step whose predicted decrease is below the rounding of J is
+    accepted whatever J reads there, as J cannot resolve it. That rounding
+    is 4 eps times |W| |t|^2 + |b| |t| with |t|^2 = kappa^2 + 8 alpha^2, a
+    bound on the terms of J at every frame: they nearly cancel, so it is
+    several times eps |J|. A start stops when its gradient norm is at most
+    1e-10 max(1, |J|), or when halving finds no decrease above the
+    rounding of J.
 
     Returns:
         (frames, J, gradient norms, evaluations): the evaluations count
@@ -517,6 +520,8 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
     """
     w, b_lap, b_gg = stats.kent_form
     b = 2.0 * (b_lap + b_gg)
+    rho = np.hypot(kappa, np.sqrt(8.0) * alpha)
+    floor = 4.0 * np.finfo(float).eps * (np.linalg.norm(w, 2) * rho**2 + np.linalg.norm(b) * rho)
     frames = np.array(frames, dtype=float)
     value, grad, hess = _frame_derivatives(w, b, kappa, alpha, frames)
     gnorm = np.linalg.norm(grad, axis=1)
@@ -532,7 +537,6 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
         lam = np.maximum(lam, 1e-8 * lam.max(axis=1, keepdims=True))
         step = -np.einsum("mij,mj->mi", vec, np.einsum("mji,mj->mi", vec, grad[idx]) / lam)
         slope = np.einsum("mi,mi->m", grad[idx], step)
-        floor = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(value[idx]))
         evals += idx.size
         scale = np.ones(idx.size)
         todo = np.arange(idx.size)
@@ -542,9 +546,10 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
             trial_value = _form_values(w, b, kappa, alpha, trial)[0]
             evals += todo.size
             ok = trial_value <= value[k] + 1e-4 * scale[todo] * slope[todo]
+            ok |= -slope[todo] <= floor
             frames[k[ok]] = trial[ok]
             scale[todo[~ok]] *= 0.5
-            stuck = ~ok & (-scale[todo] * slope[todo] <= floor[todo])
+            stuck = ~ok & (-scale[todo] * slope[todo] <= floor)
             live[k[stuck]] = False
             todo = todo[~ok & ~stuck]
         moved = idx[live[idx]]

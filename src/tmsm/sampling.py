@@ -1,10 +1,12 @@
-"""Exact and rejection samplers for spherical models, with truncation.
+"""Exact samplers for spherical models, and truncation by rejection.
 
 von Mises-Fisher draws use the closed-form inverse CDF of the cosine along
 the mean direction (exact on the 2-sphere). The general five-parameter
-model is drawn by rejection from its vMF factor, whose acceptance ratio is
-bounded by construction under the unimodality constraint. Truncated draws
-filter an untruncated stream through the region membership test.
+model is drawn exactly in two stages: the cosine t = mu.x from its own
+marginal, by rejection from a truncated-normal envelope that accepts with
+probability i0e(alpha (1 - t^2)), then the azimuth from a von Mises law.
+Truncated draws filter an untruncated stream through the region
+membership test.
 
 Reproducibility: every sampler takes an explicit numpy Generator. Use
 `substream_rng` to derive independent generators from one experiment seed
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0e, log_ndtr, ndtri_exp
 
 from .boundary import Boundary
 from .geometry import complete_frame
@@ -54,36 +57,49 @@ def sample_vmf(params: VmfParams, size: int, rng: np.random.Generator) -> np.nda
 
 def sample_kent(params: KentParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """
-    Draw from the five-parameter model by vMF-envelope rejection.
+    Draw from the five-parameter model exactly, in two stages.
 
-    The target density is the vMF factor times exp(alpha [(g1.x)^2 -
-    (g2.x)^2]), bounded above by exp(alpha), so proposals from
-    vMF(mu, kappa) are accepted with probability
-    exp(alpha [(g1.x)^2 - (g2.x)^2] - alpha). Worst-case acceptance is
-    exp(-2 alpha), finite for any valid parameter set.
+    In the frame coordinates x = t mu + s (cos(phi) gamma1 + sin(phi) gamma2),
+    s = sqrt(1 - t^2), the density is exp(kappa t + alpha s^2 cos(2 phi)).
+
+    1. t = mu.x has the marginal density e^(kappa t) I0(alpha s^2). It is
+       drawn by rejection from the envelope e^(kappa t + alpha s^2), a
+       normal with mean kappa / (2 alpha) > 1 and variance 1 / (2 alpha)
+       truncated to [-1, 1], sampled by its inverse CDF in log space. A
+       candidate is accepted with probability i0e(alpha s^2), that is
+       I0(z) e^(-z) at z = alpha s^2: about 0.58 of candidates at
+       (kappa, alpha) = (10, 3), 0.33 at (20, 9.9) and 0.28 at (40, 19.8).
+    2. Given t, 2 phi follows vonMises(0, alpha s^2); phi gains pi with
+       probability 1/2.
+
+    Both stages are exact for every valid shape (2 alpha < kappa). The
+    rejection batch depends only on `size`, so a generator in a given
+    state always yields the same draws. alpha = 0 is `sample_vmf`.
     """
     if params.alpha == 0.0:
         return sample_vmf(VmfParams(params.mu, params.kappa), size, rng)
-    out = np.empty((size, 3))
+    kappa, alpha = params.kappa, params.alpha
+    mean, sd = kappa / (2.0 * alpha), 1.0 / np.sqrt(2.0 * alpha)
+    log_lo, log_hi = log_ndtr((-1.0 - mean) / sd), log_ndtr((1.0 - mean) / sd)
+    t = np.empty(size)
     got = 0
-    batch = max(size, 256)
-    first = True
+    batch = 2 * size + 64
     while got < size:
-        x = sample_vmf(VmfParams(params.mu, params.kappa), batch, rng)
-        t1 = x @ params.gamma1
-        t2 = x @ params.gamma2
-        logratio = params.alpha * (t1 * t1 - t2 * t2) - params.alpha
-        keep = np.log(rng.random(batch)) < logratio
-        if first and keep.mean() < 1e-3:
-            raise RuntimeError(
-                f"rejection acceptance rate {keep.mean():.2e} below 1e-3 on the "
-                "pilot batch; envelope misconfigured for these parameters"
-            )
-        first = False
+        v = 1.0 - rng.random(batch)  # in (0, 1], so the log stays finite
+        z = ndtri_exp(log_hi + np.log(v + (1.0 - v) * np.exp(log_lo - log_hi)))
+        cand = np.clip(mean + sd * z, -1.0, 1.0)
+        keep = rng.random(batch) < i0e(alpha * (1.0 - cand * cand))
         take = min(int(keep.sum()), size - got)
-        out[got : got + take] = x[keep][:take]
+        t[got : got + take] = cand[keep][:take]
         got += take
-    return out
+    s2 = 1.0 - t * t
+    phi = 0.5 * rng.vonmises(0.0, alpha * s2) + np.pi * (rng.random(size) < 0.5)
+    s = np.sqrt(s2)
+    return (
+        t[:, None] * params.mu[None, :]
+        + (s * np.cos(phi))[:, None] * params.gamma1[None, :]
+        + (s * np.sin(phi))[:, None] * params.gamma2[None, :]
+    )
 
 
 def sample_model(params: ModelParams, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -515,3 +515,16 @@ def test_cli_simulate_estimate_roundtrip(tmp_path):
         report = json.load(fh)
     assert report["g_kind"] == "projected"
     assert geodesic_angle(np.asarray(report["mu_x"]), MU) < 0.15
+
+
+def test_cli_simulate_kent_at_high_ovalness(tmp_path):
+    # 2 alpha / kappa = 0.99: a valid shape the vMF-envelope sampler refused
+    argv = ["simulate", "--model", "kent", "--kappa", "20", "--alpha", "9.9",
+            "--n", "500", "--seed", "4"]
+    assert main(argv + ["--out-dir", str(tmp_path / "first")]) == 0
+    assert main(argv + ["--out-dir", str(tmp_path / "second")]) == 0
+    first = (tmp_path / "first" / "samples.csv").read_bytes()
+    assert first == (tmp_path / "second" / "samples.csv").read_bytes()
+    data = Dataset.from_csv(tmp_path / "first" / "samples.csv")
+    assert data.n == 500
+    assert np.all(ColatitudeBoundary(0.5 * np.pi).contains(data.x))

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
+from tmsm.bench import ExperimentConfig, build_boundary, truth_params
 from tmsm.boundary import ColatitudeBoundary, PolylineBoundary
 from tmsm.estimator import (
     Dataset,
@@ -483,6 +484,22 @@ def test_kent_newton_polish_descends_where_the_hessian_is_indefinite():
     _, polished, gnorm, _ = _newton_polish(stats, 6.0, 1.0, frames)
     assert np.all(polished < value)
     assert np.all(gnorm <= 1e-6 * np.maximum(1.0, np.abs(polished)))
+
+
+def test_kent_newton_polish_ends_by_the_gradient_test_on_the_paper_grid():
+    # near the minimum the Newton decrease falls below the rounding of J,
+    # so only full steps there bring every start to the gradient test
+    config = ExperimentConfig(experiment="kent_known_shape")
+    truth, boundary = truth_params(config), build_boundary(config.boundary)
+    above = 0
+    for n in config.n_grid:
+        for replicate in range(24):
+            x = sample_truncated(truth, boundary, n, substream_rng(0, n, replicate), 1000).x
+            stats = _scaling_stats(Dataset(x), boundary, "haversine", None)
+            starts = _grid_starts(stats, truth.kappa, truth.alpha)
+            _, value, gnorm, _ = _newton_polish(stats, truth.kappa, truth.alpha, starts)
+            above += int(np.sum(gnorm > 1e-10 * np.maximum(1.0, np.abs(value))))
+    assert above == 0
 
 
 def _reference_grid_starts(stats, kappa, alpha):

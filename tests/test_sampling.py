@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tmsm.boundary import ColatitudeBoundary
-from tmsm.models import KentParams, VmfParams
+from tmsm.estimator import sphere_grid
+from tmsm.models import KentParams, VmfParams, log_unnormalized_density
 from tmsm.sampling import (
     TruncatedSample,
     sample_kent,
@@ -93,12 +94,33 @@ def test_kent_alpha_zero_short_circuits_to_vmf():
     assert np.array_equal(x1, x2)
 
 
-def test_kent_pilot_batch_guard():
-    # acceptance ~ exp(-alpha) for concentrated draws; alpha = 9.5 puts the
-    # pilot batch below the 1e-3 floor
-    p = kent_params(kappa=20.0, alpha=9.5)
-    with pytest.raises(RuntimeError, match="acceptance"):
-        sample_kent(p, 500, substream_rng(6, 0))
+# shapes up to 2 alpha / kappa = 0.99, near the unimodality limit
+@pytest.mark.parametrize("kappa,alpha", [
+    (10.0, 3.0), (10.0, 4.9), (6.0, 2.9), (2.0, 0.9), (1.0, 0.4),
+    (20.0, 9.5), (20.0, 9.9), (40.0, 12.0), (40.0, 19.8), (200.0, 50.0),
+])
+def test_kent_sampler_matches_quadrature_moments(kappa, alpha):
+    p = kent_params(kappa, alpha)
+    x = sample_kent(p, 200000, substream_rng(6, int(10 * kappa), int(10 * alpha)))
+    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-12
+    nodes, w = sphere_grid(400, 400)
+    logf = np.asarray(log_unnormalized_density(p, nodes))
+    f = w * np.exp(logf - logf.max())
+    gap = 0.0
+    for moment in (
+        lambda y: y @ p.mu,
+        lambda y: (y @ p.gamma1) ** 2,
+        lambda y: (y @ p.gamma2) ** 2,
+        lambda y: (y @ p.gamma1) * (y @ p.gamma2),
+    ):
+        gap = max(gap, abs(f @ moment(nodes) / f.sum() - np.mean(moment(x))))
+    assert gap <= 0.01
+
+
+def test_kent_sampler_substream_reproducible():
+    p = kent_params(20.0, 9.9)
+    assert np.array_equal(sample_kent(p, 500, substream_rng(6, 0)),
+                          sample_kent(p, 500, substream_rng(6, 0)))
 
 
 def test_sample_model_dispatch():
