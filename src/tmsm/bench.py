@@ -578,7 +578,7 @@ def run_storms(
     for method, g_kind in (("tmsm_haversine", "haversine"), ("tmsm_projected", "projected")):
         # the kept events passed the membership filter above
         stats = _scaling_stats(data, boundary, g_kind, drop_axis, inside[inside])
-        res = _fit_vmf(stats, "vmf_mu_kappa", {})
+        res = _fit_vmf(stats, None)
         entry = _method_report(res.params.mu, res.params.kappa)
         entry["bearing_from_mle_deg"] = initial_bearing_deg(
             fits["mle"]["mu_lat_deg"], fits["mle"]["mu_lon_deg"],

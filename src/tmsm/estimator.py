@@ -12,18 +12,21 @@ where psi is the model score and all products are tangential. Minimizing
 over beta needs no normalizing constant and no model of the truncation
 mechanism beyond g itself.
 
-For the von Mises-Fisher model the objective is a quadratic form in the
-natural parameter eta = kappa mu, so `estimate` fits it in closed form: a
-3x3 linear solve when kappa is free, and a trust-region boundary problem
-(eigendecomposition plus a 1-D secular equation) when kappa is known. The
-Kent score eta + A x is linear in (eta, A) as well, so its objective is a
-fixed quadratic form in those parameters, built once from g-weighted data
-moments. With kappa and alpha known the frame still enters nonlinearly, so
-the Kent frame fit scores a fixed grid of frames in one batched form,
-then polishes the best separated grid frames together by a safeguarded
-Newton iteration on the closed-form gradient and Hessian over rotations
-(Absil, Mahony & Sepulchre 2008, ch. 6); no start is random and every
-evaluation is O(1) in the sample size.
+The vMF and Kent scores are linear in theta = (eta, vec A), with
+eta = kappa mu and A the Kent shape matrix, so on the sphere the objective
+is one quadratic J(theta) = theta^T W theta + b^T theta built from
+g-weighted data moments (Mardia, Kent & Laha 2016); the model kinds differ
+only in the set theta ranges over. `_ScalingStats` holds that form. Its
+eta block, M = W[:3, :3] and c = -b[:3] / 2, is built with the stats and is
+all the vMF fits read: a 3x3 linear solve when kappa is free, and a
+trust-region boundary problem (eigendecomposition plus a 1-D secular
+equation) when kappa is known. The full 12x12 form is built on first use,
+by the Kent frame fit only. With kappa and alpha known the frame still
+enters nonlinearly, so that fit scores a fixed grid of frames in one
+batched form, then polishes the best separated grid frames together by a
+safeguarded Newton iteration on the closed-form gradient and Hessian over
+rotations (Absil, Mahony & Sepulchre 2008, ch. 6); no start is random and
+every evaluation is O(1) in the sample size.
 
 `ibp_identity_check` verifies by quadrature that this three-term form
 agrees with the population score-matching divergence it rewrites, which
@@ -44,13 +47,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.optimize import brentq
 
 from .boundary import Boundary, ColatitudeBoundary, scaling_values
-from .geometry import (
-    complete_frame,
-    rotation_from_angles,
-    to_euclidean,
-    to_spherical,
-    unit_vector,
-)
+from .geometry import to_euclidean, to_spherical
 from .models import (
     KAPPA_CAP,
     KentParams,
@@ -173,15 +170,20 @@ class EstimationResult:
 
 
 class _ScalingStats:
-    """Per-dataset scaling precompute; everything here is beta-free.
+    """
+    The objective of one dataset as a quadratic form; everything here is
+    free of the parameters.
 
-    Holds the raw g values and gradients plus the sufficient statistics
-    that make the vMF objective O(1) per evaluation: gbar = mean g,
-    quad = mean g x x^T, first = mean g x, tgrad = mean tangential part of
-    grad g, and tgrad_abs = mean norm of that part. The higher moments the
-    Kent objective needs are built on first use by `kent_form`, so the vMF
-    fits never pay for them. `general_terms` is the O(n) reference that
-    both fast paths must match.
+    With theta = (eta, vec A) the objective total is
+    J(theta) = theta^T W theta + b^T theta (see `kent_terms`). Built at once
+    are g and grad g at the data, the moments gbar = mean g, quad = mean
+    g x x^T, first = mean g x and tgrad = mean tangential part of grad g
+    (tgrad_abs = mean norm of that part), and from them the eta block of the
+    form: m = gbar I - quad = W[:3, :3] and c = 2 first - tgrad = -b[:3] / 2,
+    so a vMF fit minimises eta^T m eta - 2 c^T eta. The rest of W and b
+    needs the third and fourth moments, so `kent_form` builds it on first
+    use and the vMF fits never pay for it. `general_terms` is the O(n)
+    reference the form must match.
     """
 
     def __init__(self, x: np.ndarray, g: np.ndarray, grad: np.ndarray):
@@ -195,15 +197,11 @@ class _ScalingStats:
         self.tang = grad - xg[:, None] * x
         self.tgrad = self.tang.mean(axis=0)
         self.tgrad_abs = float(np.linalg.norm(self.tang, axis=1).mean())
-
-    def vmf_terms(self, mu: np.ndarray, kappa: float) -> ObjectiveTerms:
-        inner = kappa * kappa * (self.gbar - mu @ self.quad @ mu)
-        lap = -2.0 * kappa * (self.first @ mu)
-        gg = kappa * (self.tgrad @ mu)
-        return ObjectiveTerms(float(inner), float(lap), float(gg))
+        self.m = self.gbar * np.eye(3) - self.quad
+        self.c = 2.0 * self.first - self.tgrad
 
     @cached_property
-    def kent_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def kent_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """
         (W, b_lap, b_gg): the Kent terms as forms in theta = (eta, vec A).
 
@@ -219,7 +217,8 @@ class _ScalingStats:
         with f = first, Q = quad, T3 = mean g x(x)x(x)x (9x3),
         T4 = mean g (x(x)x)(x(x)x)^T (9x9) and G = mean t x^T, t the
         tangential part of grad g. vec is row-major, and <A^2, Q> is
-        vec(A)^T (I (x) Q) vec(A) because A is symmetric.
+        vec(A)^T (I (x) Q) vec(A) because A is symmetric. The vMF model is
+        A = 0, the eta block alone.
         """
         x, n = self.x, self.x.shape[0]
         xx = (x[:, :, None] * x[:, None, :]).reshape(n, 9)
@@ -228,12 +227,19 @@ class _ScalingStats:
         t4 = gxx.T @ xx / n
         cross = np.kron(np.eye(3), self.first[None, :]) - t3.T
         w = np.block([
-            [self.gbar * np.eye(3) - self.quad, cross],
+            [self.m, cross],
             [cross.T, np.kron(np.eye(3), self.quad) - t4],
         ])
         b_lap = np.concatenate([-2.0 * self.first, -3.0 * self.quad.ravel()])
         b_gg = np.concatenate([self.tgrad, (self.tang.T @ x / n).ravel()])
         return w, b_lap, b_gg
+
+    @cached_property
+    def kent_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, b) with the objective total theta^T W theta + b^T theta:
+        the 1-2-2 weighting of `kent_terms` gives b = 2 (b_lap + b_gg)."""
+        w, b_lap, b_gg = self.kent_terms
+        return w, 2.0 * (b_lap + b_gg)
 
     def general_terms(self, params: ModelParams) -> ObjectiveTerms:
         psi, inner, lap = batch_terms(params, self.x)
@@ -344,71 +350,6 @@ def _frame_distance(frames: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
 
 
-def _kent_objective(
-    stats: _ScalingStats,
-    kappa: float,
-    alpha: float,
-    mu_ref: np.ndarray,
-    gamma1_ref: np.ndarray | None = None,
-    jac: bool = False,
-):
-    """
-    Map frame rotation angles about a reference triad to the objective total.
-
-    The triad is (mu_ref, gamma1_ref, mu_ref x gamma1_ref), or mu_ref
-    completed by `complete_frame` when gamma1_ref is None. The angles
-    rotate its rows r_k to R r_k with R = `rotation_from_angles`. `fun`
-    reads the form `stats.kent_form`, O(1) in the sample size; with
-    jac=True it returns (value, gradient), as `minimize(jac=True)` expects.
-    `unpack` builds the `KentParams` of a search result.
-
-    The gradient: with u = 2 W t + b the gradient of the form in
-    t = (kappa mu, vec A) and U = u[3:] as a 3x3 matrix,
-
-        dJ/dmu = kappa u[:3],  dJ/dgamma1 = 2 alpha (U + U^T) gamma1,
-        dJ/dgamma2 = -2 alpha (U + U^T) gamma2.
-
-    A turn d omega moves each row by d omega x r_k, so dJ = d omega . spin
-    with spin = sum_k r_k x dJ/dr_k. The three angles of Rx Ry Rz turn
-    about e1, Rx e2 and Rx Ry e3, so their gradient is those axes dotted
-    with spin.
-    """
-    mu_ref = unit_vector(mu_ref)
-    if gamma1_ref is None:
-        gamma1_ref = complete_frame(mu_ref)[0]
-    ref = np.stack([mu_ref, gamma1_ref, np.cross(mu_ref, gamma1_ref)])
-    w, b_lap, b_gg = stats.kent_form
-    b = 2.0 * (b_lap + b_gg)
-
-    def frame(theta: np.ndarray) -> np.ndarray:
-        return ref @ rotation_from_angles(theta[0], theta[1], theta[2]).T
-
-    def unpack(theta: np.ndarray) -> KentParams:
-        return KentParams(*frame(theta), kappa, alpha)
-
-    def fun(theta: np.ndarray):
-        mu, g1, g2 = frame(theta)
-        shape = np.outer(g1, g1) - np.outer(g2, g2)
-        t = np.concatenate([kappa * mu, 2.0 * alpha * shape.ravel()])
-        wt = w @ t
-        value = t @ wt + b @ t
-        if not jac:
-            return value
-        u = 2.0 * wt + b
-        su = u[3:].reshape(3, 3)
-        su = 2.0 * alpha * (su + su.T)
-        # spin_i = eps_ijl m_jl with m = sum_k r_k (dJ/dr_k)^T
-        m = np.outer(mu, kappa * u[:3]) + np.outer(g1, su @ g1) - np.outer(g2, su @ g2)
-        spin = np.array([m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]])
-        c1, s1 = np.cos(theta[0]), np.sin(theta[0])
-        c2, s2 = np.cos(theta[1]), np.sin(theta[1])
-        axes = np.array([[1.0, 0.0, 0.0], [0.0, c1, s1], [s2, -s1 * c2, c1 * c2]])
-        return value, axes @ spin
-
-    unpack(np.zeros(3))  # reject an invalid (kappa, alpha) before any search
-    return fun, unpack
-
-
 def _grid_starts(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray:
     """
     Grid frames that start the polishes, best first: the _POLISH_STARTS
@@ -418,9 +359,9 @@ def _grid_starts(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray
     first), a block at a time, and each candidate is tested only against
     the frames already picked.
     """
-    w, b_lap, b_gg = stats.kent_form
+    w, b = stats.kent_form
     t = np.hstack([kappa * _FRAME_GRID[:, 0], 2.0 * alpha * _GRID_SHAPE])
-    values = np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ (2.0 * (b_lap + b_gg))
+    values = np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ b
     order = np.argsort(values, kind="stable")
     picked = [order[0]]
     start = 1
@@ -518,8 +459,7 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
         (frames, J, gradient norms, evaluations): the evaluations count
         the Newton steps plus the line-search evaluations of all starts.
     """
-    w, b_lap, b_gg = stats.kent_form
-    b = 2.0 * (b_lap + b_gg)
+    w, b = stats.kent_form
     rho = np.hypot(kappa, np.sqrt(8.0) * alpha)
     floor = 4.0 * np.finfo(float).eps * (np.linalg.norm(w, 2) * rho**2 + np.linalg.norm(b) * rho)
     frames = np.array(frames, dtype=float)
@@ -614,18 +554,15 @@ def _eta_on_sphere(m: np.ndarray, c: np.ndarray, kappa: float) -> np.ndarray:
     return vecs @ eta_of(s)
 
 
-def _fit_vmf(stats: _ScalingStats, model_kind: str, fixed: dict) -> EstimationResult:
+def _fit_vmf(stats: _ScalingStats, kappa: float | None) -> EstimationResult:
     """
-    Closed-form vMF fit in the natural parameter eta = kappa mu.
-
-    vmf_terms(mu, kappa).total = eta^T M eta - 2 c^T eta with M = gbar I -
-    quad, which is positive semidefinite because g >= 0, and
-    c = 2 first - tgrad.
+    Closed-form vMF fit in the natural parameter eta = kappa mu: minimise
+    the eta block J(eta) = eta^T M eta - 2 c^T eta of the form, with
+    M = stats.m positive semidefinite because g >= 0. A known kappa
+    constrains eta to |eta| = kappa; kappa None leaves it free.
     """
-    m = stats.gbar * np.eye(3) - stats.quad
-    c = 2.0 * stats.first - stats.tgrad
-    if model_kind == "vmf_mu_only":
-        kappa = float(fixed["kappa"])
+    m, c = stats.m, stats.c
+    if kappa is not None:
         eta = _eta_on_sphere(m, c, kappa)
     else:
         try:
@@ -645,9 +582,10 @@ def _fit_vmf(stats: _ScalingStats, model_kind: str, fixed: dict) -> EstimationRe
                 "the data do not determine a vMF fit"
             )
     params = VmfParams(eta, kappa)
+    eta = kappa * params.mu  # J is reported at the returned parameters
     return EstimationResult(
         params=params,
-        objective=stats.vmf_terms(params.mu, kappa).total,
+        objective=float(eta @ m @ eta - 2.0 * c @ eta),
         iterations=0,
         converged=True,
         restarts_used=0,
@@ -679,9 +617,12 @@ def estimate(
       form. The 4 best grid frames that are pairwise more than 0.5 rad
       apart are polished together by a safeguarded Newton iteration on
       the exact gradient and Hessian over rotations, and the lowest
-      polish wins. Every evaluation reads the moment form
+      polish wins. Every evaluation reads the full quadratic form
       `_ScalingStats.kent_form`, built once per call, so it is O(1) in
       the sample size.
+
+    Every kind minimises the same quadratic in theta = (kappa mu, vec A),
+    `_ScalingStats`; the vMF kinds read only its eta block.
 
     Args:
         data: observed points inside the region.
@@ -698,8 +639,9 @@ def estimate(
         EstimationResult with the best parameters found.
 
     Raises:
-        ValueError: on an unknown model_kind, missing fixed parameters, or
-            data outside the region.
+        ValueError: on an unknown model_kind, missing fixed parameters, a
+            fixed kappa outside (0, KAPPA_CAP] (NaN included), or data
+            outside the region.
         FloatingPointError: when "vmf_mu_kappa" has no finite minimiser
             (the weighted data span no tangent plane, e.g. a single point)
             or its concentration falls outside (0, KAPPA_CAP].
@@ -711,12 +653,17 @@ def estimate(
         raise ValueError("model_kind 'vmf_mu_only' requires fixed['kappa']")
     if model_kind == "kent_frame" and not {"kappa", "alpha"} <= fixed.keys():
         raise ValueError("model_kind 'kent_frame' requires fixed['kappa'] and fixed['alpha']")
+    kappa = None
+    if model_kind != "vmf_mu_kappa":
+        kappa = float(fixed["kappa"])
+        # written as "not" so that NaN fails it too
+        if not 0.0 < kappa <= KAPPA_CAP:
+            raise ValueError(f"fixed kappa must lie in (0, {KAPPA_CAP:.0e}], got {kappa}")
 
     stats = _scaling_stats(data, boundary, g_kind, drop_axis)
     if model_kind != "kent_frame":
-        return _fit_vmf(stats, model_kind, fixed)
-
-    return _fit_kent_frame(stats, float(fixed["kappa"]), float(fixed["alpha"]))
+        return _fit_vmf(stats, kappa)
+    return _fit_kent_frame(stats, kappa, float(fixed["alpha"]))
 
 
 def region_grid(

@@ -111,13 +111,6 @@ def projection(x: np.ndarray) -> np.ndarray:
     return eye - x[..., :, None] * x[..., None, :]
 
 
-def project_tangent(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project ambient vector(s) v onto the tangent plane at x."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return v - np.sum(x * v, axis=-1, keepdims=True) * x
-
-
 def manifold_inner(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """
     Inner product of two ambient vectors after projection at x.
@@ -192,14 +185,3 @@ def complete_frame(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v1 = unit_vector(np.cross(mu, seed))
     v2 = np.cross(mu, v1)
     return v1, v2
-
-
-def rotation_from_angles(r1: float, r2: float, r3: float) -> np.ndarray:
-    """Rotation matrix Rx(r1) Ry(r2) Rz(r3) from three angles."""
-    c1, s1 = np.cos(r1), np.sin(r1)
-    c2, s2 = np.cos(r2), np.sin(r2)
-    c3, s3 = np.cos(r3), np.sin(r3)
-    rx = np.array([[1, 0, 0], [0, c1, -s1], [0, s1, c1]], dtype=float)
-    ry = np.array([[c2, 0, s2], [0, 1, 0], [-s2, 0, c2]], dtype=float)
-    rz = np.array([[c3, -s3, 0], [s3, c3, 0], [0, 0, 1]], dtype=float)
-    return rx @ ry @ rz

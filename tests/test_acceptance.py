@@ -24,8 +24,9 @@ from tmsm.boundary import (
 )
 from tmsm.estimator import (
     Dataset,
-    _kent_objective,
+    _form_values,
     _scaling_stats,
+    _turn,
     ibp_identity_check,
     sphere_grid,
 )
@@ -287,16 +288,17 @@ def test_criterion_7_determinism_and_finite_objectives(tmp_path):
     data = Dataset(sample_truncated(VmfParams(MU, 6.0), HEMI, 500,
                                     substream_rng(70, 0), 1000).x)
     stats = _scaling_stats(data, HEMI, "haversine", None)
-    fun_kent, _ = _kent_objective(stats, 10.0, 3.0, MU)
     rng = np.random.default_rng(71)
-    bad = 0
-    for theta in rng.uniform(-30.0, 30.0, size=(90000, 3)):
-        mu, kappa = to_euclidean(theta[0], theta[1]), np.exp(theta[2])
-        if not np.isfinite(stats.vmf_terms(mu, kappa).total):
-            bad += 1
-    for theta in rng.uniform(-30.0, 30.0, size=(10000, 3)):
-        if not np.isfinite(fun_kent(theta)):
-            bad += 1
+    # vMF: the eta block J(eta) = eta^T M eta - 2 c^T eta of the form
+    theta = rng.uniform(-30.0, 30.0, size=(90000, 3))
+    eta = np.exp(theta[:, 2:]) * to_euclidean(theta[:, 0], theta[:, 1])
+    j_vmf = np.einsum("mi,ij,mj->m", eta, stats.m, eta) - 2.0 * eta @ stats.c
+    # Kent: the full form at frames turned from MU's completed triad
+    ref = np.stack([MU, *complete_frame(MU)])
+    turns = rng.uniform(-30.0, 30.0, size=(10000, 3))
+    frames = _turn(np.broadcast_to(ref, (len(turns), 3, 3)), turns)
+    j_kent = _form_values(*stats.kent_form, 10.0, 3.0, frames)[0]
+    bad = int(np.sum(~np.isfinite(j_vmf)) + np.sum(~np.isfinite(j_kent)))
 
     ok = identical and bad == 0
     _verdict(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.spatial.transform import Rotation
 
 from tmsm.baselines import (
     LOG_PRECISION_BRACKET,
@@ -16,7 +17,7 @@ from tmsm.baselines import (
 )
 from tmsm.boundary import ColatitudeBoundary
 from tmsm.estimator import Dataset
-from tmsm.geometry import geodesic_angle, rotation_from_angles, to_euclidean
+from tmsm.geometry import geodesic_angle, to_euclidean
 from tmsm.models import VmfParams
 from tmsm.sampling import sample_truncated, sample_vmf, substream_rng
 
@@ -83,7 +84,7 @@ def test_mle_fixed_kappa_and_errors():
 
 def test_mle_rotation_equivariant():
     x = sample_vmf(VmfParams(mu=MU, kappa=6.0), 500, substream_rng(2, 0))
-    rot = rotation_from_angles(0.3, -0.8, 1.2)
+    rot = Rotation.from_euler("XYZ", [0.3, -0.8, 1.2]).as_matrix()
     p = mle_vmf(Dataset(x))
     p_rot = mle_vmf(Dataset(x @ rot.T))
     assert np.max(np.abs(p_rot.mu - rot @ p.mu)) < 1e-10

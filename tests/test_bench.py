@@ -517,6 +517,20 @@ def test_cli_simulate_estimate_roundtrip(tmp_path):
     assert geodesic_angle(np.asarray(report["mu_x"]), MU) < 0.15
 
 
+def test_cli_invalid_fixed_kappa_exit_2(tmp_path):
+    assert main(["simulate", "--n", "100", "--seed", "3", "--kappa", "6",
+                 "--out-dir", str(tmp_path)]) == 0
+    samples = str(tmp_path / "samples.csv")
+    for i, (model_kind, kappa) in enumerate(
+            [("kent_frame", "inf"), ("kent_frame", "1e300"), ("vmf_mu_only", "nan"),
+             ("vmf_mu_only", "0")]):
+        out = tmp_path / f"fit{i}"
+        code = main(["estimate", "--data", samples, "--model-kind", model_kind,
+                     "--fixed-kappa", kappa, "--fixed-alpha", "0", "--out-dir", str(out)])
+        assert code == 2
+        assert not (out / "estimate.json").exists()
+
+
 def test_cli_simulate_kent_at_high_ovalness(tmp_path):
     # 2 alpha / kappa = 0.99: a valid shape the vMF-envelope sampler refused
     argv = ["simulate", "--model", "kent", "--kappa", "20", "--alpha", "9.9",

@@ -22,12 +22,14 @@ from tmsm.estimator import (
     _GRID_SHAPE,
     _START_SEPARATION,
     _eta_on_sphere,
+    _fit_vmf,
+    _form_values,
     _frame_derivatives,
     _frame_distance,
     _grid_starts,
-    _kent_objective,
     _newton_polish,
     _scaling_stats,
+    _turn,
 )
 from tmsm.geometry import geodesic_angle, to_euclidean, unit_vector
 from tmsm.models import KentParams, VmfParams
@@ -161,11 +163,16 @@ def test_objective_rejects_points_outside_region():
 
 
 def _form_terms(stats, p):
-    """The Kent terms read off `stats.kent_form` at the parameters p."""
-    w, b_lap, b_gg = stats.kent_form
+    """The Kent terms read off `stats.kent_terms` at the parameters p."""
+    w, b_lap, b_gg = stats.kent_terms
     a = 2.0 * p.alpha * (np.outer(p.gamma1, p.gamma1) - np.outer(p.gamma2, p.gamma2))
     theta = np.concatenate([p.kappa * p.mu, a.ravel()])
     return ObjectiveTerms(theta @ w @ theta, b_lap @ theta, b_gg @ theta)
+
+
+def _eta_objective(stats, eta):
+    """J(eta) = eta^T M eta - 2 c^T eta, the eta block of the form."""
+    return eta @ stats.m @ eta - 2.0 * stats.c @ eta
 
 
 def _random_kent(rng):
@@ -182,7 +189,11 @@ def test_fast_path_matches_general_terms(model):
         stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
         if model == "vmf":
             p = VmfParams(mu=np.array([0.4, -0.7, 0.3]), kappa=5.0)
-            cases = [(p, stats.vmf_terms(p.mu, p.kappa))]
+            eta = p.kappa * p.mu
+            total = stats.general_terms(p).total
+            assert _eta_objective(stats, eta) == pytest.approx(total, abs=1e-12)
+            cases = [(p, ObjectiveTerms(eta @ stats.m @ eta, -2.0 * stats.first @ eta,
+                                        stats.tgrad @ eta))]
         else:
             cases = []
             for _ in range(20):
@@ -193,6 +204,19 @@ def test_fast_path_matches_general_terms(model):
             assert fast.inner_term == pytest.approx(slow.inner_term, abs=1e-12)
             assert fast.laplacian_term == pytest.approx(slow.laplacian_term, abs=1e-12)
             assert fast.gradient_g_term == pytest.approx(slow.gradient_g_term, abs=1e-12)
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_vmf_fits_read_only_the_eta_block(g_kind, axis):
+    d = hemi_dataset(300, seed=5)
+    for kappa in (None, 6.0):
+        stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
+        res = _fit_vmf(stats, kappa)
+        assert "kent_form" not in stats.__dict__ and "kent_terms" not in stats.__dict__
+        assert res.objective == _eta_objective(stats, res.params.kappa * res.params.mu)
+        w, b = stats.kent_form
+        assert np.array_equal(stats.m, w[:3, :3])
+        assert np.array_equal(stats.c, -b[:3] / 2.0)
 
 
 # --------------------------------------------------------------- estimation
@@ -283,13 +307,23 @@ def test_estimate_deterministic_per_seed():
     assert r1.objective == r2.objective
 
 
+@pytest.mark.parametrize("model_kind", ["vmf_mu_only", "kent_frame"])
+@pytest.mark.parametrize("kappa", [0.0, -1.0, np.inf, 1e300, np.nan])
+def test_invalid_fixed_kappa_rejected_before_any_g_work(model_kind, kappa):
+    # the point lies outside HEMI, so a membership check run first would
+    # fail with a different message
+    d = Dataset(np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="fixed kappa"):
+            estimate(d, HEMI, model_kind=model_kind, fixed={"kappa": kappa, "alpha": 0.0})
+
+
 def test_estimate_equivariant_under_axial_rotation():
     # rotating data about the x1 pole leaves the hemisphere fixed and must
     # rotate the estimate with it
-    from tmsm.geometry import rotation_from_angles
-
     d = hemi_dataset(800, seed=11)
-    rot = rotation_from_angles(0.7, 0.0, 0.0)  # about x1
+    rot = Rotation.from_rotvec([0.7, 0.0, 0.0]).as_matrix()  # about x1
     d_rot = Dataset(d.x @ rot.T)
     r1 = estimate(d, HEMI, model_kind="vmf_mu_only", fixed={"kappa": 6.0}, seed=0)
     r2 = estimate(d_rot, HEMI, model_kind="vmf_mu_only", fixed={"kappa": 6.0}, seed=0)
@@ -297,16 +331,15 @@ def test_estimate_equivariant_under_axial_rotation():
 
 
 def _brute_force_vmf(stats, kappa=None):
-    """Best of many tight Nelder-Mead runs on stats.vmf_terms; (mu, kappa, total)."""
+    """Best of many tight Nelder-Mead runs on the eta block; (mu, kappa, total)."""
     rng = np.random.default_rng(12)
     if kappa is None:
         def fun(eta):
-            k = np.linalg.norm(eta)
-            return stats.vmf_terms(eta / k, k).total
+            return _eta_objective(stats, eta)
         starts = rng.standard_normal((8, 3)) * 5.0
     else:
         def fun(ab):
-            return stats.vmf_terms(to_euclidean(ab[0], ab[1]), kappa).total
+            return _eta_objective(stats, kappa * to_euclidean(ab[0], ab[1]))
         starts = np.column_stack([rng.uniform(0.1, np.pi - 0.1, 8),
                                   rng.uniform(0.0, 2.0 * np.pi, 8)])
     best = min((minimize(fun, s, method="Nelder-Mead",
@@ -331,7 +364,7 @@ def test_closed_form_vmf_matches_brute_force(g_kind, axis):
             assert geodesic_angle(res.params.mu, mu) < 1e-6
             assert res.params.kappa == pytest.approx(kappa, rel=1e-6)
             assert res.objective <= best + 1e-12
-            assert res.objective == stats.vmf_terms(res.params.mu, res.params.kappa).total
+            assert res.objective == _eta_objective(stats, res.params.kappa * res.params.mu)
             assert (res.iterations, res.restarts_used, res.converged) == (0, 0, True)
 
 
@@ -432,24 +465,45 @@ def test_identity_check_polyline_unsupported():
 def test_kent_gradient_matches_central_differences(g_kind, axis):
     d = hemi_dataset(150, seed=16)
     stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
+    w, b = stats.kent_form
     rng = np.random.default_rng(17)
     h = 1e-6
     for _ in range(20):
         p = _random_kent(rng)
-        fun, unpack = _kent_objective(stats, p.kappa, p.alpha, p.mu, p.gamma1, jac=True)
-        theta = rng.uniform(-1.0, 1.0, 3)
-        value, grad = fun(theta)
-        assert value == pytest.approx(_form_terms(stats, unpack(theta)).total, abs=1e-12)
-        fd = [(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2.0 * h) for e in np.eye(3)]
-        assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6)
+        frame = _turn(p.frame().T[None], rng.uniform(-1.0, 1.0, (1, 3)))
+        value, grad, _ = _frame_derivatives(w, b, p.kappa, p.alpha, frame)
+        turned = KentParams(*frame[0], p.kappa, p.alpha)
+        assert value[0] == pytest.approx(_form_terms(stats, turned).total, abs=1e-12)
+        fd = [(_form_values(w, b, p.kappa, p.alpha, _turn(frame, h * e[None]))[0][0]
+               - _form_values(w, b, p.kappa, p.alpha, _turn(frame, -h * e[None]))[0][0])
+              / (2.0 * h) for e in np.eye(3)]
+        assert np.allclose(grad[0], fd, rtol=1e-6, atol=1e-6)
+
+
+def _frame_objective(w, b, kappa, alpha, frame):
+    """
+    J at one frame (rows mu, gamma1, gamma2) and its turn gradient, by the
+    chain rule through the rows: with u = 2 W t + b and U = u[3:] as a 3x3
+    matrix, dJ/dmu = kappa u[:3], dJ/dgamma1 = 2 alpha (U + U^T) gamma1 and
+    dJ/dgamma2 = -2 alpha (U + U^T) gamma2; a turn d omega moves each row
+    r_k by d omega x r_k, so the gradient is sum_k r_k x dJ/dr_k.
+    """
+    mu, g1, g2 = frame
+    shape = np.outer(g1, g1) - np.outer(g2, g2)
+    t = np.concatenate([kappa * mu, 2.0 * alpha * shape.ravel()])
+    wt = w @ t
+    u = 2.0 * wt + b
+    su = u[3:].reshape(3, 3)
+    su = 2.0 * alpha * (su + su.T)
+    spin = np.cross(mu, kappa * u[:3]) + np.cross(g1, su @ g1) - np.cross(g2, su @ g2)
+    return t @ wt + b @ t, spin
 
 
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
 def test_kent_newton_derivatives_match_angle_gradient_and_differences(g_kind, axis):
     d = hemi_dataset(150, seed=16)
     stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
-    w, b_lap, b_gg = stats.kent_form
-    b = 2.0 * (b_lap + b_gg)
+    w, b = stats.kent_form
     levi = np.cross(np.eye(3)[:, None], np.eye(3)[None])
     rng = np.random.default_rng(22)
     h = 1e-5
@@ -457,10 +511,9 @@ def test_kent_newton_derivatives_match_angle_gradient_and_differences(g_kind, ax
         p = _random_kent(rng)
         frame = p.frame().T[None]  # rows mu, gamma1, gamma2
         value, grad, hess = _frame_derivatives(w, b, p.kappa, p.alpha, frame)
-        fun, _ = _kent_objective(stats, p.kappa, p.alpha, p.mu, p.gamma1, jac=True)
-        ref_value, ref_grad = fun(np.zeros(3))
-        assert value[0] == pytest.approx(ref_value, abs=1e-12)
-        assert np.allclose(grad[0], ref_grad, rtol=1e-12, atol=1e-12)
+        assert value[0] == pytest.approx(_form_terms(stats, p).total, abs=1e-12)
+        spin = _frame_objective(w, b, p.kappa, p.alpha, frame[0])[1]
+        assert np.allclose(grad[0], spin, rtol=1e-12, atol=1e-12)
         assert np.allclose(hess[0], hess[0].T, rtol=0.0, atol=1e-12)
         # the gradient at exp([omega]x) F is taken along turns of that frame,
         # so its differences add the bracket term levi_ijk g_k / 2 to H_ij
@@ -477,9 +530,9 @@ def test_kent_newton_derivatives_match_angle_gradient_and_differences(g_kind, ax
 def test_kent_newton_polish_descends_where_the_hessian_is_indefinite():
     d = hemi_dataset(300, seed=28)
     stats = _scaling_stats(d, HEMI, "haversine", None)
-    w, b_lap, b_gg = stats.kent_form
+    w, b = stats.kent_form
     frames = Rotation.random(24, random_state=29).as_matrix()
-    value, _, hess = _frame_derivatives(w, 2.0 * (b_lap + b_gg), 6.0, 1.0, frames)
+    value, _, hess = _frame_derivatives(w, b, 6.0, 1.0, frames)
     assert np.sum(np.linalg.eigvalsh(hess)[:, 0] < 0.0) >= 8
     _, polished, gnorm, _ = _newton_polish(stats, 6.0, 1.0, frames)
     assert np.all(polished < value)
@@ -504,9 +557,9 @@ def test_kent_newton_polish_ends_by_the_gradient_test_on_the_paper_grid():
 
 def _reference_grid_starts(stats, kappa, alpha):
     """The start picks by a full separation pass over the grid per pick."""
-    w, b_lap, b_gg = stats.kent_form
+    w, b = stats.kent_form
     t = np.hstack([kappa * _FRAME_GRID[:, 0], 2.0 * alpha * _GRID_SHAPE])
-    values = np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ (2.0 * (b_lap + b_gg))
+    values = np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ b
     free = np.ones(len(values), dtype=bool)
     picked = []
     while len(picked) < 4 and free.any():
@@ -541,9 +594,34 @@ def test_grid_starts_match_full_separation_passes():
         assert np.array_equal(starts, _reference_grid_starts(stats, kappa, alpha))
 
 
+def _euler_objective(stats, kappa, alpha, ref):
+    """
+    (fun, frame): J over the frames ref @ R^T, R = Rx Ry Rz of three angles
+    by `Rotation.from_euler`, and the frame at given angles. With jac=True
+    fun returns (value, gradient): the angles turn about e1, Rx e2 and
+    Rx Ry e3, so their gradient is those axes dotted with the turn gradient
+    of `_frame_objective`.
+    """
+    w, b = stats.kent_form
+
+    def frame(theta):
+        return ref @ Rotation.from_euler("XYZ", theta).as_matrix().T
+
+    def fun(theta, jac=False):
+        value, spin = _frame_objective(w, b, kappa, alpha, frame(theta))
+        if not jac:
+            return value
+        c1, s1 = np.cos(theta[0]), np.sin(theta[0])
+        c2, s2 = np.cos(theta[1]), np.sin(theta[1])
+        axes = np.array([[1.0, 0.0, 0.0], [0.0, c1, s1], [s2, -s1 * c2, c1 * c2]])
+        return value, axes @ spin
+
+    return fun, frame
+
+
 def test_kent_newton_matches_bfgs_reference():
     """
-    The Newton polish against BFGS on `_kent_objective` from the same four
+    The Newton polish against BFGS over Euler angles from the same four
     grid starts, on 40 hemisphere Kent datasets.
     """
     g1 = np.array([0.0, 0.0, 1.0])
@@ -556,11 +634,11 @@ def test_kent_newton_matches_bfgs_reference():
                            fixed={"kappa": 10.0, "alpha": 3.0})
             ref = (np.inf, None)
             for start in _grid_starts(stats, 10.0, 3.0):
-                fun, unpack = _kent_objective(stats, 10.0, 3.0, start[0], start[1], jac=True)
-                r = minimize(fun, np.zeros(3), jac=True, method="BFGS",
+                fun, frame = _euler_objective(stats, 10.0, 3.0, start)
+                r = minimize(fun, np.zeros(3), args=(True,), jac=True, method="BFGS",
                              options={"gtol": 1e-8, "maxiter": 200})
                 if r.fun < ref[0]:
-                    ref = (r.fun, unpack(r.x))
+                    ref = (r.fun, KentParams(*frame(r.x), 10.0, 3.0))
             assert res.converged
             assert res.objective <= ref[0] + 1e-12
             assert geodesic_angle(res.params.mu, ref[1].mu) < 1e-7
@@ -577,8 +655,8 @@ def _brute_force_kent(stats, kappa, alpha):
     shape = (frames[:, 1, :, None] * frames[:, 1, None, :]
              - frames[:, 2, :, None] * frames[:, 2, None, :]).reshape(-1, 9)
     t = np.hstack([kappa * frames[:, 0], 2.0 * alpha * shape])
-    w, b_lap, b_gg = stats.kent_form
-    values = ((t @ w) * t).sum(axis=1) + t @ (2.0 * (b_lap + b_gg))
+    w, b = stats.kent_form
+    values = ((t @ w) * t).sum(axis=1) + t @ b
     best = (np.inf, None)
     free = np.ones(len(frames), dtype=bool)
     for _ in range(24):
@@ -586,11 +664,11 @@ def _brute_force_kent(stats, kappa, alpha):
         near = (frames[:, 0] @ frames[k, 0] > np.cos(0.3)) & (
             np.abs(frames[:, 1] @ frames[k, 1]) > np.cos(0.3))
         free &= ~near
-        fun, unpack = _kent_objective(stats, kappa, alpha, frames[k, 0], frames[k, 1])
+        fun, frame = _euler_objective(stats, kappa, alpha, frames[k])
         res = minimize(fun, np.zeros(3), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000})
         if res.fun < best[0]:
-            best = (res.fun, unpack(res.x))
+            best = (res.fun, KentParams(*frame(res.x), kappa, alpha))
     return best
 
 

@@ -7,9 +7,7 @@ from tmsm.geometry import (
     geodesic_angle,
     laplace_beltrami,
     manifold_inner,
-    project_tangent,
     projection,
-    rotation_from_angles,
     to_euclidean,
     to_spherical,
     unit_vector,
@@ -70,22 +68,12 @@ def test_projection_matrix_properties():
     assert np.allclose(np.trace(p, axis1=-2, axis2=-1), 2.0)
 
 
-def test_project_tangent_matches_matrix():
-    rng = np.random.default_rng(4)
-    x = random_unit(rng, 20)
-    v = rng.standard_normal((20, 3))
-    direct = project_tangent(x, v)
-    via_matrix = np.matmul(projection(x), v[..., None])[..., 0]
-    assert np.allclose(direct, via_matrix, atol=1e-14)
-    assert np.allclose(np.sum(direct * x, axis=-1), 0.0, atol=1e-14)
-
-
 def test_manifold_inner_is_projected_dot():
     rng = np.random.default_rng(5)
     x = random_unit(rng)
     u = rng.standard_normal(3)
     v = rng.standard_normal(3)
-    expected = float(project_tangent(x, u) @ project_tangent(x, v))
+    expected = float((projection(x) @ u) @ (projection(x) @ v))
     assert manifold_inner(x, u, v) == pytest.approx(expected, abs=1e-14)
 
 
@@ -134,11 +122,3 @@ def test_complete_frame_orthonormal_right_handed():
         assert np.allclose(triad @ triad.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(triad) == pytest.approx(1.0, abs=1e-12)
 
-
-def test_rotation_from_angles_is_special_orthogonal():
-    rng = np.random.default_rng(10)
-    for r1, r2, r3 in rng.uniform(-np.pi, np.pi, (20, 3)):
-        r = rotation_from_angles(r1, r2, r3)
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(rotation_from_angles(0.0, 0.0, 0.0), np.eye(3))
