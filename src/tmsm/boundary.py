@@ -11,14 +11,21 @@ arcs. A polyline's region is the side of the curve that holds its
 interior hint; selecting a side larger than a hemisphere needs an
 explicit hint.
 
-Two exact spherical-cap bounds keep the polyline queries cheap without
-changing any result. Each arc lies in the cap of radius half its length
-about its midpoint, so only arcs whose cap comes within the nearest-vertex
-distance of a query can hold its nearest point, and the exact distance is
+Three exact bounds keep the polyline queries cheap without changing any
+result. Each arc lies in the cap of radius half its length about its
+midpoint, so only arcs whose cap comes within the nearest-vertex distance
+of a query can hold its nearest point, and the exact distance is
 evaluated on those arcs alone. The vertices lie in a cap about their mean;
 when that cap is smaller than a hemisphere it is convex, holds every arc,
 and leaves the rest of the sphere on one side of the curve, so only
-queries inside the cap need the parity test.
+queries inside the cap need the parity test. That test counts the arcs
+crossed by the path from the interior hint, and an arc can be crossed
+only when its endpoints straddle the path's plane, i.e. when the query's
+azimuth about the hint, modulo pi, falls in the arc's azimuth interval;
+an index binned by that azimuth, padded by a bound on its rounding, gives
+each query only those arcs. Arcs with an endpoint within 1e-6 of the
+hint or its antipode, or sweeping nearly pi about it, are listed for
+every query.
 
 Two scaling functions are implemented, both zero exactly on the boundary:
 
@@ -41,6 +48,7 @@ inner products downstream.
 from __future__ import annotations
 
 import csv
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -64,6 +72,21 @@ _CHUNK_PAIRS = 1 << 16
 # dot product of unit vectors (about 1e-16), so rounding never prunes an
 # arc that can be nearest or skips a query that can be inside.
 _CAP_SLACK = 1e-12
+
+# Queries closer than this to +-hint (as |q x hint|) have an ill-defined
+# path plane and detour through a point a quarter turn away.
+_DETOUR = 1e-8
+
+# The arc index bins the azimuth about its origin, modulo pi, into this
+# many bins. Its padding rests on three bounds: the absolute rounding of a
+# computed side q.(v x o) of unit vectors (about 7e-16, taken 5x over);
+# the rounding of every computed azimuth of a served query or an indexed
+# vertex (below 1e-7); and the distance from +-o within which a vertex's
+# azimuth is too ill-conditioned to bin.
+_AZIMUTH_BINS = 512
+_SIDE_ERROR = 16.0 * np.finfo(float).eps
+_AZIMUTH_SLACK = 1e-6
+_NEAR_AXIS = 1e-6
 
 
 class Boundary:
@@ -138,6 +161,12 @@ class PolylineBoundary(Boundary):
     with x.c >= cos R (less a rounding slack) and gives every other query
     the parity of -c, computed once here. Otherwise, or when the vertex
     mean vanishes, every query takes the parity test.
+
+    The parity test itself runs through an `_ArcIndex` about the hint,
+    built here, which gives each query only the arcs whose endpoints can
+    straddle its path's plane. Queries within 1e-8 of +-hint detour
+    through a point a quarter turn away, with a second index about that
+    point built on first need.
     """
 
     def __init__(self, vertices: np.ndarray, interior_hint: np.ndarray | None = None):
@@ -162,6 +191,7 @@ class PolylineBoundary(Boundary):
         self.samples = _resample_closed(vertices, DEFAULT_RESOLUTION)
         step = geodesic_angle(self.samples, np.roll(self.samples, -1, axis=0))
         self.spacing = float(np.max(step))
+        self._index = _ArcIndex(vertices, interior_hint)
         # (centre, cos R less the slack, membership outside the cap); the
         # cap with cos R = -inf is the whole sphere.
         self._cap = (interior_hint, -np.inf, False)
@@ -172,21 +202,24 @@ class PolylineBoundary(Boundary):
             if cos_r > 1e-6:
                 self._cap = (centre, cos_r - _CAP_SLACK, bool(self.contains(-centre)))
 
+    @cached_property
+    def _via_index(self) -> _ArcIndex:
+        """The arc index about a point a quarter turn from the hint."""
+        return _ArcIndex(self.vertices, complete_frame(self.interior_reference)[0])
+
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = np.asarray(x, dtype=float)
         centre, cos_r, far_inside = self._cap
         inside = np.full(x.shape[:-1], far_inside)
         near = x @ centre >= cos_r
         q = x[near]
-        ref = self.interior_reference
-        odd = _crossing_parity(self.vertices, ref, q)
-        # The minor arc from ref is undefined at +-ref: detour through a
-        # point a quarter turn away.
-        bad = np.linalg.norm(np.cross(q, ref), axis=1) < 1e-8
+        odd = self._index.parity(q)
+        # The minor arc from the hint is undefined at +-hint: detour through
+        # a point a quarter turn away.
+        bad = np.linalg.norm(np.cross(q, self.interior_reference), axis=1) < _DETOUR
         if np.any(bad):
-            via = complete_frame(ref)[0]
-            via_odd = _crossing_parity(self.vertices, ref, via[None, :])[0]
-            odd[bad] = via_odd ^ _crossing_parity(self.vertices, via, q[bad])
+            via = self._via_index
+            odd[bad] = self._index.parity(via.origin[None, :])[0] ^ via.parity(q[bad])
         inside[near] = ~odd
         return bool(inside) if inside.ndim == 0 else inside
 
@@ -212,10 +245,11 @@ def _row_chunks(n: int, k: int):
     return (slice(i, i + step) for i in range(0, n, step))
 
 
-def _crossing_parity(vertices: np.ndarray, origin: np.ndarray, q: np.ndarray) -> np.ndarray:
+class _ArcIndex:
     """
-    True where the minor arc origin -> q crosses an odd number of the arcs
-    vertices[i] -> vertices[i + 1].
+    Crossing parity of the minor arcs origin -> q against the vertex arcs
+    vertices[i] -> vertices[i + 1], testing each query on the few arcs
+    that can change it.
 
     The path crosses arc (a, b) when origin and q straddle the plane of
     (a, b), a and b straddle the plane of (origin, q), and the path meets
@@ -223,27 +257,90 @@ def _crossing_parity(vertices: np.ndarray, origin: np.ndarray, q: np.ndarray) ->
     with P.(a + b) > 0, i.e. on the arc rather than at its antipode.
     Zero sides count as positive, so a path through a vertex is counted
     once for its two arcs.
+
+    Only the second test needs every arc. With theta the angle from the
+    origin o and phi the azimuth about it, the side q.(v x o) of a vertex
+    v is sin(theta_v) sin(theta_q) sin(phi_v - phi_q), so a and b
+    straddle the path's plane exactly when phi_q, modulo pi, lies in the
+    shorter interval between phi_a and phi_b, which is narrower than pi.
+    The azimuths modulo pi are cut into _AZIMUTH_BINS bins, each listing
+    the arcs whose padded interval meets it, and a query is tested on its
+    bin's arcs alone, with the same predicate as on all of them.
+
+    The pad makes each list hold every arc whose computed sides can
+    straddle. A computed side is within _SIDE_ERROR of the exact one, so
+    its sign can be wrong only where |sin(phi_v - phi_q)| is below
+    _SIDE_ERROR / (sin theta_v sin theta_q). For every query the index
+    serves, sin theta_q >= _DETOUR, so an interval is padded by
+    arcsin(_SIDE_ERROR / (_DETOUR min sin theta)) over its endpoints,
+    plus _AZIMUTH_SLACK for the rounding of the computed azimuths. An arc
+    goes to every bin when an endpoint lies within _NEAR_AXIS of +-o,
+    where the pad would be wide and the azimuth ill-conditioned, or when
+    its padded interval meets every bin, which includes every sweep
+    within the pad of pi, where the shorter side is ambiguous. Queries
+    with |q x o| < _DETOUR get an arbitrary parity.
     """
-    nxt = np.roll(vertices, -1, axis=0)
-    normals = np.cross(vertices, nxt)
-    mids = vertices + nxt
-    s_o = normals @ origin
-    o_pos = s_o >= 0.0
-    o_sign = np.where(o_pos, 1.0, -1.0)
-    o_mid = mids @ origin
-    v_side = np.cross(vertices, origin)  # q . (v x origin) = det(origin, q, v)
-    odd = np.empty(len(q), dtype=bool)
-    for rows in _row_chunks(len(q), len(vertices)):
-        qc = q[rows]
-        s_q = qc @ normals.T
-        v_pos = qc @ v_side.T >= 0.0
-        crosses = (
-            (o_pos != (s_q >= 0.0))
-            & (v_pos != np.roll(v_pos, -1, axis=1))
-            & (o_sign * (s_o * (qc @ mids.T) - s_q * o_mid) > 0.0)
+
+    def __init__(self, vertices: np.ndarray, origin: np.ndarray):
+        nxt = np.roll(vertices, -1, axis=0)
+        normals = np.cross(vertices, nxt)
+        mids = vertices + nxt
+        side = np.cross(vertices, origin)  # q . (v x o) = det(o, q, v)
+        self.origin = origin
+        self.s_o = normals @ origin
+        self.o_pos = self.s_o >= 0.0
+        self.o_sign = np.where(self.o_pos, 1.0, -1.0)
+        self.o_mid = mids @ origin
+        # per arc: the rows dotted with q, giving s_q, q.mid and both sides
+        self.rows = np.stack([normals, mids, side, np.roll(side, -1, axis=0)], axis=1)
+        self.frame = np.array(complete_frame(origin))
+
+        along = vertices @ self.frame.T
+        phi = np.arctan2(along[:, 1], along[:, 0])
+        sweep = np.mod(np.roll(phi, -1) - phi + np.pi, 2.0 * np.pi) - np.pi
+        low = np.where(sweep >= 0.0, phi, np.roll(phi, -1))
+        width = np.abs(sweep)
+        sin_theta = np.linalg.norm(side, axis=1)
+        sin_min = np.minimum(sin_theta, np.roll(sin_theta, -1))
+        pad = _AZIMUTH_SLACK + np.arcsin(
+            np.minimum(1.0, _SIDE_ERROR / (_DETOUR * np.maximum(sin_min, _NEAR_AXIS)))
         )
-        odd[rows] = np.count_nonzero(crosses, axis=1) % 2 == 1
-    return odd
+        scale = _AZIMUTH_BINS / np.pi
+        first = np.floor((low - pad) * scale).astype(np.intp)
+        count = np.floor((low + width + pad) * scale).astype(np.intp) - first + 1
+        every = (sin_min < _NEAR_AXIS) | (count >= _AZIMUTH_BINS)
+        first[every] = 0
+        count[every] = _AZIMUTH_BINS
+        arc = np.repeat(np.arange(len(vertices)), count)
+        step = np.arange(len(arc)) - np.repeat(np.cumsum(count) - count, count)
+        bins = (np.repeat(first, count) + step) % _AZIMUTH_BINS
+        # bin by bin, each bin's arcs in index order
+        self.arcs = arc[np.argsort(bins, kind="stable")]
+        self.counts = np.bincount(bins, minlength=_AZIMUTH_BINS)
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.widest = int(self.counts.max())
+
+    def parity(self, q: np.ndarray) -> np.ndarray:
+        """True where the minor arc origin -> q crosses an odd number of arcs."""
+        along = q @ self.frame.T
+        phi = np.mod(np.arctan2(along[:, 1], along[:, 0]), np.pi)
+        bins = np.minimum((phi * (_AZIMUTH_BINS / np.pi)).astype(np.intp), _AZIMUTH_BINS - 1)
+        odd = np.empty(len(q), dtype=bool)
+        for rows in _row_chunks(len(q), self.widest):
+            qc, b = q[rows], bins[rows]
+            count = self.counts[b]
+            # (query, arc) candidate pairs, flat
+            qi = np.repeat(np.arange(len(qc)), count)
+            offset = np.repeat(self.starts[b] - (np.cumsum(count) - count), count)
+            j = self.arcs[np.arange(len(qi)) + offset]
+            s_q, q_mid, side_a, side_b = np.einsum("pkc,pc->kp", self.rows[j], qc[qi])
+            crosses = (
+                (self.o_pos[j] != (s_q >= 0.0))
+                & ((side_a >= 0.0) != (side_b >= 0.0))
+                & (self.o_sign[j] * (self.s_o[j] * q_mid - s_q * self.o_mid[j]) > 0.0)
+            )
+            odd[rows] = np.bincount(qi[crosses], minlength=len(qc)) % 2 == 1
+        return odd
 
 
 def _angle(q: np.ndarray, p: np.ndarray, dot: np.ndarray) -> np.ndarray:

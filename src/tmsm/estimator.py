@@ -59,6 +59,9 @@ from .models import (
 
 MODEL_KINDS = ("vmf_mu_only", "vmf_mu_kappa", "kent_frame")
 
+# The `fixed` parameters each model kind needs; it accepts no others.
+_FIXED_PARAMS = {"vmf_mu_only": ("kappa",), "vmf_mu_kappa": (), "kent_frame": ("kappa", "alpha")}
+
 
 @dataclass
 class Dataset:
@@ -630,7 +633,7 @@ def estimate(
         g_kind: scaling function variant.
         model_kind: "vmf_mu_only" (needs fixed["kappa"]), "vmf_mu_kappa",
             or "kent_frame" (needs fixed["kappa"] and fixed["alpha"]).
-        fixed: known parameters per model_kind.
+        fixed: known parameters per model_kind, and no others.
         seed: accepted for compatibility and ignored: every fit is
             deterministic and has no random starts.
         drop_axis: projection axis for g_kind "projected".
@@ -640,8 +643,9 @@ def estimate(
 
     Raises:
         ValueError: on an unknown model_kind, missing fixed parameters, a
-            fixed kappa outside (0, KAPPA_CAP] (NaN included), or data
-            outside the region.
+            fixed kappa outside (0, KAPPA_CAP] (NaN included), fixed
+            parameters the model kind does not use, or data outside the
+            region.
         FloatingPointError: when "vmf_mu_kappa" has no finite minimiser
             (the weighted data span no tangent plane, e.g. a single point)
             or its concentration falls outside (0, KAPPA_CAP].
@@ -649,16 +653,19 @@ def estimate(
     fixed = fixed or {}
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model_kind {model_kind!r}; expected one of {MODEL_KINDS}")
-    if model_kind == "vmf_mu_only" and "kappa" not in fixed:
-        raise ValueError("model_kind 'vmf_mu_only' requires fixed['kappa']")
-    if model_kind == "kent_frame" and not {"kappa", "alpha"} <= fixed.keys():
-        raise ValueError("model_kind 'kent_frame' requires fixed['kappa'] and fixed['alpha']")
+    needed = _FIXED_PARAMS[model_kind]
+    if not set(needed) <= fixed.keys():
+        wanted = " and ".join(f"fixed[{k!r}]" for k in needed)
+        raise ValueError(f"model_kind {model_kind!r} requires {wanted}")
     kappa = None
     if model_kind != "vmf_mu_kappa":
         kappa = float(fixed["kappa"])
         # written as "not" so that NaN fails it too
         if not 0.0 < kappa <= KAPPA_CAP:
             raise ValueError(f"fixed kappa must lie in (0, {KAPPA_CAP:.0e}], got {kappa}")
+    unused = sorted(fixed.keys() - set(needed))
+    if unused:
+        raise ValueError(f"model_kind {model_kind!r} does not use fixed {unused}")
 
     stats = _scaling_stats(data, boundary, g_kind, drop_axis)
     if model_kind != "kent_frame":

@@ -531,6 +531,19 @@ def test_cli_invalid_fixed_kappa_exit_2(tmp_path):
         assert not (out / "estimate.json").exists()
 
 
+def test_cli_unused_fixed_parameter_exit_2(tmp_path):
+    assert main(["simulate", "--n", "100", "--seed", "3", "--kappa", "6",
+                 "--out-dir", str(tmp_path)]) == 0
+    samples = str(tmp_path / "samples.csv")
+    for i, extra in enumerate([["--model-kind", "vmf_mu_kappa", "--fixed-alpha", "5"],
+                               ["--model-kind", "vmf_mu_kappa", "--fixed-kappa", "6"],
+                               ["--model-kind", "vmf_mu_only", "--fixed-kappa", "6",
+                                "--fixed-alpha", "5"]]):
+        out = tmp_path / f"fit{i}"
+        assert main(["estimate", "--data", samples, *extra, "--out-dir", str(out)]) == 2
+        assert not (out / "estimate.json").exists()
+
+
 def test_cli_simulate_kent_at_high_ovalness(tmp_path):
     # 2 alpha / kappa = 0.99: a valid shape the vMF-envelope sampler refused
     argv = ["simulate", "--model", "kent", "--kappa", "20", "--alpha", "9.9",

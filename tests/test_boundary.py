@@ -3,10 +3,11 @@ import pytest
 
 from tmsm.boundary import (
     ColatitudeBoundary,
+    _AZIMUTH_BINS,
     PolylineBoundary,
-    _crossing_parity,
     _nearest_on_arcs,
     _resample_closed,
+    _row_chunks,
     default_drop_axis,
     haversine_scaling,
     latlon_to_spherical,
@@ -15,7 +16,14 @@ from tmsm.boundary import (
     scaling_values,
     spherical_to_latlon,
 )
-from tmsm.geometry import TWO_PI, geodesic_angle, to_euclidean, to_spherical, unit_vector
+from tmsm.geometry import (
+    TWO_PI,
+    complete_frame,
+    geodesic_angle,
+    to_euclidean,
+    to_spherical,
+    unit_vector,
+)
 from tmsm.models import VmfParams
 from tmsm.sampling import sample_truncated, substream_rng
 
@@ -192,12 +200,52 @@ def cap_regions():
     yield "triangle_complement", PolylineBoundary(tri, interior_hint=[-1.0, 0.0, 0.0])
 
 
+def all_arcs_parity(vertices, origin, q):
+    """
+    Reference: True where the minor arc origin -> q crosses an odd number
+    of the vertex arcs, testing every query against every arc with the
+    crossing predicate of `_ArcIndex`.
+    """
+    nxt = np.roll(vertices, -1, axis=0)
+    normals = np.cross(vertices, nxt)
+    mids = vertices + nxt
+    s_o = normals @ origin
+    o_pos = s_o >= 0.0
+    o_sign = np.where(o_pos, 1.0, -1.0)
+    o_mid = mids @ origin
+    v_side = np.cross(vertices, origin)  # q . (v x origin) = det(origin, q, v)
+    odd = np.empty(len(q), dtype=bool)
+    for rows in _row_chunks(len(q), len(vertices)):
+        qc = q[rows]
+        s_q = qc @ normals.T
+        v_pos = qc @ v_side.T >= 0.0
+        crosses = (
+            (o_pos != (s_q >= 0.0))
+            & (v_pos != np.roll(v_pos, -1, axis=1))
+            & (o_sign * (s_o * (qc @ mids.T) - s_q * o_mid) > 0.0)
+        )
+        odd[rows] = np.count_nonzero(crosses, axis=1) % 2 == 1
+    return odd
+
+
+def all_arcs_contains(b, x):
+    """Reference membership: every query, every arc, the same +-hint detour."""
+    ref = b.interior_reference
+    odd = all_arcs_parity(b.vertices, ref, x)
+    bad = np.linalg.norm(np.cross(x, ref), axis=1) < 1e-8
+    if np.any(bad):
+        via = complete_frame(ref)[0]
+        via_odd = all_arcs_parity(b.vertices, ref, via[None, :])[0]
+        odd[bad] = via_odd ^ all_arcs_parity(b.vertices, via, x[bad])
+    return ~odd
+
+
 def test_cap_shortcut_matches_crossing_parity():
     # outside the bounding cap contains() returns one stored value; it must
     # equal the parity test run on every point
     x = unit_vector(np.random.default_rng(16).standard_normal((100_000, 3)))
     for name, b in cap_regions():
-        expected = ~_crossing_parity(b.vertices, b.interior_reference, x)
+        expected = ~all_arcs_parity(b.vertices, b.interior_reference, x)
         assert np.array_equal(b.contains(x), expected), name
         if name.startswith("wide_band"):
             assert b._cap[1] == -np.inf, name  # the whole sphere
@@ -232,6 +280,105 @@ def test_usa_truncated_draws_pinned():
                        rtol=0.0, atol=1e-14)
     assert np.allclose(s.x.sum(axis=0), [185.2154416041589, -17.174583569933525,
                                          -228.92189412422582], rtol=0.0, atol=1e-11)
+
+
+def near_axis_points(origin, n_az=48):
+    """Queries 1e-8 to 1e-4 rad from origin, at n_az azimuths per distance."""
+    e1, e2 = complete_frame(origin)
+    phi = np.linspace(0.0, TWO_PI, n_az, endpoint=False) + 0.1
+    ways = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+    d = np.logspace(-8.0, -4.0, 9)[:, None, None]
+    return (np.cos(d) * origin + np.sin(d) * ways[None]).reshape(-1, 3)
+
+
+def test_arc_index_matches_all_arcs_parity():
+    # both indexes, about the hint and about the detour point, on every query
+    x = unit_vector(np.random.default_rng(18).standard_normal((100_000, 3)))
+    for name, b in cap_regions():
+        for index in (b._index, b._via_index):
+            expected = all_arcs_parity(b.vertices, index.origin, x)
+            assert np.array_equal(index.parity(x), expected), name
+
+
+def test_arc_index_near_hint_and_antipode():
+    for name, b in cap_regions():
+        ref = b.interior_reference
+        x = np.vstack([near_axis_points(ref), near_axis_points(-ref)])
+        assert np.array_equal(b.contains(x), all_arcs_contains(b, x)), name
+        served = np.linalg.norm(np.cross(x, ref), axis=1) >= 1e-8
+        assert 0 < served.sum() < len(x), name
+        expected = all_arcs_parity(b.vertices, ref, x[served])
+        assert np.array_equal(b._index.parity(x[served]), expected), name
+        if name == "triangle_complement":
+            # the hint's antipode +x1 lies inside the triangle
+            half = len(x) // 2
+            assert b.contains(x[:half]).all() and not b.contains(x[half:]).any()
+
+
+def every_bin_arcs(index):
+    """Indices of the arcs listed in every azimuth bin."""
+    arcs, hits = np.unique(index.arcs, return_counts=True)
+    return set(arcs[hits == _AZIMUTH_BINS].tolist())
+
+
+def test_arc_index_every_bin_fallbacks():
+    rng = np.random.default_rng(19)
+    uniform = unit_vector(rng.standard_normal((20_000, 3)))
+    # a square about +x1 whose hint lies 1e-7 inside its first vertex
+    square = to_euclidean([0.3] * 4, np.arange(4) * np.pi / 2.0)
+    inward = unit_vector(np.array([1.0, 0.0, 0.0]) - square[0][0] * square[0])
+    hint = np.cos(1e-7) * square[0] + np.sin(1e-7) * inward
+    near_vertex = PolylineBoundary(square, hint)
+    assert every_bin_arcs(near_vertex._index) == {0, 3}
+    assert near_vertex.contains(np.array([1.0, 0.0, 0.0]))
+    # a triangle whose first arc passes about 1e-9 from -x1, the antipode
+    # of the hint +x1, so the arc sweeps almost pi about the hint
+    tri = to_euclidean([np.pi - 0.2, np.pi - 0.2, np.pi - 0.3], [0.0, np.pi + 1e-8, 0.5 * np.pi])
+    antipode_arc = PolylineBoundary(tri, interior_hint=[1.0, 0.0, 0.0])
+    assert every_bin_arcs(antipode_arc._index) == {0}
+    assert not antipode_arc.contains(to_euclidean(np.pi - 0.1, 0.25 * np.pi))
+    for b in (near_vertex, antipode_arc):
+        ref = b.interior_reference
+        x = np.vstack([uniform, near_axis_points(ref), near_axis_points(-ref),
+                       near_axis_points(b.vertices[0])])
+        assert np.array_equal(b.contains(x), all_arcs_contains(b, x))
+
+
+def test_arc_index_paths_through_vertices_on_bin_edges():
+    # A hexadecagon about the hint +x1 with a vertex on every bin edge at a
+    # multiple of pi/8, and queries outside it whose paths pass through a
+    # vertex or within 1e-13 rad of azimuth of one. Both arcs at that vertex
+    # must be tested, or a crossing is counted once where it is counted
+    # twice or not at all.
+    o = np.array([1.0, 0.0, 0.0])
+    e1, e2 = complete_frame(o)
+
+    def at(theta, phi):
+        return np.cos(theta) * o + np.sin(theta) * (np.cos(phi) * e1 + np.sin(phi) * e2)
+
+    phis = np.arange(16) * (np.pi / 8.0)
+    b = PolylineBoundary(np.array([at(0.5, p) for p in phis]), o)
+    nudges = [-1e-13, -1e-14, -3e-15, -1e-15, 0.0, 1e-15, 3e-15, 1e-14, 1e-13]
+    x = np.array([at(t, p + d) for t in (0.5 + 1e-9, 0.6, 1.5, 3.0)
+                  for p in phis for d in nudges])
+    assert not b.contains(x).any()
+    assert not all_arcs_contains(b, x).any()
+
+
+def test_arc_index_next_to_the_curve():
+    for name, b in cap_regions():
+        v = b.vertices
+        nxt = np.roll(v, -1, axis=0)
+        normals = unit_vector(np.cross(v, nxt))
+        mids = unit_vector(v + nxt)
+        # off each midpoint across its arc; off each vertex across both arcs
+        across = np.vstack([normals, unit_vector(normals + np.roll(normals, 1, axis=0))])
+        on = np.vstack([mids, v])
+        x = unit_vector(np.vstack([on + 1e-12 * across, on - 1e-12 * across]))
+        assert np.array_equal(b.contains(x), all_arcs_contains(b, x)), name
+        # on the curve itself either answer is right; only the type is checked
+        inside = b.contains(on)
+        assert inside.dtype == bool and inside.shape == (len(on),)
 
 
 def all_arcs_nearest(vertices, x):

@@ -298,6 +298,19 @@ def test_estimate_fixed_requirements():
         estimate(d, HEMI, model_kind="stereographic")
 
 
+@pytest.mark.parametrize("model_kind, fixed", [
+    ("vmf_mu_kappa", {"kappa": 1e300, "alpha": 5.0}),
+    ("vmf_mu_kappa", {"alpha": 5.0}),
+    ("vmf_mu_only", {"kappa": 6.0, "alpha": 5.0}),
+    ("kent_frame", {"kappa": 10.0, "alpha": 3.0, "beta": 1.0}),
+])
+def test_estimate_rejects_unused_fixed_parameters(model_kind, fixed):
+    # a known parameter the model kind would ignore is an error, not a no-op
+    d = hemi_dataset(50, seed=9)
+    with pytest.raises(ValueError, match="does not use fixed"):
+        estimate(d, HEMI, model_kind=model_kind, fixed=fixed)
+
+
 def test_estimate_deterministic_per_seed():
     d = hemi_dataset(300, seed=10)
     r1 = estimate(d, HEMI, model_kind="vmf_mu_kappa", seed=5)
