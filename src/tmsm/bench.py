@@ -22,7 +22,6 @@ import dataclasses
 import json
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -323,6 +322,8 @@ def _run_replicates(config: ExperimentConfig) -> list[BenchmarkRow]:
     boundary = build_boundary(config.boundary)
     cells = [(n, r) for n in config.n_grid for r in range(config.replicates)]
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # one cell per task, so the cells of every n spread over the workers
         with ProcessPoolExecutor(
             max_workers=config.workers,

@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import csv
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     SphericalCoord,
@@ -61,6 +61,9 @@ from .geometry import (
     unit_vector,
     wrap_azimuth,
 )
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 DEFAULT_RESOLUTION = 4096
 
@@ -483,9 +486,12 @@ def _sample_tree(boundary: PolylineBoundary, drop_idx: int) -> cKDTree:
     """
     KD-tree over the two kept coordinates of a polyline's samples when
     dropping coordinate drop_idx, built once per boundary and axis.
+    scipy.spatial is imported here, on the first polyline projected g.
     """
     cache = boundary.__dict__.setdefault("_tree_cache", {})
     if drop_idx not in cache:
+        from scipy.spatial import cKDTree
+
         cache[drop_idx] = cKDTree(np.delete(boundary.samples, drop_idx, axis=1))
     return cache[drop_idx]
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, log_ndtr, ndtri_exp
 
 from .boundary import Boundary
 from .geometry import complete_frame
@@ -78,6 +77,9 @@ def sample_kent(params: KentParams, size: int, rng: np.random.Generator) -> np.n
     """
     if params.alpha == 0.0:
         return sample_vmf(VmfParams(params.mu, params.kappa), size, rng)
+    # the only scipy use in tmsm's samplers, so importing tmsm does not load it
+    from scipy.special import i0e, log_ndtr, ndtri_exp
+
     kappa, alpha = params.kappa, params.alpha
     mean, sd = kappa / (2.0 * alpha), 1.0 / np.sqrt(2.0 * alpha)
     log_lo, log_hi = log_ndtr((-1.0 - mean) / sd), log_ndtr((1.0 - mean) / sd)

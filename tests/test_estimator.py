@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import eigh as scipy_eigh
+from scipy.optimize import brentq, minimize
 from scipy.spatial.transform import Rotation
 
 from tmsm.bench import ExperimentConfig, build_boundary, truth_params
-from tmsm.boundary import ColatitudeBoundary, PolylineBoundary
+from tmsm.boundary import ColatitudeBoundary, PolylineBoundary, load_boundary_csv
 from tmsm.estimator import (
     Dataset,
     EstimationResult,
@@ -429,6 +431,77 @@ def test_estimate_single_point_fails_loudly(g_kind):
     d = Dataset(unit_vector(np.array([-0.3, -0.9, 0.2])))
     with pytest.raises(FloatingPointError):
         estimate(d, HEMI, g_kind=g_kind, model_kind="vmf_mu_kappa")
+
+
+def _brentq_eta_on_sphere(m, c, kappa):
+    """The secular equation solved by scipy's eigh and brentq, to a
+    relative tolerance of about 1e-15 in s."""
+    lam, vecs = scipy_eigh(m)
+    cp = vecs.T @ c
+    gap = lam - lam[0]
+
+    def eta_of(s):
+        return np.divide(cp, gap + s, out=np.zeros(3), where=cp != 0.0)
+
+    def excess(s):
+        return np.linalg.norm(eta_of(s)) - kappa
+
+    lo = abs(cp[0]) / (2.0 * kappa)
+    hi = 2.0 * np.linalg.norm(c) / kappa
+    if lo == 0.0 and excess(0.0) <= 0.0:
+        y = eta_of(0.0)
+        y[0] = np.sqrt(kappa * kappa - y @ y)
+        return vecs @ y
+    s = brentq(excess, lo, hi, xtol=4e-16 * (lo if lo > 0.0 else hi), maxiter=500)
+    return vecs @ eta_of(s)
+
+
+def _secular_cases(count=200, hard_every=10):
+    """Random PSD M (eigenvalue gaps at least 0.2 of its scale), c and
+    kappa. |c'_0| / |c| runs from 1e-14 to 1, and |eta(0)| without the
+    c'_0 term stays at least 10% from kappa on either side; every
+    `hard_every`-th case is the hard case, with a diagonal M and c_0 = 0."""
+    rng = np.random.default_rng(20261019)
+    for i in range(count):
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        lam = scale * np.cumsum([rng.uniform(0.0, 1.0), rng.uniform(0.2, 1.0),
+                                 rng.uniform(0.2, 1.0)])
+        hard = i % hard_every == 0
+        q = np.eye(3) if hard else np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        kappa = 10.0 ** rng.uniform(-1.0, 2.0)
+        cp = rng.normal(size=3)
+        ratio = rng.uniform(0.2, 0.9) if hard or i % 2 else rng.uniform(1.1, 5.0)
+        cp[1:] *= ratio * kappa / np.linalg.norm(cp[1:] / (lam[1:] - lam[0]))
+        cp[0] = 0.0 if hard else np.sign(cp[0]) * 10.0 ** rng.uniform(-14.0, 0.0) * np.linalg.norm(cp)
+        yield (q * lam) @ q.T, q @ cp, kappa, hard
+
+
+def test_eta_on_sphere_matches_brentq_reference():
+    cases = list(_secular_cases())
+    assert sum(hard for *_, hard in cases) == 20
+    for m, c, kappa, hard in cases:
+        eta, ref = _eta_on_sphere(m, c, kappa), _brentq_eta_on_sphere(m, c, kappa)
+        if hard:  # the sign along the bottom eigenvector e_0 is free
+            eta[0], ref[0] = abs(eta[0]), abs(ref[0])
+        assert np.linalg.norm(eta - ref) <= 1e-12 * kappa
+
+
+def test_vmf_mu_kappa_matches_cho_solve_on_the_paper_grid():
+    config = ExperimentConfig()
+    usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
+    regions = [
+        (HEMI, truth_params(config)),
+        # criterion 8's truth, 25N 75W with kappa 6, outside the USA outline
+        (usa, VmfParams(to_euclidean(1.1344640137963142, -1.3089969389957472), 6.0)),
+    ]
+    for boundary, truth in regions:
+        for n in config.n_grid:
+            x = sample_truncated(truth, boundary, n, substream_rng(3, n), 1000).x
+            for g_kind in ("haversine", "projected"):
+                stats = _scaling_stats(Dataset(x), boundary, g_kind, None)
+                ref = cho_solve(cho_factor(stats.m), stats.c)
+                p = _fit_vmf(stats, None).params
+                assert np.linalg.norm(p.kappa * p.mu - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 # --------------------------------------------------------------- quadrature

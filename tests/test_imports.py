@@ -1,0 +1,112 @@
+"""
+Which scipy modules each part of tmsm loads.
+
+`import tmsm` and the vMF fits on a colatitude region need numpy only;
+scipy.special is loaded by the Kent sampler and scipy.spatial by projected
+g on a polyline. One fresh interpreter runs the stages in that order and
+reports the scipy modules loaded after each, so every stage is charged
+only for what it adds.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+STAGES = r"""
+import json, sys, tempfile
+from pathlib import Path
+
+loaded = {}
+
+def checkpoint(stage):
+    loaded[stage] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import tmsm
+import tmsm.cli
+checkpoint("import")
+
+import numpy as np
+from tmsm import (
+    ColatitudeBoundary, Dataset, ExperimentConfig, VmfParams, estimate,
+    load_boundary_csv, run_benchmark, sample_kent, sample_truncated,
+    substream_rng, to_euclidean,
+)
+from tmsm.bench import truth_params
+
+hemi = ColatitudeBoundary(0.5 * np.pi)
+x = sample_truncated(VmfParams(to_euclidean(0.5 * np.pi, np.pi), 6.0), hemi, 300,
+                     substream_rng(0, 300)).x
+for g_kind in ("haversine", "projected"):
+    estimate(Dataset(x), hemi, g_kind=g_kind, model_kind="vmf_mu_only", fixed={"kappa": 6.0})
+    estimate(Dataset(x), hemi, g_kind=g_kind, model_kind="vmf_mu_kappa")
+with tempfile.TemporaryDirectory() as tmp:
+    for experiment in ("vmf_known_kappa", "vmf_unknown_kappa"):
+        run_benchmark(ExperimentConfig(experiment=experiment, n_grid=(100,), replicates=2,
+                                       out_dir=tmp))
+checkpoint("vmf_pipeline")
+
+kent = truth_params(ExperimentConfig(experiment="kent_known_shape"))
+sample_kent(kent, 100, substream_rng(0, 100))
+checkpoint("kent_sampler")
+
+# criterion 8's truth, 25N 75W with kappa 6, outside the USA outline
+usa = load_boundary_csv(Path(tmsm.__file__).parent / "data" / "usa_outline.csv")
+y = sample_truncated(VmfParams(to_euclidean(1.1344640137963142, -1.3089969389957472), 6.0),
+                     usa, 200, substream_rng(8, 200)).x
+estimate(Dataset(y), usa, g_kind="haversine")
+checkpoint("polyline_haversine")
+estimate(Dataset(y), usa, g_kind="projected")
+checkpoint("polyline_projected")
+
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_modules_after(script: str) -> dict[str, set[str]]:
+    """Run script in a fresh interpreter; it prints a JSON object of module lists."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return {key: set(mods) for key, mods in json.loads(done.stdout.splitlines()[-1]).items()}
+
+
+@pytest.fixture(scope="module")
+def loaded() -> dict[str, set[str]]:
+    """scipy modules loaded after each stage of STAGES."""
+    return _scipy_modules_after(STAGES)
+
+
+def test_import_loads_no_scipy(loaded):
+    assert loaded["import"] == set()
+
+
+def test_colatitude_vmf_pipeline_loads_no_scipy(loaded):
+    assert loaded["vmf_pipeline"] == set()
+
+
+def test_kent_sampler_adds_only_scipy_special(loaded):
+    # what scipy.special loads for itself depends on the scipy version
+    alone = _scipy_modules_after(
+        "import json, sys, scipy.special\n"
+        "print(json.dumps({'special': [m for m in sys.modules if m.split('.')[0] == 'scipy']}))"
+    )["special"]
+    added = loaded["kent_sampler"] - loaded["vmf_pipeline"]
+    assert "scipy.special" in added
+    assert added <= alone
+
+
+def test_polyline_projected_g_adds_scipy_spatial(loaded):
+    assert loaded["polyline_haversine"] == loaded["kent_sampler"]
+    assert "scipy.spatial" in loaded["polyline_projected"] - loaded["polyline_haversine"]
