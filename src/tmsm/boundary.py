@@ -35,7 +35,14 @@ Two scaling functions are implemented, both zero exactly on the boundary:
   the sphere onto a plane) to the projected boundary, with the in-plane
   unit direction as gradient. A colatitude circle projects to a circle or
   a segment, whose nearest point has a closed form; a polyline projects
-  to a curve of elliptic arcs, measured on a dense point sample of it.
+  to a curve of elliptic arcs, whose nearest point is found exactly on
+  the same vertex arcs.
+
+Both polyline distances prune arcs by one bound. Every point of an arc
+of length L lies within chord 2 sin(L/4) of its midpoint, on the sphere
+and, since dropping a coordinate is 1-Lipschitz, in the plane; the
+nearest vertex bounds the answer from above, so only arcs whose midpoint
+comes within that bound plus the reach can hold the nearest point.
 
 Gradients of a min-over-points distance are taken holding the minimizing
 boundary point fixed, which is valid away from the measure-zero set of
@@ -49,7 +56,6 @@ from __future__ import annotations
 
 import csv
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,19 +68,22 @@ from .geometry import (
     wrap_azimuth,
 )
 
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
-
-DEFAULT_RESOLUTION = 4096
-
 # Query rows per chunk are sized so that query-by-vertex work arrays hold
 # about this many entries.
 _CHUNK_PAIRS = 1 << 16
 
-# Cosine-space slack of the exact cap bounds: far above the rounding of a
-# dot product of unit vectors (about 1e-16), so rounding never prunes an
-# arc that can be nearest or skips a query that can be inside.
+# Slack of the exact cap and reach bounds, in cosine or squared-chord
+# units: far above the rounding of a dot product of unit vectors (about
+# 1e-16), so rounding never prunes an arc that can be nearest or skips a
+# query that can be inside.
 _CAP_SLACK = 1e-12
+
+# Cap on the iterations of each root search of the projected scaling;
+# a search stops once no step exceeds _ROOT_STEP (relative to |v| in
+# `_second_minimum`). None took more than 21 steps on the test polygons
+# and 130 random ones.
+_ROOT_ITERATIONS = 64
+_ROOT_STEP = 1e-13
 
 # Queries closer than this to +-hint (as |q x hint|) have an ill-defined
 # path plane and detour through a point a quarter turn away.
@@ -97,8 +106,9 @@ class Boundary:
     Base class: a closed curve on the sphere plus the observed region it
     bounds.
 
-    Instances are immutable after construction (lazily built lookup
-    caches aside); all queries are read-only and thread-safe.
+    Instances are immutable after construction (a polyline's second arc
+    index, built on first need, aside); all queries are read-only and
+    thread-safe.
 
     Attributes:
         interior_reference: a unit vector inside the region; a polyline's
@@ -151,9 +161,7 @@ class PolylineBoundary(Boundary):
     smaller side of most curves; a region larger than a hemisphere needs
     an explicit hint. Membership is the parity of the vertex arcs crossed
     by the minor arc from the hint to the query (Bevis & Chatelain 1989),
-    so vertex order does not matter. `samples` is an equal-arc-length
-    resampling along the arcs, used only by the projected scaling, and
-    `spacing` is the largest great-circle gap between consecutive samples.
+    so vertex order does not matter. Vertices and hint must be finite.
 
     Construction also finds the cap about the normalized vertex mean c
     that holds every vertex, of radius R. When cos R > 1e-6 the cap lies
@@ -170,12 +178,18 @@ class PolylineBoundary(Boundary):
     straddle its path's plane. Queries within 1e-8 of +-hint detour
     through a point a quarter turn away, with a second index about that
     point built on first need.
+
+    The projected scaling measures the same vertex arcs, cut where they
+    cross a coordinate plane (`_plane_pieces`), so that every piece lies
+    in one closed hemisphere of each axis.
     """
 
     def __init__(self, vertices: np.ndarray, interior_hint: np.ndarray | None = None):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 3 or vertices.shape[0] < 3:
             raise ValueError("vertices must be an (k, 3) array with k >= 3")
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("boundary vertices must be finite")
         vertices = unit_vector(vertices)
         gaps = geodesic_angle(vertices, np.roll(vertices, -1, axis=0))
         if np.any(gaps < 1e-12):
@@ -188,12 +202,13 @@ class PolylineBoundary(Boundary):
                 )
             interior_hint = unit_vector(mean)
         else:
-            interior_hint = unit_vector(np.asarray(interior_hint, dtype=float))
+            interior_hint = np.asarray(interior_hint, dtype=float)
+            if not np.all(np.isfinite(interior_hint)):
+                raise ValueError("interior_hint must be finite")
+            interior_hint = unit_vector(interior_hint)
         self.vertices = vertices
         self.interior_reference = interior_hint
-        self.samples = _resample_closed(vertices, DEFAULT_RESOLUTION)
-        step = geodesic_angle(self.samples, np.roll(self.samples, -1, axis=0))
-        self.spacing = float(np.max(step))
+        self._pieces = _plane_pieces(vertices)
         self._index = _ArcIndex(vertices, interior_hint)
         # (centre, cos R less the slack, membership outside the cap); the
         # cap with cos R = -inf is the whole sphere.
@@ -225,21 +240,6 @@ class PolylineBoundary(Boundary):
             odd[bad] = self._index.parity(via.origin[None, :])[0] ^ via.parity(q[bad])
         inside[near] = ~odd
         return bool(inside) if inside.ndim == 0 else inside
-
-
-def _resample_closed(vertices: np.ndarray, m: int) -> np.ndarray:
-    """Equal-arc-length sample of the closed great-circle polyline."""
-    nxt = np.roll(vertices, -1, axis=0)
-    seg = geodesic_angle(vertices, nxt)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    s = np.arange(m) * (total / m)
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
-    t = (s - cum[idx]) / seg[idx]
-    p0, p1 = vertices[idx], nxt[idx]
-    omega = seg[idx][:, None]
-    out = (np.sin((1.0 - t)[:, None] * omega) * p0 + np.sin(t[:, None] * omega) * p1) / np.sin(omega)
-    return unit_vector(out)
 
 
 def _row_chunks(n: int, k: int):
@@ -351,6 +351,32 @@ def _angle(q: np.ndarray, p: np.ndarray, dot: np.ndarray) -> np.ndarray:
     return np.arctan2(np.linalg.norm(np.cross(q, p), axis=-1), dot)
 
 
+def _candidates(
+    q: np.ndarray, ends: np.ndarray, mids: np.ndarray, reach: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """
+    (query, arc) index pairs, sorted by query then arc, of the arcs that
+    can hold each query's nearest point.
+
+    Works alike on the sphere (3-D rows) and in a plane (2-D rows): every
+    arc lies within Euclidean distance `reach` of its midpoint, and the
+    nearest of `ends` (points on the curve) at distance t bounds the
+    answer, so an arc can be nearest only if |q - mid| <= t + reach. The
+    test is one product, (t + r)^2 - |q - mid|^2 >= -_CAP_SLACK, with t^2
+    raised by 1e-15, above the rounding of a squared distance formed from
+    dot products of unit-scale rows; the arc leaving the nearest end
+    always passes it.
+    """
+    ones = np.ones(len(q))
+    q_sq = np.einsum("ij,ij->i", q, q)
+    to_ends = np.vstack([-2.0 * ends.T, np.einsum("ij,ij->i", ends, ends)])
+    t_sq = q_sq + np.min(np.column_stack([q, ones]) @ to_ends, axis=1)
+    t = np.sqrt(np.maximum(t_sq, 0.0) + 1e-15)
+    rows = np.column_stack([2.0 * q, 2.0 * t, t * t - q_sq, ones])
+    cols = np.vstack([mids.T, reach, np.ones(len(reach)), reach**2 - np.einsum("ij,ij->i", mids, mids)])
+    return divmod(np.flatnonzero(rows @ cols >= -_CAP_SLACK), len(reach))
+
+
 def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     Geodesic distance from each query (n, 3) to the closed polyline of
@@ -362,43 +388,29 @@ def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     (x.(n x a) >= 0 and x.(b x n) >= 0), else to the nearer endpoint. Every
     angle is atan2(|cross|, dot), accurate at both ends of [0, pi].
 
-    Only the arcs that can be nearest get that exact formula. Every point
-    of an arc lies within half its length h of its midpoint m, so
-    d(x, arc) >= d(x, m) - h; the nearest vertex, at distance d_v, bounds
-    the answer from above. An arc with d(x, m) > d_v + h therefore cannot
-    be nearest, and the test x.m >= cos(d_v + h) keeps every arc that can,
-    as cos d_v cos h - sin d_v sin h from the unnormalised x, less
-    _CAP_SLACK for rounding. A query with d_v + h >= pi for some arc keeps
-    all arcs. Each kept arc's distance is computed exactly as if all arcs
-    were, and a tie goes to the lowest arc index.
+    Only the arcs that `_candidates` keeps get that exact formula: chord
+    distance grows with the angle over all of [0, pi], so the chord bound
+    keeps every arc that can be nearest. Each kept arc's distance is
+    computed exactly as if all arcs were, and a tie goes to the lowest
+    arc index.
     """
     nxt = np.roll(vertices, -1, axis=0)
     normals = unit_vector(np.cross(vertices, nxt))
     start_side = np.cross(normals, vertices)
     end_side = np.cross(nxt, normals)
     mids = unit_vector(vertices + nxt)
-    half = 0.5 * geodesic_angle(vertices, nxt)
-    # [x, -cos d_v, sin d_v] @ caps = x.m - cos(d_v + h) for every arc at once.
-    caps = np.vstack([mids.T, np.cos(half), np.sin(half)])
+    reach = 2.0 * np.sin(0.25 * geodesic_angle(vertices, nxt))
     dist = np.empty(len(x))
     near = np.empty_like(x)
     for rows in _row_chunks(len(x), len(vertices)):
         q = x[rows]
         i = np.arange(len(q))
         dots = q @ vertices.T
-        k = np.argmax(dots, axis=1)
-        cos_v = dots[i, k]
-        sin_v = np.linalg.norm(np.cross(q, vertices[k]), axis=1)
-        keep = np.column_stack([q, -cos_v, sin_v]) @ caps >= -_CAP_SLACK
-        # cos is not monotone past pi. The arc leaving the nearest vertex
-        # always qualifies; keeping it outright leaves no query without one.
-        keep[np.arctan2(sin_v, cos_v) + half.max() >= np.pi] = True
-        keep[i, k] = True
-        qi, j = np.nonzero(keep)
+        qi, j = _candidates(q, vertices, mids, reach)
         qq, jn = q[qi], (j + 1) % len(vertices)
         lift = q @ normals.T
         on_arc = (q @ start_side.T >= 0.0) & (q @ end_side.T >= 0.0)
-        arc_dist = np.full(keep.shape, np.inf)
+        arc_dist = np.full(dots.shape, np.inf)
         arc_dist[qi, j] = np.where(
             on_arc[qi, j],
             np.arctan2(np.abs(lift[qi, j]), np.linalg.norm(np.cross(qq, normals[j]), axis=1)),
@@ -412,6 +424,185 @@ def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
         end = np.where(to_start[:, None], vertices[j], nxt[j])
         near[rows] = np.where(on_arc[i, j][:, None], foot, end)
     return dist, near
+
+
+def _plane_pieces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """
+    The vertex arcs cut where they cross a coordinate plane, in arc order:
+    (start (m, 3), unit tangent at the start (m, 3), length (m,), unit
+    normal of the great circle (m, 3)); piece i is
+    cos(s) start_i + sin(s) tangent_i for s in [0, length_i].
+
+    A minor arc crosses each plane x_k = 0 at most once, where its
+    endpoints' coordinates have opposite signs, at the s with
+    a_k cos s + u_k sin s = 0. Each piece therefore keeps one sign of
+    every coordinate.
+    """
+    nxt = np.roll(vertices, -1, axis=0)
+    normals = unit_vector(np.cross(vertices, nxt))
+    tangents = np.cross(normals, vertices)
+    length = _angle(vertices, nxt, np.einsum("ij,ij->i", vertices, nxt))
+    sign = np.sign(vertices)
+    cut = np.arctan2(np.abs(vertices), -tangents * sign)
+    cut = np.where((sign * np.sign(nxt) < 0) & (cut > 0.0) & (cut < length[:, None]), cut, np.nan)
+    # NaN sorts last: each row is 0, its cuts in order, the length, padding
+    bounds = np.sort(np.column_stack([np.zeros(len(vertices)), cut, length]), axis=1)
+    arc, k = np.nonzero(np.isfinite(bounds[:, 1:]))
+    lo = bounds[arc, k]
+    start, tangent = (v.T for v in _on_arc(lo, vertices[arc].T, tangents[arc].T))
+    return start, tangent, bounds[arc, k + 1] - lo, normals[arc]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the columns of (2, m) arrays."""
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _on_arc(s: np.ndarray, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns cos(s) a + sin(s) u of (d, m) arrays, and their s-derivatives."""
+    c, n = np.cos(s), np.sin(s)
+    return c * a + n * u, c * u - n * a
+
+
+def _valley_root(
+    a: np.ndarray, u: np.ndarray, y: np.ndarray, hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray
+) -> np.ndarray:
+    """
+    The root in (0, hi) of f'(s) / 2 = (p(s) - y).p'(s), p(s) = cos(s) a +
+    sin(s) u, given its values d_lo < 0 at 0 and d_hi > 0 at hi: Newton
+    steps while they stay inside the bracket, else the secant of the
+    bracket, which always does.
+    """
+    lo = np.zeros(len(hi))
+    s = 0.5 * hi
+    for _ in range(_ROOT_ITERATIONS):
+        p, dp = _on_arc(s, a, u)
+        r = p - y
+        d, dd = _dot(r, dp), _dot(dp, dp) - _dot(r, p)
+        low, high = d < 0.0, d > 0.0
+        lo, d_lo = np.where(low, s, lo), np.where(low, d, d_lo)
+        hi, d_hi = np.where(high, s, hi), np.where(high, d, d_hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = s - d / dd
+        secant = lo - d_lo * (hi - lo) / (d_hi - d_lo)
+        step = np.where((dd > 0.0) & (step > lo) & (step < hi), step, secant)
+        moved = np.abs(step - s)
+        s = step
+        if not np.any(moved > _ROOT_STEP):
+            break
+    return s
+
+
+def _second_minimum(y0: np.ndarray, beta: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """
+    (cos phi, sin phi) of the second local minimum of the squared distance
+    from (y0, -beta / b) to the ellipse (cos phi, b sin phi), c = 1 - b^2,
+    on the half sin phi > 0, for queries inside the evolute.
+
+    It is the root v in (v_m, 0) of F(v) = (y0 / (c + beta v))^2 + v^-2 = 1
+    with cos phi = y0 / (c + beta v) and sin phi = -1 / v. F is convex and
+    increasing there and F(-1) >= 1, so Newton from v = -1 falls
+    monotonically to the root; beta = 0 is the limit of a query on the
+    major axis, where the root is -1 / sqrt(1 - (y0 / c)^2).
+    """
+    v = np.full(len(y0), -1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ROOT_ITERATIONS):
+            den = c + beta * v
+            f = (y0 / den) ** 2 + v**-2
+            df = -2.0 * beta * y0 * y0 / den**3 - 2.0 * v**-3
+            step = v - (f - 1.0) / df
+            moved = np.abs(step - v)
+            v = step
+            if not np.any(moved > _ROOT_STEP * np.abs(v)):
+                break
+        return y0 / (c + beta * v), -1.0 / v
+
+
+def _nearest_projected(pieces: tuple, drop_idx: int, y: np.ndarray) -> np.ndarray:
+    """
+    Nearest point (n, 2) of the projected polyline to each projected
+    query y (n, 2), exact on the pieces of `_plane_pieces`.
+
+    Dropping coordinate k maps the great circle of a piece with unit
+    normal n onto a centred ellipse with semi-axes 1 (along m, the unit
+    vector along e_k x n) and b = |n_k|, at principal angle phi; the piece
+    keeps the sign of x_k, so it lies on one half, phi in [0, pi] once the
+    axis w = n x m is taken toward it. The squared distance f from y has
+    at most two local minima on the whole ellipse (Eberly 2013, "Distance
+    from a point to an ellipse, an ellipsoid, or a hyperellipsoid"): the
+    global one, in y's quadrant, and a second one, in the quadrant
+    mirrored across the major axis, when y lies inside the evolute,
+    |y0|^(2/3) + |b y1|^(2/3) < (1 - b^2)^(2/3), in principal coordinates.
+
+    So Newton cannot miss an interior minimum when y lies on the piece's
+    side of the major axis (y.Pw >= 0): on that half f' changes sign once,
+    from - to +, and `_valley_root` finds it in the arc length s wherever
+    f'(0) < 0 < f'(L). Otherwise the only interior minimum is the second
+    one, from `_second_minimum`. Each root found, and the piece's two
+    ends, is a point of the piece, so the least distance among them is
+    exact. Pieces are pruned by `_candidates`, and a tie goes to the
+    lowest piece index.
+    """
+    if not len(y):
+        return np.empty((0, 2))
+    start, tangent, length, normal = pieces
+    keep = [i for i in range(3) if i != drop_idx]
+    end, end_tangent = (v.T for v in _on_arc(length, start.T, tangent.T))
+    half = 0.5 * length
+    mid = _on_arc(half, start.T, tangent.T)[0].T
+    across = np.cross(np.eye(3)[drop_idx], normal)  # e_k x n: a signed permutation of n
+    c = np.einsum("ij,ij->i", across, across)  # 1 - b^2; zero on a circle, which has one minimum
+    m = across / np.sqrt(np.where(c > 0.0, c, 1.0))[:, None]
+    w = np.cross(normal, m)
+    w *= np.where(np.einsum("ij,ij->i", w, mid) < 0.0, -1.0, 1.0)[:, None]
+    table = np.vstack([
+        start[:, keep].T, tangent[:, keep].T, end[:, keep].T, end_tangent[:, keep].T,
+        length, m[:, keep].T, w[:, keep].T, c,
+        *(np.einsum("ij,ij->i", f, g) for f in (m, w) for g in (start, tangent)),
+    ])
+    reach = 2.0 * np.sin(0.5 * half)
+    pairs = []
+    for rows in _row_chunks(len(y), len(length)):
+        qc, jc = _candidates(y[rows], start[:, keep], mid[:, keep], reach)
+        pairs.append((qc + rows.start, jc))
+    qi, j = (np.concatenate(z) for z in zip(*pairs))
+    t, yq = table[:, j], y.T[:, qi]
+    a, u, e, te, span = t[0:2], t[2:4], t[4:6], t[6:8], t[8]
+
+    # The ends, then each root found, replace the best only when nearer.
+    d_start, d_end = _dot(a - yq, a - yq), _dot(e - yq, e - yq)
+    best_s = np.where(d_end < d_start, span, 0.0)
+    best_d = np.minimum(d_start, d_end)
+
+    def offer(idx, s):
+        r = _on_arc(s, a[:, idx], u[:, idx])[0] - yq[:, idx]
+        d = _dot(r, r)
+        nearer = d < best_d[idx]
+        best_s[idx[nearer]], best_d[idx[nearer]] = s[nearer], d[nearer]
+
+    d_lo, d_hi = _dot(a - yq, u), _dot(e - yq, te)
+    idx = np.flatnonzero((d_lo < 0.0) & (d_hi > 0.0))
+    offer(idx, _valley_root(a[:, idx], u[:, idx], yq[:, idx], span[idx], d_lo[idx], d_hi[idx]))
+
+    # y across the major axis, or on it up to rounding.
+    y0, yw = _dot(yq, t[9:11]), _dot(yq, t[11:13])
+    idx = np.flatnonzero(yw <= _CAP_SLACK)
+    y0, beta, cc = y0[idx], np.abs(yw[idx]), t[13, idx]
+    inner = np.cbrt(y0 * y0) + np.cbrt(beta * beta) < np.cbrt(cc * cc)
+    idx, y0, beta, cc = idx[inner], y0[inner], beta[inner], cc[inner]
+    cos_phi, sin_phi = _second_minimum(y0, beta, cc)
+    ma, mu, wa, wu = t[14:18, idx]
+    s = np.arctan2(cos_phi * mu + sin_phi * wu, cos_phi * ma + sin_phi * wa)
+    # A root off the piece, or lost where y grazes the evolute, still
+    # gives a point of the piece.
+    offer(idx, np.clip(np.nan_to_num(s), 0.0, span[idx]))
+
+    # Each query's nearest pair; pairs run by query, then piece.
+    first = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+    hit = np.flatnonzero(best_d == np.minimum.reduceat(best_d, first)[qi])
+    hit = hit[np.r_[True, qi[hit][1:] != qi[hit][:-1]]]
+    return _on_arc(best_s[hit], a[:, hit], u[:, hit])[0].T
 
 
 def haversine_scaling(
@@ -480,20 +671,6 @@ def _drop_index(drop_axis: int) -> int:
     if drop_axis not in (1, 2, 3):
         raise ValueError(f"drop_axis must be 1, 2, or 3 (coordinate number), got {drop_axis}")
     return drop_axis - 1
-
-
-def _sample_tree(boundary: PolylineBoundary, drop_idx: int) -> cKDTree:
-    """
-    KD-tree over the two kept coordinates of a polyline's samples when
-    dropping coordinate drop_idx, built once per boundary and axis.
-    scipy.spatial is imported here, on the first polyline projected g.
-    """
-    cache = boundary.__dict__.setdefault("_tree_cache", {})
-    if drop_idx not in cache:
-        from scipy.spatial import cKDTree
-
-        cache[drop_idx] = cKDTree(np.delete(boundary.samples, drop_idx, axis=1))
-    return cache[drop_idx]
 
 
 def _mirror_symmetric(vertices: np.ndarray, drop_idx: int) -> bool:
@@ -585,10 +762,9 @@ def projected_scaling(
     axis 1 it projects to the circle of radius s0 = sin a0, nearest at
     s0 xe / |xe| (any rim point at the pole, where the ray is undefined);
     along axis 2 or 3 it projects to the segment {x1 = cos a0, |xj| <= s0},
-    nearest at (cos a0, clip(xj, -s0, s0)). Queries within 1e-12 of it get
-    g = 0. A polyline is measured on its dense sample through a KD-tree,
-    and queries within half the sample spacing of it get g = 0.
-    `inside` is `boundary.contains(x)` when the caller already has it.
+    nearest at (cos a0, clip(xj, -s0, s0)). A polyline's nearest point is
+    found exactly on its vertex arcs by `_nearest_projected`. Queries
+    within 1e-12 of the projected boundary get g = 0. `inside` is `boundary.contains(x)` when the caller already has it.
 
     Returns:
         (g (n,), grad (n, 3), on_boundary (n,) bool).
@@ -617,13 +793,12 @@ def projected_scaling(
             nearest = s0 * np.where(r > 0.0, xe, [1.0, 0.0]) / np.where(r > 0.0, r, 1.0)
         else:
             nearest = np.column_stack([np.full(n, c0), np.clip(xe[:, 1], -s0, s0)])
-        band = 1e-12
     else:
-        nearest = boundary.samples[_sample_tree(boundary, drop_idx).query(xe)[1]][:, keep]
-        band = 0.5 * boundary.spacing
+        nearest = np.zeros_like(xe)
+        nearest[inside] = _nearest_projected(boundary._pieces, drop_idx, xe[inside])
     diff = xe - nearest
     g = np.linalg.norm(diff, axis=1)
-    ok = inside & (g > band)
+    ok = inside & (g > 1e-12)
     unit = diff[ok] / g[ok][:, None]
     grad[np.ix_(np.flatnonzero(ok), keep)] = unit
     return np.where(ok, g, 0.0), grad, ~ok

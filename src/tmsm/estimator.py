@@ -658,7 +658,7 @@ def estimate(
         fixed: known parameters per model_kind, and no others.
         seed: accepted for compatibility and ignored: every fit is
             deterministic and has no random starts.
-        drop_axis: projection axis for g_kind "projected".
+        drop_axis: projection axis for g_kind "projected", and only for it.
 
     Returns:
         EstimationResult with the best parameters found.
@@ -666,8 +666,8 @@ def estimate(
     Raises:
         ValueError: on an unknown model_kind, missing fixed parameters, a
             fixed kappa outside (0, KAPPA_CAP] (NaN included), fixed
-            parameters the model kind does not use, or data outside the
-            region.
+            parameters the model kind does not use, a drop_axis with
+            another g_kind, or data outside the region.
         FloatingPointError: when "vmf_mu_kappa" has no finite minimiser
             (the weighted data span no tangent plane, e.g. a single point)
             or its concentration falls outside (0, KAPPA_CAP].
@@ -688,6 +688,8 @@ def estimate(
     unused = sorted(fixed.keys() - set(needed))
     if unused:
         raise ValueError(f"model_kind {model_kind!r} does not use fixed {unused}")
+    if drop_axis is not None and g_kind != "projected":
+        raise ValueError(f"g_kind {g_kind!r} does not use drop_axis")
 
     stats = _scaling_stats(data, boundary, g_kind, drop_axis)
     if model_kind != "kent_frame":

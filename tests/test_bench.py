@@ -544,6 +544,24 @@ def test_cli_unused_fixed_parameter_exit_2(tmp_path):
         assert not (out / "estimate.json").exists()
 
 
+def test_cli_drop_axis_without_projected_g_exit_2(tmp_path):
+    assert main(["simulate", "--n", "100", "--seed", "3", "--kappa", "6",
+                 "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "fit"
+    assert main(["estimate", "--a0", "1.5708", "--data", str(tmp_path / "samples.csv"),
+                 "--g", "haversine", "--drop-axis", "3", "--out-dir", str(out)]) == 2
+    assert not (out / "estimate.json").exists()
+
+
+def test_cli_non_finite_boundary_vertex_exit_3(tmp_path):
+    # a NaN vertex is a data error, not a sampler that never accepts a draw
+    outline = tmp_path / "nan.csv"
+    outline.write_text("lat_deg,lon_deg\n30,-100\nnan,-80\n45,-80\n45,-100\n")
+    assert main(["simulate", "--boundary-csv", str(outline), "--mu-a", "1", "--mu-b", "-1.5",
+                 "--kappa", "6", "--n", "50", "--out-dir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out" / "samples.csv").exists()
+
+
 def test_cli_simulate_kent_at_high_ovalness(tmp_path):
     # 2 alpha / kappa = 0.99: a valid shape the vMF-envelope sampler refused
     argv = ["simulate", "--model", "kent", "--kappa", "20", "--alpha", "9.9",

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from tmsm.boundary import (
     ColatitudeBoundary,
     _AZIMUTH_BINS,
     PolylineBoundary,
     _nearest_on_arcs,
-    _resample_closed,
+    _plane_pieces,
     _row_chunks,
     default_drop_axis,
     haversine_scaling,
@@ -35,6 +36,23 @@ def hemisphere_points(rng, n, margin=0.15):
     a = rng.uniform(np.pi / 2.0 + margin, np.pi - margin, n)
     b = rng.uniform(0.0, 2.0 * np.pi, n)
     return to_euclidean(a, b)
+
+
+def _resample_closed(vertices, m):
+    """
+    Equal-arc-length sample of m points along the closed polyline's vertex
+    arcs: the brute-force reference for the exact distances.
+    """
+    nxt = np.roll(vertices, -1, axis=0)
+    seg = geodesic_angle(vertices, nxt)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    s = np.arange(m) * (cum[-1] / m)
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
+    t = (s - cum[idx]) / seg[idx]
+    omega = seg[idx][:, None]
+    out = (np.sin((1.0 - t)[:, None] * omega) * vertices[idx]
+           + np.sin(t[:, None] * omega) * nxt[idx]) / np.sin(omega)
+    return unit_vector(out)
 
 
 def fd_tangent_derivative(f, x, v, h=1e-5):
@@ -75,6 +93,14 @@ def test_polyline_validation():
     bad = to_euclidean([0.4, 0.4, 0.4], [0.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         PolylineBoundary(bad)  # repeated consecutive vertex
+    square = to_euclidean([0.3] * 4, np.arange(4) * np.pi / 2.0)
+    for value in (np.nan, np.inf):
+        broken = square.copy()
+        broken[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            PolylineBoundary(broken)
+        with pytest.raises(ValueError, match="finite"):
+            PolylineBoundary(square, interior_hint=[1.0, value, 0.0])
 
 
 def test_polyline_winding_containment():
@@ -92,12 +118,14 @@ def test_polyline_winding_containment():
 
 
 def test_polyline_resampling_even_and_on_sphere():
+    # the brute-force reference sample: on the sphere, on the vertex arcs,
+    # and evenly spaced along them
     tri = to_euclidean([0.7] * 3, [0.5, 2.5, 4.5])
-    b = PolylineBoundary(tri)
-    assert np.allclose(np.linalg.norm(b.samples, axis=1), 1.0, atol=1e-12)
-    steps = geodesic_angle(b.samples, np.roll(b.samples, -1, axis=0))
+    samples = _resample_closed(tri, 4096)
+    assert np.allclose(np.linalg.norm(samples, axis=1), 1.0, atol=1e-12)
+    assert np.max(_nearest_on_arcs(tri, samples)[0]) < 1e-12
+    steps = geodesic_angle(samples, np.roll(samples, -1, axis=0))
     assert steps.max() < 2.5 * steps.min()  # near-uniform arc steps
-    assert b.spacing == pytest.approx(steps.max())
 
 
 def winding(samples, q):
@@ -674,20 +702,22 @@ def test_projected_fold_rules():
         projected_scaling(wedge, inside, drop_axis=3)
 
 
+# A kite mirror-symmetric in x3: two vertices on the plane x3 = 0 and two
+# at azimuths +-0.4; negating x3 maps the cycle onto its reverse.
+KITE = to_euclidean(np.array([1.0, 1.2, 1.5, 1.2]), np.array([0.0, 0.4, 0.0, -0.4]))
+
+
 def test_projected_symmetric_polyline_any_start_and_order():
-    # a kite mirror-symmetric in x3: two vertices on the plane x3 = 0 and
-    # two at azimuths +-0.4; negating x3 maps the cycle onto its reverse
-    kite = to_euclidean(np.array([1.0, 1.2, 1.5, 1.2]), np.array([0.0, 0.4, 0.0, -0.4]))
+    kite = KITE
     x = to_euclidean(np.array([1.2, 1.3, 1.25]), np.array([0.0, 0.1, -0.2]))
     reference = projected_scaling(PolylineBoundary(kite), x, drop_axis=3)[0]
     for start in range(4):
         for order in (1, -1):
             b = PolylineBoundary(np.roll(kite, -start, axis=0)[::order])
             g, _, on_b = projected_scaling(b, x, drop_axis=3)
-            # the dense sample starts at the first vertex, so g moves
-            # within the sample spacing
+            # the same arcs in any order and from any start give the same g
             assert not on_b.any()
-            assert np.allclose(g, reference, rtol=0.0, atol=b.spacing)
+            assert np.allclose(g, reference, rtol=0.0, atol=1e-12)
     # moving one off-plane vertex breaks the symmetry
     bent = kite.copy()
     bent[1] = to_euclidean(1.25, 0.4)
@@ -708,14 +738,16 @@ def test_projected_invalid_axis():
 
 
 def test_projected_gradient_matches_fd():
-    # the closed-form nearest point moves smoothly with the query, so
-    # every stencil is checked
+    # the nearest point moves smoothly with the query away from argmin
+    # ties, so every stencil is checked: the hemisphere's closed form on
+    # two axes and the USA outline's vertex arcs on its default axis
     rng = np.random.default_rng(9)
-    x = hemisphere_points(rng, 40)
+    cases = [(HEMI, axis, hemisphere_points(rng, 40)) for axis in (1, 2)]
+    cases.append((USA, 3, usa_interior_points(rng, 40)))
     h = 1e-5
-    for axis in (1, 2):
-        g, grad, _ = projected_scaling(HEMI, x, drop_axis=axis)
-        f = lambda y: projected_scaling(HEMI, y[None, :], drop_axis=axis)[0][0]
+    for boundary, axis, x in cases:
+        g, grad, _ = projected_scaling(boundary, x, drop_axis=axis)
+        f = lambda y: projected_scaling(boundary, y[None, :], drop_axis=axis)[0][0]
         checked = 0
         for i in range(0, 40, 4):
             v1 = unit_vector(np.cross(x[i], [0.0, 0.0, 1.0]))
@@ -728,18 +760,76 @@ def test_projected_gradient_matches_fd():
         assert checked >= 12
 
 
+# The drop axes the fold rules accept for each region: its vertices lie in
+# one closed hemisphere of the axis, or mirror-symmetric in it (the kite).
+PROJECTED_AXES = {
+    "usa": (1, 3),
+    "antimeridian": (2,),
+    "pole_pentagon": (1,),
+    "reversed_box": (1, 2, 3),
+    "concave_hexagon": (1, 2, 3),
+    "kite": (1, 2, 3),
+}
+
+
 def test_projected_polyline_matches_brute_force():
-    rng = np.random.default_rng(10)
-    lat = rng.uniform(36.0, 44.0, 15)
-    lon = rng.uniform(-110.0, -90.0, 15)
-    x = to_euclidean(*latlon_to_spherical(lat, lon))
-    g, grad, _ = projected_scaling(USA, x, drop_axis=3)
-    keep = [0, 1]
-    brute = np.min(
-        np.linalg.norm(x[:, None, keep] - USA.samples[None, :, keep], axis=2), axis=1
-    )
-    assert np.allclose(g, brute, atol=1e-12)
-    assert np.allclose(grad[:, 2], 0.0)
+    # exact projected distance against the minimum over a 400,000-point
+    # sample of the same arcs: never above it beyond rounding, and within
+    # the sample's reach below it; queries reach deep inside, where the
+    # nearest point can be an ellipse's second local minimum
+    regions = {"usa": USA.vertices, "kite": KITE, **POLYGONS}
+    for name, vertices in sorted(regions.items()):
+        b = PolylineBoundary(vertices)
+        rng = np.random.default_rng(len(name))
+        spread = np.max(geodesic_angle(vertices, b.interior_reference))
+        x = unit_vector(b.interior_reference + 0.6 * spread * rng.standard_normal((4000, 3)))
+        x = x[b.contains(x)][:800]
+        assert len(x) >= 500, name
+        dense = _resample_closed(vertices, 400_000)
+        accepted = []
+        for axis in (1, 2, 3):
+            try:
+                g, grad, on_b = projected_scaling(b, x, drop_axis=axis)
+            except ValueError:
+                continue
+            accepted.append(axis)
+            keep = [i for i in range(3) if i != axis - 1]
+            brute = cKDTree(dense[:, keep]).query(x[:, keep])[0]
+            assert not on_b.any(), (name, axis)
+            assert np.all(g <= brute + 1e-12), (name, axis)
+            assert np.all(brute - g <= 1e-5), (name, axis)
+            assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-12)
+            assert np.all(grad[:, axis - 1] == 0.0)
+        assert tuple(accepted) == PROJECTED_AXES[name], name
+
+
+def test_plane_pieces_keep_one_sign_per_axis():
+    # the pieces run along the vertex arcs in order, and each keeps one
+    # sign of every coordinate, so it lies on one half of its projected
+    # ellipse for any drop axis; each of the bow-tie's four arcs, and each
+    # of the wide band's meridians, crosses the equator x1 = 0
+    bow_tie = latlon_polygon([20, -10, 10, -20], [0, 20, 20, 0])
+    for vertices in (USA.vertices, WIDE_BAND, bow_tie, *POLYGONS.values()):
+        start, tangent, length, normal = _plane_pieces(vertices)
+        end = np.cos(length)[:, None] * start + np.sin(length)[:, None] * tangent
+        mid = np.cos(0.5 * length)[:, None] * start + np.sin(0.5 * length)[:, None] * tangent
+        assert np.max(np.abs(end - np.roll(start, -1, axis=0))) < 1e-14
+        assert np.max(np.abs(np.sum(start * normal, axis=1))) < 1e-14
+        assert np.max(_nearest_on_arcs(vertices, mid)[0]) < 1e-14
+        assert np.all(start * end >= -1e-15) and np.all(start * mid >= -1e-15)
+        nxt = np.roll(vertices, -1, axis=0)
+        arcs = np.arctan2(np.linalg.norm(np.cross(vertices, nxt), axis=1), np.sum(vertices * nxt, axis=1))
+        assert length.sum() == pytest.approx(arcs.sum(), abs=1e-13)
+    assert len(_plane_pieces(bow_tie)[2]) == 2 * len(bow_tie)
+
+
+def test_projected_polyline_zero_on_the_boundary():
+    # vertices and arc midpoints lie on the projected boundary: g = 0
+    for b in (USA, PolylineBoundary(POLYGONS["concave_hexagon"])):
+        mids = unit_vector(b.vertices + np.roll(b.vertices, -1, axis=0))
+        on = np.vstack([b.vertices, mids])
+        g, grad, on_b = projected_scaling(b, on, drop_axis=3, inside=np.ones(len(on), bool))
+        assert np.all(g == 0.0) and np.all(on_b) and np.all(grad == 0.0)
 
 
 # ----------------------------------------------------------------- dispatch

@@ -313,6 +313,14 @@ def test_estimate_rejects_unused_fixed_parameters(model_kind, fixed):
         estimate(d, HEMI, model_kind=model_kind, fixed=fixed)
 
 
+@pytest.mark.parametrize("g_kind", ["haversine", "unit"])
+def test_estimate_rejects_drop_axis_without_projected_g(g_kind):
+    # the drop axis would be ignored, so passing one is an error
+    d = hemi_dataset(50, seed=9)
+    with pytest.raises(ValueError, match="does not use drop_axis"):
+        estimate(d, HEMI, g_kind=g_kind, drop_axis=3)
+
+
 def test_estimate_deterministic_per_seed():
     d = hemi_dataset(300, seed=10)
     r1 = estimate(d, HEMI, model_kind="vmf_mu_kappa", seed=5)
