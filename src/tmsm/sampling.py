@@ -2,11 +2,11 @@
 
 von Mises-Fisher draws use the closed-form inverse CDF of the cosine along
 the mean direction (exact on the 2-sphere). The general five-parameter
-model is drawn exactly in two stages: the cosine t = mu.x from its own
-marginal, by rejection from a truncated-normal envelope that accepts with
-probability i0e(alpha (1 - t^2)), then the azimuth from a von Mises law.
-Truncated draws filter an untruncated stream through the region
-membership test.
+model is drawn exactly by one joint rejection step in u = 1 - mu.x and the
+azimuth: the envelope is an exponential law in u times a uniform azimuth,
+and a candidate is kept with a probability that is a plain exponential, so
+no special function is needed. Truncated draws filter an untruncated
+stream through the region membership test. The module needs numpy only.
 
 Reproducibility: every sampler takes an explicit numpy Generator. Use
 `substream_rng` to derive independent generators from one experiment seed
@@ -15,6 +15,7 @@ so that adding or reordering sampling stages does not perturb the others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,47 +57,58 @@ def sample_vmf(params: VmfParams, size: int, rng: np.random.Generator) -> np.nda
 
 def sample_kent(params: KentParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """
-    Draw from the five-parameter model exactly, in two stages.
+    Draw from the five-parameter model exactly, by one joint rejection step.
 
-    In the frame coordinates x = t mu + s (cos(phi) gamma1 + sin(phi) gamma2),
-    s = sqrt(1 - t^2), the density is exp(kappa t + alpha s^2 cos(2 phi)).
+    In the frame coordinates x = t mu + s (cos(phi) gamma1 + sin(phi) gamma2)
+    the density is exp(kappa t + alpha s^2 cos(psi)) with psi = 2 phi. In
+    u = 1 - t, s^2 = u (2 - u) and z = alpha s^2 it is proportional to
 
-    1. t = mu.x has the marginal density e^(kappa t) I0(alpha s^2). It is
-       drawn by rejection from the envelope e^(kappa t + alpha s^2), a
-       normal with mean kappa / (2 alpha) > 1 and variance 1 / (2 alpha)
-       truncated to [-1, 1], sampled by its inverse CDF in log space. A
-       candidate is accepted with probability i0e(alpha s^2), that is
-       I0(z) e^(-z) at z = alpha s^2: about 0.58 of candidates at
-       (kappa, alpha) = (10, 3), 0.33 at (20, 9.9) and 0.28 at (40, 19.8).
-    2. Given t, 2 phi follows vonMises(0, alpha s^2); phi gains pi with
-       probability 1/2.
+        exp(-(kappa - 2 alpha) u - alpha u^2) * exp(z (cos(psi) - 1)).
 
-    Both stages are exact for every valid shape (2 alpha < kappa). The
-    rejection batch depends only on `size`, so a generator in a given
-    state always yields the same draws. alpha = 0 is `sample_vmf`.
+    With sd = 1 / sqrt(2 alpha), v = u / sd and a = (kappa - 2 alpha) sd, the
+    first factor is the normal exp(-a v - v^2 / 2) on v in [0, 2 / sd].
+    Under Robert's exponential envelope e^(-lam v), lam = a + c with
+    c = 2 / (a + hypot(a, 2)), it is exp(-(v - c)^2 / 2) up to a constant.
+    So u is drawn from the exponential law of rate lam / sd truncated to
+    [0, 2], by its inverse CDF (as `sample_vmf` draws 1 - t), phi is
+    uniform, and the candidate is kept when a uniform falls below
+
+        exp(z (cos(psi) - 1) - (v - c)^2 / 2).
+
+    The kept (u, phi) has the model's density exactly for every valid shape
+    (2 alpha < kappa). t = 1 - u and s = sqrt(u (2 - u)) keep full relative
+    precision in u, and as alpha -> 0 the envelope becomes `sample_vmf`'s
+    law and every candidate is kept. About 0.53 of candidates are kept at
+    (kappa, alpha) = (10, 3), 0.25 at (20, 9.9) and 0.22 at (40, 19.8).
+    Since the envelope stops at u = 2, a near-uniform shape such as
+    (1e-6, 1e-7) still keeps about 0.6 of them. The rejection batch depends
+    only on `size`, so a generator in a given state always yields the same
+    draws. alpha = 0 is `sample_vmf`.
     """
     if params.alpha == 0.0:
         return sample_vmf(VmfParams(params.mu, params.kappa), size, rng)
-    # the only scipy use in tmsm's samplers, so importing tmsm does not load it
-    from scipy.special import i0e, log_ndtr, ndtri_exp
-
-    kappa, alpha = params.kappa, params.alpha
-    mean, sd = kappa / (2.0 * alpha), 1.0 / np.sqrt(2.0 * alpha)
-    log_lo, log_hi = log_ndtr((-1.0 - mean) / sd), log_ndtr((1.0 - mean) / sd)
-    t = np.empty(size)
+    sd = 1.0 / math.sqrt(2.0 * params.alpha)
+    a = (params.kappa - 2.0 * params.alpha) * sd
+    c = 2.0 / (a + math.hypot(a, 2.0))  # where the envelope touches the normal
+    rate = (a + c) / sd
+    top = math.expm1(-2.0 * rate)  # minus the untruncated envelope mass on [0, 2]
+    u = np.empty(size)
+    phi = np.empty(size)
     got = 0
     batch = 2 * size + 64
     while got < size:
-        v = 1.0 - rng.random(batch)  # in (0, 1], so the log stays finite
-        z = ndtri_exp(log_hi + np.log(v + (1.0 - v) * np.exp(log_lo - log_hi)))
-        cand = np.clip(mean + sd * z, -1.0, 1.0)
-        keep = rng.random(batch) < i0e(alpha * (1.0 - cand * cand))
+        r, w, keep_at = rng.random((3, batch))
+        # min() only absorbs rounding at u = 2, so s^2 and z stay >= 0
+        cand = np.minimum(-np.log1p(r * top) / rate, 2.0)
+        azimuth = (2.0 * np.pi) * w
+        z = params.alpha * cand * (2.0 - cand)
+        keep = keep_at < np.exp(z * (np.cos(2.0 * azimuth) - 1.0) - 0.5 * (cand / sd - c) ** 2)
         take = min(int(keep.sum()), size - got)
-        t[got : got + take] = cand[keep][:take]
+        u[got : got + take] = cand[keep][:take]
+        phi[got : got + take] = azimuth[keep][:take]
         got += take
-    s2 = 1.0 - t * t
-    phi = 0.5 * rng.vonmises(0.0, alpha * s2) + np.pi * (rng.random(size) < 0.5)
-    s = np.sqrt(s2)
+    t = 1.0 - u
+    s = np.sqrt(u * (2.0 - u))
     return (
         t[:, None] * params.mu[None, :]
         + (s * np.cos(phi))[:, None] * params.gamma1[None, :]

@@ -1,11 +1,11 @@
 """
-Which scipy modules each part of tmsm loads.
+tmsm runs on numpy alone: no part of it loads scipy.
 
-`import tmsm`, the vMF fits on a colatitude region and both scaling
-functions on a polyline need numpy only; scipy is loaded only by the Kent
-sampler (scipy.special). One fresh interpreter runs the stages in that
-order and reports the scipy modules loaded after each, so every stage is
-charged only for what it adds.
+One fresh interpreter runs the stages in order: `import tmsm`, the vMF fits
+on a colatitude region, both scaling functions on a polyline, a truncated
+Kent sample, a `kent_frame` fit and a `kent_known_shape` benchmark. It
+reports the scipy modules loaded after each stage, so a stage that brings
+scipy in is named by the first non-empty list.
 """
 
 import json
@@ -34,7 +34,7 @@ checkpoint("import")
 import numpy as np
 from tmsm import (
     ColatitudeBoundary, Dataset, ExperimentConfig, VmfParams, estimate,
-    load_boundary_csv, run_benchmark, sample_kent, sample_truncated,
+    load_boundary_csv, run_benchmark, sample_truncated,
     substream_rng, to_euclidean,
 )
 from tmsm.bench import truth_params
@@ -62,8 +62,14 @@ for drop_axis in (1, 3):
 checkpoint("polyline_projected")
 
 kent = truth_params(ExperimentConfig(experiment="kent_known_shape"))
-sample_kent(kent, 100, substream_rng(0, 100))
+z = sample_truncated(kent, hemi, 300, substream_rng(0, 300)).x
 checkpoint("kent_sampler")
+estimate(Dataset(z), hemi, model_kind="kent_frame", fixed={"kappa": kent.kappa, "alpha": kent.alpha})
+checkpoint("kent_frame_fit")
+with tempfile.TemporaryDirectory() as tmp:
+    run_benchmark(ExperimentConfig(experiment="kent_known_shape", n_grid=(100,), replicates=2,
+                                   out_dir=tmp))
+checkpoint("kent_pipeline")
 
 print(json.dumps(loaded))
 """
@@ -102,12 +108,5 @@ def test_polyline_projected_g_loads_no_scipy(loaded):
     assert loaded["polyline_projected"] == set()
 
 
-def test_kent_sampler_adds_only_scipy_special(loaded):
-    # what scipy.special loads for itself depends on the scipy version
-    alone = _scipy_modules_after(
-        "import json, sys, scipy.special\n"
-        "print(json.dumps({'special': [m for m in sys.modules if m.split('.')[0] == 'scipy']}))"
-    )["special"]
-    added = loaded["kent_sampler"] - loaded["polyline_projected"]
-    assert "scipy.special" in added
-    assert added <= alone
+def test_no_stage_loads_scipy(loaded):
+    assert {stage: mods for stage, mods in loaded.items() if mods} == {}

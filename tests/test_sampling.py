@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,10 +96,12 @@ def test_kent_alpha_zero_short_circuits_to_vmf():
     assert np.array_equal(x1, x2)
 
 
-# shapes up to 2 alpha / kappa = 0.99, near the unimodality limit
+# shapes up to 2 alpha / kappa = 0.99, near the unimodality limit, and
+# down to alpha / kappa = 1e-4
 @pytest.mark.parametrize("kappa,alpha", [
     (10.0, 3.0), (10.0, 4.9), (6.0, 2.9), (2.0, 0.9), (1.0, 0.4),
     (20.0, 9.5), (20.0, 9.9), (40.0, 12.0), (40.0, 19.8), (200.0, 50.0),
+    (10.0, 1e-3), (0.1, 0.0499),
 ])
 def test_kent_sampler_matches_quadrature_moments(kappa, alpha):
     p = kent_params(kappa, alpha)
@@ -115,6 +119,27 @@ def test_kent_sampler_matches_quadrature_moments(kappa, alpha):
     ):
         gap = max(gap, abs(f @ moment(nodes) / f.sum() - np.mean(moment(x))))
     assert gap <= 0.01
+
+
+def test_kent_sampler_keeps_precision_as_alpha_vanishes():
+    # 1 - mu.x is drawn directly, so it does not collapse onto the grid of t near 1
+    kappa, n = 10.0, 100000
+    t = sample_kent(kent_params(kappa, 1e-12), n, substream_rng(6, 1)) @ MU
+    assert np.unique(1.0 - t).size == n
+    # the vMF mean resultant length, coth(kappa) - 1/kappa
+    se = t.std() / np.sqrt(n)
+    assert abs(t.mean() - (1.0 / np.tanh(kappa) - 1.0 / kappa)) < 4.0 * se
+
+
+# near the unimodality limit at huge kappa, near-uniform, and alpha at the
+# bottom of the float range
+@pytest.mark.parametrize("kappa,alpha", [(1e6, 4.99e5), (0.01, 0.004), (1e-6, 1e-7), (10.0, 1e-300)])
+def test_kent_sampler_extreme_shapes_without_warnings(kappa, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = sample_kent(kent_params(kappa, alpha), 20000, substream_rng(6, 2))
+    assert np.all(np.isfinite(x))
+    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-12
 
 
 def test_kent_sampler_substream_reproducible():
