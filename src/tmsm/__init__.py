@@ -46,9 +46,6 @@ from .estimator import (
 from .geometry import (
     SphericalCoord,
     geodesic_angle,
-    laplace_beltrami,
-    manifold_inner,
-    projection,
     to_euclidean,
     to_spherical,
 )
@@ -57,7 +54,6 @@ from .models import (
     VmfParams,
     log_unnormalized_density,
     score,
-    score_jacobian,
 )
 from .sampling import (
     TruncatedSample,
@@ -91,13 +87,10 @@ __all__ = [
     "hemisphere_chart_segments",
     "ibp_identity_check",
     "ingest_events",
-    "laplace_beltrami",
     "latlon_to_spherical",
     "load_boundary_csv",
     "log_unnormalized_density",
-    "manifold_inner",
     "mle_vmf",
-    "projection",
     "rmse_embedding",
     "run_benchmark",
     "run_storms",
@@ -105,7 +98,6 @@ __all__ = [
     "sample_truncated",
     "sample_vmf",
     "score",
-    "score_jacobian",
     "solve_concentration",
     "spherical_to_latlon",
     "substream_rng",

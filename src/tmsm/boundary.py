@@ -38,11 +38,16 @@ Two scaling functions are implemented, both zero exactly on the boundary:
   to a curve of elliptic arcs, whose nearest point is found exactly on
   the same vertex arcs.
 
-Both polyline distances prune arcs by one bound. Every point of an arc
-of length L lies within chord 2 sin(L/4) of its midpoint, on the sphere
-and, since dropping a coordinate is 1-Lipschitz, in the plane; the
-nearest vertex bounds the answer from above, so only arcs whose midpoint
-comes within that bound plus the reach can hold the nearest point.
+Both polyline distances run on one (query, arc) pair engine. Every
+point of an arc of length L lies within chord 2 sin(L/4) of its midpoint,
+on the sphere and, since dropping a coordinate is 1-Lipschitz, in the
+plane; the nearest vertex bounds the answer from above, so only arcs
+whose midpoint comes within that bound plus the reach can hold the
+nearest point (`_pairs`). The exact distance is evaluated on those pairs
+alone, row by row, and each query keeps its least pair, a tie going to
+the lowest arc (`_least`). So a query's distance, nearest point and
+gradient depend on that query alone, not on the batch it arrives in. The
+same bound limits the check, at construction, that no two arcs cross.
 
 Gradients of a min-over-points distance are taken holding the minimizing
 boundary point fixed, which is valid away from the measure-zero set of
@@ -78,10 +83,11 @@ _CHUNK_PAIRS = 1 << 16
 # query that can be inside.
 _CAP_SLACK = 1e-12
 
-# Cap on the iterations of each root search of the projected scaling;
-# a search stops once no step exceeds _ROOT_STEP (relative to |v| in
-# `_second_minimum`). None took more than 21 steps on the test polygons
-# and 130 random ones.
+# Cap on the iterations of each root search of the projected scaling.
+# Each element of a search stops after its first step of at most
+# _ROOT_STEP (relative to |v| in `_second_minimum`), so its root does not
+# depend on the batch it is found in. None took more than 21 steps on the
+# test polygons and 130 random ones.
 _ROOT_ITERATIONS = 64
 _ROOT_STEP = 1e-13
 
@@ -155,7 +161,9 @@ class ColatitudeBoundary(Boundary):
 class PolylineBoundary(Boundary):
     """
     Closed polyline of unit vectors joined by minor great-circle arcs; the
-    region is the side of the curve that holds the interior hint.
+    region is the side of the curve that holds the interior hint. The
+    polyline must be simple: construction raises ValueError when two
+    non-adjacent arcs cross (`_crossing_arcs`).
 
     The hint defaults to the normalized vertex mean, which lies on the
     smaller side of most curves; a region larger than a hemisphere needs
@@ -194,6 +202,11 @@ class PolylineBoundary(Boundary):
         gaps = geodesic_angle(vertices, np.roll(vertices, -1, axis=0))
         if np.any(gaps < 1e-12):
             raise ValueError("consecutive boundary vertices must be distinct")
+        i, j = _crossing_arcs(vertices)
+        if len(i):
+            raise ValueError(
+                f"boundary arcs {i[0]} and {j[0]} cross; the polyline must be simple"
+            )
         if interior_hint is None:
             mean = vertices.mean(axis=0)
             if np.linalg.norm(mean) < 1e-9:
@@ -246,6 +259,45 @@ def _row_chunks(n: int, k: int):
     """Row slices that keep n-by-k work arrays near _CHUNK_PAIRS entries."""
     step = max(1, _CHUNK_PAIRS // k)
     return (slice(i, i + step) for i in range(0, n, step))
+
+
+def _crossing_arcs(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Index pairs (i, j), i < j, of non-adjacent vertex arcs that cross.
+
+    Arcs (a, b) and (c, d) cross when c and d lie strictly on opposite
+    sides of the plane of (a, b), with signed sides s_c and s_d, a and b
+    likewise of the plane of (c, d), and the point X = |s_d| c + |s_c| d,
+    where arc (c, d) meets the plane of (a, b), has X.(a + b) > 0, i.e.
+    lies on arc (a, b) rather than at its antipode. Arcs that only touch
+    are not flagged. Two arcs can meet only where their midpoints lie
+    within the sum of their reaches (the `_candidates` bound), so only
+    those pairs are tested.
+    """
+    k = len(vertices)
+    nxt = np.roll(vertices, -1, axis=0)
+    normals = np.cross(vertices, nxt)
+    mids = unit_vector(vertices + nxt)
+    reach = 2.0 * np.sin(0.25 * geodesic_angle(vertices, nxt))
+    near = [np.empty((0, 2), dtype=np.intp)]
+    for rows in _row_chunks(k, k):
+        # (r_i + r_j)^2 - |m_i - m_j|^2, for unit midpoints
+        gap = (reach[rows, None] + reach) ** 2 - 2.0 + 2.0 * (mids[rows] @ mids.T)
+        near.append(np.argwhere(gap >= -_CAP_SLACK) + [rows.start, 0])
+    i, j = np.concatenate(near).T
+    apart = (j - i >= 2) & (j - i <= k - 2)
+    i, j = i[apart], j[apart]
+    s_c = np.einsum("ij,ij->i", normals[i], vertices[j])
+    s_d = np.einsum("ij,ij->i", normals[i], nxt[j])
+    s_a = np.einsum("ij,ij->i", normals[j], vertices[i])
+    s_b = np.einsum("ij,ij->i", normals[j], nxt[i])
+    meet = np.abs(s_d)[:, None] * vertices[j] + np.abs(s_c)[:, None] * nxt[j]
+    crosses = (
+        (np.sign(s_c) * np.sign(s_d) < 0.0)
+        & (np.sign(s_a) * np.sign(s_b) < 0.0)
+        & (np.einsum("ij,ij->i", meet, vertices[i] + nxt[i]) > 0.0)
+    )
+    return i[crosses], j[crosses]
 
 
 class _ArcIndex:
@@ -377,53 +429,66 @@ def _candidates(
     return divmod(np.flatnonzero(rows @ cols >= -_CAP_SLACK), len(reach))
 
 
+def _pairs(
+    q: np.ndarray, ends: np.ndarray, mids: np.ndarray, reach: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_candidates` over row chunks: flat (query, arc) pairs, sorted by query then arc."""
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    for rows in _row_chunks(len(q), len(reach)):
+        qi, j = _candidates(q[rows], ends, mids, reach)
+        pairs.append(np.stack([qi + rows.start, j]))
+    return tuple(np.concatenate(pairs, axis=1))
+
+
+def _least(qi: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """
+    Index of each query's pair of least value, given pairs sorted by query
+    (every query having one) then arc; a tie goes to the lowest arc.
+    """
+    first = np.flatnonzero(np.diff(qi, prepend=-1))
+    hit = np.flatnonzero(value == np.minimum.reduceat(value, first)[qi])
+    return hit[np.diff(qi[hit], prepend=-1) != 0]
+
+
+def _arc_nearest(q: np.ndarray, a: np.ndarray, b: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Row by row, the geodesic distance from q to the minor arc a -> b with
+    unit normal n, and the nearest point (on the ray through it; not
+    normalized). Each row depends on its own inputs alone.
+
+    The distance is that to the great circle when the foot of the
+    perpendicular lies on the arc (q.(n x a) >= 0 and q.(b x n) >= 0),
+    else to the nearer endpoint. Every angle is atan2(|cross|, dot),
+    accurate at both ends of [0, pi].
+    """
+    rows = np.stack([n, a, b, np.cross(n, a), np.cross(b, n)])
+    lift, dot_a, dot_b, side_a, side_b = np.einsum("kij,ij->ki", rows, q)
+    on_arc = (side_a >= 0.0) & (side_b >= 0.0)
+    to_a, to_b = _angle(q, a, dot_a), _angle(q, b, dot_b)
+    to_circle = np.arctan2(np.abs(lift), np.linalg.norm(np.cross(q, n), axis=1))
+    dist = np.where(on_arc, to_circle, np.minimum(to_a, to_b))
+    end = np.where((to_a <= to_b)[:, None], a, b)
+    return dist, np.where(on_arc[:, None], q - lift[:, None] * n, end)
+
+
 def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     Geodesic distance from each query (n, 3) to the closed polyline of
     vertex arcs, and the nearest point on it (on the ray through it; not
     normalized).
 
-    The distance to arc (a, b) with unit normal n is the distance to its
-    great circle when the foot of the perpendicular lies on the arc
-    (x.(n x a) >= 0 and x.(b x n) >= 0), else to the nearer endpoint. Every
-    angle is atan2(|cross|, dot), accurate at both ends of [0, pi].
-
-    Only the arcs that `_candidates` keeps get that exact formula: chord
-    distance grows with the angle over all of [0, pi], so the chord bound
-    keeps every arc that can be nearest. Each kept arc's distance is
-    computed exactly as if all arcs were, and a tie goes to the lowest
+    `_arc_nearest` is evaluated only on the (query, arc) pairs that
+    `_candidates` keeps: chord distance grows with the angle over all of
+    [0, pi], so the chord bound keeps every arc that can be nearest. The
+    result is that of evaluating every pair, a tie going to the lowest
     arc index.
     """
     nxt = np.roll(vertices, -1, axis=0)
-    normals = unit_vector(np.cross(vertices, nxt))
-    start_side = np.cross(normals, vertices)
-    end_side = np.cross(nxt, normals)
-    mids = unit_vector(vertices + nxt)
     reach = 2.0 * np.sin(0.25 * geodesic_angle(vertices, nxt))
-    dist = np.empty(len(x))
-    near = np.empty_like(x)
-    for rows in _row_chunks(len(x), len(vertices)):
-        q = x[rows]
-        i = np.arange(len(q))
-        dots = q @ vertices.T
-        qi, j = _candidates(q, vertices, mids, reach)
-        qq, jn = q[qi], (j + 1) % len(vertices)
-        lift = q @ normals.T
-        on_arc = (q @ start_side.T >= 0.0) & (q @ end_side.T >= 0.0)
-        arc_dist = np.full(dots.shape, np.inf)
-        arc_dist[qi, j] = np.where(
-            on_arc[qi, j],
-            np.arctan2(np.abs(lift[qi, j]), np.linalg.norm(np.cross(qq, normals[j]), axis=1)),
-            np.minimum(_angle(qq, vertices[j], dots[qi, j]), _angle(qq, nxt[j], dots[qi, jn])),
-        )
-        j = np.argmin(arc_dist, axis=1)
-        jn = (j + 1) % len(vertices)
-        dist[rows] = arc_dist[i, j]
-        foot = q - lift[i, j][:, None] * normals[j]
-        to_start = _angle(q, vertices[j], dots[i, j]) <= _angle(q, nxt[j], dots[i, jn])
-        end = np.where(to_start[:, None], vertices[j], nxt[j])
-        near[rows] = np.where(on_arc[i, j][:, None], foot, end)
-    return dist, near
+    qi, j = _pairs(x, vertices, unit_vector(vertices + nxt), reach)
+    dist, near = _arc_nearest(x[qi], vertices[j], nxt[j], unit_vector(np.cross(vertices, nxt))[j])
+    best = _least(qi, dist)
+    return dist[best], near[best]
 
 
 def _plane_pieces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -475,6 +540,7 @@ def _valley_root(
     """
     lo = np.zeros(len(hi))
     s = 0.5 * hi
+    live = np.ones(len(hi), dtype=bool)
     for _ in range(_ROOT_ITERATIONS):
         p, dp = _on_arc(s, a, u)
         r = p - y
@@ -486,9 +552,10 @@ def _valley_root(
             step = s - d / dd
         secant = lo - d_lo * (hi - lo) / (d_hi - d_lo)
         step = np.where((dd > 0.0) & (step > lo) & (step < hi), step, secant)
-        moved = np.abs(step - s)
+        step = np.where(live, step, s)
+        live &= np.abs(step - s) > _ROOT_STEP
         s = step
-        if not np.any(moved > _ROOT_STEP):
+        if not np.any(live):
             break
     return s
 
@@ -506,15 +573,16 @@ def _second_minimum(y0: np.ndarray, beta: np.ndarray, c: np.ndarray) -> tuple[np
     major axis, where the root is -1 / sqrt(1 - (y0 / c)^2).
     """
     v = np.full(len(y0), -1.0)
+    live = np.ones(len(y0), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ROOT_ITERATIONS):
             den = c + beta * v
             f = (y0 / den) ** 2 + v**-2
             df = -2.0 * beta * y0 * y0 / den**3 - 2.0 * v**-3
-            step = v - (f - 1.0) / df
-            moved = np.abs(step - v)
+            step = np.where(live, v - (f - 1.0) / df, v)
+            live &= np.abs(step - v) > _ROOT_STEP * np.abs(step)
             v = step
-            if not np.any(moved > _ROOT_STEP * np.abs(v)):
+            if not np.any(live):
                 break
         return y0 / (c + beta * v), -1.0 / v
 
@@ -544,8 +612,6 @@ def _nearest_projected(pieces: tuple, drop_idx: int, y: np.ndarray) -> np.ndarra
     exact. Pieces are pruned by `_candidates`, and a tie goes to the
     lowest piece index.
     """
-    if not len(y):
-        return np.empty((0, 2))
     start, tangent, length, normal = pieces
     keep = [i for i in range(3) if i != drop_idx]
     end, end_tangent = (v.T for v in _on_arc(length, start.T, tangent.T))
@@ -561,12 +627,7 @@ def _nearest_projected(pieces: tuple, drop_idx: int, y: np.ndarray) -> np.ndarra
         length, m[:, keep].T, w[:, keep].T, c,
         *(np.einsum("ij,ij->i", f, g) for f in (m, w) for g in (start, tangent)),
     ])
-    reach = 2.0 * np.sin(0.5 * half)
-    pairs = []
-    for rows in _row_chunks(len(y), len(length)):
-        qc, jc = _candidates(y[rows], start[:, keep], mid[:, keep], reach)
-        pairs.append((qc + rows.start, jc))
-    qi, j = (np.concatenate(z) for z in zip(*pairs))
+    qi, j = _pairs(y, start[:, keep], mid[:, keep], 2.0 * np.sin(0.5 * half))
     t, yq = table[:, j], y.T[:, qi]
     a, u, e, te, span = t[0:2], t[2:4], t[4:6], t[6:8], t[8]
 
@@ -598,10 +659,7 @@ def _nearest_projected(pieces: tuple, drop_idx: int, y: np.ndarray) -> np.ndarra
     # gives a point of the piece.
     offer(idx, np.clip(np.nan_to_num(s), 0.0, span[idx]))
 
-    # Each query's nearest pair; pairs run by query, then piece.
-    first = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
-    hit = np.flatnonzero(best_d == np.minimum.reduceat(best_d, first)[qi])
-    hit = hit[np.r_[True, qi[hit][1:] != qi[hit][:-1]]]
+    hit = _least(qi, best_d)
     return _on_arc(best_s[hit], a[:, hit], u[:, hit])[0].T
 
 

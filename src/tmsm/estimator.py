@@ -697,27 +697,12 @@ def estimate(
     return _fit_kent_frame(stats, kappa, float(fixed["alpha"]))
 
 
-def region_grid(
-    boundary: ColatitudeBoundary, n_a: int, n_b: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """
-    Midpoint product grid over a colatitude-bounded region.
-
-    Returns:
-        (nodes (n_a*n_b, 3), weights (n_a*n_b,)); weights include the
-        sin(a) area element, so `weights @ f(nodes)` approximates the
-        surface integral of f over the region.
-    """
-    a_lo, a_hi = boundary.a_interval()
-    return _chart_grid(a_lo, a_hi, n_a, n_b)
-
-
-def sphere_grid(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint quadrature grid over the whole sphere."""
-    return _chart_grid(0.0, np.pi, n_a, n_b)
-
-
 def _chart_grid(a_lo: float, a_hi: float, n_a: int, n_b: int):
+    """
+    Midpoint product grid over a_lo < a < a_hi: (nodes (n_a*n_b, 3),
+    weights with the sin(a) area element), so `weights @ f(nodes)`
+    approximates the surface integral of f.
+    """
     da = (a_hi - a_lo) / n_a
     db = 2.0 * np.pi / n_b
     a = a_lo + (np.arange(n_a) + 0.5) * da
@@ -737,7 +722,7 @@ def _identity_sides(
     n_b: int,
     drop_axis: int | None,
 ) -> tuple[float, float]:
-    nodes, w = region_grid(boundary, n_a, n_b)
+    nodes, w = _chart_grid(*boundary.a_interval(), n_a, n_b)
     log_q = log_unnormalized_density(trunc_params, nodes)
     q = np.exp(log_q - log_q.max())
     q /= w @ q

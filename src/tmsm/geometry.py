@@ -1,11 +1,10 @@
 """
 Core geometry of the unit 2-sphere embedded in R^3.
 
-Coordinate charts, tangent-space projection, the manifold inner product and
-the Laplace-Beltrami evaluation that every spherical model shares. All
-functions are pure and broadcast over leading axes: points are arrays whose
-last axis has length 3 (embedding coordinates) or scalar/array pairs of
-chart angles.
+Coordinate charts, unit vectors, great-circle angles and orthonormal
+frames that every spherical model shares. All functions are pure and
+broadcast over leading axes: points are arrays whose last axis has length 3
+(embedding coordinates) or scalar/array pairs of chart angles.
 
 Chart convention: a point is (a, b) with a in [0, pi] the polar angle
 measured from the +x1 axis and b in [0, 2*pi) the azimuth in the x2-x3
@@ -93,69 +92,6 @@ def to_spherical(x: np.ndarray) -> SphericalCoord:
     if b.ndim == 0:
         return SphericalCoord(float(a), float(b))
     return SphericalCoord(a, b)
-
-
-def projection(x: np.ndarray) -> np.ndarray:
-    """
-    Orthogonal projection onto the tangent plane at x.
-
-    Args:
-        x: Unit vector(s) [..., 3].
-
-    Returns:
-        Matrix [..., 3, 3] equal to I - x x^T; symmetric, idempotent,
-        annihilates x, trace 2.
-    """
-    x = np.asarray(x, dtype=float)
-    eye = np.broadcast_to(np.eye(3), x.shape + (3,))
-    return eye - x[..., :, None] * x[..., None, :]
-
-
-def manifold_inner(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-    """
-    Inner product of two ambient vectors after projection at x.
-
-    (P u)^T (P v) = u^T v - (x^T u)(x^T v) since P is an orthogonal
-    projection.
-
-    Args:
-        x: Base point(s) [..., 3].
-        u, v: Ambient vector(s) [..., 3].
-
-    Returns:
-        Scalar or array of tangential inner products.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = np.sum(u * v, axis=-1) - np.sum(x * u, axis=-1) * np.sum(x * v, axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def laplace_beltrami(x: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> float | np.ndarray:
-    """
-    Laplace-Beltrami value from ambient first and second derivatives.
-
-    For a function on the sphere with ambient extension f, the intrinsic
-    Laplacian at x is tr(P H) - 2 x^T grad where grad and H are the ambient
-    gradient and Hessian of f at x. Reproduces the classical identity
-    Delta(c^T x) = -2 c^T x for linear forms.
-
-    Args:
-        x: Base point(s) [..., 3].
-        grad: Ambient gradient(s) [..., 3].
-        hess: Ambient Hessian(s) [..., 3, 3].
-
-    Returns:
-        Scalar or array of intrinsic Laplacian values.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    tr = np.trace(hess, axis1=-2, axis2=-1)
-    xhx = np.sum(x * np.matmul(hess, x[..., None])[..., 0], axis=-1)
-    out = tr - xhx - 2.0 * np.sum(x * grad, axis=-1)
-    return float(out) if out.ndim == 0 else out
 
 
 def geodesic_angle(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:

@@ -2,7 +2,7 @@
 von Mises-Fisher and Kent distributions on the unit sphere.
 
 Unnormalized log-densities, ambient score functions (gradients of the log
-density with respect to the data point), score Jacobians, and the two
+density with respect to the data point), and, per point, the two
 model-specific quantities the sphere objective consumes: the tangential
 squared score and the intrinsic Laplacian of the log density. Normalising
 constants are deliberately absent; nothing here needs them.
@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import laplace_beltrami, manifold_inner, unit_vector
+from .geometry import unit_vector
 
 # Concentrations above this are treated as degenerate by the baselines and
 # flagged rather than refined further.
@@ -135,41 +135,14 @@ def score(params: ModelParams, x: np.ndarray) -> np.ndarray:
     )
 
 
-def score_jacobian(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """
-    Ambient Jacobian of the score at x.
-
-    Zero for vMF; the constant outer-product form
-    2*alpha*(gamma1 gamma1^T - gamma2 gamma2^T) for Kent.
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(params, VmfParams):
-        jac = np.zeros((3, 3))
-    else:
-        jac = 2.0 * params.alpha * (
-            np.outer(params.gamma1, params.gamma1) - np.outer(params.gamma2, params.gamma2)
-        )
-    return np.broadcast_to(jac, x.shape[:-1] + (3, 3)).copy()
-
-
-def model_inner_product_term(params: ModelParams, x: np.ndarray) -> float | np.ndarray:
-    """Tangential squared score <psi, psi>_M at x; kappa^2 (1 - (mu.x)^2) for vMF."""
-    psi = score(params, x)
-    return manifold_inner(x, psi, psi)
-
-
-def model_laplacian_term(params: ModelParams, x: np.ndarray) -> float | np.ndarray:
-    """Intrinsic Laplacian of the log density at x; -2 kappa mu.x for vMF."""
-    return laplace_beltrami(x, score(params, x), score_jacobian(params, x))
-
-
 def batch_terms(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     Per-point (score, <psi,psi>_M, Laplacian) for a batch of points.
 
-    Equivalent to calling the three scalar operations pointwise, in one
-    pass. The estimator's O(n) reference objective and the identity-check
-    quadrature use it; the fits themselves work from data moments.
+    The estimator's O(n) reference objective and the identity-check
+    quadrature use it; the fits themselves work from data moments. The
+    tests check it against a pointwise chain built from the tangent
+    projection and the Laplace-Beltrami operator.
 
     Args:
         params: model parameters.

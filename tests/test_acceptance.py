@@ -14,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 
+from reference import model_laplacian_term, score_jacobian, sphere_grid
 from tmsm.bench import ExperimentConfig, run_benchmark, run_storms, truth_params
 from tmsm.boundary import (
     ColatitudeBoundary,
@@ -28,15 +29,12 @@ from tmsm.estimator import (
     _scaling_stats,
     _turn,
     ibp_identity_check,
-    sphere_grid,
 )
 from tmsm.geometry import complete_frame, geodesic_angle, to_euclidean, unit_vector
 from tmsm.models import (
     VmfParams,
     log_unnormalized_density,
-    model_laplacian_term,
     score,
-    score_jacobian,
 )
 from tmsm.sampling import sample_kent, sample_truncated, sample_vmf, substream_rng
 

@@ -562,6 +562,15 @@ def test_cli_non_finite_boundary_vertex_exit_3(tmp_path):
     assert not (tmp_path / "out" / "samples.csv").exists()
 
 
+def test_cli_self_crossing_boundary_exit_3(tmp_path):
+    # the bow-tie's arcs 0 and 2 cross; a polyline must be simple
+    outline = tmp_path / "bow_tie.csv"
+    outline.write_text("lat_deg,lon_deg\n20,0\n-10,20\n10,20\n-20,0\n")
+    assert main(["simulate", "--boundary-csv", str(outline), "--mu-a", "1.5", "--mu-b", "0.2",
+                 "--kappa", "6", "--n", "50", "--out-dir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out" / "samples.csv").exists()
+
+
 def test_cli_simulate_kent_at_high_ovalness(tmp_path):
     # 2 alpha / kappa = 0.99: a valid shape the vMF-envelope sampler refused
     argv = ["simulate", "--model", "kent", "--kappa", "20", "--alpha", "9.9",

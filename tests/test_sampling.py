@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import sphere_grid
 from tmsm.boundary import ColatitudeBoundary
-from tmsm.estimator import sphere_grid
 from tmsm.models import KentParams, VmfParams, log_unnormalized_density
 from tmsm.sampling import (
     TruncatedSample,
