@@ -163,7 +163,9 @@ class PolylineBoundary(Boundary):
     Closed polyline of unit vectors joined by minor great-circle arcs; the
     region is the side of the curve that holds the interior hint. The
     polyline must be simple: construction raises ValueError when two
-    non-adjacent arcs cross (`_crossing_arcs`).
+    non-adjacent arcs cross or a vertex repeats non-consecutively
+    (`_crossing_arcs`), and when the hint lies within 1e-9 rad of the
+    curve, where it names no side.
 
     The hint defaults to the normalized vertex mean, which lies on the
     smaller side of most curves; a region larger than a hemisphere needs
@@ -205,7 +207,8 @@ class PolylineBoundary(Boundary):
         i, j = _crossing_arcs(vertices)
         if len(i):
             raise ValueError(
-                f"boundary arcs {i[0]} and {j[0]} cross; the polyline must be simple"
+                f"boundary arcs {i[0]} and {j[0]} cross or start at one vertex; "
+                "the polyline must be simple"
             )
         if interior_hint is None:
             mean = vertices.mean(axis=0)
@@ -219,6 +222,8 @@ class PolylineBoundary(Boundary):
             if not np.all(np.isfinite(interior_hint)):
                 raise ValueError("interior_hint must be finite")
             interior_hint = unit_vector(interior_hint)
+        if _nearest_on_arcs(vertices, interior_hint[None])[0][0] < 1e-9:
+            raise ValueError("interior hint lies on the boundary; pass one inside the region")
         self.vertices = vertices
         self.interior_reference = interior_hint
         self._pieces = _plane_pieces(vertices)
@@ -270,9 +275,12 @@ def _crossing_arcs(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     likewise of the plane of (c, d), and the point X = |s_d| c + |s_c| d,
     where arc (c, d) meets the plane of (a, b), has X.(a + b) > 0, i.e.
     lies on arc (a, b) rather than at its antipode. Arcs that only touch
-    are not flagged. Two arcs can meet only where their midpoints lie
-    within the sum of their reaches (the `_candidates` bound), so only
-    those pairs are tested.
+    are not flagged, save two that start at one vertex (within 1e-12 rad),
+    where the curve is pinched. Two arcs can meet only where their
+    midpoints lie within the sum of their reaches (the `_candidates`
+    bound), so only those pairs are tested; the test's slack of 1e-11
+    also keeps arcs whose starts are 1e-12 apart, as the sum of two
+    reaches is below 3.
     """
     k = len(vertices)
     nxt = np.roll(vertices, -1, axis=0)
@@ -283,7 +291,7 @@ def _crossing_arcs(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for rows in _row_chunks(k, k):
         # (r_i + r_j)^2 - |m_i - m_j|^2, for unit midpoints
         gap = (reach[rows, None] + reach) ** 2 - 2.0 + 2.0 * (mids[rows] @ mids.T)
-        near.append(np.argwhere(gap >= -_CAP_SLACK) + [rows.start, 0])
+        near.append(np.argwhere(gap >= -1e-11) + [rows.start, 0])
     i, j = np.concatenate(near).T
     apart = (j - i >= 2) & (j - i <= k - 2)
     i, j = i[apart], j[apart]
@@ -297,6 +305,8 @@ def _crossing_arcs(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         & (np.sign(s_a) * np.sign(s_b) < 0.0)
         & (np.einsum("ij,ij->i", meet, vertices[i] + nxt[i]) > 0.0)
     )
+    # a vertex the cycle visits twice pinches the curve there
+    crosses |= _angle(vertices[i], vertices[j], np.einsum("ij,ij->i", vertices[i], vertices[j])) < 1e-12
     return i[crosses], j[crosses]
 
 
@@ -687,26 +697,26 @@ def haversine_scaling(
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
-    g = np.zeros(n)
-    grad = np.zeros((n, 3))
     inside = np.asarray(boundary.contains(x) if inside is None else inside).reshape(n)
 
     if isinstance(boundary, ColatitudeBoundary):
-        # atan2 keeps a exact near both poles, where arccos(x1) rounds to
-        # the pole within about 1e-8 rad.
-        a = np.arctan2(np.hypot(x[:, 1], x[:, 2]), x[:, 0])
+        # sin a and cos a from the coordinates, not from a: atan2 keeps a
+        # exact near both poles, where arccos(x1) rounds to the pole within
+        # about 1e-8 rad. Every row is computed; rows off the region or on
+        # the boundary are zeroed after.
+        sa = np.hypot(x[:, 1], x[:, 2])
+        a = np.arctan2(sa, x[:, 0])
         signed = a - boundary.a0 if boundary.side == "greater" else boundary.a0 - a
         g = np.where(inside, np.maximum(signed, 0.0), 0.0)
         ok = inside & (g > 1e-12)
-        # sin a and cos a from the coordinates, not from a.
-        sa = np.hypot(x[ok, 1], x[ok, 2])
-        cot = x[ok, 0] / np.where(sa > 0, sa, 1.0)
+        cot = x[:, 0] / np.where(sa > 0, sa, 1.0)
         sign = 1.0 if boundary.side == "greater" else -1.0
         # Tangential projection of sign * grad(a): unit vector along -d/da.
-        tang = np.stack([-sa, cot * x[ok, 1], cot * x[ok, 2]], axis=-1)
-        grad[ok] = sign * tang
-        return g, grad, ~ok
+        tang = np.stack([-sa, cot * x[:, 1], cot * x[:, 2]], axis=-1)
+        return g, np.where(ok[:, None], sign * tang, 0.0), ~ok
 
+    g = np.zeros(n)
+    grad = np.zeros((n, 3))
     g[inside], near = _nearest_on_arcs(boundary.vertices, x[inside])
     ok = g > 1e-12
     xo = x[ok]
@@ -842,7 +852,6 @@ def projected_scaling(
     xe = x[:, keep]
     n = x.shape[0]
     inside = np.asarray(boundary.contains(x) if inside is None else inside).reshape(n)
-    grad = np.zeros((n, 3))
 
     if isinstance(boundary, ColatitudeBoundary):
         c0, s0 = np.cos(boundary.a0), np.sin(boundary.a0)
@@ -857,8 +866,8 @@ def projected_scaling(
     diff = xe - nearest
     g = np.linalg.norm(diff, axis=1)
     ok = inside & (g > 1e-12)
-    unit = diff[ok] / g[ok][:, None]
-    grad[np.ix_(np.flatnonzero(ok), keep)] = unit
+    grad = np.zeros((n, 3))
+    grad[:, keep] = np.where(ok[:, None], diff / np.where(ok, g, 1.0)[:, None], 0.0)
     return np.where(ok, g, 0.0), grad, ~ok
 
 

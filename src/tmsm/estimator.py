@@ -25,8 +25,11 @@ by the Kent frame fit only. With kappa and alpha known the frame still
 enters nonlinearly, so that fit scores a fixed grid of frames in one
 batched form, then polishes the best separated grid frames together by a
 safeguarded Newton iteration on the closed-form gradient and Hessian over
-rotations (Absil, Mahony & Sepulchre 2008, ch. 6); no start is random and
-every evaluation is O(1) in the sample size.
+rotations (Absil, Mahony & Sepulchre 2008, ch. 6). A rotation acts on
+theta = (kappa mu, 2 alpha vec S) by a linear map whatever kappa and alpha
+are, so that gradient and Hessian are products with three constant 12x12
+generators. No start is random and every evaluation is O(1) in the sample
+size.
 
 `ibp_identity_check` verifies by quadrature that this three-term form
 agrees with the population score-matching divergence it rewrites, which
@@ -180,12 +183,14 @@ class _ScalingStats:
     J(theta) = theta^T W theta + b^T theta (see `kent_terms`). Built at once
     are g and grad g at the data, the moments gbar = mean g, quad = mean
     g x x^T, first = mean g x and tgrad = mean tangential part of grad g
-    (tgrad_abs = mean norm of that part), and from them the eta block of the
-    form: m = gbar I - quad = W[:3, :3] and c = 2 first - tgrad = -b[:3] / 2,
-    so a vMF fit minimises eta^T m eta - 2 c^T eta. The rest of W and b
-    needs the third and fourth moments, so `kent_form` builds it on first
-    use and the vMF fits never pay for it. `general_terms` is the O(n)
-    reference the form must match.
+    (tgrad_abs = mean norm of that part), each one matrix product or
+    row-wise contraction over the data (quad = (g x)^T x / n), and from
+    them the eta block of the form: m = gbar I - quad = W[:3, :3] and
+    c = 2 first - tgrad = -b[:3] / 2, so a vMF fit minimises
+    eta^T m eta - 2 c^T eta. The rest of W and b needs the third and
+    fourth moments, so `kent_form` builds it on first use and the vMF fits
+    never pay for it. `general_terms` is the O(n) reference the form must
+    match.
     """
 
     def __init__(self, x: np.ndarray, g: np.ndarray, grad: np.ndarray):
@@ -193,12 +198,12 @@ class _ScalingStats:
         self.g = g
         self.grad = grad
         self.gbar = float(g.mean())
-        self.quad = (g[:, None, None] * (x[:, :, None] * x[:, None, :])).mean(axis=0)
-        self.first = (g[:, None] * x).mean(axis=0)
-        xg = np.sum(x * grad, axis=1)
-        self.tang = grad - xg[:, None] * x
+        gx = g[:, None] * x
+        self.quad = gx.T @ x / len(g)
+        self.first = gx.mean(axis=0)
+        self.tang = grad - np.einsum("ij,ij->i", x, grad)[:, None] * x
         self.tgrad = self.tang.mean(axis=0)
-        self.tgrad_abs = float(np.linalg.norm(self.tang, axis=1).mean())
+        self.tgrad_abs = float(np.sqrt(np.einsum("ij,ij->i", self.tang, self.tang)).mean())
         self.m = self.gbar * np.eye(3) - self.quad
         self.c = 2.0 * self.first - self.tgrad
 
@@ -325,15 +330,20 @@ def _frame_grid(n_directions: int, n_angles: int) -> np.ndarray:
     return np.stack([mu, gamma1, gamma2], axis=2).reshape(-1, 3, 3)
 
 
-# 300 directions x 12 gamma1 angles, built once per process. The
-# _POLISH_STARTS best grid frames that are pairwise more than
-# _START_SEPARATION rad apart start the polishes. _GRID_SHAPE holds
-# vec(gamma1 gamma1^T - gamma2 gamma2^T) of each frame, so A = 2 alpha times it.
+def _frame_table(frames: np.ndarray) -> np.ndarray:
+    """(mu, vec S) of each of `frames` (m, 3, 3), shape (m, 12), with
+    S = gamma1 gamma1^T - gamma2 gamma2^T: so t = (kappa mu, 2 alpha vec S)
+    is the table scaled column-wise by (kappa 1_3, 2 alpha 1_9)."""
+    g1, g2 = frames[:, 1], frames[:, 2]
+    s = g1[:, :, None] * g1[:, None, :] - g2[:, :, None] * g2[:, None, :]
+    return np.hstack([frames[:, 0], s.reshape(-1, 9)])
+
+
+# 300 directions x 12 gamma1 angles, built once per process with their
+# (mu, vec S) table. The _POLISH_STARTS best grid frames that are pairwise
+# more than _START_SEPARATION rad apart start the polishes.
 _FRAME_GRID = _frame_grid(300, 12)
-_GRID_SHAPE = (
-    _FRAME_GRID[:, 1, :, None] * _FRAME_GRID[:, 1, None, :]
-    - _FRAME_GRID[:, 2, :, None] * _FRAME_GRID[:, 2, None, :]
-).reshape(-1, 9)
+_GRID_TABLE = _frame_table(_FRAME_GRID)
 _POLISH_STARTS = 4
 _START_SEPARATION = 0.5
 # A polish counts as converged when its final gradient over rotations has
@@ -359,11 +369,13 @@ def _grid_starts(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray
 
     The grid is walked in ascending objective order (ties lowest index
     first), a block at a time, and each candidate is tested only against
-    the frames already picked.
+    the frames already picked. With D = diag(kappa 1_3, 2 alpha 1_9) the
+    grid's t is _GRID_TABLE D, so its J is scored against D W D and D b.
     """
     w, b = stats.kent_form
-    t = np.hstack([kappa * _FRAME_GRID[:, 0], 2.0 * alpha * _GRID_SHAPE])
-    values = np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ b
+    scale = _table_scale(kappa, alpha)
+    scaled = _GRID_TABLE @ (scale[:, None] * w * scale) + scale * b
+    values = np.einsum("mi,mi->m", scaled, _GRID_TABLE)
     order = np.argsort(values, kind="stable")
     picked = [order[0]]
     start = 1
@@ -381,55 +393,51 @@ def _grid_starts(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray
     return _FRAME_GRID[picked]
 
 
-# L_i = [e_i]x, so L_i v = e_i x v, and P_ij = (L_i L_j + L_j L_i) / 2.
+# L_i = [e_i]x, so L_i v = e_i x v. A turn R = exp([omega]x) maps mu to
+# R mu and S to R S R^T, so it maps t = (kappa mu, 2 alpha vec S) to
+# exp(sum omega_i G_i) t whatever kappa and alpha are, with the constant
+# generators G_i = blockdiag(L_i, L_i (x) I - I (x) L_i^T) (row-major vec).
 _TURNS = -np.cross(np.eye(3)[:, None], np.eye(3)[None])
-_TURNS2 = 0.5 * (np.einsum("ikl,jlm->ijkm", _TURNS, _TURNS)
-                 + np.einsum("jkl,ilm->ijkm", _TURNS, _TURNS))
+_GEN = np.array([np.block([[l, np.zeros((3, 9))],
+                           [np.zeros((9, 3)), np.kron(l, np.eye(3)) - np.kron(np.eye(3), l.T)]])
+                 for l in _TURNS])
 # Newton steps per start: a guard, as grid starts converge in under 10.
 _NEWTON_CAP = 50
 
 
+def _table_scale(kappa: float, alpha: float) -> np.ndarray:
+    """(kappa 1_3, 2 alpha 1_9), the column scale from a `_frame_table` row to t."""
+    return np.repeat([kappa, 2.0 * alpha], [3, 9])
+
+
 def _form_values(w: np.ndarray, b: np.ndarray, kappa: float, alpha: float,
-                 frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J, t, S) at each of `frames` (m, 3, 3): t = (kappa mu, 2 alpha vec S)
+                 frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J, t) at each of `frames` (m, 3, 3): t = (kappa mu, 2 alpha vec S)
     with S = gamma1 gamma1^T - gamma2 gamma2^T, and J = t^T W t + b.t."""
-    g1, g2 = frames[:, 1], frames[:, 2]
-    s = g1[:, :, None] * g1[:, None, :] - g2[:, :, None] * g2[:, None, :]
-    t = np.hstack([kappa * frames[:, 0], 2.0 * alpha * s.reshape(-1, 9)])
-    return np.einsum("mi,ij,mj->m", t, w, t) + t @ b, t, s
+    t = _frame_table(frames) * _table_scale(kappa, alpha)
+    return np.einsum("mi,ij,mj->m", t, w, t) + t @ b, t
 
 
-def _frame_derivatives(w: np.ndarray, b: np.ndarray, kappa: float, alpha: float,
-                       frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _frame_derivatives(w: np.ndarray, b: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
-    J and its gradient (m, 3) and Hessian (m, 3, 3) at omega = 0 along
-    R = exp([omega]x) turning the rows of each of `frames` (m, 3, 3).
+    Gradient (m, 3) and Hessian (m, 3, 3) of J at omega = 0 along
+    R = exp([omega]x) turning each frame, given its t = (kappa mu,
+    2 alpha vec S) as a row of `t` (m, 12).
 
-    With u = 2 W t + b the gradient of the form in t,
+    The turn moves t to exp(sum omega_i G_i) t, so with u = 2 W t + b the
+    gradient of the form in t and dt_i = G_i t,
 
-        dt_i   = (kappa L_i mu, 2 alpha vec(L_i S + (L_i S)^T)),
-        d2t_ij = (kappa P_ij mu,
-                  2 alpha vec(P_ij S + S P_ij - L_i S L_j - L_j S L_i)),
-        g_i  = u.dt_i,   H_ij = 2 dt_i^T W dt_j + u.d2t_ij.
+        g_i = u.dt_i,   H_ij = 2 dt_i^T W dt_j + u.(G_i G_j + G_j G_i) t / 2,
 
-    The u.d2t_ij term contracts the matrix part through V = U + U^T
-    (U = u[3:] as a 3x3 matrix), since P_ij S and L_i S L_j have transposes
-    S P_ij and L_j S L_i.
+    whose last term is the symmetric part of (G_i^T u).dt_j.
     """
-    value, t, s = _form_values(w, b, kappa, alpha, frames)
+    m = len(t)
     u = 2.0 * t @ w + b
-    v = u[:, 3:].reshape(-1, 3, 3)
-    v = v + v.transpose(0, 2, 1)
-    mu, m = frames[:, 0], len(frames)
-    ls = np.einsum("ikl,mln->mikn", _TURNS, s)
-    dt = np.concatenate([kappa * np.einsum("ikl,ml->mik", _TURNS, mu),
-                         2.0 * alpha * (ls + ls.transpose(0, 1, 3, 2)).reshape(m, 3, 9)], axis=2)
-    grad = np.einsum("mik,mk->mi", dt, u)
-    curve = (kappa * np.einsum("mk,ijkl,ml->mij", u[:, :3], _TURNS2, mu)
-             + 2.0 * alpha * (np.einsum("mkn,ijkl,mln->mij", v, _TURNS2, s)
-                              - np.einsum("mikn,jnp,mkp->mij", ls, _TURNS, v)))
-    hess = 2.0 * np.einsum("mik,kl,mjl->mij", dt, w, dt) + curve
-    return value, grad, hess
+    dt = (t @ _GEN.reshape(36, 12).T).reshape(m, 3, 12)
+    du = (u @ _GEN.transpose(1, 0, 2).reshape(12, 36)).reshape(m, 3, 12)
+    cross = du @ dt.transpose(0, 2, 1)
+    hess = 2.0 * (dt @ w) @ dt.transpose(0, 2, 1) + 0.5 * (cross + cross.transpose(0, 2, 1))
+    return np.einsum("mik,mk->mi", dt, u), hess
 
 
 def _turn(frames: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -465,7 +473,8 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
     rho = np.hypot(kappa, np.sqrt(8.0) * alpha)
     floor = 4.0 * np.finfo(float).eps * (np.linalg.norm(w, 2) * rho**2 + np.linalg.norm(b) * rho)
     frames = np.array(frames, dtype=float)
-    value, grad, hess = _frame_derivatives(w, b, kappa, alpha, frames)
+    value, t = _form_values(w, b, kappa, alpha, frames)
+    grad, hess = _frame_derivatives(w, b, t)
     gnorm = np.linalg.norm(grad, axis=1)
     live = np.ones(len(frames), dtype=bool)
     evals = 0
@@ -485,18 +494,17 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
         while todo.size:
             k = idx[todo]
             trial = _turn(frames[k], scale[todo, None] * step[todo])
-            trial_value = _form_values(w, b, kappa, alpha, trial)[0]
+            trial_value, trial_t = _form_values(w, b, kappa, alpha, trial)
             evals += todo.size
             ok = trial_value <= value[k] + 1e-4 * scale[todo] * slope[todo]
             ok |= -slope[todo] <= floor
-            frames[k[ok]] = trial[ok]
+            frames[k[ok]], value[k[ok]], t[k[ok]] = trial[ok], trial_value[ok], trial_t[ok]
             scale[todo[~ok]] *= 0.5
             stuck = ~ok & (-scale[todo] * slope[todo] <= floor)
             live[k[stuck]] = False
             todo = todo[~ok & ~stuck]
         moved = idx[live[idx]]
-        value[moved], grad[moved], hess[moved] = _frame_derivatives(
-            w, b, kappa, alpha, frames[moved])
+        grad[moved], hess[moved] = _frame_derivatives(w, b, t[moved])
         gnorm[moved] = np.linalg.norm(grad[moved], axis=1)
     return frames, value, gnorm, evals
 

@@ -4,6 +4,11 @@ manifold inner product, the Laplace-Beltrami operator, the score Jacobian,
 the two per-point objective terms built from them, and chart midpoint
 grids. `tmsm.models.batch_terms` computes the same terms in one pass and is
 what the package uses; these slower, term-by-term forms check it.
+
+Also here, for the fit layer: the data moments of `_ScalingStats` as means
+of per-point outer products, and the gradient and Hessian of the Kent form
+over rotations with their curvature terms expanded by hand, which the
+generator form of `tmsm.estimator._frame_derivatives` must match.
 """
 
 from __future__ import annotations
@@ -124,3 +129,64 @@ def region_grid(
 def sphere_grid(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint quadrature grid over the whole sphere."""
     return _chart_grid(0.0, np.pi, n_a, n_b)
+
+
+def scaling_moments(x: np.ndarray, g: np.ndarray, grad: np.ndarray) -> dict:
+    """
+    The moments of `_ScalingStats` as means of per-point terms: quad from
+    the n x 3 x 3 broadcast of g x x^T, first, the tangential part of
+    grad g, its mean and its mean norm.
+    """
+    quad = (g[:, None, None] * (x[:, :, None] * x[:, None, :])).mean(axis=0)
+    tang = grad - np.sum(x * grad, axis=1)[:, None] * x
+    return {
+        "quad": quad,
+        "first": (g[:, None] * x).mean(axis=0),
+        "tang": tang,
+        "tgrad": tang.mean(axis=0),
+        "tgrad_abs": float(np.linalg.norm(tang, axis=1).mean()),
+    }
+
+
+# L_i = [e_i]x, so L_i v = e_i x v, and P_ij = (L_i L_j + L_j L_i) / 2.
+_TURNS = -np.cross(np.eye(3)[:, None], np.eye(3)[None])
+_TURNS2 = 0.5 * (np.einsum("ikl,jlm->ijkm", _TURNS, _TURNS)
+                 + np.einsum("jkl,ilm->ijkm", _TURNS, _TURNS))
+
+
+def frame_derivatives_by_turns(
+    w: np.ndarray, b: np.ndarray, kappa: float, alpha: float, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """
+    J and its gradient (m, 3) and Hessian (m, 3, 3) at omega = 0 along
+    R = exp([omega]x) turning the rows of each of `frames` (m, 3, 3),
+    with the turns of mu and S written out.
+
+    With t = (kappa mu, 2 alpha vec S), S = gamma1 gamma1^T - gamma2 gamma2^T
+    and u = 2 W t + b the gradient of the form in t,
+
+        dt_i   = (kappa L_i mu, 2 alpha vec(L_i S + (L_i S)^T)),
+        d2t_ij = (kappa P_ij mu,
+                  2 alpha vec(P_ij S + S P_ij - L_i S L_j - L_j S L_i)),
+        g_i  = u.dt_i,   H_ij = 2 dt_i^T W dt_j + u.d2t_ij.
+
+    The u.d2t_ij term contracts the matrix part through V = U + U^T
+    (U = u[3:] as a 3x3 matrix), since P_ij S and L_i S L_j have transposes
+    S P_ij and L_j S L_i.
+    """
+    mu, g1, g2, m = frames[:, 0], frames[:, 1], frames[:, 2], len(frames)
+    s = g1[:, :, None] * g1[:, None, :] - g2[:, :, None] * g2[:, None, :]
+    t = np.hstack([kappa * mu, 2.0 * alpha * s.reshape(-1, 9)])
+    value = np.einsum("mi,ij,mj->m", t, w, t) + t @ b
+    u = 2.0 * t @ w + b
+    v = u[:, 3:].reshape(-1, 3, 3)
+    v = v + v.transpose(0, 2, 1)
+    ls = np.einsum("ikl,mln->mikn", _TURNS, s)
+    dt = np.concatenate([kappa * np.einsum("ikl,ml->mik", _TURNS, mu),
+                         2.0 * alpha * (ls + ls.transpose(0, 1, 3, 2)).reshape(m, 3, 9)], axis=2)
+    grad = np.einsum("mik,mk->mi", dt, u)
+    curve = (kappa * np.einsum("mk,ijkl,ml->mij", u[:, :3], _TURNS2, mu)
+             + 2.0 * alpha * (np.einsum("mkn,ijkl,mln->mij", v, _TURNS2, s)
+                              - np.einsum("mikn,jnp,mkp->mij", ls, _TURNS, v)))
+    hess = 2.0 * np.einsum("mik,kl,mjl->mij", dt, w, dt) + curve
+    return value, grad, hess

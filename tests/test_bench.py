@@ -563,12 +563,17 @@ def test_cli_non_finite_boundary_vertex_exit_3(tmp_path):
 
 
 def test_cli_self_crossing_boundary_exit_3(tmp_path):
-    # the bow-tie's arcs 0 and 2 cross; a polyline must be simple
-    outline = tmp_path / "bow_tie.csv"
-    outline.write_text("lat_deg,lon_deg\n20,0\n-10,20\n10,20\n-20,0\n")
-    assert main(["simulate", "--boundary-csv", str(outline), "--mu-a", "1.5", "--mu-b", "0.2",
-                 "--kappa", "6", "--n", "50", "--out-dir", str(tmp_path / "out")]) == 3
-    assert not (tmp_path / "out" / "samples.csv").exists()
+    # a polyline must be simple: the bow-tie's arcs 0 and 2 cross, and the
+    # figure-8's lobes touch at (0, 0), a vertex the cycle visits twice
+    outlines = {"bow_tie": "20,0\n-10,20\n10,20\n-20,0\n",
+                "figure_eight": "0,0\n10,-10\n10,10\n0,0\n-10,10\n-10,-10\n"}
+    for name, rows in outlines.items():
+        outline = tmp_path / f"{name}.csv"
+        outline.write_text("lat_deg,lon_deg\n" + rows)
+        out = tmp_path / name
+        assert main(["simulate", "--boundary-csv", str(outline), "--mu-a", "1.5", "--mu-b", "0.2",
+                     "--kappa", "6", "--n", "50", "--out-dir", str(out)]) == 3
+        assert not (out / "samples.csv").exists()
 
 
 def test_cli_simulate_kent_at_high_ovalness(tmp_path):

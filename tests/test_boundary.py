@@ -247,6 +247,35 @@ def test_polyline_rejects_self_crossing():
         PolylineBoundary(vertices)
 
 
+def test_polyline_rejects_pinched_figure_eight():
+    # two lobes that touch at (0, 0), where vertices 0 and 3 meet; the
+    # vertex mean, the default hint, is that point
+    def figure_eight(lon3):
+        return latlon_polygon([0, 10, 10, 0, -10, -10], [0, -10, 10, lon3, 10, -10])
+
+    upper = latlon_polygon([5], [0])[0]
+    for hint in (None, upper):
+        with pytest.raises(ValueError, match="arcs 0 and 3 cross or start at one vertex"):
+            PolylineBoundary(figure_eight(0.0), hint)
+    # vertex 3 moved 1e-13 rad east still repeats vertex 0; moved 1e-9 rad
+    # east it leaves a neck between the lobes and the curve is simple;
+    # moved 1e-9 rad west its arcs cross those of vertex 0
+    tip = np.rad2deg(1e-9)
+    for lon, error in ((np.rad2deg(1e-13), "start at one vertex"), (-tip, "cross")):
+        with pytest.raises(ValueError, match=error):
+            PolylineBoundary(figure_eight(lon), upper)
+    necked = PolylineBoundary(figure_eight(tip), upper)
+    assert np.array_equal(necked.contains(latlon_polygon([5, -5, 0, 0], [0, 0, 5, -5])),
+                          [True, True, False, False])
+    # a hint on the curve, or within 1e-9 rad of it, names no side
+    box = latlon_polygon([0, 0, 20, 20], [0, 40, 40, 0])
+    for lat, lon in ((0, 0), (0, 20), (np.rad2deg(0.5e-9), 20)):
+        with pytest.raises(ValueError, match="hint lies on the boundary"):
+            PolylineBoundary(box, latlon_polygon([lat], [lon])[0])
+    assert PolylineBoundary(box, latlon_polygon([np.rad2deg(2e-9)], [20])[0]).contains(
+        latlon_polygon([10], [20])[0])
+
+
 def all_arcs_parity(vertices, origin, q):
     """
     Reference: True where the minor arc origin -> q crosses an odd number

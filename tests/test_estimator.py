@@ -7,7 +7,7 @@ from scipy.linalg import eigh as scipy_eigh
 from scipy.optimize import brentq, minimize
 from scipy.spatial.transform import Rotation
 
-from reference import region_grid, sphere_grid
+from reference import frame_derivatives_by_turns, region_grid, scaling_moments, sphere_grid
 from tmsm.bench import ExperimentConfig, build_boundary, truth_params
 from tmsm.boundary import ColatitudeBoundary, PolylineBoundary, load_boundary_csv
 from tmsm.estimator import (
@@ -20,7 +20,6 @@ from tmsm.estimator import (
 )
 from tmsm.estimator import (
     _FRAME_GRID,
-    _GRID_SHAPE,
     _START_SEPARATION,
     _eta_on_sphere,
     _fit_vmf,
@@ -180,6 +179,15 @@ def _random_kent(rng):
     frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     kappa = rng.uniform(1.0, 8.0)
     return KentParams(frame[:, 0], frame[:, 1], frame[:, 2], kappa, rng.uniform(0.0, 0.49) * kappa)
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_scaling_stats_moments_match_broadcast_reference(g_kind, axis):
+    d = hemi_dataset(2000, seed=31)
+    stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
+    ref = scaling_moments(d.x, stats.g, stats.grad)
+    for name, value in ref.items():
+        assert np.max(np.abs(getattr(stats, name) - value)) <= 1e-15, name
 
 
 @pytest.mark.parametrize("model", ["vmf", "kent"])
@@ -554,6 +562,27 @@ def test_identity_check_polyline_unsupported():
 # ------------------------------------------------------- kent frame search
 
 
+def _derivatives(w, b, kappa, alpha, frames):
+    """(J, gradient, Hessian) over turns at each of `frames` (m, 3, 3)."""
+    value, t = _form_values(w, b, kappa, alpha, frames)
+    return (value, *_frame_derivatives(w, b, t))
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_kent_derivatives_match_turn_expansion(g_kind, axis):
+    # the generator form against the turns of mu and S written out
+    d = hemi_dataset(150, seed=16)
+    stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
+    w, b = stats.kent_form
+    rng = np.random.default_rng(30)
+    for _ in range(50):
+        p = _random_kent(rng)
+        frame = p.frame().T[None]
+        got = _derivatives(w, b, p.kappa, p.alpha, frame)
+        for new, ref in zip(got, frame_derivatives_by_turns(w, b, p.kappa, p.alpha, frame)):
+            assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
 def test_kent_gradient_matches_central_differences(g_kind, axis):
     d = hemi_dataset(150, seed=16)
@@ -564,7 +593,7 @@ def test_kent_gradient_matches_central_differences(g_kind, axis):
     for _ in range(20):
         p = _random_kent(rng)
         frame = _turn(p.frame().T[None], rng.uniform(-1.0, 1.0, (1, 3)))
-        value, grad, _ = _frame_derivatives(w, b, p.kappa, p.alpha, frame)
+        value, grad, _ = _derivatives(w, b, p.kappa, p.alpha, frame)
         turned = KentParams(*frame[0], p.kappa, p.alpha)
         assert value[0] == pytest.approx(_form_terms(stats, turned).total, abs=1e-12)
         fd = [(_form_values(w, b, p.kappa, p.alpha, _turn(frame, h * e[None]))[0][0]
@@ -603,7 +632,7 @@ def test_kent_newton_derivatives_match_angle_gradient_and_differences(g_kind, ax
     for _ in range(20):
         p = _random_kent(rng)
         frame = p.frame().T[None]  # rows mu, gamma1, gamma2
-        value, grad, hess = _frame_derivatives(w, b, p.kappa, p.alpha, frame)
+        value, grad, hess = _derivatives(w, b, p.kappa, p.alpha, frame)
         assert value[0] == pytest.approx(_form_terms(stats, p).total, abs=1e-12)
         spin = _frame_objective(w, b, p.kappa, p.alpha, frame[0])[1]
         assert np.allclose(grad[0], spin, rtol=1e-12, atol=1e-12)
@@ -614,8 +643,8 @@ def test_kent_newton_derivatives_match_angle_gradient_and_differences(g_kind, ax
         for j, e in enumerate(np.eye(3)):
             up, down = (frame @ Rotation.from_rotvec(sign * h * e).as_matrix().T
                         for sign in (1.0, -1.0))
-            fd[:, j] = (_frame_derivatives(w, b, p.kappa, p.alpha, up)[1][0]
-                        - _frame_derivatives(w, b, p.kappa, p.alpha, down)[1][0]) / (2.0 * h)
+            fd[:, j] = (_derivatives(w, b, p.kappa, p.alpha, up)[1][0]
+                        - _derivatives(w, b, p.kappa, p.alpha, down)[1][0]) / (2.0 * h)
         assert np.allclose(0.5 * (fd + fd.T), hess[0], rtol=1e-5, atol=1e-6)
         assert np.allclose(0.5 * (fd - fd.T), 0.5 * levi @ grad[0], rtol=1e-5, atol=1e-6)
 
@@ -625,7 +654,7 @@ def test_kent_newton_polish_descends_where_the_hessian_is_indefinite():
     stats = _scaling_stats(d, HEMI, "haversine", None)
     w, b = stats.kent_form
     frames = Rotation.random(24, random_state=29).as_matrix()
-    value, _, hess = _frame_derivatives(w, b, 6.0, 1.0, frames)
+    value, _, hess = _derivatives(w, b, 6.0, 1.0, frames)
     assert np.sum(np.linalg.eigvalsh(hess)[:, 0] < 0.0) >= 8
     _, polished, gnorm, _ = _newton_polish(stats, 6.0, 1.0, frames)
     assert np.all(polished < value)
@@ -651,7 +680,9 @@ def test_kent_newton_polish_ends_by_the_gradient_test_on_the_paper_grid():
 def _reference_grid_starts(stats, kappa, alpha):
     """The start picks by a full separation pass over the grid per pick."""
     w, b = stats.kent_form
-    t = np.hstack([kappa * _FRAME_GRID[:, 0], 2.0 * alpha * _GRID_SHAPE])
+    shape = (_FRAME_GRID[:, 1, :, None] * _FRAME_GRID[:, 1, None, :]
+             - _FRAME_GRID[:, 2, :, None] * _FRAME_GRID[:, 2, None, :]).reshape(-1, 9)
+    t = np.hstack([kappa * _FRAME_GRID[:, 0], 2.0 * alpha * shape])
     values = np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ b
     free = np.ones(len(values), dtype=bool)
     picked = []
