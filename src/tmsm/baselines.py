@@ -168,15 +168,18 @@ class ChartSegments:
         return dist, grad
 
 
-def hemisphere_chart_segments() -> ChartSegments:
+def hemisphere_chart_segments(a0: float = 0.5 * np.pi, side: str = "greater") -> ChartSegments:
     """
-    Chart boundary used by the flat baseline for the a > pi/2 region:
-    the truncation line a = pi/2 plus the artificial chart edges b = 0
-    and b = 2*pi. The pole line a = pi is not a boundary of the region.
+    Chart boundary used by the flat baseline for the colatitude region
+    a > a0 (side "greater") or a < a0 (side "less"): the truncation line
+    a = a0 plus the artificial chart edges b = 0 and b = 2*pi out to the
+    far pole. The pole line is not a boundary of the region. The default
+    is the hemisphere a > pi/2.
     """
-    half_pi, two_pi = 0.5 * np.pi, 2.0 * np.pi
-    start = np.array([[half_pi, 0.0], [half_pi, 0.0], [half_pi, two_pi]])
-    end = np.array([[half_pi, two_pi], [np.pi, 0.0], [np.pi, two_pi]])
+    two_pi = 2.0 * np.pi
+    far_a = np.pi if side == "greater" else 0.0
+    start = np.array([[a0, 0.0], [a0, 0.0], [a0, two_pi]])
+    end = np.array([[a0, two_pi], [far_a, 0.0], [far_a, two_pi]])
     return ChartSegments(start, end)
 
 

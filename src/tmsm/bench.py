@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
-    ChartSegments,
     MvnChartModel,
+    hemisphere_chart_segments,
     mle_vmf,
     rmse_embedding,
     truncsm_mvn,
@@ -41,12 +41,11 @@ from .boundary import (
     load_boundary_csv,
     spherical_to_latlon,
 )
-from .estimator import Dataset, _fit_vmf, _scaling_stats, estimate
+from .estimator import _FIXED_PARAMS, Dataset, _fit_vmf, _scaling_stats, estimate
 from .geometry import geodesic_angle, to_euclidean, to_spherical, unit_vector
 from .models import KentParams, ModelParams, VmfParams
-from .sampling import sample_truncated, substream_rng
+from .sampling import MAX_DRAW_FACTOR, sample_truncated, substream_rng
 
-EXPERIMENTS = ("vmf_known_kappa", "vmf_unknown_kappa", "kent_known_shape", "storms")
 METHODS = ("tmsm_haversine", "tmsm_projected", "truncsm", "mle")
 ROW_COLUMNS = (
     "method",
@@ -73,43 +72,40 @@ class AllReplicatesFailed(RuntimeError):
     """Every replicate of a run errored (CLI exit code 4)."""
 
 
-_DEFAULT_METHODS = {
-    "vmf_known_kappa": ("tmsm_haversine", "tmsm_projected", "mle"),
-    "vmf_unknown_kappa": ("tmsm_haversine", "truncsm", "mle"),
-    "kent_known_shape": ("tmsm_haversine", "mle"),
+# default truth of each truth model: mu on the rim of the hemisphere a > pi/2
+_TRUTHS = {
+    "vmf": {"model": "vmf", "mu_a": 0.5 * np.pi, "mu_b": np.pi, "kappa": 6.0},
+    "kent": {"model": "kent", "mu_a": 0.5 * np.pi, "mu_b": np.pi, "kappa": 10.0, "alpha": 3.0,
+             "gamma1": [0.0, 0.0, 1.0]},
 }
-
-
-def _default_truth(experiment: str) -> dict:
-    if experiment == "kent_known_shape":
-        return {
-            "model": "kent",
-            "mu_a": 0.5 * np.pi,
-            "mu_b": np.pi,
-            "kappa": 10.0,
-            "alpha": 3.0,
-            "gamma1": [0.0, 0.0, 1.0],
-        }
-    return {"model": "vmf", "mu_a": 0.5 * np.pi, "mu_b": np.pi, "kappa": 6.0}
+# experiment -> (default truth model, default methods, tmsm model kind)
+_EXPERIMENTS = {
+    "vmf_known_kappa": ("vmf", ("tmsm_haversine", "tmsm_projected", "mle"), "vmf_mu_only"),
+    "vmf_unknown_kappa": ("vmf", ("tmsm_haversine", "truncsm", "mle"), "vmf_mu_kappa"),
+    "kent_known_shape": ("kent", ("tmsm_haversine", "mle"), "kent_frame"),
+    "storms": ("vmf", ("tmsm_haversine", "tmsm_projected", "mle"), "vmf_mu_kappa"),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce one benchmark run."""
+    """Everything needed to reproduce one benchmark run.
+
+    An empty `methods` or `truth` takes the experiment's default.
+    """
 
     experiment: str = "vmf_known_kappa"
     n_grid: tuple[int, ...] = (125, 250, 500, 1000, 2000)
     replicates: int = 64
     seed: int = 0
     methods: tuple[str, ...] = ()
-    boundary: dict = field(
-        default_factory=lambda: {"type": "colatitude", "a0": 0.5 * np.pi, "side": "greater"}
-    )
+    boundary: dict = field(default_factory=lambda: {"type": "colatitude", "a0": 0.5 * np.pi})
     truth: dict = field(default_factory=dict)
     out_dir: str = "out"
     workers: int = 1
     timings: bool = False
-    max_draw_factor: int = 1000
+    max_draw_factor: int = MAX_DRAW_FACTOR
     drop_axis: int | None = None
 
     def __post_init__(self):
@@ -117,6 +113,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
+        model, methods, _ = _EXPERIMENTS[self.experiment]
         self.n_grid = tuple(int(n) for n in self.n_grid)
         if len(self.n_grid) == 0 or any(n < 1 for n in self.n_grid):
             raise ConfigError("n_grid must hold positive counts")
@@ -124,26 +121,38 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be strictly increasing")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if not self.methods:
-            self.methods = _DEFAULT_METHODS.get(self.experiment, ("tmsm_haversine", "mle"))
-        self.methods = tuple(self.methods)
+        self.methods = tuple(self.methods or methods)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigError(f"unknown method(s) {bad}; expected subset of {METHODS}")
         if not self.truth:
-            self.truth = _default_truth(self.experiment)
+            self.truth = dict(_TRUTHS[model])
+        if self.truth.get("model", "vmf") not in _TRUTHS:
+            raise ConfigError(f"unknown truth model in {self.truth}; expected one of {tuple(_TRUTHS)}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.max_draw_factor < 1:
+            raise ConfigError("max_draw_factor must be >= 1")
         if self.drop_axis is not None and self.drop_axis not in (1, 2, 3):
             raise ConfigError("drop_axis must be 1, 2, or 3 (coordinate number)")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        """
+        Config from settings as a config file holds them: an unknown key is
+        a ConfigError, and the keys a partial `truth` leaves out come from
+        the default truth of its model (by default the experiment's).
+        """
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        return cls(**raw)
+        try:
+            config = cls(**raw)
+            model = config.truth.get("model", _EXPERIMENTS[config.experiment][0])
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(str(exc)) from exc
+        config.truth = {**_TRUTHS[model], **config.truth}
+        return config
 
 
 def truth_params(config: ExperimentConfig) -> ModelParams:
@@ -162,11 +171,11 @@ def truth_params(config: ExperimentConfig) -> ModelParams:
 
 def build_boundary(spec: dict) -> Boundary:
     """Boundary from its config dict ({type: colatitude | polyline_csv})."""
-    kind = spec.get("type")
+    kind = spec.get("type") if isinstance(spec, dict) else None
     if kind == "colatitude":
         try:
-            return ColatitudeBoundary(float(spec["a0"]), spec.get("side", "greater"))
-        except (KeyError, ValueError) as exc:
+            return ColatitudeBoundary(**{k: v for k, v in spec.items() if k != "type"})
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid colatitude boundary spec {spec}: {exc}") from exc
     if kind == "polyline_csv":
         path = spec.get("path")
@@ -179,16 +188,6 @@ def build_boundary(spec: dict) -> Boundary:
         except ValueError as exc:
             raise DataError(str(exc)) from exc
     raise ConfigError(f"boundary spec needs type colatitude or polyline_csv, got {spec}")
-
-
-def _chart_segments_for(boundary: Boundary) -> ChartSegments:
-    if not isinstance(boundary, ColatitudeBoundary):
-        raise ConfigError("the flat chart baseline supports colatitude boundaries only")
-    two_pi = 2.0 * np.pi
-    far_a = np.pi if boundary.side == "greater" else 0.0
-    start = np.array([[boundary.a0, 0.0], [boundary.a0, 0.0], [boundary.a0, two_pi]])
-    end = np.array([[boundary.a0, two_pi], [far_a, 0.0], [far_a, two_pi]])
-    return ChartSegments(start, end)
 
 
 @dataclass
@@ -228,41 +227,28 @@ def _fit_one(
     data: Dataset,
 ) -> tuple[np.ndarray, float | None]:
     """Run one method on one replicate; (mu_hat, kappa_hat or None)."""
-    experiment = config.experiment
-    estimates_kappa = experiment == "vmf_unknown_kappa"
+    model_kind = _EXPERIMENTS[config.experiment][2]
+    fixed = {name: getattr(truth, name) for name in _FIXED_PARAMS[model_kind]}
+    estimates_kappa = "kappa" not in fixed
     if method == "mle":
-        p = mle_vmf(data, estimate_kappa=estimates_kappa,
-                    kappa=None if estimates_kappa else truth.kappa)
+        p = mle_vmf(data, estimate_kappa=estimates_kappa, kappa=fixed.get("kappa"))
         return p.mu, (p.kappa if estimates_kappa else None)
     if method in ("tmsm_haversine", "tmsm_projected"):
-        g_kind = "haversine" if method == "tmsm_haversine" else "projected"
-        if experiment == "kent_known_shape":
-            model_kind = "kent_frame"
-            fixed = {"kappa": truth.kappa, "alpha": truth.alpha}
-        elif experiment == "vmf_unknown_kappa":
-            model_kind, fixed = "vmf_mu_kappa", None
-        else:
-            model_kind, fixed = "vmf_mu_only", {"kappa": truth.kappa}
-        drop_axis = None
-        if g_kind == "projected":
-            drop_axis = _projected_drop_axis(config, boundary)
-        res = estimate(
-            data, boundary, g_kind=g_kind, model_kind=model_kind,
-            fixed=fixed, drop_axis=drop_axis,
-        )
-        kappa_hat = res.params.kappa if estimates_kappa else None
-        return res.params.mu, kappa_hat
+        g_kind = method.removeprefix("tmsm_")
+        drop_axis = _projected_drop_axis(config, boundary) if g_kind == "projected" else None
+        res = estimate(data, boundary, g_kind=g_kind, model_kind=model_kind,
+                       fixed=fixed, drop_axis=drop_axis)
+        return res.params.mu, (res.params.kappa if estimates_kappa else None)
     if method == "truncsm":
-        segments = _chart_segments_for(boundary)
+        if not isinstance(boundary, ColatitudeBoundary):
+            raise ConfigError("the flat chart baseline supports colatitude boundaries only")
         a, b = data.spherical()
-        z = np.stack([a, b], axis=1)
         model: MvnChartModel = truncsm_mvn(
-            z, segments,
+            np.stack([a, b], axis=1), hemisphere_chart_segments(boundary.a0, boundary.side),
             estimate_precision=estimates_kappa,
-            kappa_inv=None if estimates_kappa else 1.0 / truth.kappa,
+            kappa_inv=None if estimates_kappa else 1.0 / fixed["kappa"],
         )
-        kappa_hat = 1.0 / model.kappa_inv if estimates_kappa else None
-        return model.mean_direction(), kappa_hat
+        return model.mean_direction(), (1.0 / model.kappa_inv if estimates_kappa else None)
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -435,13 +421,11 @@ class GeoEventRecord:
     event_id: str
     lat: float
     lon: float
-    timestamp: str | None = None
 
 
 _LAT_ALIASES = ("lat", "latitude", "lat_deg", "begin_lat")
 _LON_ALIASES = ("lon", "longitude", "lon_deg", "lng", "begin_lon")
 _ID_ALIASES = ("event_id", "id", "episode_id")
-_TIME_ALIASES = ("timestamp", "time", "date", "begin_date_time")
 
 
 def _pick_column(fieldnames: list[str], aliases: tuple[str, ...]) -> str | None:
@@ -452,23 +436,21 @@ def _pick_column(fieldnames: list[str], aliases: tuple[str, ...]) -> str | None:
     return None
 
 
-def ingest_events(path, fmt: str = "csv_latlon") -> tuple[Dataset, list[GeoEventRecord], int]:
+def ingest_events(path) -> tuple[Dataset, list[GeoEventRecord], int]:
     """
     Read geolocated events from CSV into unit vectors.
 
     Latitude/longitude columns are matched case-insensitively against
-    common aliases; id and timestamp columns are optional. Rows with
-    unparseable or out-of-range coordinates are skipped with a warning.
+    common aliases; an id column is optional. Rows with unparseable or
+    out-of-range coordinates are skipped with a warning.
 
     Returns:
         (dataset, records, skipped_count).
 
     Raises:
-        DataError: unknown format, unreadable file, missing coordinate
-            columns, or zero valid rows.
+        DataError: unreadable file, missing coordinate columns, or zero
+            valid rows.
     """
-    if fmt != "csv_latlon":
-        raise DataError(f"unknown events format {fmt!r}; supported: csv_latlon")
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -482,7 +464,6 @@ def ingest_events(path, fmt: str = "csv_latlon") -> tuple[Dataset, list[GeoEvent
                     f"(accepted: {_LAT_ALIASES} / {_LON_ALIASES})"
                 )
             id_col = _pick_column(reader.fieldnames, _ID_ALIASES)
-            time_col = _pick_column(reader.fieldnames, _TIME_ALIASES)
             records = []
             skipped = 0
             for i, row in enumerate(reader):
@@ -495,14 +476,7 @@ def ingest_events(path, fmt: str = "csv_latlon") -> tuple[Dataset, list[GeoEvent
                 if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
                     skipped += 1
                     continue
-                records.append(
-                    GeoEventRecord(
-                        event_id=row[id_col] if id_col else str(i),
-                        lat=lat,
-                        lon=lon,
-                        timestamp=row[time_col] if time_col else None,
-                    )
-                )
+                records.append(GeoEventRecord(row[id_col] if id_col else str(i), lat, lon))
     except OSError as exc:
         raise DataError(f"cannot read events file {path}: {exc}") from exc
     if skipped:
@@ -543,8 +517,8 @@ def _method_report(mu: np.ndarray, kappa: float | None) -> dict:
 def run_storms(
     events_path,
     boundary_path,
-    out_dir="out",
-    seed: int = 0,
+    out_dir,
+    seed: int,
     drop_axis: int | None = None,
 ) -> dict:
     """

@@ -67,7 +67,6 @@ import numpy as np
 from .geometry import (
     SphericalCoord,
     complete_frame,
-    geodesic_angle,
     to_euclidean,
     unit_vector,
     wrap_azimuth,
@@ -201,8 +200,7 @@ class PolylineBoundary(Boundary):
         if not np.all(np.isfinite(vertices)):
             raise ValueError("boundary vertices must be finite")
         vertices = unit_vector(vertices)
-        gaps = geodesic_angle(vertices, np.roll(vertices, -1, axis=0))
-        if np.any(gaps < 1e-12):
+        if np.any(_arc_lengths(vertices) < 1e-12):
             raise ValueError("consecutive boundary vertices must be distinct")
         i, j = _crossing_arcs(vertices)
         if len(i):
@@ -286,7 +284,7 @@ def _crossing_arcs(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nxt = np.roll(vertices, -1, axis=0)
     normals = np.cross(vertices, nxt)
     mids = unit_vector(vertices + nxt)
-    reach = 2.0 * np.sin(0.25 * geodesic_angle(vertices, nxt))
+    reach = 2.0 * np.sin(0.25 * _arc_lengths(vertices))
     near = [np.empty((0, 2), dtype=np.intp)]
     for rows in _row_chunks(k, k):
         # (r_i + r_j)^2 - |m_i - m_j|^2, for unit midpoints
@@ -413,6 +411,12 @@ def _angle(q: np.ndarray, p: np.ndarray, dot: np.ndarray) -> np.ndarray:
     return np.arctan2(np.linalg.norm(np.cross(q, p), axis=-1), dot)
 
 
+def _arc_lengths(vertices: np.ndarray) -> np.ndarray:
+    """Length of each vertex arc vertices[i] -> vertices[i + 1], by `_angle`."""
+    nxt = np.roll(vertices, -1, axis=0)
+    return _angle(vertices, nxt, np.einsum("ij,ij->i", vertices, nxt))
+
+
 def _candidates(
     q: np.ndarray, ends: np.ndarray, mids: np.ndarray, reach: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -494,7 +498,7 @@ def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     arc index.
     """
     nxt = np.roll(vertices, -1, axis=0)
-    reach = 2.0 * np.sin(0.25 * geodesic_angle(vertices, nxt))
+    reach = 2.0 * np.sin(0.25 * _arc_lengths(vertices))
     qi, j = _pairs(x, vertices, unit_vector(vertices + nxt), reach)
     dist, near = _arc_nearest(x[qi], vertices[j], nxt[j], unit_vector(np.cross(vertices, nxt))[j])
     best = _least(qi, dist)
@@ -707,8 +711,8 @@ def haversine_scaling(
         sa = np.hypot(x[:, 1], x[:, 2])
         a = np.arctan2(sa, x[:, 0])
         signed = a - boundary.a0 if boundary.side == "greater" else boundary.a0 - a
-        g = np.where(inside, np.maximum(signed, 0.0), 0.0)
-        ok = inside & (g > 1e-12)
+        ok = inside & (signed > 1e-12)
+        g = np.where(ok, signed, 0.0)
         cot = x[:, 0] / np.where(sa > 0, sa, 1.0)
         sign = 1.0 if boundary.side == "greater" else -1.0
         # Tangential projection of sign * grad(a): unit vector along -d/da.

@@ -9,20 +9,21 @@ Subcommands:
                error |kappa_hat - kappa_true|
     storms     fit mean direction of geolocated events in a border
 
-Configuration comes from an optional JSON file (--config) whose keys
-mirror ExperimentConfig; every flag given on the command line overrides
-its config key. Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 numerical failure.
+Every subcommand reads its settings the same way (`_settings`): an
+optional JSON file (--config) whose keys are those of ExperimentConfig,
+overlaid with every flag given on the command line, validated by
+ExperimentConfig.from_dict as `benchmark` does, so an unknown key or a bad
+value fails with exit code 2 whichever subcommand reads it. Exit codes:
+0 success, 2 configuration error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .bench import (
     AllReplicatesFailed,
@@ -45,6 +46,18 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# flags that set a config key of the same name, and those that set a truth key
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+_TRUTH_FLAGS = ("model", "mu_a", "mu_b", "kappa", "alpha")
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _name_list(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
@@ -59,8 +72,8 @@ def _replicate_flags(parser: argparse.ArgumentParser) -> None:
     _common_flags(parser)
     _seed_flag(parser)
     parser.add_argument("--replicates", type=int)
-    parser.add_argument("--n-grid", help="comma-separated sample sizes")
-    parser.add_argument("--methods", help="comma-separated method names")
+    parser.add_argument("--n-grid", type=_int_list, help="comma-separated sample sizes")
+    parser.add_argument("--methods", type=_name_list, help="comma-separated method names")
     parser.add_argument("--workers", type=int, help="parallel replicate workers (default 1)")
     parser.add_argument("--timings", action="store_true",
                         help="record wall times (breaks byte-identical reruns)")
@@ -85,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     _seed_flag(p)
     _boundary_flags(p)
-    p.add_argument("--model", choices=("vmf", "kent"), default="vmf")
+    p.add_argument("--model", choices=("vmf", "kent"), help="truth model (default vmf)")
     p.add_argument("--mu-a", type=float, help="truth polar angle (default pi/2)")
     p.add_argument("--mu-b", type=float, help="truth azimuth (default pi)")
     p.add_argument("--kappa", type=float, help="truth concentration")
@@ -99,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _boundary_flags(p)
     p.add_argument("--data", required=True, help="dataset CSV (a_rad,b_rad)")
     p.add_argument("--g", choices=("haversine", "projected", "unit"), dest="g_kind",
-                   help="scaling function variant (default haversine)")
+                   default="haversine", help="scaling function variant (default haversine)")
     p.add_argument("--degrees", action="store_true",
                    help="ingest --data as latitude/longitude degree columns")
     p.add_argument("--model-kind", default="vmf_mu_kappa",
@@ -124,95 +137,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-
-
-def _merge(raw: dict, args: argparse.Namespace, keys: dict) -> dict:
-    """Overlay non-None flag values onto config-file keys."""
-    merged = dict(raw)
-    for attr, key in keys.items():
-        value = getattr(args, attr, None)
+def _settings(args: argparse.Namespace) -> ExperimentConfig:
+    """
+    The command's ExperimentConfig: the --config file's keys, overlaid
+    with every flag that is given. A flag named after a config key sets
+    it; --model, --mu-a, --mu-b, --kappa and --alpha set keys of `truth`;
+    --boundary-csv, or else --a0 and --side, set `boundary`.
+    """
+    raw: dict = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict) or not isinstance(raw.get("truth", {}), dict):
+            raise ConfigError(f"config file {args.config} and its truth must be JSON objects")
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key, None)
         if value is not None and value is not False:
-            merged[key] = value
-    return merged
-
-
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw = _load_config(args.config)
-    merged = _merge(raw, args, {
-        "experiment": "experiment",
-        "seed": "seed",
-        "replicates": "replicates",
-        "out_dir": "out_dir",
-        "workers": "workers",
-        "timings": "timings",
-    })
-    if getattr(args, "n_grid", None):
-        merged["n_grid"] = [int(v) for v in str(args.n_grid).split(",") if v]
-    if getattr(args, "methods", None):
-        merged["methods"] = [m.strip() for m in str(args.methods).split(",") if m.strip()]
-    try:
-        return ExperimentConfig.from_dict(merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _boundary_spec(args: argparse.Namespace, raw: dict) -> dict:
+            raw[key] = value
+    truth = {k: getattr(args, k) for k in _TRUTH_FLAGS if getattr(args, k, None) is not None}
+    if truth:
+        raw["truth"] = {**raw.get("truth", {}), **truth}
+    colatitude = {k: getattr(args, k) for k in ("a0", "side") if getattr(args, k, None) is not None}
     if getattr(args, "boundary_csv", None):
-        return {"type": "polyline_csv", "path": args.boundary_csv}
-    if getattr(args, "a0", None) is not None:
-        return {
-            "type": "colatitude",
-            "a0": args.a0,
-            "side": getattr(args, "side", None) or "greater",
-        }
-    if "boundary" in raw:
-        return raw["boundary"]
-    return {"type": "colatitude", "a0": 0.5 * np.pi, "side": "greater"}
+        raw["boundary"] = {"type": "polyline_csv", "path": args.boundary_csv}
+    elif colatitude:
+        raw["boundary"] = {"type": "colatitude", **colatitude}
+    return ExperimentConfig.from_dict(raw)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    out_dir = Path(args.out_dir or raw.get("out_dir", "out"))
-    truth_raw = dict(raw.get("truth", {}))
-    if args.model:
-        truth_raw.setdefault("model", args.model)
-    for attr, key in (("mu_a", "mu_a"), ("mu_b", "mu_b"),
-                      ("kappa", "kappa"), ("alpha", "alpha")):
-        value = getattr(args, attr)
-        if value is not None:
-            truth_raw[key] = value
-    truth_raw.setdefault("model", "vmf")
-    truth_raw.setdefault("mu_a", 0.5 * np.pi)
-    truth_raw.setdefault("mu_b", np.pi)
-    truth_raw.setdefault("kappa", 6.0)
-    if truth_raw["model"] == "kent":
-        truth_raw.setdefault("alpha", 3.0)
-        truth_raw.setdefault("gamma1", [0.0, 0.0, 1.0])
-    config_shim = ExperimentConfig(
-        experiment="kent_known_shape" if truth_raw["model"] == "kent" else "vmf_known_kappa",
-        truth=truth_raw,
-        boundary=_boundary_spec(args, raw),
-        seed=int(seed),
-    )
-    params = truth_params(config_shim)
-    boundary = build_boundary(config_shim.boundary)
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    config = _settings(args)
+    params = truth_params(config)
+    boundary = build_boundary(config.boundary)
     sample = sample_truncated(
-        params, boundary, args.n, substream_rng(int(seed), args.n),
-        args.max_draw_factor or raw.get("max_draw_factor", 1000),
+        params, boundary, args.n, substream_rng(config.seed, args.n), config.max_draw_factor
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = Path(args.out) if args.out else out_dir / "samples.csv"
+    out_path = Path(args.out) if args.out else Path(config.out_dir) / "samples.csv"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     Dataset(sample.x).to_csv(out_path)
     print(f"wrote {sample.x.shape[0]} samples to {out_path} "
           f"(acceptance rate {sample.acceptance_rate:.4f})")
@@ -220,9 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
-    out_dir = Path(args.out_dir or raw.get("out_dir", "out"))
-    g_kind = args.g_kind or raw.get("g_kind", "haversine")
+    config = _settings(args)
     try:
         if args.degrees:
             data, _, _ = ingest_events(args.data)
@@ -232,18 +198,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"cannot read dataset {args.data}: {exc}") from exc
-    boundary = None
-    if g_kind != "unit":
-        boundary = build_boundary(_boundary_spec(args, raw))
-    fixed = {}
-    if args.fixed_kappa is not None:
-        fixed["kappa"] = args.fixed_kappa
-    if args.fixed_alpha is not None:
-        fixed["alpha"] = args.fixed_alpha
+    boundary = None if args.g_kind == "unit" else build_boundary(config.boundary)
+    fixed = {k: v for k, v in (("kappa", args.fixed_kappa), ("alpha", args.fixed_alpha))
+             if v is not None}
     try:
         result = estimate(
-            data, boundary, g_kind=g_kind, model_kind=args.model_kind,
-            fixed=fixed or None, drop_axis=args.drop_axis,
+            data, boundary, g_kind=args.g_kind, model_kind=args.model_kind,
+            fixed=fixed, drop_axis=config.drop_axis,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -251,7 +212,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     lat, lon = spherical_to_latlon(float(a), float(b))
     report = {
         "model_kind": args.model_kind,
-        "g_kind": g_kind,
+        "g_kind": args.g_kind,
         "n": data.n,
         "mu_a_rad": float(a),
         "mu_b_rad": float(b),
@@ -268,8 +229,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         report["gamma1"] = [float(v) for v in result.params.gamma1]
         report["gamma2"] = [float(v) for v in result.params.gamma2]
         report["alpha"] = float(result.params.alpha)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "estimate.json"
+    out_path = Path(config.out_dir) / "estimate.json"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -278,23 +239,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
-    result = run_benchmark(config)
+    result = run_benchmark(_settings(args))
     print(f"wrote {len(result.rows)} rows to {result.csv_path}")
     print(f"summary: {result.json_path}")
     return EXIT_OK
 
 
 def cmd_storms(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    out_dir = args.out_dir or raw.get("out_dir", "out")
+    config = _settings(args)
     report = run_storms(
-        args.events, args.boundary_csv, out_dir=out_dir,
-        seed=int(seed), drop_axis=args.drop_axis,
+        args.events, config.boundary["path"], out_dir=config.out_dir,
+        seed=config.seed, drop_axis=config.drop_axis,
     )
     print(json.dumps(report["fits"], indent=2, sort_keys=True))
-    print(f"report: {Path(out_dir) / 'storms_report.json'}")
+    print(f"report: {Path(config.out_dir) / 'storms_report.json'}")
     return EXIT_OK
 
 

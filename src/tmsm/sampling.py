@@ -24,6 +24,9 @@ from .boundary import Boundary
 from .geometry import complete_frame
 from .models import KentParams, ModelParams, VmfParams
 
+# default cap on raw draws per accepted point in truncated sampling
+MAX_DRAW_FACTOR = 1000
+
 
 def substream_rng(seed: int, *tags: int) -> np.random.Generator:
     """Independent generator keyed by (seed, *tags) via SeedSequence."""
@@ -145,7 +148,7 @@ def sample_truncated(
     boundary: Boundary,
     n: int,
     rng: np.random.Generator,
-    max_draw_factor: int = 1000,
+    max_draw_factor: int = MAX_DRAW_FACTOR,
 ) -> TruncatedSample:
     """
     Draw n points from the model restricted to the observed region.

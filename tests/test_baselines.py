@@ -140,6 +140,16 @@ def test_hemisphere_chart_segments_shape():
     assert not np.any(np.all(np.isclose(a_vals, np.pi), axis=0))
 
 
+def test_chart_segments_follow_the_colatitude_region():
+    # the truncation line a = a0 and the azimuth edges out to the far pole
+    cases = {(np.pi / 2.0, np.pi): hemisphere_chart_segments(),
+             (1.2, np.pi): hemisphere_chart_segments(1.2),
+             (1.2, 0.0): hemisphere_chart_segments(1.2, "less")}
+    for (a0, far), segs in cases.items():
+        assert np.array_equal(segs.start, [[a0, 0.0], [a0, 0.0], [a0, 2.0 * np.pi]])
+        assert np.array_equal(segs.end, [[a0, 2.0 * np.pi], [far, 0.0], [far, 2.0 * np.pi]])
+
+
 def test_truncsm_normal_equations_residual():
     # with fixed precision the minimizer satisfies
     # sum(g_i (z_i - mu)) = kappa_inv * sum(grad g_i)

@@ -44,6 +44,11 @@ def test_config_validation():
         ExperimentConfig(methods=("gradient_boost",))
     with pytest.raises(ConfigError, match="drop_axis"):
         ExperimentConfig(drop_axis=4)
+    with pytest.raises(ConfigError, match="unknown truth model"):
+        ExperimentConfig(truth={"model": "kentt", "mu_a": 1.0, "mu_b": 1.0, "kappa": 3.0})
+    for factor in (0, -1):
+        with pytest.raises(ConfigError, match="max_draw_factor"):
+            ExperimentConfig(max_draw_factor=factor)
     with pytest.raises(ConfigError, match="unknown config key"):
         ExperimentConfig.from_dict({"n_gird": [100]})
 
@@ -262,7 +267,6 @@ def test_ingest_events_header_aliases(tmp_path):
     data, records, skipped = ingest_events(path)
     assert skipped == 0 and data.n == 1
     assert records[0].event_id == "1"
-    assert records[0].timestamp == "2019-06-01"
 
 
 def test_ingest_events_errors(tmp_path):
@@ -279,8 +283,6 @@ def test_ingest_events_errors(tmp_path):
     with pytest.warns(UserWarning):
         with pytest.raises(DataError, match="no valid"):
             ingest_events(off_range)
-    with pytest.raises(DataError, match="format"):
-        ingest_events(path, fmt="parquet")
 
 
 def test_initial_bearing_cardinal_directions():
@@ -587,3 +589,53 @@ def test_cli_simulate_kent_at_high_ovalness(tmp_path):
     data = Dataset.from_csv(tmp_path / "first" / "samples.csv")
     assert data.n == 500
     assert np.all(ColatitudeBoundary(0.5 * np.pi).contains(data.x))
+
+
+def test_cli_simulate_kent_defaults_to_the_harness_truth(tmp_path):
+    # --model kent alone takes the kent_known_shape truth (kappa 10, alpha 3)
+    assert main(["simulate", "--model", "kent", "--n", "200", "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--model", "kent", "--kappa", "10", "--alpha", "3", "--n", "200",
+                 "--out-dir", str(tmp_path / "b")]) == 0
+    first = (tmp_path / "a" / "samples.csv").read_bytes()
+    assert first == (tmp_path / "b" / "samples.csv").read_bytes()
+
+
+def test_cli_model_flag_overrides_config_truth(tmp_path):
+    cfg = tmp_path / "kent.json"
+    cfg.write_text(json.dumps({"truth": {"model": "kent", "kappa": 20.0, "alpha": 9.9}}))
+    base = ["simulate", "--config", str(cfg), "--n", "200", "--seed", "5"]
+    assert main(base + ["--out-dir", str(tmp_path / "kent")]) == 0
+    assert main(base + ["--model", "vmf", "--out-dir", str(tmp_path / "vmf")]) == 0
+    assert main(["simulate", "--kappa", "20", "--n", "200", "--seed", "5",
+                 "--out-dir", str(tmp_path / "direct")]) == 0
+    vmf = (tmp_path / "vmf" / "samples.csv").read_bytes()
+    assert vmf == (tmp_path / "direct" / "samples.csv").read_bytes()
+    assert vmf != (tmp_path / "kent" / "samples.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-5"],
+                                   ["--max-draw-factor", "0"], ["--max-draw-factor", "-1"]])
+def test_cli_simulate_rejects_counts_below_one(tmp_path, flags):
+    assert main(["simulate", *flags, "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "samples.csv").exists()
+
+
+def test_cli_unknown_config_key_exit_2_for_every_command(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeed": 3, "out_dir": str(tmp_path / "out")}))
+    assert main(["simulate", "--n", "100", "--kappa", "6", "--out-dir", str(tmp_path)]) == 0
+    samples = str(tmp_path / "samples.csv")
+    border = tmp_path / "border.csv"
+    _write_hemisphere_boundary(border)
+    events = tmp_path / "events.csv"
+    _write_events(events, [(f"e{i}", -40.0 + i, -170.0 + 17.0 * i) for i in range(20)])
+    for argv in (["simulate", "--n", "100"],
+                 ["estimate", "--data", samples],
+                 ["benchmark", "--n-grid", "40", "--replicates", "1"],
+                 ["storms", "--events", str(events), "--boundary-csv", str(border)]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+    # estimate no longer reads a g_kind key: --g sets the scaling function
+    cfg.write_text(json.dumps({"g_kind": "projected"}))
+    assert main(["estimate", "--data", samples, "--config", str(cfg)]) == 2
+

@@ -276,6 +276,54 @@ def test_polyline_rejects_pinched_figure_eight():
         latlon_polygon([10], [20])[0])
 
 
+def gnomonic_even_odd(vertices, x):
+    """
+    Independent membership oracle for a region inside one hemisphere: the
+    gnomonic chart about the vertex mean maps every great-circle arc to a
+    straight segment, so a planar even-odd ray cast decides each query.
+    Queries must lie in that hemisphere.
+    """
+    centre = unit_vector(vertices.mean(axis=0))
+    e, f = complete_frame(centre)
+
+    def chart(p):
+        return np.column_stack([p @ e, p @ f]) / (p @ centre)[:, None]
+
+    (px, py), (qx, qy) = chart(vertices).T, chart(x).T
+    inside = np.zeros(len(x), dtype=bool)
+    for x1, y1, x2, y2 in zip(px, py, np.roll(px, -1), np.roll(py, -1)):
+        straddle = (y1 > qy) != (y2 > qy)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut = x1 + (qy - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= straddle & (qx < cut)
+    return inside
+
+
+def test_polyline_short_arc_builds_and_keeps_membership():
+    # a vertex 1e-9, 1e-10 or 1e-11 rad along the first edge of a box: the
+    # atan2 arc length resolves the gap, and a 1e-13 rad gap still repeats
+    # the vertex
+    box = latlon_polygon([0, 0, 20, 20], [0, 40, 40, 0])
+    along = unit_vector(np.cross(np.cross(box[0], box[1]), box[0]))
+    rng = np.random.default_rng(19)
+    for gap in (1e-9, 1e-10, 1e-11):
+        vertices = np.insert(box, 1, np.cos(gap) * box[0] + np.sin(gap) * along, axis=0)
+        b = PolylineBoundary(vertices)
+        # probes about the box and close to its first corner
+        x = unit_vector(np.vstack([
+            b.interior_reference + 0.3 * rng.standard_normal((4000, 3)),
+            box[0] + 1e-3 * rng.standard_normal((4000, 3)),
+        ]))
+        x = x[(_nearest_on_arcs(vertices, x)[0] > 1e-6) & (x @ b.interior_reference > 0.2)]
+        assert len(x) > 7000
+        inside = b.contains(x)
+        assert 0 < inside.sum() < len(x)
+        assert np.array_equal(inside, gnomonic_even_odd(vertices, x))
+    repeated = np.insert(box, 1, np.cos(1e-13) * box[0] + np.sin(1e-13) * along, axis=0)
+    with pytest.raises(ValueError, match="consecutive boundary vertices must be distinct"):
+        PolylineBoundary(repeated)
+
+
 def all_arcs_parity(vertices, origin, q):
     """
     Reference: True where the minor arc origin -> q crosses an odd number
@@ -580,6 +628,19 @@ def test_haversine_zero_outside_and_on_boundary():
     # a polyline vertex is on the boundary
     g, _, on_b = haversine_scaling(USA, USA.vertices[:5])
     assert np.all(g == 0.0) and np.all(on_b)
+
+
+@pytest.mark.parametrize("b", [HEMI, ColatitudeBoundary(0.9, side="less")], ids=["greater", "less"])
+def test_haversine_colatitude_zero_in_the_rim_band(b):
+    # within 1e-12 of the rim, on either side of it, g is 0 with a zero
+    # gradient, flagged on_boundary; 2e-12 inside it is the distance
+    inward = 1.0 if b.side == "greater" else -1.0
+    offsets = np.array([-5e-13, -1e-13, 0.0, 1e-13, 5e-13, 9e-13, 2e-12, 1e-6])
+    g, grad, on_b = haversine_scaling(b, to_euclidean(b.a0 + inward * offsets, 1.0))
+    band = offsets < 1e-12
+    assert np.all(g[band] == 0.0) and np.all(grad[band] == 0.0) and np.all(on_b[band])
+    assert not np.any(on_b[~band])
+    assert np.allclose(g[~band], offsets[~band], rtol=1e-3, atol=0.0)
 
 
 def test_haversine_gradient_matches_fd():
