@@ -47,17 +47,6 @@ from .models import KentParams, ModelParams, VmfParams
 from .sampling import MAX_DRAW_FACTOR, sample_truncated, substream_rng
 
 METHODS = ("tmsm_haversine", "tmsm_projected", "truncsm", "mle")
-ROW_COLUMNS = (
-    "method",
-    "n",
-    "replicate",
-    "seed",
-    "rmse_embedding",
-    "geodesic_error_rad",
-    "kappa_error",
-    "wall_time_ms",
-    "error",
-)
 
 
 class ConfigError(ValueError):
@@ -88,6 +77,11 @@ _EXPERIMENTS = {
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one benchmark run.
@@ -114,6 +108,20 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
         model, methods, _ = _EXPERIMENTS[self.experiment]
+        counts = {"replicates": self.replicates, "seed": self.seed, "workers": self.workers,
+                  "max_draw_factor": self.max_draw_factor}
+        if self.drop_axis is not None:
+            counts["drop_axis"] = self.drop_axis
+        bad = [name for name, value in counts.items() if not _is_integer(value)]
+        if not all(_is_integer(n) for n in self.n_grid):
+            bad.insert(0, "n_grid entries")
+        if bad:
+            raise ConfigError(f"integers expected for {', '.join(bad)}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        # plain ints, so that the rows CSV writes a numpy seed as an integer
+        for name, value in counts.items():
+            setattr(self, name, int(value))
         self.n_grid = tuple(int(n) for n in self.n_grid)
         if len(self.n_grid) == 0 or any(n < 1 for n in self.n_grid):
             raise ConfigError("n_grid must hold positive counts")
@@ -339,13 +347,9 @@ def _fmt(value: float | int | None) -> str:
 def write_rows_csv(rows: list[BenchmarkRow], path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ROW_COLUMNS)
+        writer.writerow(f.name for f in dataclasses.fields(BenchmarkRow))
         for row in rows:
-            record = dataclasses.asdict(row)
-            writer.writerow([
-                record[c] if isinstance(record[c], str) else _fmt(record[c])
-                for c in ROW_COLUMNS
-            ])
+            writer.writerow(v if isinstance(v, str) else _fmt(v) for v in dataclasses.astuple(row))
 
 
 def summarize_rows(rows: list[BenchmarkRow]) -> dict:

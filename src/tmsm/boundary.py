@@ -36,8 +36,11 @@ Two scaling functions are implemented, both zero exactly on the boundary:
   unit direction as gradient. A colatitude circle projects to a circle or
   a segment, whose nearest point has a closed form; a polyline projects
   to a curve of elliptic arcs, whose nearest point is found exactly on
-  the same vertex arcs.
+  the same vertex arcs, uncut: the rules that let the projection fold
+  keep each arc on one half of its ellipse.
 
+Every polyline query reads one table of the vertex arcs (start, end,
+unit normal, unit midpoint, length and reach), built with the boundary.
 Both polyline distances run on one (query, arc) pair engine. Every
 point of an arc of length L lies within chord 2 sin(L/4) of its midpoint,
 on the sphere and, since dropping a coordinate is 1-Lipschitz, in the
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import csv
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,9 +192,9 @@ class PolylineBoundary(Boundary):
     through a point a quarter turn away, with a second index about that
     point built on first need.
 
-    The projected scaling measures the same vertex arcs, cut where they
-    cross a coordinate plane (`_plane_pieces`), so that every piece lies
-    in one closed hemisphere of each axis.
+    Every query reads one table of the vertex arcs (`_arc_table`), built
+    here: the crossing and hint checks, both arc indexes, and both
+    scaling functions.
     """
 
     def __init__(self, vertices: np.ndarray, interior_hint: np.ndarray | None = None):
@@ -200,9 +204,8 @@ class PolylineBoundary(Boundary):
         if not np.all(np.isfinite(vertices)):
             raise ValueError("boundary vertices must be finite")
         vertices = unit_vector(vertices)
-        if np.any(_arc_lengths(vertices) < 1e-12):
-            raise ValueError("consecutive boundary vertices must be distinct")
-        i, j = _crossing_arcs(vertices)
+        arcs = _arc_table(vertices)
+        i, j = _crossing_arcs(arcs)
         if len(i):
             raise ValueError(
                 f"boundary arcs {i[0]} and {j[0]} cross or start at one vertex; "
@@ -220,12 +223,12 @@ class PolylineBoundary(Boundary):
             if not np.all(np.isfinite(interior_hint)):
                 raise ValueError("interior_hint must be finite")
             interior_hint = unit_vector(interior_hint)
-        if _nearest_on_arcs(vertices, interior_hint[None])[0][0] < 1e-9:
+        if _nearest_on_arcs(arcs, interior_hint[None])[0][0] < 1e-9:
             raise ValueError("interior hint lies on the boundary; pass one inside the region")
         self.vertices = vertices
         self.interior_reference = interior_hint
-        self._pieces = _plane_pieces(vertices)
-        self._index = _ArcIndex(vertices, interior_hint)
+        self._arcs = arcs
+        self._index = _ArcIndex(arcs, interior_hint)
         # (centre, cos R less the slack, membership outside the cap); the
         # cap with cos R = -inf is the whole sphere.
         self._cap = (interior_hint, -np.inf, False)
@@ -239,7 +242,7 @@ class PolylineBoundary(Boundary):
     @cached_property
     def _via_index(self) -> _ArcIndex:
         """The arc index about a point a quarter turn from the hint."""
-        return _ArcIndex(self.vertices, complete_frame(self.interior_reference)[0])
+        return _ArcIndex(self._arcs, complete_frame(self.interior_reference)[0])
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -264,7 +267,37 @@ def _row_chunks(n: int, k: int):
     return (slice(i, i + step) for i in range(0, n, step))
 
 
-def _crossing_arcs(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Arcs(NamedTuple):
+    """
+    The vertex arcs start -> end, end being the next vertex (the last arc
+    closes the cycle): start and end (k, 3), the unit normal of the great
+    circle (k, 3), the unit midpoint (k, 3), the length by `_angle` (k,),
+    and the reach 2 sin(L/4), the chord from the midpoint to either end
+    (k,), within which the whole arc lies.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    normal: np.ndarray
+    mid: np.ndarray
+    length: np.ndarray
+    reach: np.ndarray
+
+
+def _arc_table(vertices: np.ndarray) -> _Arcs:
+    """
+    The `_Arcs` of a closed cycle of unit vertices. Raises ValueError
+    where two consecutive vertices lie less than 1e-12 rad apart.
+    """
+    end = np.roll(vertices, -1, axis=0)
+    length = _angle(vertices, end, np.einsum("ij,ij->i", vertices, end))
+    if np.any(length < 1e-12):
+        raise ValueError("consecutive boundary vertices must be distinct")
+    return _Arcs(vertices, end, unit_vector(np.cross(vertices, end)),
+                 unit_vector(vertices + end), length, 2.0 * np.sin(0.25 * length))
+
+
+def _crossing_arcs(arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
     """
     Index pairs (i, j), i < j, of non-adjacent vertex arcs that cross.
 
@@ -280,11 +313,8 @@ def _crossing_arcs(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     also keeps arcs whose starts are 1e-12 apart, as the sum of two
     reaches is below 3.
     """
+    vertices, nxt, normals, mids, _, reach = arcs
     k = len(vertices)
-    nxt = np.roll(vertices, -1, axis=0)
-    normals = np.cross(vertices, nxt)
-    mids = unit_vector(vertices + nxt)
-    reach = 2.0 * np.sin(0.25 * _arc_lengths(vertices))
     near = [np.empty((0, 2), dtype=np.intp)]
     for rows in _row_chunks(k, k):
         # (r_i + r_j)^2 - |m_i - m_j|^2, for unit midpoints
@@ -344,10 +374,8 @@ class _ArcIndex:
     with |q x o| < _DETOUR get an arbitrary parity.
     """
 
-    def __init__(self, vertices: np.ndarray, origin: np.ndarray):
-        nxt = np.roll(vertices, -1, axis=0)
-        normals = np.cross(vertices, nxt)
-        mids = vertices + nxt
+    def __init__(self, arcs: _Arcs, origin: np.ndarray):
+        vertices, normals, mids = arcs.start, arcs.normal, arcs.mid
         side = np.cross(vertices, origin)  # q . (v x o) = det(o, q, v)
         self.origin = origin
         self.s_o = normals @ origin
@@ -409,12 +437,6 @@ class _ArcIndex:
 def _angle(q: np.ndarray, p: np.ndarray, dot: np.ndarray) -> np.ndarray:
     """Angle between paired rows q and p with q.p = dot, as atan2(|q x p|, q.p)."""
     return np.arctan2(np.linalg.norm(np.cross(q, p), axis=-1), dot)
-
-
-def _arc_lengths(vertices: np.ndarray) -> np.ndarray:
-    """Length of each vertex arc vertices[i] -> vertices[i + 1], by `_angle`."""
-    nxt = np.roll(vertices, -1, axis=0)
-    return _angle(vertices, nxt, np.einsum("ij,ij->i", vertices, nxt))
 
 
 def _candidates(
@@ -485,7 +507,7 @@ def _arc_nearest(q: np.ndarray, a: np.ndarray, b: np.ndarray, n: np.ndarray) -> 
     return dist, np.where(on_arc[:, None], q - lift[:, None] * n, end)
 
 
-def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_on_arcs(arcs: _Arcs, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     Geodesic distance from each query (n, 3) to the closed polyline of
     vertex arcs, and the nearest point on it (on the ray through it; not
@@ -497,39 +519,10 @@ def _nearest_on_arcs(vertices: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     result is that of evaluating every pair, a tie going to the lowest
     arc index.
     """
-    nxt = np.roll(vertices, -1, axis=0)
-    reach = 2.0 * np.sin(0.25 * _arc_lengths(vertices))
-    qi, j = _pairs(x, vertices, unit_vector(vertices + nxt), reach)
-    dist, near = _arc_nearest(x[qi], vertices[j], nxt[j], unit_vector(np.cross(vertices, nxt))[j])
+    qi, j = _pairs(x, arcs.start, arcs.mid, arcs.reach)
+    dist, near = _arc_nearest(x[qi], arcs.start[j], arcs.end[j], arcs.normal[j])
     best = _least(qi, dist)
     return dist[best], near[best]
-
-
-def _plane_pieces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """
-    The vertex arcs cut where they cross a coordinate plane, in arc order:
-    (start (m, 3), unit tangent at the start (m, 3), length (m,), unit
-    normal of the great circle (m, 3)); piece i is
-    cos(s) start_i + sin(s) tangent_i for s in [0, length_i].
-
-    A minor arc crosses each plane x_k = 0 at most once, where its
-    endpoints' coordinates have opposite signs, at the s with
-    a_k cos s + u_k sin s = 0. Each piece therefore keeps one sign of
-    every coordinate.
-    """
-    nxt = np.roll(vertices, -1, axis=0)
-    normals = unit_vector(np.cross(vertices, nxt))
-    tangents = np.cross(normals, vertices)
-    length = _angle(vertices, nxt, np.einsum("ij,ij->i", vertices, nxt))
-    sign = np.sign(vertices)
-    cut = np.arctan2(np.abs(vertices), -tangents * sign)
-    cut = np.where((sign * np.sign(nxt) < 0) & (cut > 0.0) & (cut < length[:, None]), cut, np.nan)
-    # NaN sorts last: each row is 0, its cuts in order, the length, padding
-    bounds = np.sort(np.column_stack([np.zeros(len(vertices)), cut, length]), axis=1)
-    arc, k = np.nonzero(np.isfinite(bounds[:, 1:]))
-    lo = bounds[arc, k]
-    start, tangent = (v.T for v in _on_arc(lo, vertices[arc].T, tangents[arc].T))
-    return start, tangent, bounds[arc, k + 1] - lo, normals[arc]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -601,47 +594,51 @@ def _second_minimum(y0: np.ndarray, beta: np.ndarray, c: np.ndarray) -> tuple[np
         return y0 / (c + beta * v), -1.0 / v
 
 
-def _nearest_projected(pieces: tuple, drop_idx: int, y: np.ndarray) -> np.ndarray:
+def _nearest_projected(arcs: _Arcs, drop_idx: int, y: np.ndarray) -> np.ndarray:
     """
     Nearest point (n, 2) of the projected polyline to each projected
-    query y (n, 2), exact on the pieces of `_plane_pieces`.
+    query y (n, 2), exact on the vertex arcs.
 
-    Dropping coordinate k maps the great circle of a piece with unit
+    Dropping coordinate k maps the great circle of an arc with unit
     normal n onto a centred ellipse with semi-axes 1 (along m, the unit
-    vector along e_k x n) and b = |n_k|, at principal angle phi; the piece
-    keeps the sign of x_k, so it lies on one half, phi in [0, pi] once the
-    axis w = n x m is taken toward it. The squared distance f from y has
-    at most two local minima on the whole ellipse (Eberly 2013, "Distance
-    from a point to an ellipse, an ellipsoid, or a hyperellipsoid"): the
-    global one, in y's quadrant, and a second one, in the quadrant
-    mirrored across the major axis, when y lies inside the evolute,
-    |y0|^(2/3) + |b y1|^(2/3) < (1 - b^2)^(2/3), in principal coordinates.
+    vector along e_k x n) and b = |n_k|, at principal angle phi. Only the
+    sign of x_k picks the half of the ellipse, phi in [0, pi] once the
+    axis w = n x m is taken toward the arc's midpoint, and the fold rules
+    of `_check_hemisphere` keep each arc on its half: a one-sided
+    boundary's arcs cross the plane x_k = 0 only within the 1e-9 fold
+    tolerance, and an arc of a simple mirror-symmetric boundary that
+    crosses it is its own mirror image, so n_k = 0 and it projects to a
+    segment of the major axis (b = 0, w along e_k). The squared distance
+    f from y has at most two local minima on the whole ellipse (Eberly
+    2013, "Distance from a point to an ellipse, an ellipsoid, or a
+    hyperellipsoid"): the global one, in y's quadrant, and a second one,
+    in the quadrant mirrored across the major axis, when y lies inside the
+    evolute, |y0|^(2/3) + |b y1|^(2/3) < (1 - b^2)^(2/3), in principal
+    coordinates.
 
-    So Newton cannot miss an interior minimum when y lies on the piece's
+    So Newton cannot miss an interior minimum when y lies on the arc's
     side of the major axis (y.Pw >= 0): on that half f' changes sign once,
     from - to +, and `_valley_root` finds it in the arc length s wherever
     f'(0) < 0 < f'(L). Otherwise the only interior minimum is the second
-    one, from `_second_minimum`. Each root found, and the piece's two
-    ends, is a point of the piece, so the least distance among them is
-    exact. Pieces are pruned by `_candidates`, and a tie goes to the
-    lowest piece index.
+    one, from `_second_minimum`; on a segment, where y.Pw = 0, that is the
+    foot of the perpendicular. Each root found, and the arc's two ends, is
+    a point of the arc, so the least distance among them is exact. Arcs
+    are pruned by `_candidates`, and a tie goes to the lowest arc index.
     """
-    start, tangent, length, normal = pieces
+    start, end, normal, length = arcs.start, arcs.end, arcs.normal, arcs.length
     keep = [i for i in range(3) if i != drop_idx]
-    end, end_tangent = (v.T for v in _on_arc(length, start.T, tangent.T))
-    half = 0.5 * length
-    mid = _on_arc(half, start.T, tangent.T)[0].T
+    tangent, end_tangent = np.cross(normal, start), np.cross(normal, end)
     across = np.cross(np.eye(3)[drop_idx], normal)  # e_k x n: a signed permutation of n
     c = np.einsum("ij,ij->i", across, across)  # 1 - b^2; zero on a circle, which has one minimum
     m = across / np.sqrt(np.where(c > 0.0, c, 1.0))[:, None]
     w = np.cross(normal, m)
-    w *= np.where(np.einsum("ij,ij->i", w, mid) < 0.0, -1.0, 1.0)[:, None]
+    w *= np.where(np.einsum("ij,ij->i", w, arcs.mid) < 0.0, -1.0, 1.0)[:, None]
     table = np.vstack([
         start[:, keep].T, tangent[:, keep].T, end[:, keep].T, end_tangent[:, keep].T,
         length, m[:, keep].T, w[:, keep].T, c,
         *(np.einsum("ij,ij->i", f, g) for f in (m, w) for g in (start, tangent)),
     ])
-    qi, j = _pairs(y, start[:, keep], mid[:, keep], 2.0 * np.sin(0.5 * half))
+    qi, j = _pairs(y, start[:, keep], arcs.mid[:, keep], arcs.reach)
     t, yq = table[:, j], y.T[:, qi]
     a, u, e, te, span = t[0:2], t[2:4], t[4:6], t[6:8], t[8]
 
@@ -669,8 +666,8 @@ def _nearest_projected(pieces: tuple, drop_idx: int, y: np.ndarray) -> np.ndarra
     cos_phi, sin_phi = _second_minimum(y0, beta, cc)
     ma, mu, wa, wu = t[14:18, idx]
     s = np.arctan2(cos_phi * mu + sin_phi * wu, cos_phi * ma + sin_phi * wa)
-    # A root off the piece, or lost where y grazes the evolute, still
-    # gives a point of the piece.
+    # A root off the arc, or lost where y grazes the evolute, still gives
+    # a point of the arc.
     offer(idx, np.clip(np.nan_to_num(s), 0.0, span[idx]))
 
     hit = _least(qi, best_d)
@@ -721,7 +718,7 @@ def haversine_scaling(
 
     g = np.zeros(n)
     grad = np.zeros((n, 3))
-    g[inside], near = _nearest_on_arcs(boundary.vertices, x[inside])
+    g[inside], near = _nearest_on_arcs(boundary._arcs, x[inside])
     ok = g > 1e-12
     xo = x[ok]
     # (x x p) x x = p - (x.p) x, with norm sin g times |p|.
@@ -866,7 +863,7 @@ def projected_scaling(
             nearest = np.column_stack([np.full(n, c0), np.clip(xe[:, 1], -s0, s0)])
     else:
         nearest = np.zeros_like(xe)
-        nearest[inside] = _nearest_projected(boundary._pieces, drop_idx, xe[inside])
+        nearest[inside] = _nearest_projected(boundary._arcs, drop_idx, xe[inside])
     diff = xe - nearest
     g = np.linalg.norm(diff, axis=1)
     ok = inside & (g > 1e-12)

@@ -198,7 +198,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"cannot read dataset {args.data}: {exc}") from exc
-    boundary = None if args.g_kind == "unit" else build_boundary(config.boundary)
+    boundary = build_boundary(config.boundary)
     fixed = {k: v for k, v in (("kappa", args.fixed_kappa), ("alpha", args.fixed_alpha))
              if v is not None}
     try:

@@ -107,19 +107,13 @@ class Dataset:
             )
         return inside
 
-    def to_csv(self, path, include_euclidean: bool = True) -> None:
+    def to_csv(self, path) -> None:
         a, b = self.spherical()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            header = ["a_rad", "b_rad"]
-            if include_euclidean:
-                header += ["x1", "x2", "x3"]
-            writer.writerow(header)
+            writer.writerow(["a_rad", "b_rad", "x1", "x2", "x3"])
             for i in range(self.n):
-                row = [f"{a[i]:.17g}", f"{b[i]:.17g}"]
-                if include_euclidean:
-                    row += [f"{v:.17g}" for v in self.x[i]]
-                writer.writerow(row)
+                writer.writerow([f"{v:.17g}" for v in (a[i], b[i], *self.x[i])])
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":

@@ -31,6 +31,12 @@ MU = np.array([0.0, -1.0, 0.0])
 # ------------------------------------------------------------------- config
 
 
+NON_INTEGER_COUNTS = [
+    {"replicates": 2.5}, {"workers": 1.5}, {"seed": "abc"}, {"n_grid": [50.9]},
+    {"max_draw_factor": 10.5}, {"drop_axis": 2.0}, {"replicates": True}, {"drop_axis": True},
+]
+
+
 def test_config_validation():
     with pytest.raises(ConfigError, match="experiment"):
         ExperimentConfig(experiment="mystery")
@@ -51,6 +57,20 @@ def test_config_validation():
             ExperimentConfig(max_draw_factor=factor)
     with pytest.raises(ConfigError, match="unknown config key"):
         ExperimentConfig.from_dict({"n_gird": [100]})
+    # counts must be integers (a bool is not one, a numpy integer is)
+    for settings in NON_INTEGER_COUNTS:
+        with pytest.raises(ConfigError, match="integers expected"):
+            ExperimentConfig.from_dict(settings)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ExperimentConfig.from_dict({"seed": -1})
+    config = ExperimentConfig.from_dict({
+        "n_grid": [np.int64(50), np.int32(80)], "replicates": np.int64(2), "seed": np.uint32(7),
+        "workers": np.int8(1), "max_draw_factor": np.int64(10), "drop_axis": np.int64(2),
+    })
+    assert config.n_grid == (50, 80) and all(type(n) is int for n in config.n_grid)
+    assert all(type(getattr(config, name)) is int
+               for name in ("replicates", "seed", "workers", "max_draw_factor", "drop_axis"))
+    assert (config.replicates, config.seed, config.drop_axis) == (2, 7, 2)
 
 
 def test_truth_params_defaults():
@@ -639,3 +659,38 @@ def test_cli_unknown_config_key_exit_2_for_every_command(tmp_path):
     cfg.write_text(json.dumps({"g_kind": "projected"}))
     assert main(["estimate", "--data", samples, "--config", str(cfg)]) == 2
 
+
+
+@pytest.mark.parametrize("settings", NON_INTEGER_COUNTS + [{"seed": -1}],
+                         ids=lambda s: ",".join(f"{k}={v}" for k, v in s.items()))
+def test_cli_non_integer_counts_exit_2(tmp_path, settings):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_grid": [50], "replicates": 1, **settings}))
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert main(["simulate", "--n", "50", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_negative_seed_flag_exit_2(tmp_path):
+    out = tmp_path / "out"
+    assert main(["benchmark", "--seed", "-1", "--n-grid", "50", "--replicates", "1",
+                 "--out-dir", str(out)]) == 2
+    assert main(["simulate", "--seed", "-1", "--n", "50", "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_estimate_unit_g_reads_the_boundary(tmp_path):
+    assert main(["simulate", "--n", "100", "--kappa", "6", "--out-dir", str(tmp_path)]) == 0
+    samples = str(tmp_path / "samples.csv")
+    out = tmp_path / "out"
+    # an unreadable boundary is a data error whichever g is chosen
+    for g in ("unit", "haversine"):
+        assert main(["estimate", "--g", g, "--boundary-csv", str(tmp_path / "missing.csv"),
+                     "--data", samples, "--out-dir", str(out)]) == 3
+    assert not out.exists()
+    # g unit still skips the membership test: the hemisphere samples lie
+    # outside the cap a < 0.3, which only the other g kinds reject
+    cap = ["--a0", "0.3", "--side", "less", "--data", samples, "--out-dir", str(out)]
+    assert main(["estimate", "--g", "haversine", *cap]) == 2
+    assert main(["estimate", "--g", "unit", *cap]) == 0

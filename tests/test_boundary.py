@@ -7,9 +7,9 @@ from tmsm.boundary import (
     _AZIMUTH_BINS,
     PolylineBoundary,
     _arc_nearest,
+    _arc_table,
     _least,
     _nearest_on_arcs,
-    _plane_pieces,
     _row_chunks,
     default_drop_axis,
     haversine_scaling,
@@ -125,7 +125,7 @@ def test_polyline_resampling_even_and_on_sphere():
     tri = to_euclidean([0.7] * 3, [0.5, 2.5, 4.5])
     samples = _resample_closed(tri, 4096)
     assert np.allclose(np.linalg.norm(samples, axis=1), 1.0, atol=1e-12)
-    assert np.max(_nearest_on_arcs(tri, samples)[0]) < 1e-12
+    assert np.max(_nearest_on_arcs(_arc_table(tri), samples)[0]) < 1e-12
     steps = geodesic_angle(samples, np.roll(samples, -1, axis=0))
     assert steps.max() < 2.5 * steps.min()  # near-uniform arc steps
 
@@ -171,7 +171,7 @@ def probe_points(b, seed, n=4400):
     rng = np.random.default_rng(seed)
     near = unit_vector(b.interior_reference + 0.4 * rng.standard_normal((n // 2, 3)))
     x = np.vstack([unit_vector(rng.standard_normal((n - n // 2, 3))), near])
-    d, _ = _nearest_on_arcs(b.vertices, x)
+    d, _ = _nearest_on_arcs(b._arcs, x)
     return x[d > 1e-6]
 
 
@@ -314,7 +314,7 @@ def test_polyline_short_arc_builds_and_keeps_membership():
             b.interior_reference + 0.3 * rng.standard_normal((4000, 3)),
             box[0] + 1e-3 * rng.standard_normal((4000, 3)),
         ]))
-        x = x[(_nearest_on_arcs(vertices, x)[0] > 1e-6) & (x @ b.interior_reference > 0.2)]
+        x = x[(_nearest_on_arcs(b._arcs, x)[0] > 1e-6) & (x @ b.interior_reference > 0.2)]
         assert len(x) > 7000
         inside = b.contains(x)
         assert 0 < inside.sum() < len(x)
@@ -567,7 +567,7 @@ def test_nearest_on_arcs_matches_all_arcs_reference(name):
         vertices, -vertices, mids, -mids,
         equidistant_points(vertices),
     ])
-    dist, near = _nearest_on_arcs(vertices, x)
+    dist, near = _nearest_on_arcs(_arc_table(vertices), x)
     # pruning drops no arc that can be nearest: bit for bit the all-pairs result
     all_dist, all_near = all_pairs_nearest(vertices, x)
     assert np.array_equal(dist, all_dist) and np.array_equal(near, all_near)
@@ -913,6 +913,17 @@ def test_projected_gradient_matches_fd():
         assert checked >= 12
 
 
+# A hexagon in the positive octant with two vertices 6e-10 from each
+# coordinate plane, one on either side, so the boundary is one-sided in
+# every axis within the 1e-9 fold tolerance: the arc between each pair
+# runs along its plane, and each arc leaving the pair crosses the plane
+# next to the vertex below it.
+NEAR_PLANES = unit_vector(np.array([
+    [1.0, 0.3, 6e-10], [0.3, 1.0, -6e-10],
+    [6e-10, 1.0, 0.3], [-6e-10, 0.3, 1.0],
+    [0.3, 6e-10, 1.0], [1.0, -6e-10, 0.3],
+]))
+
 # The drop axes the fold rules accept for each region: its vertices lie in
 # one closed hemisphere of the axis, or mirror-symmetric in it (the kite).
 PROJECTED_AXES = {
@@ -922,6 +933,7 @@ PROJECTED_AXES = {
     "reversed_box": (1, 2, 3),
     "concave_hexagon": (1, 2, 3),
     "kite": (1, 2, 3),
+    "near_planes": (1, 2, 3),
 }
 
 
@@ -930,7 +942,7 @@ def test_projected_polyline_matches_brute_force():
     # sample of the same arcs: never above it beyond rounding, and within
     # the sample's reach below it; queries reach deep inside, where the
     # nearest point can be an ellipse's second local minimum
-    regions = {"usa": USA.vertices, "kite": KITE, **POLYGONS}
+    regions = {"usa": USA.vertices, "kite": KITE, "near_planes": NEAR_PLANES, **POLYGONS}
     for name, vertices in sorted(regions.items()):
         b = PolylineBoundary(vertices)
         rng = np.random.default_rng(len(name))
@@ -954,26 +966,6 @@ def test_projected_polyline_matches_brute_force():
             assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-12)
             assert np.all(grad[:, axis - 1] == 0.0)
         assert tuple(accepted) == PROJECTED_AXES[name], name
-
-
-def test_plane_pieces_keep_one_sign_per_axis():
-    # the pieces run along the vertex arcs in order, and each keeps one
-    # sign of every coordinate, so it lies on one half of its projected
-    # ellipse for any drop axis; each of the bow-tie's four arcs, and each
-    # of the wide band's meridians, crosses the equator x1 = 0
-    bow_tie = latlon_polygon([20, -10, 10, -20], [0, 20, 20, 0])
-    for vertices in (USA.vertices, WIDE_BAND, bow_tie, *POLYGONS.values()):
-        start, tangent, length, normal = _plane_pieces(vertices)
-        end = np.cos(length)[:, None] * start + np.sin(length)[:, None] * tangent
-        mid = np.cos(0.5 * length)[:, None] * start + np.sin(0.5 * length)[:, None] * tangent
-        assert np.max(np.abs(end - np.roll(start, -1, axis=0))) < 1e-14
-        assert np.max(np.abs(np.sum(start * normal, axis=1))) < 1e-14
-        assert np.max(_nearest_on_arcs(vertices, mid)[0]) < 1e-14
-        assert np.all(start * end >= -1e-15) and np.all(start * mid >= -1e-15)
-        nxt = np.roll(vertices, -1, axis=0)
-        arcs = np.arctan2(np.linalg.norm(np.cross(vertices, nxt), axis=1), np.sum(vertices * nxt, axis=1))
-        assert length.sum() == pytest.approx(arcs.sum(), abs=1e-13)
-    assert len(_plane_pieces(bow_tie)[2]) == 2 * len(bow_tie)
 
 
 def test_projected_polyline_zero_on_the_boundary():

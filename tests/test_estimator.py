@@ -71,11 +71,10 @@ def test_dataset_spherical_round_trip():
 
 def test_dataset_csv_round_trip(tmp_path):
     d = hemi_dataset(80)
-    for include in (True, False):
-        path = tmp_path / f"data_{include}.csv"
-        d.to_csv(path, include_euclidean=include)
-        back = Dataset.from_csv(path)
-        assert np.max(np.abs(back.x - d.x)) < 1e-12
+    path = tmp_path / "data.csv"
+    d.to_csv(path)
+    back = Dataset.from_csv(path)
+    assert np.max(np.abs(back.x - d.x)) < 1e-12
 
 
 def test_dataset_membership_validation():
