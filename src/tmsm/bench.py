@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -117,6 +118,10 @@ class ExperimentConfig:
             bad.insert(0, "n_grid entries")
         if bad:
             raise ConfigError(f"integers expected for {', '.join(bad)}")
+        if not isinstance(self.timings, bool):
+            raise ConfigError(f"timings must be true or false, got {self.timings!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         # plain ints, so that the rows CSV writes a numpy seed as an integer

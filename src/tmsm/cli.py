@@ -10,11 +10,12 @@ Subcommands:
     storms     fit mean direction of geolocated events in a border
 
 Every subcommand reads its settings the same way (`_settings`): an
-optional JSON file (--config) whose keys are those of ExperimentConfig,
-overlaid with every flag given on the command line, validated by
-ExperimentConfig.from_dict as `benchmark` does, so an unknown key or a bad
-value fails with exit code 2 whichever subcommand reads it. Exit codes:
-0 success, 2 configuration error, 3 data error, 4 numerical failure.
+optional JSON file (--config) whose keys are the ExperimentConfig keys the
+subcommand reads (`_READS`), overlaid with every flag given on the command
+line, validated by ExperimentConfig.from_dict as `benchmark` does, so a
+key the subcommand does not read or a bad value fails with exit code 2
+whichever subcommand reads it. Exit codes: 0 success, 2 configuration
+error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -137,12 +138,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the config-file keys each subcommand reads; any other key exits 2
+_READS = {
+    "simulate": ("seed", "boundary", "truth", "out_dir", "max_draw_factor"),
+    "estimate": ("boundary", "out_dir", "drop_axis"),
+    "benchmark": _CONFIG_KEYS,
+    "storms": ("seed", "out_dir", "drop_axis"),
+}
+
+
 def _settings(args: argparse.Namespace) -> ExperimentConfig:
     """
-    The command's ExperimentConfig: the --config file's keys, overlaid
-    with every flag that is given. A flag named after a config key sets
-    it; --model, --mu-a, --mu-b, --kappa and --alpha set keys of `truth`;
-    --boundary-csv, or else --a0 and --side, set `boundary`.
+    The command's ExperimentConfig: the --config file's keys, each one
+    the command reads, overlaid with every flag that is given. A flag
+    named after a config key sets it; --model, --mu-a, --mu-b, --kappa and
+    --alpha set keys of `truth`; --boundary-csv, or else --a0 and --side,
+    set `boundary`.
     """
     raw: dict = {}
     if args.config:
@@ -155,6 +166,9 @@ def _settings(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict) or not isinstance(raw.get("truth", {}), dict):
             raise ConfigError(f"config file {args.config} and its truth must be JSON objects")
+        unread = sorted(set(raw) - set(_READS[args.command]))
+        if unread:
+            raise ConfigError(f"{args.command} does not read config key(s) {unread}")
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None and value is not False:

@@ -31,10 +31,12 @@ are, so that gradient and Hessian are products with three constant 12x12
 generators. No start is random and every evaluation is O(1) in the sample
 size.
 
-`ibp_identity_check` verifies by quadrature that this three-term form
-agrees with the population score-matching divergence it rewrites, which
-holds only because g is zero on the boundary; it doubles as a convergence
-diagnostic for the chart quadrature.
+The form is the only way the objective is evaluated: `tmsm_objective`
+reads its three terms off it at theta, and `ibp_identity_check` builds the
+same form from chart quadrature nodes weighted by the truncated density,
+so both of its sides are forms in theta. They agree only because g is zero
+on the boundary; the check doubles as a convergence diagnostic for the
+chart quadrature.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .models import (
     KentParams,
     ModelParams,
     VmfParams,
-    batch_terms,
     log_unnormalized_density,
 )
 
@@ -129,10 +130,11 @@ class Dataset:
 
 @dataclass
 class ObjectiveTerms:
-    """The three averaged sums of the truncated objective.
+    """The three averaged sums of the truncated objective, read off the
+    forms of `_ScalingStats.kent_terms` at theta.
 
     `total` applies the 1-2-2 weighting; keeping the raw terms separate
-    makes the g = 1 reduction and the identity check easy to inspect.
+    makes the g = 1 reduction easy to inspect.
     """
 
     inner_term: float
@@ -183,8 +185,10 @@ class _ScalingStats:
     c = 2 first - tgrad = -b[:3] / 2, so a vMF fit minimises
     eta^T m eta - 2 c^T eta. The rest of W and b needs the third and
     fourth moments, so `kent_form` builds it on first use and the vMF fits
-    never pay for it. `general_terms` is the O(n) reference the form must
-    match.
+    never pay for it. Every moment is linear in (g, grad g) and tgrad_abs
+    is positively homogeneous, so the stats of (s g, s grad g) with s >= 0
+    are s-weighted means: `ibp_identity_check` builds its quadrature form
+    that way.
     """
 
     def __init__(self, x: np.ndarray, g: np.ndarray, grad: np.ndarray):
@@ -208,7 +212,8 @@ class _ScalingStats:
 
         The Kent score is psi = eta + A x with eta = kappa mu and
         A = 2 alpha (gamma1 gamma1^T - gamma2 gamma2^T), symmetric and
-        traceless. Averaging the per-point terms of `batch_terms` gives
+        traceless. Averaging the per-point terms g <psi, psi>_M,
+        g Delta_M log p and <grad g, psi>_M gives
 
             inner      = eta^T (gbar I - Q) eta + 2 eta^T (A f - T3:A)
                          + <A^2, Q> - vec(A)^T T4 vec(A) = theta^T W theta,
@@ -241,17 +246,6 @@ class _ScalingStats:
         the 1-2-2 weighting of `kent_terms` gives b = 2 (b_lap + b_gg)."""
         w, b_lap, b_gg = self.kent_terms
         return w, 2.0 * (b_lap + b_gg)
-
-    def general_terms(self, params: ModelParams) -> ObjectiveTerms:
-        psi, inner, lap = batch_terms(params, self.x)
-        xg = np.sum(self.x * self.grad, axis=1)
-        xp = np.sum(self.x * psi, axis=1)
-        gg = np.sum(self.grad * psi, axis=1) - xg * xp
-        return ObjectiveTerms(
-            float((self.g * inner).mean()),
-            float((self.g * lap).mean()),
-            float(gg.mean()),
-        )
 
 
 def _scaling_stats(
@@ -297,7 +291,9 @@ def tmsm_objective(
         ValueError: if any data point lies outside the region.
     """
     stats = _scaling_stats(data, boundary, g_kind, drop_axis)
-    return stats.general_terms(params)
+    w, b_lap, b_gg = stats.kent_terms
+    theta = _theta(params)
+    return ObjectiveTerms(float(theta @ w @ theta), float(b_lap @ theta), float(b_gg @ theta))
 
 
 def _frame_grid(n_directions: int, n_angles: int) -> np.ndarray:
@@ -402,6 +398,14 @@ _NEWTON_CAP = 50
 def _table_scale(kappa: float, alpha: float) -> np.ndarray:
     """(kappa 1_3, 2 alpha 1_9), the column scale from a `_frame_table` row to t."""
     return np.repeat([kappa, 2.0 * alpha], [3, 9])
+
+
+def _theta(params: ModelParams) -> np.ndarray:
+    """theta = (kappa mu, vec A) of the parameters: (kappa mu, 0) for vMF,
+    and for Kent its frame's `_frame_table` row scaled by `_table_scale`."""
+    if isinstance(params, VmfParams):
+        return np.concatenate([params.kappa * params.mu, np.zeros(9)])
+    return _frame_table(params.frame().T[None])[0] * _table_scale(params.kappa, params.alpha)
 
 
 def _form_values(w: np.ndarray, b: np.ndarray, kappa: float, alpha: float,
@@ -715,35 +719,28 @@ def _chart_grid(a_lo: float, a_hi: float, n_a: int, n_b: int):
     return nodes, weights
 
 
-def _identity_sides(
-    params: ModelParams,
-    trunc_params: ModelParams,
-    boundary: ColatitudeBoundary,
-    g_kind: str,
-    n_a: int,
-    n_b: int,
-    drop_axis: int | None,
-) -> tuple[float, float]:
+def _identity_sides(params: ModelParams, trunc_params: ModelParams, boundary: ColatitudeBoundary,
+                    g_kind: str, n_a: int, n_b: int, drop_axis: int | None) -> tuple[float, float]:
+    """
+    Both sides as forms in theta. With s = N w q at the N chart nodes (w
+    the quadrature weights, q the normalised truth density), the stats of
+    (s g, s grad g) average to the quadrature integrals of q g (...), so
+
+        lhs = int q g (|psi_p - psi_q|^2_M - |psi_q|^2_M)
+            = theta_p^T W theta_p - 2 theta_q^T W theta_p,
+        rhs = theta_p^T W theta_p + b^T theta_p.
+    """
     nodes, w = _chart_grid(*boundary.a_interval(), n_a, n_b)
     log_q = log_unnormalized_density(trunc_params, nodes)
     q = np.exp(log_q - log_q.max())
     q /= w @ q
     g, grad_g, _ = scaling_values(boundary, nodes, g_kind, drop_axis)
-
-    psi_q, inner_q, _ = batch_terms(trunc_params, nodes)
-    psi_p, inner_p, lap_p = batch_terms(params, nodes)
-
-    diff = psi_q - psi_p
-    xd = np.sum(nodes * diff, axis=1)
-    direct = np.sum(diff * diff, axis=1) - xd * xd
-    c_q = float(w @ (q * g * inner_q))
-    lhs = float(w @ (q * g * direct)) - c_q
-
-    xg = np.sum(nodes * grad_g, axis=1)
-    xp = np.sum(nodes * psi_p, axis=1)
-    gg = np.sum(grad_g * psi_p, axis=1) - xg * xp
-    rhs = float(w @ (q * (g * inner_p + 2.0 * g * lap_p + 2.0 * gg)))
-    return lhs, rhs
+    s = len(nodes) * w * q
+    stats = _ScalingStats(nodes, s * g, s[:, None] * grad_g)
+    wt, b = stats.kent_form
+    theta_p, theta_q = _theta(params), _theta(trunc_params)
+    inner = float(theta_p @ wt @ theta_p)
+    return inner - 2.0 * float(theta_q @ wt @ theta_p), inner + float(b @ theta_p)
 
 
 def ibp_identity_check(
@@ -760,10 +757,11 @@ def ibp_identity_check(
 
     The data law q is the known model `trunc_params` restricted to the
     region and renormalized there; its score inside the region equals the
-    untruncated score. lhs integrates q g ||psi_q - psi_p||^2_M directly
-    and subtracts the params-free constant integral q g <psi_q, psi_q>_M;
-    rhs assembles the three estimator terms by the same quadrature. With a
-    compliant g the two are equal up to quadrature error.
+    untruncated score. lhs is the integral of q g ||psi_q - psi_p||^2_M
+    less the params-free constant integral of q g <psi_q, psi_q>_M; rhs is
+    the three-term objective under q. Both are read off one quadrature-
+    weighted `_ScalingStats` form (see `_identity_sides`). With a compliant
+    g the two are equal up to quadrature error.
 
     Only colatitude-circle boundaries are supported: they give the chart
     quadrature an exact product domain.

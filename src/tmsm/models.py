@@ -3,9 +3,11 @@ von Mises-Fisher and Kent distributions on the unit sphere.
 
 Unnormalized log-densities, ambient score functions (gradients of the log
 density with respect to the data point), and, per point, the two
-model-specific quantities the sphere objective consumes: the tangential
-squared score and the intrinsic Laplacian of the log density. Normalising
-constants are deliberately absent; nothing here needs them.
+model-specific quantities of the sphere objective: the tangential squared
+score and the intrinsic Laplacian of the log density. The estimator never
+evaluates them point by point; it reads the objective off a quadratic form
+in the natural parameters. Normalising constants are deliberately absent;
+nothing here needs them.
 
 Every operation broadcasts over leading point axes, so `x` may be a single
 (3,) vector or an (n, 3) batch.
@@ -139,10 +141,12 @@ def batch_terms(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     Per-point (score, <psi,psi>_M, Laplacian) for a batch of points.
 
-    The estimator's O(n) reference objective and the identity-check
-    quadrature use it; the fits themselves work from data moments. The
-    tests check it against a pointwise chain built from the tangent
-    projection and the Laplace-Beltrami operator.
+    No fit or check in the package calls it: the objective and the
+    identity check read a quadratic form built from data moments. It is
+    kept for the per-layer timing probe of the benchmark suite; the tests
+    build their pointwise objective references from it and check it
+    against a chain built from the tangent projection and the
+    Laplace-Beltrami operator.
 
     Args:
         params: model parameters.

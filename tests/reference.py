@@ -2,22 +2,25 @@
 Pointwise reference chain for the tests: the tangent projection, the
 manifold inner product, the Laplace-Beltrami operator, the score Jacobian,
 the two per-point objective terms built from them, and chart midpoint
-grids. `tmsm.models.batch_terms` computes the same terms in one pass and is
-what the package uses; these slower, term-by-term forms check it.
+grids. `tmsm.models.batch_terms` computes the same per-point terms in one
+pass; these slower, term-by-term forms check it.
 
-Also here, for the fit layer: the data moments of `_ScalingStats` as means
-of per-point outer products, and the gradient and Hessian of the Kent form
-over rotations with their curvature terms expanded by hand, which the
-generator form of `tmsm.estimator._frame_derivatives` must match.
+Also here, for the fit layer, everything the package computes from the
+quadratic form of `_ScalingStats`, rebuilt point by point: the data moments
+as means of per-point outer products, the three objective terms and both
+sides of the identity check assembled from `batch_terms`, and the gradient
+and Hessian of the Kent form over rotations with their curvature terms
+expanded by hand, which the generator form of
+`tmsm.estimator._frame_derivatives` must match.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tmsm.boundary import ColatitudeBoundary
-from tmsm.estimator import _chart_grid
-from tmsm.models import ModelParams, VmfParams, score
+from tmsm.boundary import ColatitudeBoundary, scaling_values
+from tmsm.estimator import ObjectiveTerms, _chart_grid
+from tmsm.models import ModelParams, VmfParams, batch_terms, log_unnormalized_density, score
 
 
 def projection(x: np.ndarray) -> np.ndarray:
@@ -146,6 +149,55 @@ def scaling_moments(x: np.ndarray, g: np.ndarray, grad: np.ndarray) -> dict:
         "tgrad": tang.mean(axis=0),
         "tgrad_abs": float(np.linalg.norm(tang, axis=1).mean()),
     }
+
+
+def pointwise_terms(params: ModelParams, x: np.ndarray, g: np.ndarray,
+                    grad: np.ndarray) -> ObjectiveTerms:
+    """
+    The three objective terms as means over the points of g <psi, psi>_M,
+    g Delta_M log p and <grad g, psi>_M, each from `batch_terms`.
+    """
+    psi, inner, lap = batch_terms(params, x)
+    xg = np.sum(x * grad, axis=1)
+    xp = np.sum(x * psi, axis=1)
+    gg = np.sum(grad * psi, axis=1) - xg * xp
+    return ObjectiveTerms(float((g * inner).mean()), float((g * lap).mean()), float(gg.mean()))
+
+
+def pointwise_identity_sides(
+    params: ModelParams,
+    trunc_params: ModelParams,
+    boundary: ColatitudeBoundary,
+    g_kind: str,
+    n_a: int,
+    n_b: int,
+    drop_axis: int | None = None,
+) -> tuple[float, float]:
+    """
+    lhs and rhs of the identity check by chart quadrature of per-point
+    terms: lhs integrates q g |psi_q - psi_p|^2_M less q g <psi_q, psi_q>_M,
+    rhs integrates q times the three estimator terms at params.
+    """
+    nodes, w = _chart_grid(*boundary.a_interval(), n_a, n_b)
+    log_q = log_unnormalized_density(trunc_params, nodes)
+    q = np.exp(log_q - log_q.max())
+    q /= w @ q
+    g, grad_g, _ = scaling_values(boundary, nodes, g_kind, drop_axis)
+
+    psi_q, inner_q, _ = batch_terms(trunc_params, nodes)
+    psi_p, inner_p, lap_p = batch_terms(params, nodes)
+
+    diff = psi_q - psi_p
+    xd = np.sum(nodes * diff, axis=1)
+    direct = np.sum(diff * diff, axis=1) - xd * xd
+    c_q = float(w @ (q * g * inner_q))
+    lhs = float(w @ (q * g * direct)) - c_q
+
+    xg = np.sum(nodes * grad_g, axis=1)
+    xp = np.sum(nodes * psi_p, axis=1)
+    gg = np.sum(grad_g * psi_p, axis=1) - xg * xp
+    rhs = float(w @ (q * (g * inner_p + 2.0 * g * lap_p + 2.0 * gg)))
+    return lhs, rhs
 
 
 # L_i = [e_i]x, so L_i v = e_i x v, and P_ij = (L_i L_j + L_j L_i) / 2.

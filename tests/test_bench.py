@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ NON_INTEGER_COUNTS = [
 ]
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ConfigError, match="experiment"):
         ExperimentConfig(experiment="mystery")
     with pytest.raises(ConfigError, match="increasing"):
@@ -63,6 +64,15 @@ def test_config_validation():
             ExperimentConfig.from_dict(settings)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         ExperimentConfig.from_dict({"seed": -1})
+    # a string "false" is truthy, and a number is not a path
+    for settings in ({"timings": "false"}, {"timings": 1}, {"timings": None}):
+        with pytest.raises(ConfigError, match="timings"):
+            ExperimentConfig.from_dict(settings)
+    for settings in ({"out_dir": 5}, {"out_dir": None}, {"out_dir": ["out"]}):
+        with pytest.raises(ConfigError, match="out_dir"):
+            ExperimentConfig.from_dict(settings)
+    assert ExperimentConfig.from_dict({"out_dir": "runs", "timings": True}).timings is True
+    assert ExperimentConfig(out_dir=tmp_path).out_dir == tmp_path
     config = ExperimentConfig.from_dict({
         "n_grid": [np.int64(50), np.int32(80)], "replicates": np.int64(2), "seed": np.uint32(7),
         "workers": np.int8(1), "max_draw_factor": np.int64(10), "drop_axis": np.int64(2),
@@ -659,6 +669,33 @@ def test_cli_unknown_config_key_exit_2_for_every_command(tmp_path):
     cfg.write_text(json.dumps({"g_kind": "projected"}))
     assert main(["estimate", "--data", samples, "--config", str(cfg)]) == 2
 
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "experiment", "kent_known_shape"),
+    ("estimate", "replicates", 5),
+    ("benchmark", "g_kind", "projected"),
+    ("storms", "truth", {"kappa": 99}),
+])
+def test_cli_config_key_the_command_does_not_read_exit_2(tmp_path, command, key, value):
+    assert main(["simulate", "--n", "100", "--kappa", "6", "--out-dir", str(tmp_path)]) == 0
+    border = tmp_path / "border.csv"
+    _write_hemisphere_boundary(border)
+    events = tmp_path / "events.csv"
+    _write_events(events, [(f"e{i}", -40.0 + i, -170.0 + 17.0 * i) for i in range(20)])
+    argv = {"simulate": ["simulate", "--n", "100"],
+            "estimate": ["estimate", "--data", str(tmp_path / "samples.csv")],
+            "benchmark": ["benchmark", "--n-grid", "40", "--replicates", "1"],
+            "storms": ["storms", "--events", str(events), "--boundary-csv", str(border)]}[command]
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    # each command reads out_dir, so only the unread key can fail
+    cfg.write_text(json.dumps({"out_dir": str(out)}))
+    assert main(argv + ["--config", str(cfg)]) == 0
+    shutil.rmtree(out)
+    cfg.write_text(json.dumps({"out_dir": str(out), key: value}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("settings", NON_INTEGER_COUNTS + [{"seed": -1}],

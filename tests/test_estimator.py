@@ -7,7 +7,14 @@ from scipy.linalg import eigh as scipy_eigh
 from scipy.optimize import brentq, minimize
 from scipy.spatial.transform import Rotation
 
-from reference import frame_derivatives_by_turns, region_grid, scaling_moments, sphere_grid
+from reference import (
+    frame_derivatives_by_turns,
+    pointwise_identity_sides,
+    pointwise_terms,
+    region_grid,
+    scaling_moments,
+    sphere_grid,
+)
 from tmsm.bench import ExperimentConfig, build_boundary, truth_params
 from tmsm.boundary import ColatitudeBoundary, PolylineBoundary, load_boundary_csv
 from tmsm.estimator import (
@@ -198,7 +205,7 @@ def test_fast_path_matches_general_terms(model):
         if model == "vmf":
             p = VmfParams(mu=np.array([0.4, -0.7, 0.3]), kappa=5.0)
             eta = p.kappa * p.mu
-            total = stats.general_terms(p).total
+            total = pointwise_terms(p, stats.x, stats.g, stats.grad).total
             assert _eta_objective(stats, eta) == pytest.approx(total, abs=1e-12)
             cases = [(p, ObjectiveTerms(eta @ stats.m @ eta, -2.0 * stats.first @ eta,
                                         stats.tgrad @ eta))]
@@ -208,10 +215,12 @@ def test_fast_path_matches_general_terms(model):
                 p = _random_kent(rng)
                 cases.append((p, _form_terms(stats, p)))
         for p, fast in cases:
-            slow = stats.general_terms(p)
-            assert fast.inner_term == pytest.approx(slow.inner_term, abs=1e-12)
-            assert fast.laplacian_term == pytest.approx(slow.laplacian_term, abs=1e-12)
-            assert fast.gradient_g_term == pytest.approx(slow.gradient_g_term, abs=1e-12)
+            slow = pointwise_terms(p, stats.x, stats.g, stats.grad)
+            public = tmsm_objective(p, d, None if g_kind == "unit" else HEMI, g_kind, axis)
+            for got in (fast, public):
+                assert got.inner_term == pytest.approx(slow.inner_term, abs=1e-12)
+                assert got.laplacian_term == pytest.approx(slow.laplacian_term, abs=1e-12)
+                assert got.gradient_g_term == pytest.approx(slow.gradient_g_term, abs=1e-12)
 
 
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
@@ -286,7 +295,8 @@ def test_estimate_kent_frame():
     f = res.params.frame()
     assert np.allclose(f.T @ f, np.eye(3), atol=1e-10)
     # the search value from the cached moments is the reference objective
-    reference = _scaling_stats(Dataset(s.x), HEMI, "haversine", None).general_terms(res.params)
+    stats = _scaling_stats(Dataset(s.x), HEMI, "haversine", None)
+    reference = pointwise_terms(res.params, stats.x, stats.g, stats.grad)
     assert res.objective == pytest.approx(reference.total, rel=1e-12)
 
 
@@ -549,6 +559,24 @@ def test_identity_check_violated_by_unit_g():
         bad = ibp_identity_check(p, q, HEMI, g_kind="unit", grid_resolution=(100, 100))
     assert bad["gap"] > 10.0 * ok["gap"]
     assert any("did not shrink" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("truth", ["vmf", "kent"])
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_identity_sides_match_pointwise_quadrature(truth, g_kind, axis):
+    g1 = np.array([0.0, 0.0, 1.0])
+    q = (VmfParams(mu=MU, kappa=6.0) if truth == "vmf"
+         else KentParams(mu=MU, gamma1=g1, gamma2=np.cross(MU, g1), kappa=10.0, alpha=3.0))
+    mu = to_euclidean(1.8, 2.5)
+    frame = np.linalg.qr(np.column_stack([mu, [0.3, 0.2, 0.9], [1.0, 0.0, 0.0]]))[0]
+    for p in (VmfParams(mu=mu, kappa=3.0), KentParams(*frame.T, kappa=8.0, alpha=2.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # unit g does not converge
+            out = ibp_identity_check(p, q, HEMI, g_kind=g_kind, grid_resolution=(100, 100),
+                                     drop_axis=axis)
+        lhs, rhs = pointwise_identity_sides(p, q, HEMI, g_kind, 100, 100, axis)
+        assert abs(out["lhs"] - lhs) <= 1e-12 * abs(lhs)
+        assert abs(out["rhs"] - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_identity_check_polyline_unsupported():
