@@ -11,8 +11,9 @@ added.
 
 Artifacts are deterministic byte-for-byte for a given config and seed:
 rows are written in sorted (method, n, replicate) order with fixed float
-formatting, JSON with sorted keys. Per-method wall times are recorded
-only when `timings` is set, since they necessarily vary between runs.
+formatting, JSON as one compact line with sorted keys. Per-method wall
+times are recorded only when `timings` is set, since they necessarily
+vary between runs.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ def write_rows_csv(rows: list[BenchmarkRow], path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(f.name for f in dataclasses.fields(BenchmarkRow))
         for row in rows:
-            writer.writerow(v if isinstance(v, str) else _fmt(v) for v in dataclasses.astuple(row))
+            writer.writerow(v if isinstance(v, str) else _fmt(v) for v in vars(row).values())
 
 
 def summarize_rows(rows: list[BenchmarkRow]) -> dict:
@@ -383,9 +384,9 @@ def summarize_rows(rows: list[BenchmarkRow]) -> dict:
 
 
 def _write_json(obj: dict, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """One line of JSON with sorted keys, through the C encoder (an indent
+    would force the pure-Python one)."""
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
 @dataclass
@@ -437,8 +438,10 @@ _LON_ALIASES = ("lon", "longitude", "lon_deg", "lng", "begin_lon")
 _ID_ALIASES = ("event_id", "id", "episode_id")
 
 
-def _pick_column(fieldnames: list[str], aliases: tuple[str, ...]) -> str | None:
-    lowered = {name.lower().strip(): name for name in fieldnames}
+def _pick_column(fieldnames: list[str], aliases: tuple[str, ...]) -> int | None:
+    """Position of the first alias among the header names, matched
+    case-insensitively; a repeated name gives its last column."""
+    lowered = {name.lower().strip(): j for j, name in enumerate(fieldnames)}
     for alias in aliases:
         if alias in lowered:
             return lowered[alias]
@@ -450,8 +453,12 @@ def ingest_events(path) -> tuple[Dataset, list[GeoEventRecord], int]:
     Read geolocated events from CSV into unit vectors.
 
     Latitude/longitude columns are matched case-insensitively against
-    common aliases; an id column is optional. Rows with unparseable or
-    out-of-range coordinates are skipped with a warning.
+    common aliases, and a repeated header name reads its last column. An
+    id column is optional: without one, an event's id is its position
+    among the non-blank data rows. Blank lines are ignored. Rows with
+    unparseable or out-of-range coordinates, and rows too short to hold a
+    read column, are skipped with a warning. Rows are read by
+    `csv.reader` and indexed by column position.
 
     Returns:
         (dataset, records, skipped_count).
@@ -462,30 +469,33 @@ def ingest_events(path) -> tuple[Dataset, list[GeoEventRecord], int]:
     """
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"{path}: empty events file")
-            lat_col = _pick_column(reader.fieldnames, _LAT_ALIASES)
-            lon_col = _pick_column(reader.fieldnames, _LON_ALIASES)
+            lat_col = _pick_column(header, _LAT_ALIASES)
+            lon_col = _pick_column(header, _LON_ALIASES)
             if lat_col is None or lon_col is None:
                 raise DataError(
                     f"{path}: need latitude and longitude columns "
                     f"(accepted: {_LAT_ALIASES} / {_LON_ALIASES})"
                 )
-            id_col = _pick_column(reader.fieldnames, _ID_ALIASES)
+            id_col = _pick_column(header, _ID_ALIASES)
             records = []
             skipped = 0
-            for i, row in enumerate(reader):
+            # csv.reader gives [] for a blank line: no row, no positional id
+            for i, row in enumerate(filter(None, reader)):
                 try:
                     lat = float(row[lat_col])
                     lon = float(row[lon_col])
-                except (TypeError, ValueError):
+                    event_id = str(i) if id_col is None else row[id_col]
+                except (IndexError, ValueError):
                     skipped += 1
                     continue
                 if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
                     skipped += 1
                     continue
-                records.append(GeoEventRecord(row[id_col] if id_col else str(i), lat, lon))
+                records.append(GeoEventRecord(event_id, lat, lon))
     except OSError as exc:
         raise DataError(f"cannot read events file {path}: {exc}") from exc
     if skipped:
@@ -541,7 +551,10 @@ def run_storms(
     the MLE fit to each truncated fit, and the event coordinates for
     external plotting. Both truncated fits are closed-form, so `seed` is
     only recorded in the report and no longer changes the fits. Membership
-    is tested once: both truncated fits reuse the filter's mask.
+    is tested once: both truncated fits reuse the filter's mask. The
+    report goes to `storms_report.json` in `out_dir` as one line of JSON
+    with sorted keys (`python -m json.tool` pretty-prints it) and is also
+    returned.
     """
     data, records, _ = ingest_events(events_path)
     boundary = load_boundary_csv(boundary_path)

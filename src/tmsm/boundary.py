@@ -183,8 +183,8 @@ class PolylineBoundary(Boundary):
     connected cap that the curve does not meet, and membership is the same
     at all of its points: `contains` runs the parity test only on queries
     with x.c >= cos R (less a rounding slack) and gives every other query
-    the parity of -c, computed once here. Otherwise, or when the vertex
-    mean vanishes, every query takes the parity test.
+    the parity of one point with x.c < 0, computed once here. Otherwise,
+    or when the vertex mean vanishes, every query takes the parity test.
 
     The parity test itself runs through an `_ArcIndex` about the hint,
     built here, which gives each query only the arcs whose endpoints can
@@ -237,7 +237,10 @@ class PolylineBoundary(Boundary):
             centre = unit_vector(mean)
             cos_r = float(np.min(vertices @ centre))
             if cos_r > 1e-6:
-                self._cap = (centre, cos_r - _CAP_SLACK, bool(self.contains(-centre)))
+                # any point with x.c < 0 is outside the cap; this one is not
+                # +-c, so with the default hint c it takes no detour
+                far = unit_vector(complete_frame(centre)[0] - centre)
+                self._cap = (centre, cos_r - _CAP_SLACK, bool(self.contains(far)))
 
     @cached_property
     def _via_index(self) -> _ArcIndex:

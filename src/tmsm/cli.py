@@ -31,6 +31,7 @@ from .bench import (
     ConfigError,
     DataError,
     ExperimentConfig,
+    _write_json,
     build_boundary,
     ingest_events,
     run_benchmark,
@@ -243,11 +244,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         report["gamma1"] = [float(v) for v in result.params.gamma1]
         report["gamma2"] = [float(v) for v in result.params.gamma2]
         report["alpha"] = float(result.params.alpha)
-    out_path = Path(config.out_dir) / "estimate.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(report, out_dir / "estimate.json")
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

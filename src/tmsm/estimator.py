@@ -177,7 +177,8 @@ class _ScalingStats:
 
     With theta = (eta, vec A) the objective total is
     J(theta) = theta^T W theta + b^T theta (see `kent_terms`). Built at once
-    are g and grad g at the data, the moments gbar = mean g, quad = mean
+    are g and the tangential part of grad g at the data (grad g itself is
+    not kept), the moments gbar = mean g, quad = mean
     g x x^T, first = mean g x and tgrad = mean tangential part of grad g
     (tgrad_abs = mean norm of that part), each one matrix product or
     row-wise contraction over the data (quad = (g x)^T x / n), and from
@@ -194,7 +195,6 @@ class _ScalingStats:
     def __init__(self, x: np.ndarray, g: np.ndarray, grad: np.ndarray):
         self.x = x
         self.g = g
-        self.grad = grad
         self.gbar = float(g.mean())
         gx = g[:, None] * x
         self.quad = gx.T @ x / len(g)

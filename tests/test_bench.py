@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,62 @@ def test_ingest_events_errors(tmp_path):
             ingest_events(off_range)
 
 
+# (file text, records, skipped, x) as the csv.DictReader ingest gave them
+INGEST_CASES = {
+    # a blank line is not a row: neither skipped nor given a positional id
+    "blank_line": ("lat,lon\n10.5,20\n\n-30,40.25\n",
+                   [("0", 10.5, 20.0), ("1", -30.0, 40.25)], 0,
+                   [[0.18223552549214744, 0.9239573809893786, 0.3362929844106909],
+                    [-0.4999999999999998, 0.6609787078248089, 0.5595597803651062]]),
+    "short_row": ("event_id,lat,lon\ne1,10,20\ne2,30\ne3,-40,50\n",
+                  [("e1", 10.0, 20.0), ("e3", -40.0, 50.0)], 1,
+                  [[0.17364817766693041, 0.9254165783983234, 0.33682408883346515],
+                   [-0.6427876096865394, 0.49240387650610407, 0.5868240888334652]]),
+    "long_row": ("event_id,lat,lon\ne1,10,20,extra,more\ne2,-5,175\n",
+                 [("e1", 10.0, 20.0), ("e2", -5.0, 175.0)], 0,
+                 [[0.17364817766693041, 0.9254165783983234, 0.33682408883346515],
+                  [-0.08715574274765801, -0.9924038765061041, 0.0868240888334652]]),
+    # a repeated header name reads its last column
+    "repeated_header": ("event_id,lat,lon,lat\ne1,10,20,30\ne2,1,2,-3\n",
+                        [("e1", 30.0, 20.0), ("e2", -3.0, 2.0)], 0,
+                        [[0.4999999999999999, 0.8137976813493738, 0.29619813272602386],
+                         [-0.05233595624294384, 0.9980211966240684, 0.034851668155187324]]),
+    "alias_headers": ("Episode_ID,BEGIN_LAT,Begin_Lon,notes\n7,35.5,-97.25,hail\n8,91,0,bad\n",
+                      [("7", 35.5, -97.25)], 1,
+                      [[0.5807029557109398, -0.10274053917404942, -0.8076066238205355]]),
+    # positional ids count the malformed row
+    "no_id_column": ("Latitude,Longitude\n10,20\noops,5\n-30,40\n",
+                     [("0", 10.0, 20.0), ("2", -30.0, 40.0)], 1,
+                     [[0.17364817766693041, 0.9254165783983234, 0.33682408883346515],
+                      [-0.4999999999999998, 0.6634139481689384, 0.5566703992264194]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INGEST_CASES))
+def test_ingest_events_row_edge_cases(tmp_path, name):
+    text, expected, expected_skipped, expected_x = INGEST_CASES[name]
+    path = tmp_path / "ev.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data, records, skipped = ingest_events(path)
+    assert [(r.event_id, r.lat, r.lon) for r in records] == expected
+    assert skipped == expected_skipped
+    messages = [f"{path}: skipped {skipped} malformed event row(s)"] if skipped else []
+    assert [str(w.message) for w in caught] == messages
+    assert np.array_equal(data.x, expected_x)
+
+
+def test_ingest_events_skips_a_row_without_its_id_cell(tmp_path):
+    # a row too short to hold its id column is skipped like any short row
+    # (the csv.DictReader ingest kept it with the id None)
+    path = tmp_path / "ev.csv"
+    path.write_text("lat,lon,event_id\n10,20,e1\n30,40\n")
+    with pytest.warns(UserWarning, match="skipped 1"):
+        _, records, skipped = ingest_events(path)
+    assert [r.event_id for r in records] == ["e1"] and skipped == 1
+
+
 def test_initial_bearing_cardinal_directions():
     assert initial_bearing_deg(0.0, 0.0, 10.0, 0.0) == pytest.approx(0.0)
     assert initial_bearing_deg(0.0, 0.0, 0.0, 10.0) == pytest.approx(90.0)
@@ -430,6 +487,33 @@ def test_storms_excludes_outside_events(tmp_path):
     with pytest.warns(UserWarning, match="outside"):
         with pytest.raises(DataError, match="inside"):
             run_storms(all_out, border, out_dir=str(tmp_path), seed=0)
+
+
+def test_json_artifacts_parse_to_the_returned_objects(tmp_path, capsys):
+    # each artifact is one compact line with sorted keys, and parses back
+    # to the object returned or printed
+    border = tmp_path / "border.csv"
+    _write_hemisphere_boundary(border)
+    events = tmp_path / "events.csv"
+    _write_events(events, [(f"e{i}", -40.0 + i, -170.0 + 17.0 * i) for i in range(20)])
+    report = run_storms(events, border, out_dir=str(tmp_path), seed=0)
+    text = (tmp_path / "storms_report.json").read_text()
+    assert json.loads(text) == report
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+
+    result = run_benchmark(ExperimentConfig(
+        experiment="vmf_unknown_kappa", n_grid=(60,), replicates=2, seed=3,
+        out_dir=str(tmp_path / "bench"),
+    ))
+    assert json.loads(result.json_path.read_text()) == result.summary
+
+    assert main(["simulate", "--n", "100", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(tmp_path / "samples.csv"), "--model-kind",
+                 "kent_frame", "--fixed-kappa", "6", "--fixed-alpha", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads((tmp_path / "estimate.json").read_text()) == printed
 
 
 # ---------------------------------------------------------------------- cli

@@ -379,6 +379,20 @@ def test_cap_shortcut_matches_crossing_parity():
             assert 0 < far.sum() < len(x), name
 
 
+def test_cap_far_side_read_without_the_detour_index():
+    # the membership outside the cap is read at a point with x.c < 0 that
+    # is not -hint, so construction builds no second arc index; the stored
+    # value is the reference membership at -c
+    for name, b in cap_regions():
+        assert "_via_index" not in b.__dict__, name
+        centre, cos_r, far_inside = b._cap
+        if cos_r > -np.inf:
+            assert far_inside == all_arcs_contains(b, -centre[None])[0], name
+    usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
+    assert "_via_index" not in usa.__dict__
+    assert usa._cap[2] is False
+
+
 def test_truncated_draws_unchanged_by_cap_shortcut():
     # the shortcut changes no membership, so the sampler consumes the same
     # raw draws and accepts the same points with and without it

@@ -16,7 +16,7 @@ from reference import (
     sphere_grid,
 )
 from tmsm.bench import ExperimentConfig, build_boundary, truth_params
-from tmsm.boundary import ColatitudeBoundary, PolylineBoundary, load_boundary_csv
+from tmsm.boundary import ColatitudeBoundary, PolylineBoundary, load_boundary_csv, scaling_values
 from tmsm.estimator import (
     Dataset,
     EstimationResult,
@@ -187,11 +187,16 @@ def _random_kent(rng):
     return KentParams(frame[:, 0], frame[:, 1], frame[:, 2], kappa, rng.uniform(0.0, 0.49) * kappa)
 
 
+def _grad_g(d, g_kind, axis):
+    """grad g at the data, as `_scaling_stats` reads it on HEMI."""
+    return scaling_values(None if g_kind == "unit" else HEMI, d.x, g_kind, axis)[1]
+
+
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
 def test_scaling_stats_moments_match_broadcast_reference(g_kind, axis):
     d = hemi_dataset(2000, seed=31)
     stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
-    ref = scaling_moments(d.x, stats.g, stats.grad)
+    ref = scaling_moments(d.x, stats.g, _grad_g(d, g_kind, axis))
     for name, value in ref.items():
         assert np.max(np.abs(getattr(stats, name) - value)) <= 1e-15, name
 
@@ -202,10 +207,11 @@ def test_fast_path_matches_general_terms(model):
     rng = np.random.default_rng(14)
     for g_kind, axis in (("haversine", None), ("projected", 2), ("unit", None)):
         stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
+        grad = _grad_g(d, g_kind, axis)
         if model == "vmf":
             p = VmfParams(mu=np.array([0.4, -0.7, 0.3]), kappa=5.0)
             eta = p.kappa * p.mu
-            total = pointwise_terms(p, stats.x, stats.g, stats.grad).total
+            total = pointwise_terms(p, stats.x, stats.g, grad).total
             assert _eta_objective(stats, eta) == pytest.approx(total, abs=1e-12)
             cases = [(p, ObjectiveTerms(eta @ stats.m @ eta, -2.0 * stats.first @ eta,
                                         stats.tgrad @ eta))]
@@ -215,7 +221,7 @@ def test_fast_path_matches_general_terms(model):
                 p = _random_kent(rng)
                 cases.append((p, _form_terms(stats, p)))
         for p, fast in cases:
-            slow = pointwise_terms(p, stats.x, stats.g, stats.grad)
+            slow = pointwise_terms(p, stats.x, stats.g, grad)
             public = tmsm_objective(p, d, None if g_kind == "unit" else HEMI, g_kind, axis)
             for got in (fast, public):
                 assert got.inner_term == pytest.approx(slow.inner_term, abs=1e-12)
@@ -295,8 +301,8 @@ def test_estimate_kent_frame():
     f = res.params.frame()
     assert np.allclose(f.T @ f, np.eye(3), atol=1e-10)
     # the search value from the cached moments is the reference objective
-    stats = _scaling_stats(Dataset(s.x), HEMI, "haversine", None)
-    reference = pointwise_terms(res.params, stats.x, stats.g, stats.grad)
+    g, grad, _ = scaling_values(HEMI, s.x, "haversine")
+    reference = pointwise_terms(res.params, s.x, g, grad)
     assert res.objective == pytest.approx(reference.total, rel=1e-12)
 
 
