@@ -455,7 +455,8 @@ def ingest_events(path) -> tuple[Dataset, list[GeoEventRecord], int]:
     Latitude/longitude columns are matched case-insensitively against
     common aliases, and a repeated header name reads its last column. An
     id column is optional: without one, an event's id is its position
-    among the non-blank data rows. Blank lines are ignored. Rows with
+    among the non-blank data rows. Blank lines are ignored, so the header
+    is the first non-blank line. Rows with
     unparseable or out-of-range coordinates, and rows too short to hold a
     read column, are skipped with a warning. Rows are read by
     `csv.reader` and indexed by column position.
@@ -469,7 +470,9 @@ def ingest_events(path) -> tuple[Dataset, list[GeoEventRecord], int]:
     """
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            # csv.reader gives [] for a blank line: no header, no row and
+            # no positional id
+            reader = filter(None, csv.reader(fh))
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty events file")
@@ -483,8 +486,7 @@ def ingest_events(path) -> tuple[Dataset, list[GeoEventRecord], int]:
             id_col = _pick_column(header, _ID_ALIASES)
             records = []
             skipped = 0
-            # csv.reader gives [] for a blank line: no row, no positional id
-            for i, row in enumerate(filter(None, reader)):
+            for i, row in enumerate(reader):
                 try:
                     lat = float(row[lat_col])
                     lon = float(row[lon_col])

@@ -47,10 +47,22 @@ on the sphere and, since dropping a coordinate is 1-Lipschitz, in the
 plane; the nearest vertex bounds the answer from above, so only arcs
 whose midpoint comes within that bound plus the reach can hold the
 nearest point (`_pairs`). The exact distance is evaluated on those pairs
-alone, row by row, and each query keeps its least pair, a tie going to
+alone, pair by pair, and each query keeps its least pair, a tie going to
 the lowest arc (`_least`). So a query's distance, nearest point and
 gradient depend on that query alone, not on the batch it arrives in. The
 same bound limits the check, at construction, that no two arcs cross.
+
+The per-pair steps of membership, haversine g and projected g run on
+columns: each arc's constants are stored as one column of a block of
+rows (`_Arcs.cols`, an `_ArcIndex`'s `cols`, the projected table of each
+drop axis), and a pair block gathers its arcs' columns and its queries'
+coordinates with one `np.take` each, so every dot, cross product and
+norm is a few operations on contiguous (3, m) rows. Their sums run in
+fixed orders: a dot as (u0 v0 + u2 v2) + u1 v1, the order of numpy's
+`einsum` over a length-3 axis, and a norm and a cross product as
+`np.linalg.norm` and `np.cross` form them, so the column layout gives
+the bits of the row layout, and the result does not depend on the
+memory layout of the queries.
 
 Gradients of a min-over-points distance are taken holding the minimizing
 boundary point fixed, which is valid away from the measure-zero set of
@@ -115,9 +127,11 @@ class Boundary:
     Base class: a closed curve on the sphere plus the observed region it
     bounds.
 
-    Instances are immutable after construction (a polyline's second arc
-    index, built on first need, aside); all queries are read-only and
-    thread-safe.
+    Instances are immutable after construction, save what a polyline
+    builds on first need: its second arc index and its projected arc
+    table for each drop axis, each a pure function of the vertices, so
+    two threads that both build one store equal values; all queries are
+    otherwise read-only and thread-safe.
 
     Attributes:
         interior_reference: a unit vector inside the region; a polyline's
@@ -229,6 +243,7 @@ class PolylineBoundary(Boundary):
         self.interior_reference = interior_hint
         self._arcs = arcs
         self._index = _ArcIndex(arcs, interior_hint)
+        self._projected: dict[int, np.ndarray] = {}
         # (centre, cos R less the slack, membership outside the cap); the
         # cap with cos R = -inf is the whole sphere.
         self._cap = (interior_hint, -np.inf, False)
@@ -247,6 +262,13 @@ class PolylineBoundary(Boundary):
         """The arc index about a point a quarter turn from the hint."""
         return _ArcIndex(self._arcs, complete_frame(self.interior_reference)[0])
 
+    def _projected_arcs(self, drop_idx: int) -> np.ndarray:
+        """The `_projected_table` for dropping coordinate drop_idx, built on first need."""
+        table = self._projected.get(drop_idx)
+        if table is None:
+            table = self._projected[drop_idx] = _projected_table(self._arcs, drop_idx)
+        return table
+
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = np.asarray(x, dtype=float)
         centre, cos_r, far_inside = self._cap
@@ -256,7 +278,7 @@ class PolylineBoundary(Boundary):
         odd = self._index.parity(q)
         # The minor arc from the hint is undefined at +-hint: detour through
         # a point a quarter turn away.
-        bad = np.linalg.norm(np.cross(q, self.interior_reference), axis=1) < _DETOUR
+        bad = _norm(_cross(q.T, self.interior_reference[:, None])) < _DETOUR
         if np.any(bad):
             via = self._via_index
             odd[bad] = self._index.parity(via.origin[None, :])[0] ^ via.parity(q[bad])
@@ -276,7 +298,9 @@ class _Arcs(NamedTuple):
     closes the cycle): start and end (k, 3), the unit normal of the great
     circle (k, 3), the unit midpoint (k, 3), the length by `_angle` (k,),
     and the reach 2 sin(L/4), the chord from the midpoint to either end
-    (k,), within which the whole arc lies.
+    (k,), within which the whole arc lies. `cols` (15, k) holds, three
+    rows each, the columns of start a, end b, normal n, n x a and b x n:
+    what `_arc_nearest` reads of each pair's arc.
     """
 
     start: np.ndarray
@@ -285,6 +309,7 @@ class _Arcs(NamedTuple):
     mid: np.ndarray
     length: np.ndarray
     reach: np.ndarray
+    cols: np.ndarray
 
 
 def _arc_table(vertices: np.ndarray) -> _Arcs:
@@ -293,11 +318,14 @@ def _arc_table(vertices: np.ndarray) -> _Arcs:
     where two consecutive vertices lie less than 1e-12 rad apart.
     """
     end = np.roll(vertices, -1, axis=0)
-    length = _angle(vertices, end, np.einsum("ij,ij->i", vertices, end))
+    length = _angle(vertices.T, end.T, np.einsum("ij,ij->i", vertices, end))
     if np.any(length < 1e-12):
         raise ValueError("consecutive boundary vertices must be distinct")
-    return _Arcs(vertices, end, unit_vector(np.cross(vertices, end)),
-                 unit_vector(vertices + end), length, 2.0 * np.sin(0.25 * length))
+    normal = unit_vector(np.cross(vertices, end))
+    cols = np.vstack([vertices.T, end.T, normal.T,
+                      np.cross(normal, vertices).T, np.cross(end, normal).T])
+    return _Arcs(vertices, end, normal, unit_vector(vertices + end), length,
+                 2.0 * np.sin(0.25 * length), cols)
 
 
 def _crossing_arcs(arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +344,7 @@ def _crossing_arcs(arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
     also keeps arcs whose starts are 1e-12 apart, as the sum of two
     reaches is below 3.
     """
-    vertices, nxt, normals, mids, _, reach = arcs
+    vertices, nxt, normals, mids, _, reach, _ = arcs
     k = len(vertices)
     near = [np.empty((0, 2), dtype=np.intp)]
     for rows in _row_chunks(k, k):
@@ -337,7 +365,8 @@ def _crossing_arcs(arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
         & (np.einsum("ij,ij->i", meet, vertices[i] + nxt[i]) > 0.0)
     )
     # a vertex the cycle visits twice pinches the curve there
-    crosses |= _angle(vertices[i], vertices[j], np.einsum("ij,ij->i", vertices[i], vertices[j])) < 1e-12
+    a, c = vertices[i], vertices[j]
+    crosses |= _angle(a.T, c.T, np.einsum("ij,ij->i", a, c)) < 1e-12
     return i[crosses], j[crosses]
 
 
@@ -381,12 +410,11 @@ class _ArcIndex:
         vertices, normals, mids = arcs.start, arcs.normal, arcs.mid
         side = np.cross(vertices, origin)  # q . (v x o) = det(o, q, v)
         self.origin = origin
-        self.s_o = normals @ origin
-        self.o_pos = self.s_o >= 0.0
-        self.o_sign = np.where(self.o_pos, 1.0, -1.0)
-        self.o_mid = mids @ origin
-        # per arc: the rows dotted with q, giving s_q, q.mid and both sides
-        self.rows = np.stack([normals, mids, side, np.roll(side, -1, axis=0)], axis=1)
+        s_o = normals @ origin
+        # per arc, one column: the vectors dotted with q, giving s_q, q.mid
+        # and both sides (rows 0-11), then s_o, o.mid and the sign of s_o
+        self.cols = np.vstack([normals.T, mids.T, side.T, np.roll(side, -1, axis=0).T,
+                               s_o, mids @ origin, np.where(s_o >= 0.0, 1.0, -1.0)])
         self.frame = np.array(complete_frame(origin))
 
         along = vertices @ self.frame.T
@@ -421,33 +449,59 @@ class _ArcIndex:
         bins = np.minimum((phi * (_AZIMUTH_BINS / np.pi)).astype(np.intp), _AZIMUTH_BINS - 1)
         odd = np.empty(len(q), dtype=bool)
         for rows in _row_chunks(len(q), self.widest):
-            qc, b = q[rows], bins[rows]
+            b = bins[rows]
             count = self.counts[b]
             # (query, arc) candidate pairs, flat
-            qi = np.repeat(np.arange(len(qc)), count)
+            qi = np.repeat(np.arange(len(b)), count)
             offset = np.repeat(self.starts[b] - (np.cumsum(count) - count), count)
-            j = self.arcs[np.arange(len(qi)) + offset]
-            s_q, q_mid, side_a, side_b = np.einsum("pkc,pc->kp", self.rows[j], qc[qi])
+            t = np.take(self.cols, self.arcs[np.arange(len(qi)) + offset], axis=1)
+            qc = np.take(q.T, qi + rows.start, axis=1)
+            s_q, q_mid = _dot(t[0:3], qc), _dot(t[3:6], qc)
+            s_o, o_mid, o_sign = t[12:15]
             crosses = (
-                (self.o_pos[j] != (s_q >= 0.0))
-                & ((side_a >= 0.0) != (side_b >= 0.0))
-                & (self.o_sign[j] * (self.s_o[j] * q_mid - s_q * self.o_mid[j]) > 0.0)
+                ((o_sign > 0.0) != (s_q >= 0.0))
+                & ((_dot(t[6:9], qc) >= 0.0) != (_dot(t[9:12], qc) >= 0.0))
+                & (o_sign * (s_o * q_mid - s_q * o_mid) > 0.0)
             )
-            odd[rows] = np.bincount(qi[crosses], minlength=len(qc)) % 2 == 1
+            odd[rows] = np.bincount(qi[crosses], minlength=len(b)) % 2 == 1
         return odd
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """
+    Dot products of the columns of (d, m) arrays, d = 2 or 3. Three terms
+    sum as (u0 v0 + u2 v2) + u1 v1, the order of numpy's `einsum` over a
+    length-3 axis, so a column's dot equals the `einsum` of its row.
+    """
+    if len(u) == 2:
+        return u[0] * v[0] + u[1] * v[1]
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross products of the columns of (3, m) arrays, formed as `np.cross` forms them."""
+    return np.stack([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
+def _norm(u: np.ndarray) -> np.ndarray:
+    """Norms of the columns of a (3, m) array, summed as `np.linalg.norm` sums a row."""
+    return np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2])
+
+
 def _angle(q: np.ndarray, p: np.ndarray, dot: np.ndarray) -> np.ndarray:
-    """Angle between paired rows q and p with q.p = dot, as atan2(|q x p|, q.p)."""
-    return np.arctan2(np.linalg.norm(np.cross(q, p), axis=-1), dot)
+    """Angle between paired columns q and p (3, m) with q.p = dot, as atan2(|q x p|, q.p)."""
+    return np.arctan2(_norm(_cross(q, p)), dot)
 
 
 def _candidates(
-    q: np.ndarray, ends: np.ndarray, mids: np.ndarray, reach: np.ndarray
+    q: np.ndarray, to_ends: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """
     (query, arc) index pairs, sorted by query then arc, of the arcs that
-    can hold each query's nearest point.
+    can hold each query's nearest point, given the constant operands that
+    `_pairs` builds from the arcs.
 
     Works alike on the sphere (3-D rows) and in a plane (2-D rows): every
     arc lies within Euclidean distance `reach` of its midpoint, and the
@@ -460,21 +514,21 @@ def _candidates(
     """
     ones = np.ones(len(q))
     q_sq = np.einsum("ij,ij->i", q, q)
-    to_ends = np.vstack([-2.0 * ends.T, np.einsum("ij,ij->i", ends, ends)])
     t_sq = q_sq + np.min(np.column_stack([q, ones]) @ to_ends, axis=1)
     t = np.sqrt(np.maximum(t_sq, 0.0) + 1e-15)
     rows = np.column_stack([2.0 * q, 2.0 * t, t * t - q_sq, ones])
-    cols = np.vstack([mids.T, reach, np.ones(len(reach)), reach**2 - np.einsum("ij,ij->i", mids, mids)])
-    return divmod(np.flatnonzero(rows @ cols >= -_CAP_SLACK), len(reach))
+    return divmod(np.flatnonzero(rows @ cols >= -_CAP_SLACK), cols.shape[1])
 
 
 def _pairs(
     q: np.ndarray, ends: np.ndarray, mids: np.ndarray, reach: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_candidates` over row chunks: flat (query, arc) pairs, sorted by query then arc."""
+    to_ends = np.vstack([-2.0 * ends.T, np.einsum("ij,ij->i", ends, ends)])
+    cols = np.vstack([mids.T, reach, np.ones(len(reach)), reach**2 - np.einsum("ij,ij->i", mids, mids)])
     pairs = [np.empty((2, 0), dtype=np.intp)]
     for rows in _row_chunks(len(q), len(reach)):
-        qi, j = _candidates(q[rows], ends, mids, reach)
+        qi, j = _candidates(q[rows], to_ends, cols)
         pairs.append(np.stack([qi + rows.start, j]))
     return tuple(np.concatenate(pairs, axis=1))
 
@@ -484,30 +538,32 @@ def _least(qi: np.ndarray, value: np.ndarray) -> np.ndarray:
     Index of each query's pair of least value, given pairs sorted by query
     (every query having one) then arc; a tie goes to the lowest arc.
     """
-    first = np.flatnonzero(np.diff(qi, prepend=-1))
-    hit = np.flatnonzero(value == np.minimum.reduceat(value, first)[qi])
+    low = np.full(qi[-1] + 1 if len(qi) else 0, np.inf)
+    np.minimum.at(low, qi, value)
+    hit = np.flatnonzero(value == low[qi])
     return hit[np.diff(qi[hit], prepend=-1) != 0]
 
 
-def _arc_nearest(q: np.ndarray, a: np.ndarray, b: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _arc_nearest(q: np.ndarray, arc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
-    Row by row, the geodesic distance from q to the minor arc a -> b with
-    unit normal n, and the nearest point (on the ray through it; not
-    normalized). Each row depends on its own inputs alone.
+    Column by column, the geodesic distance from q (3, m) to the minor arc
+    a -> b with unit normal n, given as the columns of `_Arcs.cols` (15,
+    m), and the nearest point (3, m) (on the ray through it; not
+    normalized). Each column depends on its own inputs alone.
 
     The distance is that to the great circle when the foot of the
     perpendicular lies on the arc (q.(n x a) >= 0 and q.(b x n) >= 0),
     else to the nearer endpoint. Every angle is atan2(|cross|, dot),
     accurate at both ends of [0, pi].
     """
-    rows = np.stack([n, a, b, np.cross(n, a), np.cross(b, n)])
-    lift, dot_a, dot_b, side_a, side_b = np.einsum("kij,ij->ki", rows, q)
-    on_arc = (side_a >= 0.0) & (side_b >= 0.0)
-    to_a, to_b = _angle(q, a, dot_a), _angle(q, b, dot_b)
-    to_circle = np.arctan2(np.abs(lift), np.linalg.norm(np.cross(q, n), axis=1))
+    a, b, n = arc[0:3], arc[3:6], arc[6:9]
+    lift = _dot(n, q)
+    on_arc = (_dot(arc[9:12], q) >= 0.0) & (_dot(arc[12:15], q) >= 0.0)
+    to_a, to_b = _angle(q, a, _dot(a, q)), _angle(q, b, _dot(b, q))
+    to_circle = np.arctan2(np.abs(lift), _norm(_cross(q, n)))
     dist = np.where(on_arc, to_circle, np.minimum(to_a, to_b))
-    end = np.where((to_a <= to_b)[:, None], a, b)
-    return dist, np.where(on_arc[:, None], q - lift[:, None] * n, end)
+    end = np.where(to_a <= to_b, a, b)
+    return dist, np.where(on_arc, q - lift * n, end)
 
 
 def _nearest_on_arcs(arcs: _Arcs, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -523,14 +579,9 @@ def _nearest_on_arcs(arcs: _Arcs, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     arc index.
     """
     qi, j = _pairs(x, arcs.start, arcs.mid, arcs.reach)
-    dist, near = _arc_nearest(x[qi], arcs.start[j], arcs.end[j], arcs.normal[j])
+    dist, near = _arc_nearest(np.take(x.T, qi, axis=1), np.take(arcs.cols, j, axis=1))
     best = _least(qi, dist)
-    return dist[best], near[best]
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the columns of (2, m) arrays."""
-    return a[0] * b[0] + a[1] * b[1]
+    return dist[best], near[:, best].T
 
 
 def _on_arc(s: np.ndarray, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -551,22 +602,25 @@ def _valley_root(
     lo = np.zeros(len(hi))
     s = 0.5 * hi
     live = np.ones(len(hi), dtype=bool)
-    for _ in range(_ROOT_ITERATIONS):
-        p, dp = _on_arc(s, a, u)
-        r = p - y
-        d, dd = _dot(r, dp), _dot(dp, dp) - _dot(r, p)
-        low, high = d < 0.0, d > 0.0
-        lo, d_lo = np.where(low, s, lo), np.where(low, d, d_lo)
-        hi, d_hi = np.where(high, s, hi), np.where(high, d, d_hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # d_hi - d_lo > 0 throughout; only the Newton step can divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_ITERATIONS):
+            p, dp = _on_arc(s, a, u)
+            r = p - y
+            d, dd = _dot(r, dp), _dot(dp, dp) - _dot(r, p)
+            low, high = d < 0.0, d > 0.0
+            lo, d_lo = np.where(low, s, lo), np.where(low, d, d_lo)
+            hi, d_hi = np.where(high, s, hi), np.where(high, d, d_hi)
             step = s - d / dd
-        secant = lo - d_lo * (hi - lo) / (d_hi - d_lo)
-        step = np.where((dd > 0.0) & (step > lo) & (step < hi), step, secant)
-        step = np.where(live, step, s)
-        live &= np.abs(step - s) > _ROOT_STEP
-        s = step
-        if not np.any(live):
-            break
+            newton = (dd > 0.0) & (step > lo) & (step < hi)
+            # most rounds take a Newton step everywhere and need no secant
+            if not newton.all():
+                step = np.where(newton, step, lo - d_lo * (hi - lo) / (d_hi - d_lo))
+            step = np.where(live, step, s)
+            live &= np.abs(step - s) > _ROOT_STEP
+            s = step
+            if not live.any():
+                break
     return s
 
 
@@ -597,10 +651,37 @@ def _second_minimum(y0: np.ndarray, beta: np.ndarray, c: np.ndarray) -> tuple[np
         return y0 / (c + beta * v), -1.0 / v
 
 
-def _nearest_projected(arcs: _Arcs, drop_idx: int, y: np.ndarray) -> np.ndarray:
+def _projected_table(arcs: _Arcs, drop_idx: int) -> np.ndarray:
+    """
+    The vertex arcs as `_nearest_projected` reads them after dropping
+    coordinate drop_idx, one column per arc: in the kept coordinates the
+    start a, the start tangent n x a, the end, the end tangent n x b
+    (rows 0-7), the length (8), the major axis m and the axis w toward
+    the midpoint (9-12), c = 1 - b^2 (13), m.a, m.(n x a), w.a and
+    w.(n x a) (14-17), and, for the pruning, the midpoint (18-19) and the
+    reach (20).
+    """
+    start, end, normal, length = arcs.start, arcs.end, arcs.normal, arcs.length
+    keep = [i for i in range(3) if i != drop_idx]
+    tangent, end_tangent = np.cross(normal, start), np.cross(normal, end)
+    across = np.cross(np.eye(3)[drop_idx], normal)  # e_k x n: a signed permutation of n
+    c = np.einsum("ij,ij->i", across, across)  # 1 - b^2; zero on a circle, which has one minimum
+    m = across / np.sqrt(np.where(c > 0.0, c, 1.0))[:, None]
+    w = np.cross(normal, m)
+    w *= np.where(np.einsum("ij,ij->i", w, arcs.mid) < 0.0, -1.0, 1.0)[:, None]
+    return np.vstack([
+        start[:, keep].T, tangent[:, keep].T, end[:, keep].T, end_tangent[:, keep].T,
+        length, m[:, keep].T, w[:, keep].T, c,
+        *(np.einsum("ij,ij->i", f, g) for f in (m, w) for g in (start, tangent)),
+        arcs.mid[:, keep].T, arcs.reach,
+    ])
+
+
+def _nearest_projected(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     Nearest point (n, 2) of the projected polyline to each projected
-    query y (n, 2), exact on the vertex arcs.
+    query y (n, 2), exact on the vertex arcs, given their
+    `_projected_table`.
 
     Dropping coordinate k maps the great circle of an arc with unit
     normal n onto a centred ellipse with semi-axes 1 (along m, the unit
@@ -628,53 +709,48 @@ def _nearest_projected(arcs: _Arcs, drop_idx: int, y: np.ndarray) -> np.ndarray:
     a point of the arc, so the least distance among them is exact. Arcs
     are pruned by `_candidates`, and a tie goes to the lowest arc index.
     """
-    start, end, normal, length = arcs.start, arcs.end, arcs.normal, arcs.length
-    keep = [i for i in range(3) if i != drop_idx]
-    tangent, end_tangent = np.cross(normal, start), np.cross(normal, end)
-    across = np.cross(np.eye(3)[drop_idx], normal)  # e_k x n: a signed permutation of n
-    c = np.einsum("ij,ij->i", across, across)  # 1 - b^2; zero on a circle, which has one minimum
-    m = across / np.sqrt(np.where(c > 0.0, c, 1.0))[:, None]
-    w = np.cross(normal, m)
-    w *= np.where(np.einsum("ij,ij->i", w, arcs.mid) < 0.0, -1.0, 1.0)[:, None]
-    table = np.vstack([
-        start[:, keep].T, tangent[:, keep].T, end[:, keep].T, end_tangent[:, keep].T,
-        length, m[:, keep].T, w[:, keep].T, c,
-        *(np.einsum("ij,ij->i", f, g) for f in (m, w) for g in (start, tangent)),
-    ])
-    qi, j = _pairs(y, start[:, keep], arcs.mid[:, keep], arcs.reach)
-    t, yq = table[:, j], y.T[:, qi]
+    qi, j = _pairs(y, table[0:2].T, table[18:20].T, table[20])
+    # rows 14-17 serve only the few pairs across the major axis
+    t, yq = np.take(table[:14], j, axis=1), np.take(y.T, qi, axis=1)
     a, u, e, te, span = t[0:2], t[2:4], t[4:6], t[6:8], t[8]
 
+    def take(v, idx):
+        """The columns idx of a row or block of rows."""
+        return np.take(v, idx, axis=-1)
+
     # The ends, then each root found, replace the best only when nearer.
-    d_start, d_end = _dot(a - yq, a - yq), _dot(e - yq, e - yq)
+    to_a, to_e = a - yq, e - yq
+    d_start, d_end = _dot(to_a, to_a), _dot(to_e, to_e)
     best_s = np.where(d_end < d_start, span, 0.0)
     best_d = np.minimum(d_start, d_end)
 
     def offer(idx, s):
-        r = _on_arc(s, a[:, idx], u[:, idx])[0] - yq[:, idx]
+        r = _on_arc(s, take(a, idx), take(u, idx))[0] - take(yq, idx)
         d = _dot(r, r)
         nearer = d < best_d[idx]
         best_s[idx[nearer]], best_d[idx[nearer]] = s[nearer], d[nearer]
 
-    d_lo, d_hi = _dot(a - yq, u), _dot(e - yq, te)
+    d_lo, d_hi = _dot(to_a, u), _dot(to_e, te)
     idx = np.flatnonzero((d_lo < 0.0) & (d_hi > 0.0))
-    offer(idx, _valley_root(a[:, idx], u[:, idx], yq[:, idx], span[idx], d_lo[idx], d_hi[idx]))
+    offer(idx, _valley_root(take(a, idx), take(u, idx), take(yq, idx),
+                            span[idx], d_lo[idx], d_hi[idx]))
 
-    # y across the major axis, or on it up to rounding.
-    y0, yw = _dot(yq, t[9:11]), _dot(yq, t[11:13])
-    idx = np.flatnonzero(yw <= _CAP_SLACK)
-    y0, beta, cc = y0[idx], np.abs(yw[idx]), t[13, idx]
+    # y across the major axis, or on it up to rounding, and inside the
+    # evolute's bounding box |y0| < c, beta < c, which its test implies.
+    y0, yw, cc = _dot(yq, t[9:11]), _dot(yq, t[11:13]), t[13]
+    idx = np.flatnonzero((yw <= _CAP_SLACK) & (np.abs(y0) < cc) & (np.abs(yw) < cc))
+    y0, beta, cc = y0[idx], np.abs(yw[idx]), cc[idx]
     inner = np.cbrt(y0 * y0) + np.cbrt(beta * beta) < np.cbrt(cc * cc)
     idx, y0, beta, cc = idx[inner], y0[inner], beta[inner], cc[inner]
     cos_phi, sin_phi = _second_minimum(y0, beta, cc)
-    ma, mu, wa, wu = t[14:18, idx]
+    ma, mu, wa, wu = np.take(table[14:18], j[idx], axis=1)
     s = np.arctan2(cos_phi * mu + sin_phi * wu, cos_phi * ma + sin_phi * wa)
     # A root off the arc, or lost where y grazes the evolute, still gives
     # a point of the arc.
     offer(idx, np.clip(np.nan_to_num(s), 0.0, span[idx]))
 
     hit = _least(qi, best_d)
-    return _on_arc(best_s[hit], a[:, hit], u[:, hit])[0].T
+    return _on_arc(best_s[hit], take(a, hit), take(u, hit))[0].T
 
 
 def haversine_scaling(
@@ -723,10 +799,10 @@ def haversine_scaling(
     grad = np.zeros((n, 3))
     g[inside], near = _nearest_on_arcs(boundary._arcs, x[inside])
     ok = g > 1e-12
-    xo = x[ok]
+    xo = x[ok].T
     # (x x p) x x = p - (x.p) x, with norm sin g times |p|.
-    toward = np.cross(np.cross(xo, near[ok[inside]]), xo)
-    grad[ok] = -toward / np.linalg.norm(toward, axis=1, keepdims=True)
+    toward = _cross(_cross(xo, near[ok[inside]].T), xo)
+    grad[ok] = (-toward / _norm(toward)).T
     g[~ok] = 0.0
     return g, grad, ~ok
 
@@ -866,7 +942,7 @@ def projected_scaling(
             nearest = np.column_stack([np.full(n, c0), np.clip(xe[:, 1], -s0, s0)])
     else:
         nearest = np.zeros_like(xe)
-        nearest[inside] = _nearest_projected(boundary._arcs, drop_idx, xe[inside])
+        nearest[inside] = _nearest_projected(boundary._projected_arcs(drop_idx), xe[inside])
     diff = xe - nearest
     g = np.linalg.norm(diff, axis=1)
     ok = inside & (g > 1e-12)
@@ -923,14 +999,17 @@ def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> Polyline
     Read a boundary polyline from CSV.
 
     Accepts header `lat_deg,lon_deg` or `a_rad,b_rad`; rows are ordered
-    vertices of an implicitly closed curve.
+    vertices of an implicitly closed curve. Blank lines are ignored, so
+    the header is the first non-blank line.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        # csv.reader gives [] for a blank line
+        lines = filter(None, csv.reader(fh))
+        header = next(lines, None)
+        if header is None:
             raise ValueError(f"{path}: empty boundary file")
-        cols = [c.strip() for c in reader.fieldnames]
-        rows = [row for row in reader]
+        cols = [c.strip() for c in header]
+        rows = [dict(zip(header, row)) for row in lines]
     if "lat_deg" in cols and "lon_deg" in cols:
         lat = np.array([float(r["lat_deg"]) for r in rows])
         lon = np.array([float(r["lon_deg"]) for r in rows])

@@ -362,6 +362,21 @@ def test_ingest_events_row_edge_cases(tmp_path, name):
     assert np.array_equal(data.x, expected_x)
 
 
+def test_ingest_events_header_after_blank_lines(tmp_path):
+    # the header is the first non-blank line, wherever blank lines fall
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text("lat,lon\n10,20\n-30,40.25\n")
+    padded.write_text("\n\nlat,lon\n10,20\n\n-30,40.25\n")
+    data, records, skipped = ingest_events(padded)
+    ref_data, ref_records, _ = ingest_events(plain)
+    assert records == ref_records and skipped == 0
+    assert np.array_equal(data.x, ref_data.x)
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n\n")
+    with pytest.raises(DataError, match="empty"):
+        ingest_events(blank)
+
+
 def test_ingest_events_skips_a_row_without_its_id_cell(tmp_path):
     # a row too short to hold its id column is skipped like any short row
     # (the csv.DictReader ingest kept it with the id None)

@@ -561,13 +561,16 @@ def all_pairs_nearest(vertices, x):
     k = len(vertices)
     nxt = np.roll(vertices, -1, axis=0)
     normals = unit_vector(np.cross(vertices, nxt))
+    # per arc, one column: a, b, n, n x a and b x n
+    arcs = np.vstack([vertices.T, nxt.T, normals.T, np.cross(normals, vertices).T,
+                      np.cross(nxt, normals).T])
     dist, near = np.empty(len(x)), np.empty_like(x)
     for rows in _row_chunks(len(x), k):
         q = x[rows]
         qi, j = np.divmod(np.arange(len(q) * k), k)
-        d, p = _arc_nearest(q[qi], vertices[j], nxt[j], normals[j])
+        d, p = _arc_nearest(np.take(q.T, qi, axis=1), np.take(arcs, j, axis=1))
         best = _least(qi, d)
-        dist[rows], near[rows] = d[best], p[best]
+        dist[rows], near[rows] = d[best], p[:, best].T
     return dist, near
 
 
@@ -611,6 +614,26 @@ def test_polyline_scaling_is_per_query(name):
         alone = [scaling(b, q) for q in x]
         assert np.array_equal(g, np.concatenate([a[0] for a in alone])), scaling.__name__
         assert np.array_equal(grad, np.vstack([a[1] for a in alone])), scaling.__name__
+
+
+@pytest.mark.parametrize("name", ["usa", *sorted(POLYGONS)])
+def test_polyline_queries_independent_of_memory_layout(name):
+    # the same points give the same bits C-ordered, Fortran-ordered and as
+    # a strided view
+    b = USA if name == "usa" else PolylineBoundary(POLYGONS[name])
+    rng = np.random.default_rng(31)
+    x = unit_vector(b.interior_reference + 0.4 * rng.standard_normal((4000, 3)))
+    # projected g takes queries on the region's side of its drop axis
+    k = default_drop_axis(b) - 1
+    x = x[x[:, k] * np.sign(b.interior_reference[k]) > 1e-6]
+    assert 0 < b.contains(x).sum() < len(x)
+
+    def results(q):
+        return (b.contains(q), *haversine_scaling(b, q), *projected_scaling(b, q))
+
+    for got, ref in ((results(np.asfortranarray(x)), results(x)),
+                     (results(x[::2]), results(x[::2].copy()))):
+        assert all(np.array_equal(u, v) for u, v in zip(got, ref))
 
 
 # ---------------------------------------------------------------- haversine
@@ -1049,6 +1072,18 @@ def test_load_boundary_csv_formats(tmp_path):
     f3.write_text("x,y\n1,2\n3,4\n5,6\n")
     with pytest.raises(ValueError, match="needs columns"):
         load_boundary_csv(f3)
+
+
+def test_load_boundary_csv_header_after_blank_lines(tmp_path):
+    # the header is the first non-blank line, wherever blank lines fall
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text("lat_deg,lon_deg\n10,0\n0,10\n-10,-10\n")
+    padded.write_text("\n\nlat_deg,lon_deg\n10,0\n\n0,10\n-10,-10\n")
+    assert np.array_equal(load_boundary_csv(padded).vertices, load_boundary_csv(plain).vertices)
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n\n")
+    with pytest.raises(ValueError, match="empty"):
+        load_boundary_csv(blank)
 
 
 def test_usa_outline_fixture_loads():
