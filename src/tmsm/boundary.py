@@ -998,27 +998,31 @@ def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> Polyline
     """
     Read a boundary polyline from CSV.
 
-    Accepts header `lat_deg,lon_deg` or `a_rad,b_rad`; rows are ordered
+    Accepts header `lat_deg,lon_deg` or `a_rad,b_rad` (names stripped of
+    spaces, any column order, other columns ignored); rows are ordered
     vertices of an implicitly closed curve. Blank lines are ignored, so
-    the header is the first non-blank line.
+    the header is the first non-blank line. A row without one of the two
+    columns raises `ValueError` naming its line.
     """
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         # csv.reader gives [] for a blank line
-        lines = filter(None, csv.reader(fh))
-        header = next(lines, None)
+        header = next(filter(None, reader), None)
         if header is None:
             raise ValueError(f"{path}: empty boundary file")
         cols = [c.strip() for c in header]
-        rows = [dict(zip(header, row)) for row in lines]
-    if "lat_deg" in cols and "lon_deg" in cols:
-        lat = np.array([float(r["lat_deg"]) for r in rows])
-        lon = np.array([float(r["lon_deg"]) for r in rows])
-        a, b = latlon_to_spherical(lat, lon)
-    elif "a_rad" in cols and "b_rad" in cols:
-        a = np.array([float(r["a_rad"]) for r in rows])
-        b = np.array([float(r["b_rad"]) for r in rows])
-    else:
-        raise ValueError(
-            f"{path}: boundary CSV needs columns lat_deg,lon_deg or a_rad,b_rad"
-        )
+        names = next((pair for pair in (("lat_deg", "lon_deg"), ("a_rad", "b_rad"))
+                      if set(pair) <= set(cols)), None)
+        if names is None:
+            raise ValueError(f"{path}: boundary CSV needs columns lat_deg,lon_deg or a_rad,b_rad")
+        at = [cols.index(name) for name in names]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) <= max(at):
+                missing = [n for n, i in zip(names, at) if i >= len(row)]
+                raise ValueError(f"{path}: line {reader.line_num} has no {' or '.join(missing)} value")
+            rows.append([float(row[i]) for i in at])
+    a, b = np.array(rows, dtype=float).reshape(-1, 2).T
+    if names[0] == "lat_deg":
+        a, b = latlon_to_spherical(a, b)
     return PolylineBoundary(to_euclidean(a, b), interior_hint=interior_hint)

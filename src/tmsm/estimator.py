@@ -22,14 +22,19 @@ all the vMF fits read: a 3x3 linear solve when kappa is free, and a
 trust-region boundary problem (eigendecomposition plus a 1-D secular
 equation) when kappa is known. The full 12x12 form is built on first use,
 by the Kent frame fit only. With kappa and alpha known the frame still
-enters nonlinearly, so that fit scores a fixed grid of frames in one
-batched form, then polishes the best separated grid frames together by a
-safeguarded Newton iteration on the closed-form gradient and Hessian over
-rotations (Absil, Mahony & Sepulchre 2008, ch. 6). A rotation acts on
-theta = (kappa mu, 2 alpha vec S) by a linear map whatever kappa and alpha
-are, so that gradient and Hessian are products with three constant 12x12
-generators. No start is random and every evaluation is O(1) in the sample
-size.
+enters nonlinearly, so that fit scores a fixed grid of frames, then
+polishes the best separated grid frames together by a safeguarded Newton
+iteration on the closed-form gradient and Hessian over rotations (Absil,
+Mahony & Sepulchre 2008, ch. 6). The grid is scored a direction at a
+time: at a fixed mu the shape matrix over the gamma1 angle psi is
+S = cos 2 psi S0 + sin 2 psi S1, so J there is a 3x3 quadratic form in
+(1, cos 2 psi, sin 2 psi), and one product of the direction bases with W
+gives the 300 forms. The best separated frames are found by walking a
+partial sort (`np.partition`) of the grid values, not a full sort. A
+rotation acts on theta = (kappa mu, 2 alpha vec S) by a linear map
+whatever kappa and alpha are, so that gradient and Hessian are products
+with three constant 12x12 generators. No start is random and every
+evaluation is O(1) in the sample size.
 
 The form is the only way the objective is evaluated: `tmsm_objective`
 reads its three terms off it at theta, and `ibp_identity_check` builds the
@@ -329,13 +334,44 @@ def _frame_table(frames: np.ndarray) -> np.ndarray:
     return np.hstack([frames[:, 0], s.reshape(-1, 9)])
 
 
-# 300 directions x 12 gamma1 angles, built once per process with their
-# (mu, vec S) table. The _POLISH_STARTS best grid frames that are pairwise
-# more than _START_SEPARATION rad apart start the polishes.
+def _grid_forms(frames: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """
+    (B, B^T, Z) with which a direction's grid frames score as quadratics in
+    z = (1, cos 2 psi, sin 2 psi). The direction's angle-0 frame of
+    `frames` (d, 3, 3) has rows (mu, v1, v2), and its frame at angle psi has
+    gamma1 = cos psi v1 + sin psi v2, so S = cos 2 psi S0 + sin 2 psi S1
+    with S0 = v1 v1^T - v2 v2^T and S1 = v1 v2^T + v2 v1^T: its
+    `_frame_table` row is z^T B_d, where B_d stacks (mu, 0), (0, vec S0)
+    and (0, vec S1). So for t = (kappa mu, 2 alpha vec S) = z^T B_d D,
+    D = diag(kappa 1_3, 2 alpha 1_9),
+
+        J = z^T G_d z + h_d.z,   G_d = B_d D W D B_d^T,   h_d = B_d D b.
+
+    B is the B_d stacked as (3d, 12) rows, B^T the B_d^T as a contiguous
+    (d, 12, 3) array, and Z (12, n_angles) maps the row (vec G_d, h_d) to
+    the J of the direction's n_angles frames.
+    """
+    mu, v1, v2 = frames[:, 0], frames[:, 1], frames[:, 2]
+    basis = np.zeros((len(frames), 3, 12))
+    basis[:, 0, :3] = mu
+    basis[:, 1, 3:] = (v1[:, :, None] * v1[:, None] - v2[:, :, None] * v2[:, None]).reshape(-1, 9)
+    basis[:, 2, 3:] = (v1[:, :, None] * v2[:, None] + v2[:, :, None] * v1[:, None]).reshape(-1, 9)
+    psi = np.arange(n_angles) * (np.pi / n_angles)  # as in _frame_grid
+    z = np.stack([np.ones(n_angles), np.cos(2.0 * psi), np.sin(2.0 * psi)])
+    angle_forms = np.vstack([(z[:, None] * z[None]).reshape(9, -1), z])
+    return basis.reshape(-1, 12), np.ascontiguousarray(basis.transpose(0, 2, 1)), angle_forms
+
+
+# 300 directions x 12 gamma1 angles, built once per process with the
+# directions' `_grid_forms` (B_d^T is contiguous since the batched G_d
+# product reads it that way fastest). The _POLISH_STARTS best grid frames
+# that are pairwise more than _START_SEPARATION rad apart start the
+# polishes; the walk to them reads the _PICK_PREFIX lowest values first.
 _FRAME_GRID = _frame_grid(300, 12)
-_GRID_TABLE = _frame_table(_FRAME_GRID)
+_GRID_ROWS, _GRID_COLUMNS, _ANGLE_FORMS = _grid_forms(_FRAME_GRID[::12], 12)
 _POLISH_STARTS = 4
 _START_SEPARATION = 0.5
+_PICK_PREFIX = 64
 # A polish counts as converged when its final gradient over rotations has
 # norm at most _GRAD_TOL max(1, |J|). Newton stops at 1e-10 max(1, |J|),
 # since it takes the full steps whose decrease J cannot resolve.
@@ -352,35 +388,58 @@ def _frame_distance(frames: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
 
 
-def _grid_starts(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray:
+def _pick_starts(values: np.ndarray) -> np.ndarray:
     """
-    Grid frames that start the polishes, best first: the _POLISH_STARTS
-    lowest grid frames pairwise more than _START_SEPARATION rad apart.
+    Indices of the _POLISH_STARTS lowest grid frames pairwise more than
+    _START_SEPARATION rad apart, best first: the walk over the grid in
+    ascending order of `values` (ties lowest index first) that takes each
+    frame far from all frames taken before it.
 
-    The grid is walked in ascending objective order (ties lowest index
-    first), a block at a time, and each candidate is tested only against
-    the frames already picked. With D = diag(kappa 1_3, 2 alpha 1_9) the
-    grid's t is _GRID_TABLE D, so its J is scored against D W D and D b.
+    The walk reads that order a prefix at a time: the values at most the
+    k-th lowest (by `np.partition`, k = _PICK_PREFIX), stably sorted. Such a
+    prefix is the head of the full stable order, ties included, so when
+    its frames run out before the picks do, the walk goes on into the
+    prefix of twice the size.
+    """
+    picked: list[int] = []
+    size = seen = 0
+    while len(picked) < _POLISH_STARTS and size < len(values):
+        size = min(max(2 * size, _PICK_PREFIX), len(values))
+        head = np.flatnonzero(values <= np.partition(values, size - 1)[size - 1])
+        order = head[np.argsort(values[head], kind="stable")][seen:]
+        seen += len(order)
+        frames = _FRAME_GRID[order]
+        far = np.ones(len(order), dtype=bool)
+        for k in picked:
+            far &= _frame_distance(frames, _FRAME_GRID[k]) > _START_SEPARATION
+        while len(picked) < _POLISH_STARTS and far.any():
+            k = order[np.argmax(far)]
+            picked.append(k)
+            far &= _frame_distance(frames, _FRAME_GRID[k]) > _START_SEPARATION
+    return np.array(picked)
+
+
+def _grid_values(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray:
+    """
+    J at every grid frame, scored a direction at a time (`_grid_forms`):
+    with D = diag(kappa 1_3, 2 alpha 1_9), one (900, 12) product of the
+    stacked direction bases with D W D and one batched product with the
+    B_d^T give each direction's 3x3 G_d, one with D b its h_d, and one
+    (300, 12) by (12, 12) product with _ANGLE_FORMS the J of its 12
+    frames, z^T G_d z + h_d.z.
     """
     w, b = stats.kent_form
     scale = _table_scale(kappa, alpha)
-    scaled = _GRID_TABLE @ (scale[:, None] * w * scale) + scale * b
-    values = np.einsum("mi,mi->m", scaled, _GRID_TABLE)
-    order = np.argsort(values, kind="stable")
-    picked = [order[0]]
-    start = 1
-    while len(picked) < _POLISH_STARTS and start < len(order):
-        block = order[start:start + 256]
-        far = np.ones(len(block), dtype=bool)
-        for k in picked:
-            far &= _frame_distance(_FRAME_GRID[block], _FRAME_GRID[k]) > _START_SEPARATION
-        hit = np.flatnonzero(far)
-        if hit.size:
-            picked.append(block[hit[0]])
-            start += hit[0] + 1
-        else:
-            start += len(block)
-    return _FRAME_GRID[picked]
+    wb = (_GRID_ROWS @ (scale[:, None] * w * scale)).reshape(-1, 3, 12)
+    forms = (wb @ _GRID_COLUMNS).reshape(-1, 9)
+    h = (_GRID_ROWS @ (scale * b)).reshape(-1, 3)
+    return (np.hstack([forms, h]) @ _ANGLE_FORMS).ravel()
+
+
+def _grid_starts(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray:
+    """Grid frames that start the polishes, best first: `_pick_starts` on
+    the `_grid_values`."""
+    return _FRAME_GRID[_pick_starts(_grid_values(stats, kappa, alpha))]
 
 
 # L_i = [e_i]x, so L_i v = e_i x v. A turn R = exp([omega]x) maps mu to
@@ -408,19 +467,14 @@ def _theta(params: ModelParams) -> np.ndarray:
     return _frame_table(params.frame().T[None])[0] * _table_scale(params.kappa, params.alpha)
 
 
-def _form_values(w: np.ndarray, b: np.ndarray, kappa: float, alpha: float,
-                 frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J, t) at each of `frames` (m, 3, 3): t = (kappa mu, 2 alpha vec S)
-    with S = gamma1 gamma1^T - gamma2 gamma2^T, and J = t^T W t + b.t."""
-    t = _frame_table(frames) * _table_scale(kappa, alpha)
-    return np.einsum("mi,ij,mj->m", t, w, t) + t @ b, t
-
-
-def _frame_derivatives(w: np.ndarray, b: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _frame_state(w: np.ndarray, b: np.ndarray, scale: np.ndarray,
+                 frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
-    Gradient (m, 3) and Hessian (m, 3, 3) of J at omega = 0 along
-    R = exp([omega]x) turning each frame, given its t = (kappa mu,
-    2 alpha vec S) as a row of `t` (m, 12).
+    J (m,), its gradient (m, 3) and its Hessian (m, 3, 3) at omega = 0
+    along R = exp([omega]x) turning each of `frames` (m, 3, 3), with
+    `scale` = `_table_scale(kappa, alpha)`. Each frame's
+    t = (kappa mu, 2 alpha vec S), S = gamma1 gamma1^T - gamma2 gamma2^T,
+    gives J = t^T W t + b.t.
 
     The turn moves t to exp(sum omega_i G_i) t, so with u = 2 W t + b the
     gradient of the form in t and dt_i = G_i t,
@@ -429,13 +483,14 @@ def _frame_derivatives(w: np.ndarray, b: np.ndarray, t: np.ndarray) -> tuple[np.
 
     whose last term is the symmetric part of (G_i^T u).dt_j.
     """
+    t = _frame_table(frames) * scale
     m = len(t)
     u = 2.0 * t @ w + b
     dt = (t @ _GEN.reshape(36, 12).T).reshape(m, 3, 12)
     du = (u @ _GEN.transpose(1, 0, 2).reshape(12, 36)).reshape(m, 3, 12)
     cross = du @ dt.transpose(0, 2, 1)
     hess = 2.0 * (dt @ w) @ dt.transpose(0, 2, 1) + 0.5 * (cross + cross.transpose(0, 2, 1))
-    return np.einsum("mik,mk->mi", dt, u), hess
+    return np.einsum("mi,ij,mj->m", t, w, t) + t @ b, np.einsum("mik,mk->mi", dt, u), hess
 
 
 def _turn(frames: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -463,53 +518,56 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
     1e-10 max(1, |J|), or when halving finds no decrease above the
     rounding of J.
 
+    The starts run in lockstep on arrays of fixed shape (m, ...): boolean
+    masks mark the starts still stepping (`live`) and those still halving
+    in this step's line search (`todo`), a stopped start takes the null
+    turn, and each line-search pass is one `_frame_state` call at all m
+    trial frames, whose J, gradient and Hessian an accepted trial keeps. So
+    every start takes the steps it would take alone, up to the rounding of
+    the row products, which may depend on the number of rows.
+
     Returns:
         (frames, J, gradient norms, evaluations): the evaluations count
         the Newton steps plus the line-search evaluations of all starts.
     """
     w, b = stats.kent_form
+    scale = _table_scale(kappa, alpha)
     rho = np.hypot(kappa, np.sqrt(8.0) * alpha)
     floor = 4.0 * np.finfo(float).eps * (np.linalg.norm(w, 2) * rho**2 + np.linalg.norm(b) * rho)
     frames = np.array(frames, dtype=float)
-    value, t = _form_values(w, b, kappa, alpha, frames)
-    grad, hess = _frame_derivatives(w, b, t)
-    gnorm = np.linalg.norm(grad, axis=1)
+    value, grad, hess = _frame_state(w, b, scale, frames)
     live = np.ones(len(frames), dtype=bool)
     evals = 0
     for _ in range(_NEWTON_CAP):
-        live &= gnorm > 1e-10 * np.maximum(1.0, np.abs(value))
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
+        live &= np.linalg.norm(grad, axis=1) > 1e-10 * np.maximum(1.0, np.abs(value))
+        if not live.any():
             break
-        lam, vec = np.linalg.eigh(hess[idx])
+        lam, vec = np.linalg.eigh(hess)
         lam = np.abs(lam)
         lam = np.maximum(lam, 1e-8 * lam.max(axis=1, keepdims=True))
-        step = -np.einsum("mij,mj->mi", vec, np.einsum("mji,mj->mi", vec, grad[idx]) / lam)
-        slope = np.einsum("mi,mi->m", grad[idx], step)
-        evals += idx.size
-        scale = np.ones(idx.size)
-        todo = np.arange(idx.size)
-        while todo.size:
-            k = idx[todo]
-            trial = _turn(frames[k], scale[todo, None] * step[todo])
-            trial_value, trial_t = _form_values(w, b, kappa, alpha, trial)
-            evals += todo.size
-            ok = trial_value <= value[k] + 1e-4 * scale[todo] * slope[todo]
-            ok |= -slope[todo] <= floor
-            frames[k[ok]], value[k[ok]], t[k[ok]] = trial[ok], trial_value[ok], trial_t[ok]
-            scale[todo[~ok]] *= 0.5
-            stuck = ~ok & (-scale[todo] * slope[todo] <= floor)
-            live[k[stuck]] = False
-            todo = todo[~ok & ~stuck]
-        moved = idx[live[idx]]
-        grad[moved], hess[moved] = _frame_derivatives(w, b, t[moved])
-        gnorm[moved] = np.linalg.norm(grad[moved], axis=1)
-    return frames, value, gnorm, evals
+        step = -np.einsum("mij,mj->mi", vec, np.einsum("mji,mj->mi", vec, grad) / lam)
+        slope = np.einsum("mi,mi->m", grad, step)
+        evals += np.count_nonzero(live)
+        size = live.astype(float)  # a stopped start takes the null turn
+        todo = live.copy()
+        while todo.any():
+            trial = _turn(frames, size[:, None] * step)
+            state = _frame_state(w, b, scale, trial)
+            evals += np.count_nonzero(todo)
+            ok = todo & ((state[0] <= value + 1e-4 * size * slope) | (-slope <= floor))
+            for old, new in zip((frames, value, grad, hess), (trial, *state)):
+                np.copyto(old.T, new.T, where=ok)  # ok broadcasts along the last axis
+            todo &= ~ok
+            np.multiply(size, 0.5, out=size, where=todo)
+            stuck = todo & (-size * slope <= floor)
+            live &= ~stuck
+            todo &= ~stuck
+    return frames, value, np.linalg.norm(grad, axis=1), int(evals)
 
 
 def _fit_kent_frame(stats: _ScalingStats, kappa: float, alpha: float) -> EstimationResult:
     """
-    Seed-free frame fit: score the fixed frame grid in one quadratic form,
+    Seed-free frame fit: score the fixed frame grid a direction at a time,
     polish the separated best frames by Newton on SO(3), keep the lowest.
     """
     KentParams(*_FRAME_GRID[0], kappa, alpha)  # reject an invalid (kappa, alpha) first
@@ -644,11 +702,14 @@ def estimate(
       solved through the eigendecomposition of M and a monotone 1-D
       secular equation.
     * "kent_frame": a fixed grid of 3,600 frames (300 Fibonacci directions
-      for mu times 12 gamma1 angles) is scored in one batched quadratic
-      form. The 4 best grid frames that are pairwise more than 0.5 rad
-      apart are polished together by a safeguarded Newton iteration on
-      the exact gradient and Hessian over rotations, and the lowest
-      polish wins. Every evaluation reads the full quadratic form
+      for mu times 12 gamma1 angles) is scored a direction at a time: at a
+      fixed mu, J over the gamma1 angle psi is a 3x3 quadratic form in
+      (1, cos 2 psi, sin 2 psi), so one product with the form gives all
+      300 of them. The 4 best grid frames that are pairwise more than
+      0.5 rad apart, found by walking a partial sort of the values, are
+      polished in lockstep by a safeguarded Newton iteration on the exact
+      gradient and Hessian over rotations, and the lowest polish wins.
+      Every evaluation reads the full quadratic form
       `_ScalingStats.kent_form`, built once per call, so it is O(1) in
       the sample size.
 

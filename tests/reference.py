@@ -11,7 +11,7 @@ as means of per-point outer products, the three objective terms and both
 sides of the identity check assembled from `batch_terms`, and the gradient
 and Hessian of the Kent form over rotations with their curvature terms
 expanded by hand, which the generator form of
-`tmsm.estimator._frame_derivatives` must match.
+`tmsm.estimator._frame_state` must match.
 """
 
 from __future__ import annotations

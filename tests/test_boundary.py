@@ -27,6 +27,7 @@ from tmsm.geometry import (
     to_spherical,
     unit_vector,
 )
+from tmsm.bench import DataError, build_boundary
 from tmsm.models import VmfParams
 from tmsm.sampling import sample_truncated, substream_rng
 
@@ -1085,6 +1086,29 @@ def test_load_boundary_csv_header_after_blank_lines(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         load_boundary_csv(blank)
 
+
+
+def test_load_boundary_csv_strips_header_names(tmp_path):
+    # a space after the comma names the same columns as the plain header
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("lat_deg,lon_deg\n10,0\n0,10\n-10,-10\n")
+    spaced.write_text("lat_deg, lon_deg\n10,0\n0,10\n-10,-10\n")
+    assert np.array_equal(load_boundary_csv(spaced).vertices, load_boundary_csv(plain).vertices)
+    chart = tmp_path / "chart.csv"
+    a, b = latlon_to_spherical(np.array([10.0, 0.0, -10.0]), np.array([0.0, 10.0, -10.0]))
+    chart.write_text(" b_rad , a_rad\n" + "".join(f"{bi},{ai}\n" for ai, bi in zip(a, b)))
+    assert np.allclose(load_boundary_csv(chart).vertices, load_boundary_csv(plain).vertices,
+                       atol=1e-12)
+
+
+def test_load_boundary_csv_short_row_is_a_data_error(tmp_path):
+    short = tmp_path / "short.csv"
+    short.write_text("lat_deg,lon_deg\n10,0\n0\n-10,-10\n5,20\n")
+    with pytest.raises(ValueError, match="line 3 has no lon_deg value"):
+        load_boundary_csv(short)
+    # build_boundary reports it as bad data, which the CLI exits 3 on
+    with pytest.raises(DataError, match="line 3"):
+        build_boundary({"type": "polyline_csv", "path": str(short)})
 
 def test_usa_outline_fixture_loads():
     assert len(USA.vertices) >= 150  # coarse but not a toy polygon

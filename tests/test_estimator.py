@@ -30,12 +30,15 @@ from tmsm.estimator import (
     _START_SEPARATION,
     _eta_on_sphere,
     _fit_vmf,
-    _form_values,
-    _frame_derivatives,
     _frame_distance,
+    _frame_state,
+    _PICK_PREFIX,
     _grid_starts,
+    _grid_values,
     _newton_polish,
+    _pick_starts,
     _scaling_stats,
+    _table_scale,
     _turn,
 )
 from tmsm.geometry import geodesic_angle, to_euclidean, unit_vector
@@ -597,8 +600,7 @@ def test_identity_check_polyline_unsupported():
 
 def _derivatives(w, b, kappa, alpha, frames):
     """(J, gradient, Hessian) over turns at each of `frames` (m, 3, 3)."""
-    value, t = _form_values(w, b, kappa, alpha, frames)
-    return (value, *_frame_derivatives(w, b, t))
+    return _frame_state(w, b, _table_scale(kappa, alpha), frames)
 
 
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
@@ -629,8 +631,8 @@ def test_kent_gradient_matches_central_differences(g_kind, axis):
         value, grad, _ = _derivatives(w, b, p.kappa, p.alpha, frame)
         turned = KentParams(*frame[0], p.kappa, p.alpha)
         assert value[0] == pytest.approx(_form_terms(stats, turned).total, abs=1e-12)
-        fd = [(_form_values(w, b, p.kappa, p.alpha, _turn(frame, h * e[None]))[0][0]
-               - _form_values(w, b, p.kappa, p.alpha, _turn(frame, -h * e[None]))[0][0])
+        fd = [(_derivatives(w, b, p.kappa, p.alpha, _turn(frame, h * e[None]))[0][0]
+               - _derivatives(w, b, p.kappa, p.alpha, _turn(frame, -h * e[None]))[0][0])
               / (2.0 * h) for e in np.eye(3)]
         assert np.allclose(grad[0], fd, rtol=1e-6, atol=1e-6)
 
@@ -710,13 +712,18 @@ def test_kent_newton_polish_ends_by_the_gradient_test_on_the_paper_grid():
     assert above == 0
 
 
-def _reference_grid_starts(stats, kappa, alpha):
-    """The start picks by a full separation pass over the grid per pick."""
+def _reference_grid_values(stats, kappa, alpha):
+    """J at every grid frame, scored directly on its (kappa mu, 2 alpha vec S)."""
     w, b = stats.kent_form
     shape = (_FRAME_GRID[:, 1, :, None] * _FRAME_GRID[:, 1, None, :]
              - _FRAME_GRID[:, 2, :, None] * _FRAME_GRID[:, 2, None, :]).reshape(-1, 9)
     t = np.hstack([kappa * _FRAME_GRID[:, 0], 2.0 * alpha * shape])
-    values = np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ b
+    return np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ b
+
+
+def _reference_grid_starts(stats, kappa, alpha):
+    """The start picks by a full separation pass over the grid per pick."""
+    values = _reference_grid_values(stats, kappa, alpha)
     free = np.ones(len(values), dtype=bool)
     picked = []
     while len(picked) < 4 and free.any():
@@ -726,13 +733,14 @@ def _reference_grid_starts(stats, kappa, alpha):
     return _FRAME_GRID[picked]
 
 
-def test_grid_starts_match_full_separation_passes():
+def _start_cases():
+    """(x, boundary, g_kind, drop_axis, kappa, alpha) of the grid start tests."""
     g1 = np.array([0.0, 0.0, 1.0])
     kent = KentParams(mu=MU, gamma1=g1, gamma2=np.cross(MU, g1), kappa=10.0, alpha=3.0)
     cap = ColatitudeBoundary(2.2)
     multimodal = sample_truncated(VmfParams(to_euclidean(2.669, 2.1101), 7.773), cap, 40,
                                   substream_rng(194, 40), 1000).x
-    cases = [
+    return [
         (sample_truncated(kent, HEMI, 300, substream_rng(19, 300), 1000).x, HEMI,
          "haversine", None, 10.0, 3.0),
         (sample_truncated(kent, HEMI, 1000, substream_rng(23, 1000), 1000).x, HEMI,
@@ -744,11 +752,86 @@ def test_grid_starts_match_full_separation_passes():
         (hemi_dataset(200, seed=27).x, None, "unit", None, 4.0, 1.5),
         (multimodal, cap, "projected", None, 5.0919, 2.1407),
     ]
-    for x, boundary, g_kind, axis, kappa, alpha in cases:
+
+
+def test_grid_starts_match_full_separation_passes():
+    for x, boundary, g_kind, axis, kappa, alpha in _start_cases():
         stats = _scaling_stats(Dataset(x), boundary, g_kind, axis)
         starts = _grid_starts(stats, kappa, alpha)
         assert len(starts) == 4
         assert np.array_equal(starts, _reference_grid_starts(stats, kappa, alpha))
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_grid_values_per_direction_match_direct_table_scoring(g_kind, axis):
+    g1 = np.array([0.0, 0.0, 1.0])
+    kent = KentParams(mu=MU, gamma1=g1, gamma2=np.cross(MU, g1), kappa=10.0, alpha=3.0)
+    if g_kind == "unit":
+        stats = _scaling_stats(Dataset(sample_kent(kent, 300, substream_rng(32, 0))), None,
+                               "unit", None)
+    else:
+        x = sample_truncated(kent, HEMI, 300, substream_rng(31, 300), 1000).x
+        stats = _scaling_stats(Dataset(x), HEMI, g_kind, axis)
+    for kappa, alpha in [(10.0, 3.0), (6.0, 1.0), (5.0919, 2.1407), (6.0, 0.0)]:
+        ref = _reference_grid_values(stats, kappa, alpha)
+        got = _grid_values(stats, kappa, alpha)
+        assert got.shape == (len(_FRAME_GRID),)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _stable_sort_picks(values):
+    """The start picks by a full stable sort of the values (ties lowest
+    index first) and a full separation pass per pick."""
+    order = np.argsort(values, kind="stable")
+    free = np.ones(len(values), dtype=bool)
+    picked = []
+    while len(picked) < 4 and free.any():
+        k = order[free[order]][0]
+        picked.append(k)
+        free &= _frame_distance(_FRAME_GRID, _FRAME_GRID[k]) > _START_SEPARATION
+    return np.array(picked)
+
+
+def test_pick_starts_match_full_stable_sort_with_ties():
+    rng = np.random.default_rng(33)
+    cases = [np.zeros(len(_FRAME_GRID)), np.repeat(np.arange(300.0)[::-1], 12)]
+    cases += [rng.integers(0, levels, len(_FRAME_GRID)).astype(float) for levels in (2, 5, 40, 400)]
+    for values in cases:
+        assert np.unique(values).size < len(values)  # every case holds exact ties
+        assert np.array_equal(_pick_starts(values), _stable_sort_picks(values))
+
+
+def test_pick_starts_walk_past_the_first_prefix():
+    # four frames more than 1 rad apart, each ranked just before the frames
+    # within 0.5 rad of it: the walk takes each in turn and passes over its
+    # near frames, so the 4th pick lies past two doublings of the prefix
+    anchors = [0, 1200, 2400, 3599]
+    values = np.full(len(_FRAME_GRID), 4.0)
+    for j, k in enumerate(anchors):
+        dist = _frame_distance(_FRAME_GRID, _FRAME_GRID[k])
+        assert np.all(dist[anchors[:j]] > 1.0)
+        near = dist <= _START_SEPARATION
+        values[near] = np.round(j + dist[near], 2)  # rounding makes ties
+    ref = _stable_sort_picks(values)
+    assert np.array_equal(ref, anchors)
+    rank = np.argsort(np.argsort(values, kind="stable"), kind="stable")
+    assert rank[ref[-1]] >= 2 * _PICK_PREFIX
+    assert np.array_equal(_pick_starts(values), ref)
+
+
+def test_newton_polish_start_does_not_depend_on_its_batch():
+    for x, boundary, g_kind, axis, kappa, alpha in _start_cases():
+        stats = _scaling_stats(Dataset(x), boundary, g_kind, axis)
+        starts = _grid_starts(stats, kappa, alpha)
+        frames, value, gnorm, evals = _newton_polish(stats, kappa, alpha, starts)
+        alone_evals = 0
+        for i, start in enumerate(starts):
+            f, v, g, e = _newton_polish(stats, kappa, alpha, start[None])
+            tol = 1e-13 * max(1.0, abs(v[0]))
+            assert np.max(np.abs(frames[i] - f[0])) <= 1e-13
+            assert abs(value[i] - v[0]) <= tol and abs(gnorm[i] - g[0]) <= tol
+            alone_evals += e
+        assert evals == alone_evals
 
 
 def _euler_objective(stats, kappa, alpha, ref):
