@@ -994,27 +994,26 @@ def spherical_to_latlon(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     return lat, lon
 
 
-def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> PolylineBoundary:
+def _csv_columns(path, choices: tuple[tuple[str, str], ...], what: str):
     """
-    Read a boundary polyline from CSV.
-
-    Accepts header `lat_deg,lon_deg` or `a_rad,b_rad` (names stripped of
-    spaces, any column order, other columns ignored); rows are ordered
-    vertices of an implicitly closed curve. Blank lines are ignored, so
-    the header is the first non-blank line. A row without one of the two
-    columns raises `ValueError` naming its line.
+    (names, values): the first pair of column names in `choices` that the
+    header holds, and those two columns as an (n, 2) array. Blank lines are
+    ignored, so the header is the first non-blank line; its names are
+    stripped of spaces, in any column order, and other columns are
+    ignored. A row without one of the two columns raises `ValueError`
+    naming its line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         # csv.reader gives [] for a blank line
         header = next(filter(None, reader), None)
         if header is None:
-            raise ValueError(f"{path}: empty boundary file")
+            raise ValueError(f"{path}: empty {what} file")
         cols = [c.strip() for c in header]
-        names = next((pair for pair in (("lat_deg", "lon_deg"), ("a_rad", "b_rad"))
-                      if set(pair) <= set(cols)), None)
+        names = next((pair for pair in choices if set(pair) <= set(cols)), None)
         if names is None:
-            raise ValueError(f"{path}: boundary CSV needs columns lat_deg,lon_deg or a_rad,b_rad")
+            wanted = " or ".join(",".join(pair) for pair in choices)
+            raise ValueError(f"{path}: {what} CSV needs columns {wanted}")
         at = [cols.index(name) for name in names]
         rows = []
         for row in filter(None, reader):
@@ -1022,7 +1021,22 @@ def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> Polyline
                 missing = [n for n, i in zip(names, at) if i >= len(row)]
                 raise ValueError(f"{path}: line {reader.line_num} has no {' or '.join(missing)} value")
             rows.append([float(row[i]) for i in at])
-    a, b = np.array(rows, dtype=float).reshape(-1, 2).T
+    return names, np.array(rows, dtype=float).reshape(-1, 2)
+
+
+def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> PolylineBoundary:
+    """
+    Read a boundary polyline from CSV.
+
+    Accepts header `lat_deg,lon_deg` or `a_rad,b_rad` (read by
+    `_csv_columns`: names stripped of spaces, any column order, other
+    columns ignored); rows are ordered vertices of an implicitly closed
+    curve. Blank lines are ignored, so the header is the first non-blank
+    line. A row without one of the two columns raises `ValueError` naming
+    its line.
+    """
+    names, rows = _csv_columns(path, (("lat_deg", "lon_deg"), ("a_rad", "b_rad")), "boundary")
+    a, b = rows.T
     if names[0] == "lat_deg":
         a, b = latlon_to_spherical(a, b)
     return PolylineBoundary(to_euclidean(a, b), interior_hint=interior_hint)

@@ -32,9 +32,11 @@ S = cos 2 psi S0 + sin 2 psi S1, so J there is a 3x3 quadratic form in
 gives the 300 forms. The best separated frames are found by walking a
 partial sort (`np.partition`) of the grid values, not a full sort. A
 rotation acts on theta = (kappa mu, 2 alpha vec S) by a linear map
-whatever kappa and alpha are, so that gradient and Hessian are products
-with three constant 12x12 generators. No start is random and every
-evaluation is O(1) in the sample size.
+whatever kappa and alpha are, so J and its gradient and Hessian over
+rotations are quadratic forms in r = (mu, vec S, 1): once per fit they
+are folded into one (169, 13) map, and each polish trial's state is one
+product of r (x) r with it. No start is random and every evaluation is
+O(1) in the sample size.
 
 The form is the only way the objective is evaluated: `tmsm_objective`
 reads its three terms off it at theta, and `ibp_identity_check` builds the
@@ -55,7 +57,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .boundary import Boundary, ColatitudeBoundary, scaling_values
+from .boundary import Boundary, ColatitudeBoundary, _csv_columns, scaling_values
 from .geometry import to_euclidean, to_spherical
 from .models import (
     KAPPA_CAP,
@@ -123,14 +125,11 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ValueError(f"{path}: empty dataset file")
-            rows = list(reader)
-        a = np.array([float(r["a_rad"]) for r in rows])
-        b = np.array([float(r["b_rad"]) for r in rows])
-        return cls.from_spherical(a, b)
+        """Read the columns a_rad and b_rad of a CSV as `to_csv` writes it,
+        the way `load_boundary_csv` reads its file: the header is the first
+        non-blank line, its names stripped of spaces, and a row without
+        either value raises `ValueError` naming its line."""
+        return cls.from_spherical(*_csv_columns(path, (("a_rad", "b_rad"),), "dataset")[1].T)
 
 
 @dataclass
@@ -229,18 +228,25 @@ class _ScalingStats:
         T4 = mean g (x(x)x)(x(x)x)^T (9x9) and G = mean t x^T, t the
         tangential part of grad g. vec is row-major, and <A^2, Q> is
         vec(A)^T (I (x) Q) vec(A) because A is symmetric. The vMF model is
-        A = 0, the eta block alone.
+        A = 0, the eta block alone. W is filled in place block by block; the
+        Kent polish folds it with b into the per-fit (169, 13) map of
+        `_polish_form`, so each of its trial states is one product.
         """
         x, n = self.x, self.x.shape[0]
         xx = (x[:, :, None] * x[:, None, :]).reshape(n, 9)
         gxx = self.g[:, None] * xx
         t3 = gxx.T @ x / n
         t4 = gxx.T @ xx / n
-        cross = np.kron(np.eye(3), self.first[None, :]) - t3.T
-        w = np.block([
-            [self.m, cross],
-            [cross.T, np.kron(np.eye(3), self.quad) - t4],
-        ])
+        # W is [[m, I (x) f - T3^T], [., I (x) Q - T4]]: zeros less T3^T and
+        # T4, then f and Q added on the diagonal blocks of the Kronecker terms
+        w = np.zeros((12, 12))
+        w[:3, :3] = self.m
+        w[:3, 3:] -= t3.T
+        w[3:, 3:] -= t4
+        blocks, i = w.reshape(4, 3, 4, 3), np.arange(3)
+        blocks[0, i, i + 1] += self.first
+        blocks[i + 1, :, i + 1] += self.quad
+        w[3:, :3] = w[:3, 3:].T
         b_lap = np.concatenate([-2.0 * self.first, -3.0 * self.quad.ravel()])
         b_gg = np.concatenate([self.tgrad, (self.tang.T @ x / n).ravel()])
         return w, b_lap, b_gg
@@ -326,12 +332,14 @@ def _frame_grid(n_directions: int, n_angles: int) -> np.ndarray:
 
 
 def _frame_table(frames: np.ndarray) -> np.ndarray:
-    """(mu, vec S) of each of `frames` (m, 3, 3), shape (m, 12), with
+    """r = (mu, vec S, 1) of each of `frames` (m, 3, 3), shape (m, 13), with
     S = gamma1 gamma1^T - gamma2 gamma2^T: so t = (kappa mu, 2 alpha vec S)
-    is the table scaled column-wise by (kappa 1_3, 2 alpha 1_9)."""
+    is r[:12] scaled column-wise by (kappa 1_3, 2 alpha 1_9)."""
     g1, g2 = frames[:, 1], frames[:, 2]
-    s = g1[:, :, None] * g1[:, None, :] - g2[:, :, None] * g2[:, None, :]
-    return np.hstack([frames[:, 0], s.reshape(-1, 9)])
+    r = np.ones((len(frames), 13))
+    r[:, :3] = frames[:, 0]
+    r[:, 3:12] = (g1[:, :, None] * g1[:, None, :] - g2[:, :, None] * g2[:, None, :]).reshape(-1, 9)
+    return r
 
 
 def _grid_forms(frames: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,7 +349,7 @@ def _grid_forms(frames: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarr
     `frames` (d, 3, 3) has rows (mu, v1, v2), and its frame at angle psi has
     gamma1 = cos psi v1 + sin psi v2, so S = cos 2 psi S0 + sin 2 psi S1
     with S0 = v1 v1^T - v2 v2^T and S1 = v1 v2^T + v2 v1^T: its
-    `_frame_table` row is z^T B_d, where B_d stacks (mu, 0), (0, vec S0)
+    (mu, vec S) is z^T B_d, where B_d stacks (mu, 0), (0, vec S0)
     and (0, vec S1). So for t = (kappa mu, 2 alpha vec S) = z^T B_d D,
     D = diag(kappa 1_3, 2 alpha 1_9),
 
@@ -445,61 +453,84 @@ def _grid_starts(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray
 # L_i = [e_i]x, so L_i v = e_i x v. A turn R = exp([omega]x) maps mu to
 # R mu and S to R S R^T, so it maps t = (kappa mu, 2 alpha vec S) to
 # exp(sum omega_i G_i) t whatever kappa and alpha are, with the constant
-# generators G_i = blockdiag(L_i, L_i (x) I - I (x) L_i^T) (row-major vec).
+# generators G_i = blockdiag(L_i, L_i (x) I - I (x) L_i^T) (row-major vec),
+# here padded by a zero row and column to act on r = (mu, vec S, 1).
+# _GEN_COLUMNS stacks (I, 2 G_i, G_i G_j + G_j G_i) side by side and
+# _GEN_ROWS the G_i^T on top of each other, for `_polish_form`.
 _TURNS = -np.cross(np.eye(3)[:, None], np.eye(3)[None])
-_GEN = np.array([np.block([[l, np.zeros((3, 9))],
-                           [np.zeros((9, 3)), np.kron(l, np.eye(3)) - np.kron(np.eye(3), l.T)]])
-                 for l in _TURNS])
+_GEN = np.zeros((3, 13, 13))
+_GEN[:, :3, :3] = _TURNS
+_GEN[:, 3:12, 3:12] = [np.kron(l, np.eye(3)) - np.kron(np.eye(3), l.T) for l in _TURNS]
+_GEN_PAIRS = _GEN[:, None] @ _GEN[None] + _GEN[None] @ _GEN[:, None]
+_GEN_COLUMNS = np.hstack([np.eye(13), *(2.0 * _GEN), *_GEN_PAIRS.reshape(9, 13, 13)])
+_GEN_ROWS = _GEN.transpose(0, 2, 1).reshape(39, 13)
 # Newton steps per start: a guard, as grid starts converge in under 10.
 _NEWTON_CAP = 50
 
 
 def _table_scale(kappa: float, alpha: float) -> np.ndarray:
-    """(kappa 1_3, 2 alpha 1_9), the column scale from a `_frame_table` row to t."""
+    """(kappa 1_3, 2 alpha 1_9), the column scale from (mu, vec S) to t."""
     return np.repeat([kappa, 2.0 * alpha], [3, 9])
 
 
 def _theta(params: ModelParams) -> np.ndarray:
     """theta = (kappa mu, vec A) of the parameters: (kappa mu, 0) for vMF,
-    and for Kent its frame's `_frame_table` row scaled by `_table_scale`."""
+    and for Kent its frame's (mu, vec S) scaled by `_table_scale`."""
     if isinstance(params, VmfParams):
         return np.concatenate([params.kappa * params.mu, np.zeros(9)])
-    return _frame_table(params.frame().T[None])[0] * _table_scale(params.kappa, params.alpha)
+    return _frame_table(params.frame().T[None])[0, :12] * _table_scale(params.kappa, params.alpha)
 
 
-def _frame_state(w: np.ndarray, b: np.ndarray, scale: np.ndarray,
-                 frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _polish_form(w: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """
-    J (m,), its gradient (m, 3) and its Hessian (m, 3, 3) at omega = 0
-    along R = exp([omega]x) turning each of `frames` (m, 3, 3), with
-    `scale` = `_table_scale(kappa, alpha)`. Each frame's
-    t = (kappa mu, 2 alpha vec S), S = gamma1 gamma1^T - gamma2 gamma2^T,
-    gives J = t^T W t + b.t.
+    The (169, 13) map M with which `_frame_state` reads J, its gradient and
+    its Hessian over turns off r (x) r, r = (mu, vec S, 1) a frame's
+    `_frame_table` row, for the form (W, b) at the column scale
+    `scale` = `_table_scale(kappa, alpha)`.
 
-    The turn moves t to exp(sum omega_i G_i) t, so with u = 2 W t + b the
-    gradient of the form in t and dt_i = G_i t,
+    With D = diag(scale), t = D r[:12], so J = r^T V r for the 13x13
+    V = [[D W D, D b / 2], [b^T D / 2, 0]]. D commutes with the generators
+    G_i (padded to 13x13 by `_GEN`), so with u = 2 W t + b and dt_i = G_i t,
+    g_i = u.dt_i and H_ij = 2 dt_i^T W dt_j + u.(G_i G_j + G_j G_i) t / 2,
 
-        g_i = u.dt_i,   H_ij = 2 dt_i^T W dt_j + u.(G_i G_j + G_j G_i) t / 2,
+        g_i  = r^T (2 V G_i) r,
+        H_ij = r^T (2 G_i^T V G_j + V (G_i G_j + G_j G_i)) r.
 
-    whose last term is the symmetric part of (G_i^T u).dt_j.
+    Column k of M is the vec of the k-th of these 13 matrices
+    (J, g_1..3, H_11, H_12, .., H_33), from two products with constants.
     """
-    t = _frame_table(frames) * scale
-    m = len(t)
-    u = 2.0 * t @ w + b
-    dt = (t @ _GEN.reshape(36, 12).T).reshape(m, 3, 12)
-    du = (u @ _GEN.transpose(1, 0, 2).reshape(12, 36)).reshape(m, 3, 12)
-    cross = du @ dt.transpose(0, 2, 1)
-    hess = 2.0 * (dt @ w) @ dt.transpose(0, 2, 1) + 0.5 * (cross + cross.transpose(0, 2, 1))
-    return np.einsum("mi,ij,mj->m", t, w, t) + t @ b, np.einsum("mik,mk->mi", dt, u), hess
+    v = np.zeros((13, 13))
+    v[:12, :12] = scale[:, None] * w * scale
+    v[:12, 12] = v[12, :12] = 0.5 * scale * b
+    forms = (v @ _GEN_COLUMNS).reshape(13, 13, 13)
+    turned = (_GEN_ROWS @ v @ _GEN_ROWS.T).reshape(3, 13, 3, 13).transpose(1, 0, 2, 3)
+    forms[:, 4:] += 2.0 * turned.reshape(13, 9, 13)
+    return forms.transpose(0, 2, 1).reshape(169, 13)
+
+
+def _frame_state(form: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """
+    (J, gradient, vec Hessian) at omega = 0 along R = exp([omega]x) turning
+    each of `frames` (m, 3, 3), shape (m, 13): one outer product of the rows
+    r = (mu, vec S, 1), S = gamma1 gamma1^T - gamma2 gamma2^T, and one
+    product with `form` = `_polish_form(W, b, scale)`.
+    """
+    r = _frame_table(frames)
+    return (r[:, :, None] * r[:, None]).reshape(-1, 169) @ form
 
 
 def _turn(frames: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Rows of each frame turned by exp([omega]x), by Rodrigues' formula."""
-    angle = np.linalg.norm(omega, axis=1)[:, None, None]
-    k = np.einsum("mi,ijk->mjk", omega, _TURNS)
-    rot = (np.eye(3) + np.sinc(angle / np.pi) * k
-           + 0.5 * np.sinc(angle / (2.0 * np.pi)) ** 2 * (k @ k))
-    return frames @ rot.transpose(0, 2, 1)
+    """
+    Rows of each frame turned by exp([omega]x), by Rodrigues' formula
+    R = I + sin(a) / a K + (1 - cos a) / a^2 K^2, K = [omega]x, a = |omega|,
+    written with the half angle h = a / 2 and s = sin(h) / h (1 at h = 0)
+    as I + s cos(h) K + s^2 K^2 / 2, so a zero turn returns the frames.
+    """
+    half = 0.5 * np.sqrt(np.einsum("mi,mi->m", omega, omega))
+    s = np.divide(np.sin(half), half, out=np.ones_like(half), where=half > 0.0)
+    k = (omega @ _TURNS.reshape(3, 9)).reshape(-1, 3, 3)
+    rot = (s * np.cos(half))[:, None, None] * k + (0.5 * s * s)[:, None, None] * (k @ k)
+    return frames + frames @ rot.transpose(0, 2, 1)
 
 
 def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.ndarray):
@@ -522,27 +553,32 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
     masks mark the starts still stepping (`live`) and those still halving
     in this step's line search (`todo`), a stopped start takes the null
     turn, and each line-search pass is one `_frame_state` call at all m
-    trial frames, whose J, gradient and Hessian an accepted trial keeps. So
-    every start takes the steps it would take alone, up to the rounding of
-    the row products, which may depend on the number of rows.
+    trial frames: one product of their r (x) r with the per-fit (169, 13)
+    map of `_polish_form`, whose (J, gradient, Hessian) row an accepted
+    trial keeps. So every start takes the steps it would take alone, up to
+    the rounding of the row products, which may depend on the number of
+    rows.
 
     Returns:
         (frames, J, gradient norms, evaluations): the evaluations count
         the Newton steps plus the line-search evaluations of all starts.
     """
     w, b = stats.kent_form
-    scale = _table_scale(kappa, alpha)
+    form = _polish_form(w, b, _table_scale(kappa, alpha))
     rho = np.hypot(kappa, np.sqrt(8.0) * alpha)
-    floor = 4.0 * np.finfo(float).eps * (np.linalg.norm(w, 2) * rho**2 + np.linalg.norm(b) * rho)
+    # |W| = max |lambda(W)|, the spectral norm of the symmetric W
+    floor = 4.0 * np.finfo(float).eps * (np.abs(np.linalg.eigvalsh(w)).max() * rho**2
+                                         + np.linalg.norm(b) * rho)
     frames = np.array(frames, dtype=float)
-    value, grad, hess = _frame_state(w, b, scale, frames)
+    state = _frame_state(form, frames)
+    value, grad = state[:, 0], state[:, 1:4]  # views: accepted trials update them
     live = np.ones(len(frames), dtype=bool)
     evals = 0
     for _ in range(_NEWTON_CAP):
         live &= np.linalg.norm(grad, axis=1) > 1e-10 * np.maximum(1.0, np.abs(value))
         if not live.any():
             break
-        lam, vec = np.linalg.eigh(hess)
+        lam, vec = np.linalg.eigh(state[:, 4:].reshape(-1, 3, 3))
         lam = np.abs(lam)
         lam = np.maximum(lam, 1e-8 * lam.max(axis=1, keepdims=True))
         step = -np.einsum("mij,mj->mi", vec, np.einsum("mji,mj->mi", vec, grad) / lam)
@@ -552,11 +588,11 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
         todo = live.copy()
         while todo.any():
             trial = _turn(frames, size[:, None] * step)
-            state = _frame_state(w, b, scale, trial)
+            new = _frame_state(form, trial)
             evals += np.count_nonzero(todo)
-            ok = todo & ((state[0] <= value + 1e-4 * size * slope) | (-slope <= floor))
-            for old, new in zip((frames, value, grad, hess), (trial, *state)):
-                np.copyto(old.T, new.T, where=ok)  # ok broadcasts along the last axis
+            ok = todo & ((new[:, 0] <= value + 1e-4 * size * slope) | (-slope <= floor))
+            np.copyto(state, new, where=ok[:, None])
+            np.copyto(frames, trial, where=ok[:, None, None])
             todo &= ~ok
             np.multiply(size, 0.5, out=size, where=todo)
             stuck = todo & (-size * slope <= floor)

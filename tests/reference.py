@@ -8,10 +8,12 @@ pass; these slower, term-by-term forms check it.
 Also here, for the fit layer, everything the package computes from the
 quadratic form of `_ScalingStats`, rebuilt point by point: the data moments
 as means of per-point outer products, the three objective terms and both
-sides of the identity check assembled from `batch_terms`, and the gradient
-and Hessian of the Kent form over rotations with their curvature terms
-expanded by hand, which the generator form of
-`tmsm.estimator._frame_state` must match.
+sides of the identity check assembled from `batch_terms`, and J with its
+gradient and Hessian over rotations twice, with the curvature terms
+expanded by hand and as products with the three constant 12x12 turn
+generators. `tmsm.estimator._frame_state` gets all three from one product
+of r (x) r, r = (mu, vec S, 1), with the per-fit (169, 13) map of
+`_polish_form`, and must match both.
 """
 
 from __future__ import annotations
@@ -242,3 +244,39 @@ def frame_derivatives_by_turns(
                               - np.einsum("mikn,jnp,mkp->mij", ls, _TURNS, v)))
     hess = 2.0 * np.einsum("mik,kl,mjl->mij", dt, w, dt) + curve
     return value, grad, hess
+
+
+# The 12x12 generators G_i = blockdiag(L_i, L_i (x) I - I (x) L_i^T) with which
+# a turn acts on t = (kappa mu, 2 alpha vec S) (row-major vec).
+_GEN = np.array([np.block([[l, np.zeros((3, 9))],
+                           [np.zeros((9, 3)), np.kron(l, np.eye(3)) - np.kron(np.eye(3), l.T)]])
+                 for l in _TURNS])
+
+
+def frame_state_by_generators(
+    w: np.ndarray, b: np.ndarray, scale: np.ndarray, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """
+    J (m,), its gradient (m, 3) and its Hessian (m, 3, 3) at omega = 0
+    along R = exp([omega]x) turning each of `frames` (m, 3, 3), with
+    `scale` = (kappa 1_3, 2 alpha 1_9). Each frame's
+    t = (kappa mu, 2 alpha vec S), S = gamma1 gamma1^T - gamma2 gamma2^T,
+    gives J = t^T W t + b.t.
+
+    The turn moves t to exp(sum omega_i G_i) t, so with u = 2 W t + b the
+    gradient of the form in t and dt_i = G_i t,
+
+        g_i = u.dt_i,   H_ij = 2 dt_i^T W dt_j + u.(G_i G_j + G_j G_i) t / 2,
+
+    whose last term is the symmetric part of (G_i^T u).dt_j.
+    """
+    g1, g2 = frames[:, 1], frames[:, 2]
+    s = g1[:, :, None] * g1[:, None, :] - g2[:, :, None] * g2[:, None, :]
+    t = np.hstack([frames[:, 0], s.reshape(-1, 9)]) * scale
+    m = len(t)
+    u = 2.0 * t @ w + b
+    dt = (t @ _GEN.reshape(36, 12).T).reshape(m, 3, 12)
+    du = (u @ _GEN.transpose(1, 0, 2).reshape(12, 36)).reshape(m, 3, 12)
+    cross = du @ dt.transpose(0, 2, 1)
+    hess = 2.0 * (dt @ w) @ dt.transpose(0, 2, 1) + 0.5 * (cross + cross.transpose(0, 2, 1))
+    return np.einsum("mi,ij,mj->m", t, w, t) + t @ b, np.einsum("mik,mk->mi", dt, u), hess

@@ -26,6 +26,7 @@ from tmsm.boundary import (
 from tmsm.estimator import (
     Dataset,
     _frame_state,
+    _polish_form,
     _scaling_stats,
     _table_scale,
     _turn,
@@ -296,7 +297,7 @@ def test_criterion_7_determinism_and_finite_objectives(tmp_path):
     ref = np.stack([MU, *complete_frame(MU)])
     turns = rng.uniform(-30.0, 30.0, size=(10000, 3))
     frames = _turn(np.broadcast_to(ref, (len(turns), 3, 3)), turns)
-    j_kent = _frame_state(*stats.kent_form, _table_scale(10.0, 3.0), frames)[0]
+    j_kent = _frame_state(_polish_form(*stats.kent_form, _table_scale(10.0, 3.0)), frames)[:, 0]
     bad = int(np.sum(~np.isfinite(j_vmf)) + np.sum(~np.isfinite(j_kent)))
 
     ok = identical and bad == 0

@@ -9,6 +9,7 @@ from scipy.spatial.transform import Rotation
 
 from reference import (
     frame_derivatives_by_turns,
+    frame_state_by_generators,
     pointwise_identity_sides,
     pointwise_terms,
     region_grid,
@@ -17,6 +18,7 @@ from reference import (
 )
 from tmsm.bench import ExperimentConfig, build_boundary, truth_params
 from tmsm.boundary import ColatitudeBoundary, PolylineBoundary, load_boundary_csv, scaling_values
+from tmsm.cli import main
 from tmsm.estimator import (
     Dataset,
     EstimationResult,
@@ -37,6 +39,7 @@ from tmsm.estimator import (
     _grid_values,
     _newton_polish,
     _pick_starts,
+    _polish_form,
     _scaling_stats,
     _table_scale,
     _turn,
@@ -85,6 +88,34 @@ def test_dataset_csv_round_trip(tmp_path):
     d.to_csv(path)
     back = Dataset.from_csv(path)
     assert np.max(np.abs(back.x - d.x)) < 1e-12
+
+
+def test_dataset_csv_strips_header_names(tmp_path):
+    # a space after the header's commas and a blank first line name the
+    # same columns, in any order, as the file `to_csv` writes
+    d = hemi_dataset(20)
+    plain, spaced, swapped = (tmp_path / f"{name}.csv" for name in ("plain", "spaced", "swapped"))
+    d.to_csv(plain)
+    rows = [line.split(",") for line in plain.read_text().splitlines()[1:]]
+    spaced.write_text("\na_rad, b_rad, x1, x2, x3\n" + "".join(",".join(r) + "\n" for r in rows))
+    swapped.write_text("b_rad , a_rad\n" + "".join(f"{r[1]},{r[0]}\n" for r in rows))
+    for path in (spaced, swapped):
+        assert np.array_equal(Dataset.from_csv(path).x, Dataset.from_csv(plain).x)
+
+
+def test_dataset_csv_short_row_is_a_data_error(tmp_path, capsys):
+    d = hemi_dataset(5)
+    short = tmp_path / "short.csv"
+    d.to_csv(short)
+    lines = short.read_text().splitlines()
+    lines[2] = lines[2].split(",")[0]  # the third line has no b_rad value
+    short.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 3 has no b_rad value"):
+        Dataset.from_csv(short)
+    # the CLI reports it as bad data, exit code 3, naming the line
+    assert main(["estimate", "--a0", "1.5708", "--data", str(short),
+                 "--out-dir", str(tmp_path)]) == 3
+    assert "line 3 has no b_rad value" in capsys.readouterr().err
 
 
 def test_dataset_membership_validation():
@@ -230,6 +261,19 @@ def test_fast_path_matches_general_terms(model):
                 assert got.inner_term == pytest.approx(slow.inner_term, abs=1e-12)
                 assert got.laplacian_term == pytest.approx(slow.laplacian_term, abs=1e-12)
                 assert got.gradient_g_term == pytest.approx(slow.gradient_g_term, abs=1e-12)
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_kent_w_in_place_equals_block_formula(g_kind, axis):
+    # W filled block by block against np.block of the two Kronecker products
+    d = hemi_dataset(300, seed=40)
+    stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
+    x, n = stats.x, stats.x.shape[0]
+    xx = (x[:, :, None] * x[:, None, :]).reshape(n, 9)
+    gxx = stats.g[:, None] * xx
+    cross = np.kron(np.eye(3), stats.first[None, :]) - (gxx.T @ x / n).T
+    ref = np.block([[stats.m, cross], [cross.T, np.kron(np.eye(3), stats.quad) - gxx.T @ xx / n]])
+    assert stats.kent_terms[0].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
@@ -600,7 +644,40 @@ def test_identity_check_polyline_unsupported():
 
 def _derivatives(w, b, kappa, alpha, frames):
     """(J, gradient, Hessian) over turns at each of `frames` (m, 3, 3)."""
-    return _frame_state(w, b, _table_scale(kappa, alpha), frames)
+    state = _frame_state(_polish_form(w, b, _table_scale(kappa, alpha)), frames)
+    return state[:, 0], state[:, 1:4], state[:, 4:].reshape(-1, 3, 3)
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_polish_form_matches_generator_state(g_kind, axis):
+    # one product with the per-fit (169, 13) map against the 12x12 generators
+    d = hemi_dataset(150, seed=36)
+    stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
+    w, b = stats.kent_form
+    rng = np.random.default_rng(37)
+    for k in range(50):
+        p = _random_kent(rng)
+        alpha = 0.0 if k % 10 == 0 else p.alpha
+        frame = p.frame().T[None]
+        got = _derivatives(w, b, p.kappa, alpha, frame)
+        ref = frame_state_by_generators(w, b, _table_scale(p.kappa, alpha), frame)
+        for new, old in zip(got, ref):
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+
+def test_turn_matches_rotation_vectors():
+    frames = Rotation.random(6, random_state=38).as_matrix()  # rows: mu, gamma1, gamma2
+    axes = np.random.default_rng(39).standard_normal((6, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    for angle in (0.0, 1e-12, 1e-4, 1.0, np.pi - 1e-9):
+        omega = angle * axes
+        ref = frames @ Rotation.from_rotvec(omega).as_matrix().transpose(0, 2, 1)
+        assert np.max(np.abs(_turn(frames, omega) - ref)) <= 2e-15
+    # a zero turn returns its frame bit for bit, also beside turning ones
+    omega = np.where(np.arange(6)[:, None] % 2 == 0, 0.0, axes)
+    turned = _turn(frames, omega)
+    assert turned[::2].tobytes() == frames[::2].tobytes()
+    assert np.all(np.abs(turned[1::2] - frames[1::2]).max(axis=(1, 2)) > 0.1)
 
 
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
