@@ -28,6 +28,10 @@ from .geometry import to_euclidean
 from .models import KAPPA_CAP, VmfParams
 
 LOG_PRECISION_BRACKET = (-6.0, 6.0)
+# solve_concentration stops once |A(kappa) - rbar| < CONCENTRATION_TOL, or
+# after CONCENTRATION_MAX_ITER Newton or bisection steps
+CONCENTRATION_TOL = 1e-10
+CONCENTRATION_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ def mean_resultant_length(kappa: float) -> float:
     return 1.0 / np.tanh(kappa) - 1.0 / kappa
 
 
-def solve_concentration(rbar: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+def solve_concentration(rbar: float) -> float:
     """
     Invert the mean resultant length for the vMF concentration.
 
@@ -83,13 +87,13 @@ def solve_concentration(rbar: float, tol: float = 1e-10, max_iter: int = 200) ->
     while mean_resultant_length(hi) < rbar:
         hi *= 2.0
     kappa = min(max(rbar * (3.0 - rbar * rbar) / (1.0 - rbar * rbar), lo), hi)
-    for _ in range(max_iter):
+    for _ in range(CONCENTRATION_MAX_ITER):
         f = mean_resultant_length(kappa) - rbar
         if f > 0:
             hi = kappa
         else:
             lo = kappa
-        if abs(f) < tol:
+        if abs(f) < CONCENTRATION_TOL:
             break
         # A'(kappa) = 1/kappa^2 - 1/sinh(kappa)^2, with the overflow-safe tail.
         deriv = 1.0 / kappa**2 - (1.0 / np.sinh(kappa) ** 2 if kappa < 350.0 else 0.0)

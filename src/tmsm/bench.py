@@ -74,7 +74,6 @@ _EXPERIMENTS = {
     "vmf_known_kappa": ("vmf", ("tmsm_haversine", "tmsm_projected", "mle"), "vmf_mu_only"),
     "vmf_unknown_kappa": ("vmf", ("tmsm_haversine", "truncsm", "mle"), "vmf_mu_kappa"),
     "kent_known_shape": ("kent", ("tmsm_haversine", "mle"), "kent_frame"),
-    "storms": ("vmf", ("tmsm_haversine", "tmsm_projected", "mle"), "vmf_mu_kappa"),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -198,7 +197,7 @@ def build_boundary(spec: dict) -> Boundary:
         try:
             return load_boundary_csv(path)
         except OSError as exc:
-            raise DataError(f"cannot read boundary file {path}: {exc}") from exc
+            raise DataError(f"cannot read boundary file: {exc}") from exc
         except ValueError as exc:
             raise DataError(str(exc)) from exc
     raise ConfigError(f"boundary spec needs type colatitude or polyline_csv, got {spec}")
@@ -405,8 +404,6 @@ def run_benchmark(config: ExperimentConfig) -> BenchmarkResult:
     Raises AllReplicatesFailed only when no replicate of any method
     produced a result; individual failures become tagged rows.
     """
-    if config.experiment == "storms":
-        raise ConfigError("the storms experiment runs via run_storms, not run_benchmark")
     rows = _run_replicates(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -499,7 +496,9 @@ def ingest_events(path) -> tuple[Dataset, list[GeoEventRecord], int]:
                     continue
                 records.append(GeoEventRecord(event_id, lat, lon))
     except OSError as exc:
-        raise DataError(f"cannot read events file {path}: {exc}") from exc
+        raise DataError(f"cannot read events file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} malformed event row(s)", UserWarning)
     if not records:

@@ -1001,26 +1001,30 @@ def _csv_columns(path, choices: tuple[tuple[str, str], ...], what: str):
     ignored, so the header is the first non-blank line; its names are
     stripped of spaces, in any column order, and other columns are
     ignored. A row without one of the two columns raises `ValueError`
-    naming its line.
+    naming its line. Every `ValueError` it raises, a value that is not a
+    number too, starts with the path.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        # csv.reader gives [] for a blank line
-        header = next(filter(None, reader), None)
-        if header is None:
-            raise ValueError(f"{path}: empty {what} file")
-        cols = [c.strip() for c in header]
-        names = next((pair for pair in choices if set(pair) <= set(cols)), None)
-        if names is None:
-            wanted = " or ".join(",".join(pair) for pair in choices)
-            raise ValueError(f"{path}: {what} CSV needs columns {wanted}")
-        at = [cols.index(name) for name in names]
-        rows = []
-        for row in filter(None, reader):
-            if len(row) <= max(at):
-                missing = [n for n, i in zip(names, at) if i >= len(row)]
-                raise ValueError(f"{path}: line {reader.line_num} has no {' or '.join(missing)} value")
-            rows.append([float(row[i]) for i in at])
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            # csv.reader gives [] for a blank line
+            header = next(filter(None, reader), None)
+            if header is None:
+                raise ValueError(f"empty {what} file")
+            cols = [c.strip() for c in header]
+            names = next((pair for pair in choices if set(pair) <= set(cols)), None)
+            if names is None:
+                wanted = " or ".join(",".join(pair) for pair in choices)
+                raise ValueError(f"{what} CSV needs columns {wanted}")
+            at = [cols.index(name) for name in names]
+            rows = []
+            for row in filter(None, reader):
+                if len(row) <= max(at):
+                    missing = [n for n, i in zip(names, at) if i >= len(row)]
+                    raise ValueError(f"line {reader.line_num} has no {' or '.join(missing)} value")
+                rows.append([float(row[i]) for i in at])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return names, np.array(rows, dtype=float).reshape(-1, 2)
 
 

@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    EXPERIMENTS,
     AllReplicatesFailed,
     ConfigError,
     DataError,
@@ -126,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="replicate experiment -> CSV/JSON")
     _replicate_flags(p)
-    p.add_argument("--experiment",
-                   choices=("vmf_known_kappa", "vmf_unknown_kappa", "kent_known_shape"))
+    p.add_argument("--experiment", choices=EXPERIMENTS)
 
     p = sub.add_parser("storms", help="fit mean direction of events in a border")
     _common_flags(p)
@@ -204,15 +204,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _settings(args)
+    # each reader's message names the file once; a DataError is a ValueError
     try:
-        if args.degrees:
-            data, _, _ = ingest_events(args.data)
-        else:
-            data = Dataset.from_csv(args.data)
-    except DataError:
-        raise
-    except (OSError, ValueError, KeyError) as exc:
-        raise DataError(f"cannot read dataset {args.data}: {exc}") from exc
+        data = ingest_events(args.data)[0] if args.degrees else Dataset.from_csv(args.data)
+    except (OSError, ValueError) as exc:
+        raise DataError(str(exc)) from exc
     boundary = build_boundary(config.boundary)
     fixed = {k: v for k, v in (("kappa", args.fixed_kappa), ("alpha", args.fixed_alpha))
              if v is not None}
@@ -284,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (AllReplicatesFailed, RuntimeError, FloatingPointError) as exc:

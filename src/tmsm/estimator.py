@@ -128,8 +128,13 @@ class Dataset:
         """Read the columns a_rad and b_rad of a CSV as `to_csv` writes it,
         the way `load_boundary_csv` reads its file: the header is the first
         non-blank line, its names stripped of spaces, and a row without
-        either value raises `ValueError` naming its line."""
-        return cls.from_spherical(*_csv_columns(path, (("a_rad", "b_rad"),), "dataset")[1].T)
+        either value raises `ValueError` naming its line. Every
+        `ValueError` it raises names the path once."""
+        a, b = _csv_columns(path, (("a_rad", "b_rad"),), "dataset")[1].T
+        try:
+            return cls.from_spherical(a, b)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass

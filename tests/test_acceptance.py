@@ -4,7 +4,8 @@ End-to-end acceptance checks.
 Each test prints one verdict line (`criterion N: PASS/FAIL - detail`);
 run with `pytest tests/test_acceptance.py -s` to see the lines for
 passing criteria as well. Criteria 3, 4, 5, and 8 run full replicate
-benchmarks and take a few minutes combined on one core.
+benchmarks; the whole file takes about 5 s on one core of a shared
+2-core Linux VM (3.4-4.4 s measured).
 """
 
 import hashlib

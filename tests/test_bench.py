@@ -259,7 +259,7 @@ def test_pooled_run_matches_serial_bytes(tmp_path):
 
 
 def test_run_benchmark_refuses_storms(tmp_path):
-    with pytest.raises(ConfigError, match="run_storms"):
+    with pytest.raises(ConfigError, match="unknown experiment 'storms'"):
         run_benchmark(ExperimentConfig(experiment="storms", out_dir=str(tmp_path)))
 
 
@@ -573,6 +573,79 @@ def test_cli_non_finite_row_is_data_error_exit_3(tmp_path):
     lines[1] = ",".join("nan" for _ in lines[1].split(","))
     data.write_text("\n".join(lines) + "\n")
     assert main(["estimate", "--data", str(data), "--out-dir", str(tmp_path)]) == 3
+
+
+def _bad_samples(tmp_path, fault: str):
+    """A samples CSV with one fault, or a path that does not exist."""
+    path = tmp_path / f"{fault}.csv"
+    if fault == "missing":
+        return path
+    if fault == "not_text":
+        path.write_bytes(b"\xff\xfe")
+        return path
+    Dataset(to_euclidean(np.array([2.0, 2.5, 2.2]), np.array([0.0, 1.0, 2.0]))).to_csv(path)
+    lines = path.read_text().splitlines()
+    if fault == "short_row":
+        lines[2] = lines[2].split(",")[0]
+    elif fault == "non_unit_row":
+        lines[1] = "nan,nan,nan,nan,nan"
+    elif fault == "not_a_number":
+        lines[1] = "north," + lines[1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("fault, flags", [
+    ("missing", []), ("short_row", []), ("non_unit_row", []), ("not_a_number", []),
+    ("not_text", []), ("missing", ["--degrees"]), ("not_text", ["--degrees"]),
+])
+def test_cli_estimate_read_error_names_the_file_once(tmp_path, capsys, fault, flags):
+    path = _bad_samples(tmp_path, fault)
+    assert main(["estimate", "--data", str(path), "--out-dir", str(tmp_path), *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count(str(path)) == 1, err
+
+
+def _write_degrees(dataset: Dataset, path, extra_row: str | None = None) -> None:
+    """The points as lat/lon degree columns, each float written in full."""
+    lat, lon = spherical_to_latlon(*dataset.spherical())
+    rows = ["lat,lon"] + [f"{la!r},{lo!r}" for la, lo in zip(lat.tolist(), lon.tolist())]
+    if extra_row is not None:
+        rows.insert(3, extra_row)
+    path.write_text("\n".join(rows) + "\n")
+
+
+def _estimate_report(capsys, argv) -> dict:
+    capsys.readouterr()
+    assert main(["estimate", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cli_estimate_degrees_matches_radians(tmp_path, capsys):
+    assert main(["simulate", "--n", "300", "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    samples = tmp_path / "samples.csv"
+    _write_degrees(Dataset.from_csv(samples), tmp_path / "latlon.csv")
+    radians = _estimate_report(capsys, ["--data", str(samples), "--out-dir", str(tmp_path / "r")])
+    degrees = _estimate_report(capsys, ["--data", str(tmp_path / "latlon.csv"), "--degrees",
+                                        "--out-dir", str(tmp_path / "d")])
+    assert degrees["n"] == radians["n"] == 300
+    np.testing.assert_allclose(degrees["mu_x"], radians["mu_x"], rtol=0, atol=1e-12)
+    assert degrees["kappa"] == pytest.approx(radians["kappa"], rel=1e-9)
+
+
+def test_cli_estimate_degrees_skips_malformed_row(tmp_path, capsys):
+    # ingest_events skips a malformed row with a warning, where the
+    # a_rad,b_rad reader exits 3
+    assert main(["simulate", "--n", "200", "--seed", "6", "--out-dir", str(tmp_path)]) == 0
+    data = Dataset.from_csv(tmp_path / "samples.csv")
+    _write_degrees(data, tmp_path / "clean.csv")
+    _write_degrees(data, tmp_path / "untidy.csv", extra_row="bad,-75.0")
+    clean = _estimate_report(capsys, ["--data", str(tmp_path / "clean.csv"), "--degrees",
+                                      "--out-dir", str(tmp_path / "clean")])
+    with pytest.warns(UserWarning, match="skipped 1 malformed event row"):
+        untidy = _estimate_report(capsys, ["--data", str(tmp_path / "untidy.csv"), "--degrees",
+                                           "--out-dir", str(tmp_path / "untidy")])
+    assert untidy == clean
 
 
 def test_cli_numeric_failure_exit_4(tmp_path):

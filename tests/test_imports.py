@@ -6,17 +6,38 @@ on a colatitude region, both scaling functions on a polyline, a truncated
 Kent sample, a `kent_frame` fit and a `kent_known_shape` benchmark. It
 reports the scipy modules loaded after each stage, so a stage that brings
 scipy in is named by the first non-empty list.
+
+Each public name has one import path, its module: the package itself
+re-exports none of them.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the public names, each under the one module it is imported from
+PUBLIC = {
+    "baselines": ("ChartSegments", "MvnChartModel", "hemisphere_chart_segments", "mle_vmf",
+                  "rmse_embedding", "solve_concentration", "truncsm_mvn"),
+    "bench": ("BenchmarkRow", "ExperimentConfig", "GeoEventRecord", "ingest_events",
+              "run_benchmark", "run_storms"),
+    "boundary": ("Boundary", "ColatitudeBoundary", "PolylineBoundary", "default_drop_axis",
+                 "latlon_to_spherical", "load_boundary_csv", "spherical_to_latlon"),
+    "estimator": ("Dataset", "EstimationResult", "ObjectiveTerms", "estimate",
+                  "ibp_identity_check", "tmsm_objective"),
+    "geometry": ("SphericalCoord", "geodesic_angle", "to_euclidean", "to_spherical"),
+    "models": ("KentParams", "VmfParams", "log_unnormalized_density", "score"),
+    "sampling": ("TruncatedSample", "sample_kent", "sample_truncated", "sample_vmf",
+                 "substream_rng"),
+}
 
 STAGES = r"""
 import json, sys, tempfile
@@ -32,12 +53,12 @@ import tmsm.cli
 checkpoint("import")
 
 import numpy as np
-from tmsm import (
-    ColatitudeBoundary, Dataset, ExperimentConfig, VmfParams, estimate,
-    load_boundary_csv, run_benchmark, sample_truncated,
-    substream_rng, to_euclidean,
-)
-from tmsm.bench import truth_params
+from tmsm.bench import ExperimentConfig, run_benchmark, truth_params
+from tmsm.boundary import ColatitudeBoundary, load_boundary_csv
+from tmsm.estimator import Dataset, estimate
+from tmsm.geometry import to_euclidean
+from tmsm.models import VmfParams
+from tmsm.sampling import sample_truncated, substream_rng
 
 hemi = ColatitudeBoundary(0.5 * np.pi)
 x = sample_truncated(VmfParams(to_euclidean(0.5 * np.pi, np.pi), 6.0), hemi, 300,
@@ -110,3 +131,20 @@ def test_polyline_projected_g_loads_no_scipy(loaded):
 
 def test_no_stage_loads_scipy(loaded):
     assert {stage: mods for stage, mods in loaded.items() if mods} == {}
+
+
+def test_public_names_import_from_their_modules():
+    pairs = [(module, name) for module, names in PUBLIC.items() for name in names]
+    assert len(pairs) == 39
+    for module, name in pairs:
+        assert hasattr(importlib.import_module(f"tmsm.{module}"), name), (module, name)
+
+
+def test_package_reexports_nothing():
+    tmsm = importlib.import_module("tmsm")
+    for module in PUBLIC:
+        importlib.import_module(f"tmsm.{module}")
+    assert not hasattr(tmsm, "__all__")
+    # with its modules loaded, the package's only public attributes are those modules
+    assert {name: type(value) for name, value in vars(tmsm).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)} == {}
