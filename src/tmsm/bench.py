@@ -7,7 +7,9 @@ same replicate data, and tabulate per-replicate errors against the known
 truth. All randomness flows through substreams keyed by
 (seed, n, replicate), so replicate r sees the same data no matter which
 methods run, how many workers are used, or whether other replicates were
-added.
+added. Cells run in blocks of consecutive (n, replicate) pairs, and the
+Kent frames of a block are fitted together, each to the bits it gets
+alone, so no row depends on the block it falls in.
 
 Artifacts are deterministic byte-for-byte for a given config and seed:
 rows are written in sorted (method, n, replicate) order with fixed float
@@ -43,7 +45,8 @@ from .boundary import (
     load_boundary_csv,
     spherical_to_latlon,
 )
-from .estimator import _FIXED_PARAMS, Dataset, _fit_vmf, _scaling_stats, estimate
+from .estimator import (_FIXED_PARAMS, Dataset, _fit_inputs, _fit_kent_frames, _fit_vmf,
+                        _scaling_stats, estimate)
 from .geometry import geodesic_angle, to_euclidean, to_spherical, unit_vector
 from .models import KentParams, ModelParams, VmfParams
 from .sampling import MAX_DRAW_FACTOR, sample_truncated, substream_rng
@@ -205,6 +208,14 @@ def build_boundary(spec: dict) -> Boundary:
 
 @dataclass
 class BenchmarkRow:
+    """One method's result on one (n, replicate) cell, or its error.
+
+    `wall_time_ms` is set only with `timings`: the method's fit time, except
+    that a tmsm row of a Kent experiment, whose frame is fitted jointly with
+    the rest of its block, gets its own stats time plus an equal share of
+    the block's fit.
+    """
+
     method: str
     n: int
     replicate: int
@@ -232,6 +243,12 @@ def _projected_drop_axis(config: ExperimentConfig, boundary: Boundary) -> int | 
     return None
 
 
+def _tmsm_args(method: str, config: ExperimentConfig, boundary: Boundary) -> tuple[str, int | None]:
+    """(g_kind, drop_axis) of a tmsm method."""
+    g_kind = method.removeprefix("tmsm_")
+    return g_kind, _projected_drop_axis(config, boundary) if g_kind == "projected" else None
+
+
 def _fit_one(
     method: str,
     config: ExperimentConfig,
@@ -247,8 +264,7 @@ def _fit_one(
         p = mle_vmf(data, estimate_kappa=estimates_kappa, kappa=fixed.get("kappa"))
         return p.mu, (p.kappa if estimates_kappa else None)
     if method in ("tmsm_haversine", "tmsm_projected"):
-        g_kind = method.removeprefix("tmsm_")
-        drop_axis = _projected_drop_axis(config, boundary) if g_kind == "projected" else None
+        g_kind, drop_axis = _tmsm_args(method, config, boundary)
         res = estimate(data, boundary, g_kind=g_kind, model_kind=model_kind,
                        fixed=fixed, drop_axis=drop_axis)
         return res.params.mu, (res.params.kappa if estimates_kappa else None)
@@ -265,42 +281,87 @@ def _fit_one(
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _replicate_rows(
-    config: ExperimentConfig, truth: ModelParams, boundary: Boundary, n: int, replicate: int
-) -> list[BenchmarkRow]:
-    """All method rows for one (n, replicate) cell; errors become tagged rows."""
-    rows = []
+def _kent_fits(stats_list: list, kappa: float, alpha: float) -> list:
+    """The block's Kent frame fits in one `_fit_kent_frames` call; should it
+    raise, each fit alone, so that an error stays on its own row."""
     try:
-        rng = substream_rng(config.seed, n, replicate)
-        data = Dataset(
-            sample_truncated(truth, boundary, n, rng, config.max_draw_factor).x
-        )
-    except Exception as exc:
-        for method in config.methods:
-            rows.append(BenchmarkRow(method, n, replicate, config.seed, None, None,
-                                     None, None, f"sampling: {exc}"))
-        return rows
-    kappa_true = truth.kappa
-    for method in config.methods:
-        t0 = time.perf_counter()
+        return _fit_kent_frames(stats_list, kappa, alpha)
+    except Exception:
+        results = []
+        for stats in stats_list:
+            try:
+                results += _fit_kent_frames([stats], kappa, alpha)
+            except Exception as exc:
+                results.append(exc)
+        return results
+
+
+def _block_rows(
+    config: ExperimentConfig, truth: ModelParams, boundary: Boundary, cells: list[tuple[int, int]]
+) -> list[BenchmarkRow]:
+    """
+    All method rows for a block of (n, replicate) cells; errors become
+    tagged rows. Each cell draws its data from its own substream and every
+    method but the Kent tmsm fits runs on it alone. Those build their
+    stats per cell and fit together, in one `_fit_kent_frames` call for
+    the block, which gives each the result it gets alone; a cell whose
+    data or stats fail is left out of it. With `timings`, such a row's
+    wall time is its stats time plus an equal share of the block's fit.
+    """
+    rows, batch = [], []
+    kent = _EXPERIMENTS[config.experiment][2] == "kent_frame"
+
+    def score(row, mu_hat, kappa_hat, seconds):
+        row.rmse_embedding = rmse_embedding(mu_hat, truth.mu)
+        row.geodesic_error_rad = float(geodesic_angle(mu_hat, truth.mu))
+        if kappa_hat is not None:
+            row.kappa_error = abs(float(kappa_hat) - truth.kappa)
+        if config.timings:
+            row.wall_time_ms = seconds * 1e3
+
+    for n, replicate in cells:
         try:
-            mu_hat, kappa_hat = _fit_one(method, config, truth, boundary, data)
-        except Exception as exc:
-            rows.append(BenchmarkRow(method, n, replicate, config.seed, None, None,
-                                     None, None, f"{type(exc).__name__}: {exc}"))
-            continue
-        elapsed = (time.perf_counter() - t0) * 1e3 if config.timings else None
-        rows.append(
-            BenchmarkRow(
-                method, n, replicate, config.seed,
-                rmse_embedding(mu_hat, truth.mu),
-                float(geodesic_angle(mu_hat, truth.mu)),
-                None if kappa_hat is None else abs(float(kappa_hat) - kappa_true),
-                elapsed,
+            rng = substream_rng(config.seed, n, replicate)
+            data = Dataset(
+                sample_truncated(truth, boundary, n, rng, config.max_draw_factor).x
             )
-        )
+        except Exception as exc:
+            for method in config.methods:
+                rows.append(BenchmarkRow(method, n, replicate, config.seed, None, None,
+                                         None, None, f"sampling: {exc}"))
+            continue
+        for method in config.methods:
+            row = BenchmarkRow(method, n, replicate, config.seed, None, None, None, None)
+            rows.append(row)
+            t0 = time.perf_counter()
+            try:
+                if kent and method.startswith("tmsm_"):
+                    g_kind, drop_axis = _tmsm_args(method, config, boundary)
+                    fixed = {"kappa": truth.kappa, "alpha": truth.alpha}
+                    stats, _ = _fit_inputs(data, boundary, g_kind, "kent_frame", fixed, drop_axis)
+                    batch.append((row, stats, time.perf_counter() - t0))
+                    continue
+                mu_hat, kappa_hat = _fit_one(method, config, truth, boundary, data)
+            except Exception as exc:
+                row.error = f"{type(exc).__name__}: {exc}"
+                continue
+            score(row, mu_hat, kappa_hat, time.perf_counter() - t0)
+    if batch:
+        t0 = time.perf_counter()
+        results = _kent_fits([stats for _, stats, _ in batch], truth.kappa, truth.alpha)
+        share = (time.perf_counter() - t0) / len(batch)
+        for (row, _, seconds), res in zip(batch, results):
+            if isinstance(res, Exception):
+                row.error = f"{type(res).__name__}: {res}"
+            else:
+                score(row, res.params.mu, None, seconds + share)
     return rows
 
+
+# Cells per block: the Kent fits of a block share one `_fit_kent_frames`
+# call, and a pool worker takes a block at a time. Results do not depend on
+# it; it bounds the memory of a block and keeps the pool's tasks many.
+_BLOCK_CELLS = 32
 
 # The run a pooled worker serves, set once per worker process by
 # _init_worker, so that each worker builds its boundary caches once.
@@ -312,26 +373,27 @@ def _init_worker(config: ExperimentConfig, truth: ModelParams, boundary: Boundar
     _WORKER_RUN = (config, truth, boundary)
 
 
-def _pooled_rows(cell: tuple[int, int]) -> list[BenchmarkRow]:
-    return _replicate_rows(*_WORKER_RUN, *cell)
+def _pooled_rows(block: list[tuple[int, int]]) -> list[BenchmarkRow]:
+    return _block_rows(*_WORKER_RUN, block)
 
 
 def _run_replicates(config: ExperimentConfig) -> list[BenchmarkRow]:
     truth = truth_params(config)
     boundary = build_boundary(config.boundary)
     cells = [(n, r) for n in config.n_grid for r in range(config.replicates)]
+    blocks = [cells[i:i + _BLOCK_CELLS] for i in range(0, len(cells), _BLOCK_CELLS)]
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # one cell per task, so the cells of every n spread over the workers
+        # one block per task, so the blocks of every n spread over the workers
         with ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_init_worker,
             initargs=(config, truth, boundary),
         ) as pool:
-            chunks = list(pool.map(_pooled_rows, cells))
+            chunks = list(pool.map(_pooled_rows, blocks))
     else:
-        chunks = [_replicate_rows(config, truth, boundary, n, r) for n, r in cells]
+        chunks = [_block_rows(config, truth, boundary, block) for block in blocks]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.method, r.n, r.replicate))
     if all(row.error for row in rows):
@@ -558,7 +620,7 @@ def run_storms(
     returned.
     """
     data, records, _ = ingest_events(events_path)
-    boundary = load_boundary_csv(boundary_path)
+    boundary = build_boundary({"type": "polyline_csv", "path": boundary_path})
     inside = np.asarray(boundary.contains(data.x))
     excluded = [records[i].event_id for i in np.flatnonzero(~inside)]
     if excluded:

@@ -79,7 +79,9 @@ def _replicate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--methods", type=_name_list, help="comma-separated method names")
     parser.add_argument("--workers", type=int, help="parallel replicate workers (default 1)")
     parser.add_argument("--timings", action="store_true",
-                        help="record wall times (breaks byte-identical reruns)")
+                        help="record wall times (breaks byte-identical reruns); a Kent "
+                             "tmsm row gets its stats time plus an equal share of its "
+                             "block's joint fit")
 
 
 def _boundary_flags(parser: argparse.ArgumentParser) -> None:

@@ -36,7 +36,11 @@ whatever kappa and alpha are, so J and its gradient and Hessian over
 rotations are quadratic forms in r = (mu, vec S, 1): once per fit they
 are folded into one (169, 13) map, and each polish trial's state is one
 product of r (x) r with it. No start is random and every evaluation is
-O(1) in the sample size.
+O(1) in the sample size. `_fit_kent_frames` fits many datasets at once
+(the harness passes a block of cells; `estimate` passes one): their grid
+products and trial states are stacks of each fit's own products, of the
+shapes a fit has alone, so each result is the one it gets alone, to the
+bit.
 
 The form is the only way the objective is evaluated: `tmsm_objective`
 reads its three terms off it at theta, and `ibp_identity_check` builds the
@@ -64,6 +68,7 @@ from .models import (
     KentParams,
     ModelParams,
     VmfParams,
+    _check_kent_shape,
     log_unnormalized_density,
 )
 
@@ -432,27 +437,29 @@ def _pick_starts(values: np.ndarray) -> np.ndarray:
     return np.array(picked)
 
 
-def _grid_values(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray:
+def _grid_values(stats_list: list[_ScalingStats], kappa: float, alpha: float) -> np.ndarray:
     """
-    J at every grid frame, scored a direction at a time (`_grid_forms`):
-    with D = diag(kappa 1_3, 2 alpha 1_9), one (900, 12) product of the
-    stacked direction bases with D W D and one batched product with the
-    B_d^T give each direction's 3x3 G_d, one with D b its h_d, and one
-    (300, 12) by (12, 12) product with _ANGLE_FORMS the J of its 12
-    frames, z^T G_d z + h_d.z.
+    J at every grid frame of each of the F fits, shape (F, 3,600), scored a
+    direction at a time (`_grid_forms`): with D = diag(kappa 1_3,
+    2 alpha 1_9), one (900, 12) product of the stacked direction bases with
+    D W D and one batched product with the B_d^T give each direction's 3x3
+    G_d, one matrix-vector product with D b its h_d, and one (300, 12) by
+    (12, 12) product with _ANGLE_FORMS the J of its 12 frames,
+    z^T G_d z + h_d.z. Each is a stack of the F fits' own products, of the
+    shapes a single fit has, so a fit's values do not depend on the others.
     """
-    w, b = stats.kent_form
+    w, b = (np.stack(part) for part in zip(*(stats.kent_form for stats in stats_list)))
     scale = _table_scale(kappa, alpha)
-    wb = (_GRID_ROWS @ (scale[:, None] * w * scale)).reshape(-1, 3, 12)
-    forms = (wb @ _GRID_COLUMNS).reshape(-1, 9)
-    h = (_GRID_ROWS @ (scale * b)).reshape(-1, 3)
-    return (np.hstack([forms, h]) @ _ANGLE_FORMS).ravel()
+    wb = (_GRID_ROWS @ (scale[:, None] * w * scale)).reshape(len(w), -1, 3, 12)
+    forms = (wb @ _GRID_COLUMNS).reshape(len(w), -1, 9)
+    h = (_GRID_ROWS @ (scale * b)[:, :, None]).reshape(len(w), -1, 3)
+    return (np.concatenate([forms, h], axis=2) @ _ANGLE_FORMS).reshape(len(w), -1)
 
 
-def _grid_starts(stats: _ScalingStats, kappa: float, alpha: float) -> np.ndarray:
-    """Grid frames that start the polishes, best first: `_pick_starts` on
-    the `_grid_values`."""
-    return _FRAME_GRID[_pick_starts(_grid_values(stats, kappa, alpha))]
+def _grid_starts(stats_list: list[_ScalingStats], kappa: float, alpha: float) -> list[np.ndarray]:
+    """Each fit's grid frames that start its polishes, best first:
+    `_pick_starts` on its row of the `_grid_values`."""
+    return [_FRAME_GRID[_pick_starts(values)] for values in _grid_values(stats_list, kappa, alpha)]
 
 
 # L_i = [e_i]x, so L_i v = e_i x v. A turn R = exp([omega]x) maps mu to
@@ -469,6 +476,7 @@ _GEN[:, 3:12, 3:12] = [np.kron(l, np.eye(3)) - np.kron(np.eye(3), l.T) for l in 
 _GEN_PAIRS = _GEN[:, None] @ _GEN[None] + _GEN[None] @ _GEN[:, None]
 _GEN_COLUMNS = np.hstack([np.eye(13), *(2.0 * _GEN), *_GEN_PAIRS.reshape(9, 13, 13)])
 _GEN_ROWS = _GEN.transpose(0, 2, 1).reshape(39, 13)
+_TURN_ROWS = _TURNS.reshape(3, 9)  # omega @ _TURN_ROWS is vec [omega]x
 # Newton steps per start: a guard, as grid starts converge in under 10.
 _NEWTON_CAP = 50
 
@@ -518,10 +526,13 @@ def _frame_state(form: np.ndarray, frames: np.ndarray) -> np.ndarray:
     (J, gradient, vec Hessian) at omega = 0 along R = exp([omega]x) turning
     each of `frames` (m, 3, 3), shape (m, 13): one outer product of the rows
     r = (mu, vec S, 1), S = gamma1 gamma1^T - gamma2 gamma2^T, and one
-    product with `form` = `_polish_form(W, b, scale)`.
+    product with `form` = `_polish_form(W, b, scale)`. A stack of F such
+    maps (F, 169, 13) splits the frames into F runs of m / F, each read
+    with its own map.
     """
     r = _frame_table(frames)
-    return (r[:, :, None] * r[:, None]).reshape(-1, 169) @ form
+    rows = (r[:, :, None] * r[:, None]).reshape(*form.shape[:-2], -1, 169)
+    return (rows @ form).reshape(-1, 13)
 
 
 def _turn(frames: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -532,15 +543,17 @@ def _turn(frames: np.ndarray, omega: np.ndarray) -> np.ndarray:
     as I + s cos(h) K + s^2 K^2 / 2, so a zero turn returns the frames.
     """
     half = 0.5 * np.sqrt(np.einsum("mi,mi->m", omega, omega))
-    s = np.divide(np.sin(half), half, out=np.ones_like(half), where=half > 0.0)
-    k = (omega @ _TURNS.reshape(3, 9)).reshape(-1, 3, 3)
+    s = np.divide(np.sin(half), half, out=np.ones(len(half)), where=half > 0.0)
+    k = (omega @ _TURN_ROWS).reshape(-1, 3, 3)
     rot = (s * np.cos(half))[:, None, None] * k + (0.5 * s * s)[:, None, None] * (k @ k)
     return frames + frames @ rot.transpose(0, 2, 1)
 
 
-def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.ndarray):
+def _newton_polish(stats_list: list[_ScalingStats], kappa: float, alpha: float,
+                   starts: list[np.ndarray]):
     """
-    Safeguarded Newton on SO(3) from each of `frames` (m, 3, 3) at once.
+    Safeguarded Newton on SO(3) from each fit's `starts` (m_f, 3, 3), all
+    fits and starts at once.
 
     Each step solves with |H|, the Hessian with its eigenvalues replaced by
     their absolute values (floored at 1e-8 max|lambda|), so it points
@@ -549,36 +562,48 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
     A full step whose predicted decrease is below the rounding of J is
     accepted whatever J reads there, as J cannot resolve it. That rounding
     is 4 eps times |W| |t|^2 + |b| |t| with |t|^2 = kappa^2 + 8 alpha^2, a
-    bound on the terms of J at every frame: they nearly cancel, so it is
-    several times eps |J|. A start stops when its gradient norm is at most
-    1e-10 max(1, |J|), or when halving finds no decrease above the
+    bound on the terms of J at every frame of its fit: they nearly cancel,
+    so it is several times eps |J|. A start stops when its gradient norm is
+    at most 1e-10 max(1, |J|), or when halving finds no decrease above the
     rounding of J.
 
-    The starts run in lockstep on arrays of fixed shape (m, ...): boolean
-    masks mark the starts still stepping (`live`) and those still halving
-    in this step's line search (`todo`), a stopped start takes the null
-    turn, and each line-search pass is one `_frame_state` call at all m
-    trial frames: one product of their r (x) r with the per-fit (169, 13)
-    map of `_polish_form`, whose (J, gradient, Hessian) row an accepted
-    trial keeps. So every start takes the steps it would take alone, up to
-    the rounding of the row products, which may depend on the number of
-    rows.
+    The starts run in lockstep as rows of fixed-shape arrays, m per fit
+    with m = max(_POLISH_STARTS, longest m_f): each fit's rows past its own
+    starts copy its first start and are stopped from the outset. Boolean
+    masks mark the rows still stepping (`live`) and those still halving
+    in this step's line search (`todo`), a stopped row takes the null
+    turn, and each line-search pass is one `_frame_state` call at all
+    trial frames: a stack of F products of a fit's (m, 169) rows r (x) r
+    with its own (169, 13) map of `_polish_form`, whose (J, gradient,
+    Hessian) row an accepted trial keeps. Every other step acts on each
+    row alone, and each fit's product has the same shape in any batch, so
+    a fit's result does not depend on the fits polished with it, to the
+    bit.
 
     Returns:
-        (frames, J, gradient norms, evaluations): the evaluations count
-        the Newton steps plus the line-search evaluations of all starts.
+        (frames, J, gradient norms, evaluations): the first three shaped
+        (F, m, ...), whose rows past m_f are padding; the evaluations (F,)
+        count each fit's Newton steps plus the line-search evaluations of
+        its starts.
     """
-    w, b = stats.kent_form
-    form = _polish_form(w, b, _table_scale(kappa, alpha))
+    fits, m = len(starts), max(_POLISH_STARTS, *(len(s) for s in starts))
+    frames, live = np.empty((fits, m, 3, 3)), np.zeros((fits, m), dtype=bool)
+    forms, floor = np.empty((fits, 169, 13)), np.empty((fits, m))
+    scale = _table_scale(kappa, alpha)
     rho = np.hypot(kappa, np.sqrt(8.0) * alpha)
-    # |W| = max |lambda(W)|, the spectral norm of the symmetric W
-    floor = 4.0 * np.finfo(float).eps * (np.abs(np.linalg.eigvalsh(w)).max() * rho**2
-                                         + np.linalg.norm(b) * rho)
-    frames = np.array(frames, dtype=float)
-    state = _frame_state(form, frames)
+    for f, (stats, start) in enumerate(zip(stats_list, starts)):
+        frames[f] = start[0]
+        frames[f, :len(start)] = start
+        live[f, :len(start)] = True
+        w, b = stats.kent_form
+        forms[f] = _polish_form(w, b, scale)
+        # |W| = max |lambda(W)|, the spectral norm of the symmetric W
+        floor[f] = 4.0 * np.finfo(float).eps * (np.abs(np.linalg.eigvalsh(w)).max() * rho**2
+                                                + np.linalg.norm(b) * rho)
+    frames, live, floor = frames.reshape(-1, 3, 3), live.ravel(), floor.ravel()
+    state = _frame_state(forms, frames)
     value, grad = state[:, 0], state[:, 1:4]  # views: accepted trials update them
-    live = np.ones(len(frames), dtype=bool)
-    evals = 0
+    evals = np.zeros(len(frames), dtype=int)  # per row, summed per fit at the end
     for _ in range(_NEWTON_CAP):
         live &= np.linalg.norm(grad, axis=1) > 1e-10 * np.maximum(1.0, np.abs(value))
         if not live.any():
@@ -588,14 +613,15 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
         lam = np.maximum(lam, 1e-8 * lam.max(axis=1, keepdims=True))
         step = -np.einsum("mij,mj->mi", vec, np.einsum("mji,mj->mi", vec, grad) / lam)
         slope = np.einsum("mi,mi->m", grad, step)
-        evals += np.count_nonzero(live)
-        size = live.astype(float)  # a stopped start takes the null turn
+        unresolved = -slope <= floor  # a full step J cannot resolve
+        evals += live
+        size = live.astype(float)  # a stopped row takes the null turn
         todo = live.copy()
         while todo.any():
             trial = _turn(frames, size[:, None] * step)
-            new = _frame_state(form, trial)
-            evals += np.count_nonzero(todo)
-            ok = todo & ((new[:, 0] <= value + 1e-4 * size * slope) | (-slope <= floor))
+            new = _frame_state(forms, trial)
+            evals += todo
+            ok = todo & ((new[:, 0] <= value + 1e-4 * size * slope) | unresolved)
             np.copyto(state, new, where=ok[:, None])
             np.copyto(frames, trial, where=ok[:, None, None])
             todo &= ~ok
@@ -603,25 +629,33 @@ def _newton_polish(stats: _ScalingStats, kappa: float, alpha: float, frames: np.
             stuck = todo & (-size * slope <= floor)
             live &= ~stuck
             todo &= ~stuck
-    return frames, value, np.linalg.norm(grad, axis=1), int(evals)
+    return (frames.reshape(fits, m, 3, 3), value.reshape(fits, m),
+            np.linalg.norm(grad, axis=1).reshape(fits, m), evals.reshape(fits, m).sum(axis=1))
 
 
-def _fit_kent_frame(stats: _ScalingStats, kappa: float, alpha: float) -> EstimationResult:
+def _fit_kent_frames(stats_list: list[_ScalingStats], kappa: float,
+                     alpha: float) -> list[EstimationResult]:
     """
-    Seed-free frame fit: score the fixed frame grid a direction at a time,
-    polish the separated best frames by Newton on SO(3), keep the lowest.
+    Seed-free frame fit of each dataset's stats, all at once: score the
+    fixed frame grid a direction at a time, polish each fit's separated
+    best frames by Newton on SO(3), keep its lowest. Every fit's result is
+    the one it gets alone, to the bit.
     """
-    KentParams(*_FRAME_GRID[0], kappa, alpha)  # reject an invalid (kappa, alpha) first
-    starts = _grid_starts(stats, kappa, alpha)
-    frames, values, gnorm, evals = _newton_polish(stats, kappa, alpha, starts)
-    best = int(np.argmin(values))
-    return EstimationResult(
-        params=KentParams(*frames[best], kappa, alpha),
-        objective=float(values[best]),
-        iterations=evals,
-        converged=bool(gnorm[best] <= _GRAD_TOL * max(1.0, abs(values[best]))),
-        restarts_used=len(starts),
-    )
+    _check_kent_shape(kappa, alpha)  # reject an invalid (kappa, alpha) first
+    starts = _grid_starts(stats_list, kappa, alpha)
+    frames, values, gnorm, evals = _newton_polish(stats_list, kappa, alpha, starts)
+    results = []
+    for f, count in enumerate(len(s) for s in starts):
+        best = int(np.argmin(values[f, :count]))
+        value = float(values[f, best])
+        results.append(EstimationResult(
+            params=KentParams(*frames[f, best], kappa, alpha),
+            objective=value,
+            iterations=int(evals[f]),
+            converged=bool(gnorm[f, best] <= _GRAD_TOL * max(1.0, abs(value))),
+            restarts_used=count,
+        ))
+    return results
 
 
 # Secular-equation steps: a guard, as the fits take about 7 and the log-s
@@ -780,6 +814,17 @@ def estimate(
             (the weighted data span no tangent plane, e.g. a single point)
             or its concentration falls outside (0, KAPPA_CAP].
     """
+    stats, kappa = _fit_inputs(data, boundary, g_kind, model_kind, fixed, drop_axis)
+    if model_kind != "kent_frame":
+        return _fit_vmf(stats, kappa)
+    return _fit_kent_frames([stats], kappa, float(fixed["alpha"]))[0]
+
+
+def _fit_inputs(data: Dataset, boundary: Boundary | None, g_kind: str, model_kind: str,
+                fixed: dict | None, drop_axis: int | None) -> tuple[_ScalingStats, float | None]:
+    """`estimate`'s argument checks, then the stats of the data: (stats,
+    the fixed kappa or None for "vmf_mu_kappa"). The harness calls it too,
+    before it fits a block's Kent frames together."""
     fixed = fixed or {}
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model_kind {model_kind!r}; expected one of {MODEL_KINDS}")
@@ -798,11 +843,7 @@ def estimate(
         raise ValueError(f"model_kind {model_kind!r} does not use fixed {unused}")
     if drop_axis is not None and g_kind != "projected":
         raise ValueError(f"g_kind {g_kind!r} does not use drop_axis")
-
-    stats = _scaling_stats(data, boundary, g_kind, drop_axis)
-    if model_kind != "kent_frame":
-        return _fit_vmf(stats, kappa)
-    return _fit_kent_frame(stats, kappa, float(fixed["alpha"]))
+    return _scaling_stats(data, boundary, g_kind, drop_axis), kappa
 
 
 def _chart_grid(a_lo: float, a_hi: float, n_a: int, n_b: int):

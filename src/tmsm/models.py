@@ -46,6 +46,19 @@ class VmfParams:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
 
 
+def _check_kent_shape(kappa: float, alpha: float) -> None:
+    """Raise ValueError unless kappa > 0, alpha >= 0 and 2 alpha < kappa
+    (unimodality); NaN fails too."""
+    if not kappa > 0.0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if alpha < 0.0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not 2.0 * alpha < kappa:
+        raise ValueError(
+            f"unimodality requires 2*alpha < kappa, got alpha={alpha}, kappa={kappa}"
+        )
+
+
 @dataclass(frozen=True)
 class KentParams:
     """
@@ -83,15 +96,7 @@ class KentParams:
         object.__setattr__(self, "gamma2", g2)
         object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if not 2.0 * self.alpha < self.kappa:
-            raise ValueError(
-                f"unimodality requires 2*alpha < kappa, got alpha={self.alpha}, "
-                f"kappa={self.kappa}"
-            )
+        _check_kent_shape(self.kappa, self.alpha)
 
     def frame(self) -> np.ndarray:
         """Orthonormal frame as columns (mu, gamma1, gamma2) of a 3x3 matrix."""

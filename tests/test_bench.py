@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from tmsm.baselines import mle_vmf, rmse_embedding
+import tmsm.bench
+import tmsm.estimator
 from tmsm.bench import (
+    _BLOCK_CELLS,
     AllReplicatesFailed,
+    BenchmarkRow,
     ConfigError,
     DataError,
     ExperimentConfig,
@@ -244,18 +248,94 @@ def test_run_benchmark_builds_boundary_once(tmp_path, monkeypatch):
 
 
 def test_pooled_run_matches_serial_bytes(tmp_path):
-    # pooled workers get the run once and serve one cell per task; the
-    # artifacts must not depend on the worker count
-    artifacts = []
-    for workers in (1, 2):
-        config = ExperimentConfig(
-            n_grid=(40, 80), replicates=3, seed=4, workers=workers,
-            methods=("tmsm_haversine", "tmsm_projected", "mle"),
-            out_dir=str(tmp_path / f"w{workers}"),
-        )
-        result = run_benchmark(config)
-        artifacts.append((result.csv_path.read_bytes(), result.json_path.read_bytes()))
-    assert artifacts[0] == artifacts[1]
+    # pooled workers get the run once and serve one block of cells per task;
+    # the artifacts must not depend on the worker count. The Kent grid spans
+    # two blocks, each fitting its tmsm frames together.
+    runs = {
+        "vmf_known_kappa": dict(n_grid=(40, 80), replicates=3,
+                                methods=("tmsm_haversine", "tmsm_projected", "mle")),
+        "kent_known_shape": dict(n_grid=(40, 80), replicates=_BLOCK_CELLS // 2 + 3,
+                                 methods=("tmsm_haversine", "tmsm_projected", "mle")),
+    }
+    for experiment, settings in runs.items():
+        artifacts = []
+        for workers in (1, 2):
+            config = ExperimentConfig(
+                experiment=experiment, seed=4, workers=workers,
+                out_dir=str(tmp_path / f"{experiment}_w{workers}"), **settings,
+            )
+            result = run_benchmark(config)
+            artifacts.append((result.csv_path.read_bytes(), result.json_path.read_bytes()))
+        assert artifacts[0] == artifacts[1]
+
+
+def test_kent_block_rows_match_each_cell_fitted_alone(tmp_path):
+    # the block's Kent frames are fitted together, and each row is the one a
+    # direct estimate on its cell's data gives, to the bit
+    config = ExperimentConfig(experiment="kent_known_shape", n_grid=(40, 60),
+                              replicates=_BLOCK_CELLS // 2 + 1, seed=6,
+                              methods=("tmsm_haversine", "tmsm_projected"),
+                              out_dir=str(tmp_path))
+    result = run_benchmark(config)
+    truth, boundary = truth_params(config), build_boundary(config.boundary)
+    fixed = {"kappa": truth.kappa, "alpha": truth.alpha}
+    assert len(result.rows) == 2 * len(config.n_grid) * config.replicates
+    for row in result.rows:
+        rng = substream_rng(config.seed, row.n, row.replicate)
+        data = Dataset(sample_truncated(truth, boundary, row.n, rng, config.max_draw_factor).x)
+        g_kind = row.method.removeprefix("tmsm_")
+        res = estimate(data, boundary, g_kind=g_kind, model_kind="kent_frame", fixed=fixed,
+                       drop_axis=2 if g_kind == "projected" else None)
+        assert row.error == ""
+        assert row.rmse_embedding == rmse_embedding(res.params.mu, truth.mu)
+        assert row.geodesic_error_rad == float(geodesic_angle(res.params.mu, truth.mu))
+
+
+def test_kent_block_keeps_a_failing_cell_on_its_own_row(tmp_path, monkeypatch):
+    # g raises on one cell of a block: that cell's tmsm row carries the error
+    # as a lone fit's would, and every other row keeps its values
+    config = ExperimentConfig(experiment="kent_known_shape", n_grid=(40,), replicates=6,
+                              seed=9, out_dir=str(tmp_path / "clean"))
+    clean = run_benchmark(config).rows
+    truth, boundary = truth_params(config), build_boundary(config.boundary)
+    bad = sample_truncated(truth, boundary, 40, substream_rng(9, 40, 3), 1000).x
+    real = tmsm.estimator.scaling_values
+
+    def failing(boundary, x, *args):
+        if np.array_equal(x, bad):
+            raise ValueError("g failed")
+        return real(boundary, x, *args)
+
+    monkeypatch.setattr(tmsm.estimator, "scaling_values", failing)
+    config.out_dir = str(tmp_path / "failing")
+    rows = run_benchmark(config).rows
+    assert len(rows) == len(clean)
+    for row, ref in zip(rows, clean):
+        if (row.method, row.replicate) == ("tmsm_haversine", 3):
+            assert row == BenchmarkRow("tmsm_haversine", 40, 3, 9, None, None, None, None,
+                                       "ValueError: g failed")
+        else:
+            assert row == ref
+
+    # a fit that raises fails the joint call, and the block falls back to
+    # lone fits: the error lands on that cell's row alone
+    monkeypatch.setattr(tmsm.estimator, "scaling_values", real)
+    fit_frames = tmsm.bench._fit_kent_frames
+
+    def failing_fit(stats_list, kappa, alpha):
+        if any(np.array_equal(stats.x, bad) for stats in stats_list):
+            raise FloatingPointError("fit failed")
+        return fit_frames(stats_list, kappa, alpha)
+
+    monkeypatch.setattr(tmsm.bench, "_fit_kent_frames", failing_fit)
+    config.out_dir = str(tmp_path / "failing_fit")
+    rows = run_benchmark(config).rows
+    for row, ref in zip(rows, clean):
+        if (row.method, row.replicate) == ("tmsm_haversine", 3):
+            assert row == BenchmarkRow("tmsm_haversine", 40, 3, 9, None, None, None, None,
+                                       "FloatingPointError: fit failed")
+        else:
+            assert row == ref
 
 
 def test_run_benchmark_refuses_storms(tmp_path):
@@ -778,6 +858,24 @@ def test_cli_self_crossing_boundary_exit_3(tmp_path):
         assert main(["simulate", "--boundary-csv", str(outline), "--mu-a", "1.5", "--mu-b", "0.2",
                      "--kappa", "6", "--n", "50", "--out-dir", str(out)]) == 3
         assert not (out / "samples.csv").exists()
+
+
+def test_cli_storms_malformed_boundary_exit_3(tmp_path):
+    # storms reads its border as the other commands do: a short row or a
+    # self-crossing outline is a data error, with no report written
+    events = tmp_path / "events.csv"
+    _write_events(events, [("e0", 5, 5), ("e1", -5, 8), ("e2", 2, 12)])
+    outlines = {"short_row": "10,0\n0\n-10,-10\n5,20\n",
+                "bow_tie": "20,0\n-10,20\n10,20\n-20,0\n"}
+    for name, rows in outlines.items():
+        outline = tmp_path / f"{name}.csv"
+        outline.write_text("lat_deg,lon_deg\n" + rows)
+        out = tmp_path / name
+        assert main(["storms", "--events", str(events), "--boundary-csv", str(outline),
+                     "--out-dir", str(out)]) == 3
+        assert not (out / "storms_report.json").exists()
+        with pytest.raises(DataError):
+            run_storms(events, outline, out_dir=str(out), seed=0)
 
 
 def test_cli_simulate_kent_at_high_ovalness(tmp_path):

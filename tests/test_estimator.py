@@ -31,6 +31,7 @@ from tmsm.estimator import (
     _FRAME_GRID,
     _START_SEPARATION,
     _eta_on_sphere,
+    _fit_kent_frames,
     _fit_vmf,
     _frame_distance,
     _frame_state,
@@ -768,7 +769,7 @@ def test_kent_newton_polish_descends_where_the_hessian_is_indefinite():
     frames = Rotation.random(24, random_state=29).as_matrix()
     value, _, hess = _derivatives(w, b, 6.0, 1.0, frames)
     assert np.sum(np.linalg.eigvalsh(hess)[:, 0] < 0.0) >= 8
-    _, polished, gnorm, _ = _newton_polish(stats, 6.0, 1.0, frames)
+    _, polished, gnorm, _ = (out[0] for out in _newton_polish([stats], 6.0, 1.0, [frames]))
     assert np.all(polished < value)
     assert np.all(gnorm <= 1e-6 * np.maximum(1.0, np.abs(polished)))
 
@@ -783,8 +784,9 @@ def test_kent_newton_polish_ends_by_the_gradient_test_on_the_paper_grid():
         for replicate in range(24):
             x = sample_truncated(truth, boundary, n, substream_rng(0, n, replicate), 1000).x
             stats = _scaling_stats(Dataset(x), boundary, "haversine", None)
-            starts = _grid_starts(stats, truth.kappa, truth.alpha)
-            _, value, gnorm, _ = _newton_polish(stats, truth.kappa, truth.alpha, starts)
+            starts = _grid_starts([stats], truth.kappa, truth.alpha)
+            _, value, gnorm, _ = (out[0] for out in _newton_polish([stats], truth.kappa,
+                                                                   truth.alpha, starts))
             above += int(np.sum(gnorm > 1e-10 * np.maximum(1.0, np.abs(value))))
     assert above == 0
 
@@ -834,7 +836,7 @@ def _start_cases():
 def test_grid_starts_match_full_separation_passes():
     for x, boundary, g_kind, axis, kappa, alpha in _start_cases():
         stats = _scaling_stats(Dataset(x), boundary, g_kind, axis)
-        starts = _grid_starts(stats, kappa, alpha)
+        [starts] = _grid_starts([stats], kappa, alpha)
         assert len(starts) == 4
         assert np.array_equal(starts, _reference_grid_starts(stats, kappa, alpha))
 
@@ -851,7 +853,7 @@ def test_grid_values_per_direction_match_direct_table_scoring(g_kind, axis):
         stats = _scaling_stats(Dataset(x), HEMI, g_kind, axis)
     for kappa, alpha in [(10.0, 3.0), (6.0, 1.0), (5.0919, 2.1407), (6.0, 0.0)]:
         ref = _reference_grid_values(stats, kappa, alpha)
-        got = _grid_values(stats, kappa, alpha)
+        [got] = _grid_values([stats], kappa, alpha)
         assert got.shape == (len(_FRAME_GRID),)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -899,16 +901,61 @@ def test_pick_starts_walk_past_the_first_prefix():
 def test_newton_polish_start_does_not_depend_on_its_batch():
     for x, boundary, g_kind, axis, kappa, alpha in _start_cases():
         stats = _scaling_stats(Dataset(x), boundary, g_kind, axis)
-        starts = _grid_starts(stats, kappa, alpha)
-        frames, value, gnorm, evals = _newton_polish(stats, kappa, alpha, starts)
+        [starts] = _grid_starts([stats], kappa, alpha)
+        frames, value, gnorm, evals = (out[0] for out in _newton_polish([stats], kappa, alpha,
+                                                                        [starts]))
         alone_evals = 0
         for i, start in enumerate(starts):
-            f, v, g, e = _newton_polish(stats, kappa, alpha, start[None])
+            f, v, g, e = (out[0] for out in _newton_polish([stats], kappa, alpha, [start[None]]))
             tol = 1e-13 * max(1.0, abs(v[0]))
             assert np.max(np.abs(frames[i] - f[0])) <= 1e-13
             assert abs(value[i] - v[0]) <= tol and abs(gnorm[i] - g[0]) <= tol
             alone_evals += e
         assert evals == alone_evals
+
+
+def _result_bits(res):
+    """Everything a fit reports, as exact values."""
+    return (res.params.frame().tobytes(), res.objective, res.iterations, res.converged,
+            res.restarts_used)
+
+
+def test_kent_frames_fitted_together_match_each_fit_alone():
+    # every _start_cases dataset, fitted at each case's (kappa, alpha): n from
+    # 40 to 1000, haversine, projected and unit g, and the multimodal cap
+    cases = _start_cases()
+    stats = [_scaling_stats(Dataset(x), boundary, g_kind, axis)
+             for x, boundary, g_kind, axis, _, _ in cases]
+    for kappa, alpha in sorted({case[4:] for case in cases}):
+        values = _grid_values(stats, kappa, alpha)
+        assert values.shape == (len(stats), len(_FRAME_GRID))
+        together = _fit_kent_frames(stats, kappa, alpha)
+        for i, one in enumerate(stats):
+            assert values[i].tobytes() == _grid_values([one], kappa, alpha)[0].tobytes()
+            [alone] = _fit_kent_frames([one], kappa, alpha)
+            assert _result_bits(together[i]) == _result_bits(alone)
+        # and in the reverse order, so no fit leads its batch every time
+        reverse = _fit_kent_frames(stats[::-1], kappa, alpha)[::-1]
+        assert [_result_bits(r) for r in reverse] == [_result_bits(r) for r in together]
+
+
+def test_newton_polish_pads_fits_with_fewer_starts():
+    # fits with 1, 3 and 4 starts polished together: the padding rows are
+    # stopped from the outset and change no fit's rows or evaluations
+    cases = _start_cases()[:3]
+    stats = [_scaling_stats(Dataset(x), boundary, g_kind, axis)
+             for x, boundary, g_kind, axis, _, _ in cases]
+    starts = [s[:k] for s, k in zip(_grid_starts(stats, 10.0, 3.0), (1, 3, 4))]
+    frames, value, gnorm, evals = _newton_polish(stats, 10.0, 3.0, starts)
+    assert frames.shape == (3, 4, 3, 3)
+    for i, (one, start) in enumerate(zip(stats, starts)):
+        f, v, g, e = _newton_polish([one], 10.0, 3.0, [start])
+        k = len(start)
+        assert f[0, :k].tobytes() == frames[i, :k].tobytes()
+        assert v[0, :k].tobytes() == value[i, :k].tobytes()
+        assert g[0, :k].tobytes() == gnorm[i, :k].tobytes()
+        assert e[0] == evals[i]
+        assert np.array_equal(frames[i, k:], np.broadcast_to(start[0], frames[i, k:].shape))
 
 
 def _euler_objective(stats, kappa, alpha, ref):
@@ -950,7 +997,7 @@ def test_kent_newton_matches_bfgs_reference():
             res = estimate(d, HEMI, g_kind="haversine", model_kind="kent_frame",
                            fixed={"kappa": 10.0, "alpha": 3.0})
             ref = (np.inf, None)
-            for start in _grid_starts(stats, 10.0, 3.0):
+            for start in _grid_starts([stats], 10.0, 3.0)[0]:
                 fun, frame = _euler_objective(stats, 10.0, 3.0, start)
                 r = minimize(fun, np.zeros(3), args=(True,), jac=True, method="BFGS",
                              options={"gtol": 1e-8, "maxiter": 200})
@@ -1015,7 +1062,8 @@ def test_kent_frame_matches_brute_force(case):
     assert geodesic_angle(res.params.mu, p.mu) < 1e-6
     assert _axis_angle(res.params.gamma1, p.gamma1) < 1e-6
     assert res.converged and res.restarts_used == 4 and res.iterations > 0
-    single = _newton_polish(stats, kappa, alpha, _grid_starts(stats, kappa, alpha)[:1])[1][0]
+    [starts] = _grid_starts([stats], kappa, alpha)
+    single = _newton_polish([stats], kappa, alpha, [starts[:1]])[1][0, 0]
     if case == "multimodal":
         assert single > res.objective + 1e-3
     else:
