@@ -158,17 +158,18 @@ class ChartSegments:
         z = np.atleast_2d(z)
         seg = self.end - self.start  # (k, 2)
         seg_len2 = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
-        rel = z[:, None, :] - self.start[None, :, :]  # (n, k, 2)
-        t = np.clip(np.einsum("nkd,kd->nk", rel, seg) / seg_len2, 0.0, 1.0)
-        nearest = self.start[None, :, :] + t[:, :, None] * seg[None, :, :]
-        diff = z[:, None, :] - nearest
-        d = np.linalg.norm(diff, axis=2)  # (n, k)
-        idx = np.argmin(d, axis=1)
-        rows = np.arange(z.shape[0])
-        dist = d[rows, idx]
+        # (2, k, n) rows: coordinate, segment, point
+        zt, start, step = z.T[:, None, :], self.start.T[:, :, None], seg.T[:, :, None]
+        rel = zt - start
+        t = np.clip((rel[0] * step[0] + rel[1] * step[1]) / seg_len2[:, None], 0.0, 1.0)
+        diff = zt - (start + t * step)
+        d = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])  # (k, n)
+        cols = np.arange(z.shape[0])
+        idx = np.argmin(d, axis=0)
+        dist = d[idx, cols]
         grad = np.zeros_like(z)
         pos = dist > 0
-        grad[pos] = diff[rows, idx][pos] / dist[pos, None]
+        grad[pos] = diff[:, idx, cols].T[pos] / dist[pos, None]
         return dist, grad
 
 

@@ -143,8 +143,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method(s) {bad}; expected subset of {METHODS}")
         if not self.truth:
             self.truth = dict(_TRUTHS[model])
-        if self.truth.get("model", "vmf") not in _TRUTHS:
+        truth_model = self.truth.get("model", model)
+        if truth_model not in _TRUTHS:
             raise ConfigError(f"unknown truth model in {self.truth}; expected one of {tuple(_TRUTHS)}")
+        if model == "kent" and truth_model != "kent":
+            raise ConfigError(f"experiment {self.experiment!r} needs a kent truth, got {self.truth}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.max_draw_factor < 1:
@@ -176,7 +179,7 @@ def truth_params(config: ExperimentConfig) -> ModelParams:
     t = config.truth
     try:
         mu = to_euclidean(float(t["mu_a"]), float(t["mu_b"]))
-        if t.get("model", "vmf") == "kent":
+        if t.get("model", _EXPERIMENTS[config.experiment][0]) == "kent":
             gamma1 = unit_vector(np.asarray(t["gamma1"], dtype=float))
             gamma2 = np.cross(mu, gamma1)
             return KentParams(mu, gamma1, gamma2, float(t["kappa"]), float(t["alpha"]))
@@ -382,12 +385,14 @@ def _run_replicates(config: ExperimentConfig) -> list[BenchmarkRow]:
     boundary = build_boundary(config.boundary)
     cells = [(n, r) for n in config.n_grid for r in range(config.replicates)]
     blocks = [cells[i:i + _BLOCK_CELLS] for i in range(0, len(cells), _BLOCK_CELLS)]
-    if config.workers > 1:
+    # a worker beyond one per block would get no work; a lone block runs here
+    workers = min(config.workers, len(blocks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # one block per task, so the blocks of every n spread over the workers
         with ProcessPoolExecutor(
-            max_workers=config.workers,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(config, truth, boundary),
         ) as pool:

@@ -679,8 +679,8 @@ def _projected_table(arcs: _Arcs, drop_idx: int) -> np.ndarray:
 
 def _nearest_projected(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
-    Nearest point (n, 2) of the projected polyline to each projected
-    query y (n, 2), exact on the vertex arcs, given their
+    Nearest point of the projected polyline to each projected query
+    y (n, 2), as two rows (2, n), exact on the vertex arcs, given their
     `_projected_table`.
 
     Dropping coordinate k maps the great circle of an arc with unit
@@ -750,7 +750,7 @@ def _nearest_projected(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     offer(idx, np.clip(np.nan_to_num(s), 0.0, span[idx]))
 
     hit = _least(qi, best_d)
-    return _on_arc(best_s[hit], take(a, hit), take(u, hit))[0].T
+    return _on_arc(best_s[hit], take(a, hit), take(u, hit))[0]
 
 
 def haversine_scaling(
@@ -771,9 +771,10 @@ def haversine_scaling(
         inside: `boundary.contains(x)` when the caller already has it.
 
     Returns:
-        (g (n,), grad (n, 3), on_boundary (n,) bool). Points outside the
-        region or within 1e-12 of the boundary get g = 0 and a zero
-        gradient, flagged on_boundary.
+        (g (n,), grad (n, 3), on_boundary (n,) bool); grad may be the
+        transposed view of (3, n) rows. Points outside the region or
+        within 1e-12 of the boundary get g = 0 and a zero gradient,
+        flagged on_boundary.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -792,19 +793,19 @@ def haversine_scaling(
         cot = x[:, 0] / np.where(sa > 0, sa, 1.0)
         sign = 1.0 if boundary.side == "greater" else -1.0
         # Tangential projection of sign * grad(a): unit vector along -d/da.
-        tang = np.stack([-sa, cot * x[:, 1], cot * x[:, 2]], axis=-1)
-        return g, np.where(ok[:, None], sign * tang, 0.0), ~ok
+        tang = np.stack([-sa, cot * x[:, 1], cot * x[:, 2]])
+        return g, np.where(ok, sign * tang, 0.0).T, ~ok
 
     g = np.zeros(n)
-    grad = np.zeros((n, 3))
+    grad = np.zeros((3, n))
     g[inside], near = _nearest_on_arcs(boundary._arcs, x[inside])
     ok = g > 1e-12
     xo = x[ok].T
     # (x x p) x x = p - (x.p) x, with norm sin g times |p|.
     toward = _cross(_cross(xo, near[ok[inside]].T), xo)
-    grad[ok] = (-toward / _norm(toward)).T
+    grad[:, ok] = -toward / _norm(toward)
     g[~ok] = 0.0
-    return g, grad, ~ok
+    return g, grad.T, ~ok
 
 
 def default_drop_axis(boundary: Boundary) -> int:
@@ -911,11 +912,16 @@ def projected_scaling(
     s0 xe / |xe| (any rim point at the pole, where the ray is undefined);
     along axis 2 or 3 it projects to the segment {x1 = cos a0, |xj| <= s0},
     nearest at (cos a0, clip(xj, -s0, s0)). A polyline's nearest point is
-    found exactly on its vertex arcs by `_nearest_projected`. Queries
-    within 1e-12 of the projected boundary get g = 0. `inside` is `boundary.contains(x)` when the caller already has it.
+    found exactly on its vertex arcs by `_nearest_projected`. Each kind
+    gives the nearest point as two rows (n0, n1) of the kept coordinates,
+    and one tail forms g = sqrt(d0^2 + d1^2) and the two gradient rows
+    from the offsets d. Queries within 1e-12 of the projected boundary get
+    g = 0. `inside` is `boundary.contains(x)` when the caller already has
+    it.
 
     Returns:
-        (g (n,), grad (n, 3), on_boundary (n,) bool).
+        (g (n,), grad (n, 3), on_boundary (n,) bool); grad may be the
+        transposed view of (3, n) rows.
 
     Raises:
         ValueError: if the projection could place interior points on the
@@ -929,26 +935,26 @@ def projected_scaling(
     drop_idx = _drop_index(drop_axis)
     _check_hemisphere(boundary, drop_idx, x)
     keep = [i for i in range(3) if i != drop_idx]
-    xe = x[:, keep]
+    xe = x.T[keep]
     n = x.shape[0]
     inside = np.asarray(boundary.contains(x) if inside is None else inside).reshape(n)
 
     if isinstance(boundary, ColatitudeBoundary):
         c0, s0 = np.cos(boundary.a0), np.sin(boundary.a0)
         if drop_idx == 0:
-            r = np.linalg.norm(xe, axis=1, keepdims=True)
-            nearest = s0 * np.where(r > 0.0, xe, [1.0, 0.0]) / np.where(r > 0.0, r, 1.0)
+            r = np.sqrt(xe[0] * xe[0] + xe[1] * xe[1])
+            nearest = s0 * np.where(r > 0.0, xe, [[1.0], [0.0]]) / np.where(r > 0.0, r, 1.0)
         else:
-            nearest = np.column_stack([np.full(n, c0), np.clip(xe[:, 1], -s0, s0)])
+            nearest = np.stack([np.full(n, c0), np.clip(xe[1], -s0, s0)])
     else:
-        nearest = np.zeros_like(xe)
-        nearest[inside] = _nearest_projected(boundary._projected_arcs(drop_idx), xe[inside])
+        nearest = np.zeros((2, n))
+        nearest[:, inside] = _nearest_projected(boundary._projected_arcs(drop_idx), xe[:, inside].T)
     diff = xe - nearest
-    g = np.linalg.norm(diff, axis=1)
+    g = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
     ok = inside & (g > 1e-12)
-    grad = np.zeros((n, 3))
-    grad[:, keep] = np.where(ok[:, None], diff / np.where(ok, g, 1.0)[:, None], 0.0)
-    return np.where(ok, g, 0.0), grad, ~ok
+    grad = np.zeros((3, n))
+    grad[keep] = np.where(ok, diff / np.where(ok, g, 1.0), 0.0)
+    return np.where(ok, g, 0.0), grad.T, ~ok
 
 
 def scaling_values(

@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .boundary import Boundary, ColatitudeBoundary, _csv_columns, scaling_values
+from .boundary import Boundary, ColatitudeBoundary, _csv_columns, _dot, scaling_values
 from .geometry import to_euclidean, to_spherical
 from .models import (
     KAPPA_CAP,
@@ -194,9 +194,13 @@ class _ScalingStats:
     are g and the tangential part of grad g at the data (grad g itself is
     not kept), the moments gbar = mean g, quad = mean
     g x x^T, first = mean g x and tgrad = mean tangential part of grad g
-    (tgrad_abs = mean norm of that part), each one matrix product or
-    row-wise contraction over the data (quad = (g x)^T x / n), and from
-    them the eta block of the form: m = gbar I - quad = W[:3, :3] and
+    (tgrad_abs = mean norm of that part). They are formed on (3, n) rows,
+    x^T taken once as a contiguous array and (grad g)^T read without a
+    copy when it already is one: quad = (g x^T)(x^T)^T / n is one matrix
+    product, the tangential part is formed row by row in `_dot`'s order,
+    and first and tgrad are means along contiguous rows, which numpy sums
+    pairwise (`tang` is kept as the (n, 3) transposed view). From them
+    comes the eta block of the form: m = gbar I - quad = W[:3, :3] and
     c = 2 first - tgrad = -b[:3] / 2, so a vMF fit minimises
     eta^T m eta - 2 c^T eta. The rest of W and b needs the third and
     fourth moments, so `kent_form` builds it on first use and the vMF fits
@@ -210,12 +214,14 @@ class _ScalingStats:
         self.x = x
         self.g = g
         self.gbar = float(g.mean())
-        gx = g[:, None] * x
-        self.quad = gx.T @ x / len(g)
-        self.first = gx.mean(axis=0)
-        self.tang = grad - np.einsum("ij,ij->i", x, grad)[:, None] * x
-        self.tgrad = self.tang.mean(axis=0)
-        self.tgrad_abs = float(np.sqrt(np.einsum("ij,ij->i", self.tang, self.tang)).mean())
+        xt, grad_t = np.ascontiguousarray(x.T), np.ascontiguousarray(grad.T)
+        gxt = g * xt
+        self.quad = gxt @ xt.T / len(g)
+        self.first = gxt.mean(axis=1)
+        tang = grad_t - _dot(xt, grad_t) * xt
+        self.tang = tang.T
+        self.tgrad = tang.mean(axis=1)
+        self.tgrad_abs = float(np.sqrt(_dot(tang, tang)).mean())
         self.m = self.gbar * np.eye(3) - self.quad
         self.c = 2.0 * self.first - self.tgrad
 

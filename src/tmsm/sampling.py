@@ -41,7 +41,7 @@ def sample_vmf(params: VmfParams, size: int, rng: np.random.Generator) -> np.nda
     for u ~ U(0, 1), combined with a uniform azimuth in the tangent plane.
 
     Returns:
-        (size, 3) unit vectors.
+        (size, 3) unit vectors, the transposed view of (3, size) rows.
     """
     kappa = params.kappa
     u = rng.random(size)
@@ -51,11 +51,11 @@ def sample_vmf(params: VmfParams, size: int, rng: np.random.Generator) -> np.nda
     e, f = complete_frame(params.mu)
     radial = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     x = (
-        t[:, None] * params.mu[None, :]
-        + (radial * np.cos(phi))[:, None] * e[None, :]
-        + (radial * np.sin(phi))[:, None] * f[None, :]
+        params.mu[:, None] * t
+        + e[:, None] * (radial * np.cos(phi))
+        + f[:, None] * (radial * np.sin(phi))
     )
-    return x
+    return x.T
 
 
 def sample_kent(params: KentParams, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,11 +112,12 @@ def sample_kent(params: KentParams, size: int, rng: np.random.Generator) -> np.n
         got += take
     t = 1.0 - u
     s = np.sqrt(u * (2.0 - u))
-    return (
-        t[:, None] * params.mu[None, :]
-        + (s * np.cos(phi))[:, None] * params.gamma1[None, :]
-        + (s * np.sin(phi))[:, None] * params.gamma2[None, :]
+    x = (
+        params.mu[:, None] * t
+        + params.gamma1[:, None] * (s * np.cos(phi))
+        + params.gamma2[:, None] * (s * np.sin(phi))
     )
+    return x.T
 
 
 def sample_model(params: ModelParams, size: int, rng: np.random.Generator) -> np.ndarray:

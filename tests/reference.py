@@ -5,7 +5,12 @@ the two per-point objective terms built from them, and chart midpoint
 grids. `tmsm.models.batch_terms` computes the same per-point terms in one
 pass; these slower, term-by-term forms check it.
 
-Also here, for the fit layer, everything the package computes from the
+Also here, for the boundary layer, the colatitude haversine g and the
+projected g of every boundary kind as (n, 3) and (n, 2) broadcasts: the
+package forms them on (3, n) and (2, n) rows and must match them bit for
+bit.
+
+And for the fit layer, everything the package computes from the
 quadratic form of `_ScalingStats`, rebuilt point by point: the data moments
 as means of per-point outer products, the three objective terms and both
 sides of the identity check assembled from `batch_terms`, and J with its
@@ -20,7 +25,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from tmsm.boundary import ColatitudeBoundary, scaling_values
+from tmsm.boundary import (
+    ColatitudeBoundary,
+    _check_hemisphere,
+    _cross,
+    _drop_index,
+    _nearest_on_arcs,
+    _nearest_projected,
+    _norm,
+    default_drop_axis,
+    scaling_values,
+)
 from tmsm.estimator import ObjectiveTerms, _chart_grid
 from tmsm.models import ModelParams, VmfParams, batch_terms, log_unnormalized_density, score
 
@@ -134,6 +149,66 @@ def region_grid(
 def sphere_grid(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint quadrature grid over the whole sphere."""
     return _chart_grid(0.0, np.pi, n_a, n_b)
+
+
+def broadcast_haversine(boundary, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """
+    `haversine_scaling` with the gradient as an (n, 3) array: stacked
+    along the last axis and masked by ok[:, None] on a colatitude circle,
+    assigned row by row on a polyline.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    inside = np.asarray(boundary.contains(x)).reshape(len(x))
+    if isinstance(boundary, ColatitudeBoundary):
+        sa = np.hypot(x[:, 1], x[:, 2])
+        a = np.arctan2(sa, x[:, 0])
+        signed = a - boundary.a0 if boundary.side == "greater" else boundary.a0 - a
+        ok = inside & (signed > 1e-12)
+        cot = x[:, 0] / np.where(sa > 0, sa, 1.0)
+        sign = 1.0 if boundary.side == "greater" else -1.0
+        tang = np.stack([-sa, cot * x[:, 1], cot * x[:, 2]], axis=-1)
+        return np.where(ok, signed, 0.0), np.where(ok[:, None], sign * tang, 0.0), ~ok
+    g = np.zeros(len(x))
+    grad = np.zeros((len(x), 3))
+    g[inside], near = _nearest_on_arcs(boundary._arcs, x[inside])
+    ok = g > 1e-12
+    xo = x[ok].T
+    toward = _cross(_cross(xo, near[ok[inside]].T), xo)
+    grad[ok] = (-toward / _norm(toward)).T
+    g[~ok] = 0.0
+    return g, grad, ~ok
+
+
+def broadcast_projected(boundary, x: np.ndarray,
+                      drop_axis: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """
+    `projected_scaling` on (n, 2) arrays of the kept coordinates: the
+    nearest point as an (n, 2) array for each boundary kind, g from
+    `np.linalg.norm` along axis 1 and the gradient through [:, None]
+    broadcasts.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    drop_idx = _drop_index(default_drop_axis(boundary) if drop_axis is None else drop_axis)
+    _check_hemisphere(boundary, drop_idx, x)
+    keep = [i for i in range(3) if i != drop_idx]
+    xe, n = x[:, keep], len(x)
+    inside = np.asarray(boundary.contains(x)).reshape(n)
+    if isinstance(boundary, ColatitudeBoundary):
+        c0, s0 = np.cos(boundary.a0), np.sin(boundary.a0)
+        if drop_idx == 0:
+            r = np.linalg.norm(xe, axis=1, keepdims=True)
+            nearest = s0 * np.where(r > 0.0, xe, [1.0, 0.0]) / np.where(r > 0.0, r, 1.0)
+        else:
+            nearest = np.column_stack([np.full(n, c0), np.clip(xe[:, 1], -s0, s0)])
+    else:
+        nearest = np.zeros_like(xe)
+        nearest[inside] = _nearest_projected(boundary._projected_arcs(drop_idx), xe[inside]).T
+    diff = xe - nearest
+    g = np.linalg.norm(diff, axis=1)
+    ok = inside & (g > 1e-12)
+    grad = np.zeros((n, 3))
+    grad[:, keep] = np.where(ok[:, None], diff / np.where(ok, g, 1.0)[:, None], 0.0)
+    return np.where(ok, g, 0.0), grad, ~ok
 
 
 def scaling_moments(x: np.ndarray, g: np.ndarray, grad: np.ndarray) -> dict:

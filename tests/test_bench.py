@@ -249,10 +249,11 @@ def test_run_benchmark_builds_boundary_once(tmp_path, monkeypatch):
 
 def test_pooled_run_matches_serial_bytes(tmp_path):
     # pooled workers get the run once and serve one block of cells per task;
-    # the artifacts must not depend on the worker count. The Kent grid spans
-    # two blocks, each fitting its tmsm frames together.
+    # the artifacts must not depend on the worker count. Each grid spans two
+    # blocks, so that both runs use the pool; the Kent blocks each fit their
+    # tmsm frames together.
     runs = {
-        "vmf_known_kappa": dict(n_grid=(40, 80), replicates=3,
+        "vmf_known_kappa": dict(n_grid=(40, 80), replicates=_BLOCK_CELLS // 2 + 3,
                                 methods=("tmsm_haversine", "tmsm_projected", "mle")),
         "kent_known_shape": dict(n_grid=(40, 80), replicates=_BLOCK_CELLS // 2 + 3,
                                  methods=("tmsm_haversine", "tmsm_projected", "mle")),
@@ -267,6 +268,21 @@ def test_pooled_run_matches_serial_bytes(tmp_path):
             result = run_benchmark(config)
             artifacts.append((result.csv_path.read_bytes(), result.json_path.read_bytes()))
         assert artifacts[0] == artifacts[1]
+
+
+def test_lone_block_runs_without_a_pool(tmp_path, monkeypatch):
+    # a grid of one block gives a second worker no work, so no pool starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    artifacts = []
+    for workers in (1, 2):
+        config = ExperimentConfig(n_grid=(40, 80), replicates=_BLOCK_CELLS // 2, seed=4,
+                                  workers=workers, out_dir=str(tmp_path / f"w{workers}"))
+        result = run_benchmark(config)
+        artifacts.append((result.csv_path.read_bytes(), result.json_path.read_bytes()))
+    assert artifacts[0] == artifacts[1]
 
 
 def test_kent_block_rows_match_each_cell_fitted_alone(tmp_path):
@@ -631,6 +647,26 @@ def test_cli_config_error_exit_2(tmp_path):
     ])
     assert code == 2
     assert main(["benchmark", "--config", str(tmp_path / "no_such.json")]) == 2
+
+
+def test_kent_experiment_needs_a_kent_truth():
+    with pytest.raises(ConfigError, match="needs a kent truth"):
+        ExperimentConfig(experiment="kent_known_shape", truth={"model": "vmf"})
+    # a truth without a model key takes the experiment's model, as from_dict does
+    truth = dict(ExperimentConfig(experiment="kent_known_shape").truth)
+    del truth["model"]
+    config = ExperimentConfig(experiment="kent_known_shape", truth=truth)
+    assert isinstance(truth_params(config), KentParams)
+
+
+def test_cli_vmf_truth_for_kent_experiment_exit_2(tmp_path):
+    # the Kent frame fit reads the truth's alpha: a vMF truth is a config error
+    cfg = tmp_path / "vmf_truth.json"
+    cfg.write_text(json.dumps({"truth": {"model": "vmf"}}))
+    code = main(["benchmark", "--experiment", "kent_known_shape", "--config", str(cfg),
+                 "--replicates", "2", "--n-grid", "50", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_data_error_exit_3(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from reference import broadcast_haversine, broadcast_projected
 from tmsm.boundary import (
     ColatitudeBoundary,
     _AZIMUTH_BINS,
@@ -635,6 +636,40 @@ def test_polyline_queries_independent_of_memory_layout(name):
     for got, ref in ((results(np.asfortranarray(x)), results(x)),
                      (results(x[::2]), results(x[::2].copy()))):
         assert all(np.array_equal(u, v) for u, v in zip(got, ref))
+
+
+def _same_bits(got, ref):
+    """Every array of a scaling result has the reference's shape and bytes."""
+    return all(np.shape(u) == np.shape(v) and np.asarray(u).tobytes() == np.asarray(v).tobytes()
+               for u, v in zip(got, ref, strict=True))
+
+
+@pytest.mark.parametrize("side", ["greater", "less"])
+@pytest.mark.parametrize("a0", [0.3, np.pi / 2.0, 2.5])
+def test_colatitude_scaling_matches_broadcast_reference(a0, side):
+    # g, grad and on_boundary on (3, n) rows, bit for bit as the (n, 3)
+    # broadcasts; the queries hold both poles, rim points and outside points
+    b = ColatitudeBoundary(a0, side)
+    rng = np.random.default_rng(17)
+    x = np.vstack([unit_vector(rng.standard_normal((3000, 3))), np.eye(3), -np.eye(3),
+                   to_euclidean(np.full(8, a0), np.linspace(0.0, TWO_PI, 8))])
+    assert 0 < b.contains(x).sum() < len(x)
+    assert _same_bits(haversine_scaling(b, x), broadcast_haversine(b, x))
+    for axis in (1, 2, 3):
+        # along axis 1 the circle lies in one half, and the queries must too
+        q = x[x[:, 0] * np.cos(a0) >= 0.0] if axis == 1 else x
+        assert _same_bits(projected_scaling(b, q, drop_axis=axis), broadcast_projected(b, q, axis))
+
+
+def test_polyline_scaling_matches_broadcast_reference():
+    rng = np.random.default_rng(19)
+    x = np.vstack([unit_vector(USA.interior_reference + 0.4 * rng.standard_normal((4000, 3))),
+                   USA.vertices])
+    k = default_drop_axis(USA) - 1
+    x = x[x[:, k] * np.sign(USA.interior_reference[k]) > 1e-6]
+    assert 0 < USA.contains(x).sum() < len(x)
+    assert _same_bits(haversine_scaling(USA, x), broadcast_haversine(USA, x))
+    assert _same_bits(projected_scaling(USA, x), broadcast_projected(USA, x))
 
 
 # ---------------------------------------------------------------- haversine

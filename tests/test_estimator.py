@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from tmsm.estimator import (
     _newton_polish,
     _pick_starts,
     _polish_form,
+    _ScalingStats,
     _scaling_stats,
     _table_scale,
     _turn,
@@ -234,6 +236,47 @@ def test_scaling_stats_moments_match_broadcast_reference(g_kind, axis):
     ref = scaling_moments(d.x, stats.g, _grad_g(d, g_kind, axis))
     for name, value in ref.items():
         assert np.max(np.abs(getattr(stats, name) - value)) <= 1e-15, name
+
+
+@pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
+def test_scaling_stats_independent_of_memory_layout(g_kind, axis):
+    # the moments are formed on (3, n) rows whatever the layout of x and grad g
+    d = hemi_dataset(500, seed=12)
+    g, grad, _ = scaling_values(None if g_kind == "unit" else HEMI, d.x, g_kind, axis)
+    names = ("gbar", "quad", "first", "tang", "tgrad", "tgrad_abs", "m", "c")
+    ref = _ScalingStats(np.ascontiguousarray(d.x), g, np.ascontiguousarray(grad))
+    for x in (np.ascontiguousarray(d.x), np.asfortranarray(d.x)):
+        for grad_g in (np.ascontiguousarray(grad), np.asfortranarray(grad)):
+            stats = _ScalingStats(x, g, grad_g)
+            for name in names:
+                got, want = np.asarray(getattr(stats, name)), np.asarray(getattr(ref, name))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def _usa_dataset(n):
+    # criterion 8's truth, 25N 75W with kappa 6, outside the USA outline
+    usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
+    truth = VmfParams(to_euclidean(1.1344640137963142, -1.3089969389957472), 6.0)
+    return Dataset(sample_truncated(truth, usa, n, substream_rng(8, n), 1000).x), usa
+
+
+@pytest.mark.parametrize("region", ["hemi", "usa"])
+def test_vmf_fits_match_sequential_moments(region):
+    # the stats' point means are pairwise row sums; fits from the
+    # sequential axis-0 means of `scaling_moments` differ only by rounding
+    d, boundary = (hemi_dataset(2000, seed=7), HEMI) if region == "hemi" else _usa_dataset(2000)
+    for g_kind in ("haversine", "projected"):
+        stats = _scaling_stats(d, boundary, g_kind, None)
+        ref = scaling_moments(d.x, stats.g, scaling_values(boundary, d.x, g_kind)[1])
+        sequential = SimpleNamespace(
+            m=stats.gbar * np.eye(3) - ref["quad"], c=2.0 * ref["first"] - ref["tgrad"],
+            gbar=stats.gbar, tgrad_abs=ref["tgrad_abs"],
+        )
+        for kappa in (None, 6.0):
+            got, want = _fit_vmf(stats, kappa), _fit_vmf(sequential, kappa)
+            assert got.params.kappa == pytest.approx(want.params.kappa, rel=1e-12, abs=0.0)
+            assert np.max(np.abs(got.params.mu - want.params.mu)) <= 1e-12
+            assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("model", ["vmf", "kent"])
