@@ -149,28 +149,57 @@ class ChartSegments:
         Planar distance from each point to the nearest segment and its
         gradient (unit vector away from the nearest segment point).
 
+        The segments are scanned one at a time on a contiguous (2, n) copy
+        of z: with q = end - start, t = clip(((z - start) . q) / max(|q|^2,
+        1e-300), 0, 1), the offset z - (start + t q) and its length. A
+        segment replaces the nearest so far only when strictly closer, so
+        ties go to the first of them as np.argmin would take it. The
+        gradient is the offset over the distance, and 0 where the distance
+        is 0.
+
         Args:
             z: (n, 2) chart points.
 
         Returns:
-            (dist (n,), grad (n, 2)).
+            (dist (n,), grad (n, 2) C-ordered).
+
+        Raises:
+            ValueError: if there are no segments.
         """
-        z = np.atleast_2d(z)
-        seg = self.end - self.start  # (k, 2)
-        seg_len2 = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
-        # (2, k, n) rows: coordinate, segment, point
-        zt, start, step = z.T[:, None, :], self.start.T[:, :, None], seg.T[:, :, None]
-        rel = zt - start
-        t = np.clip((rel[0] * step[0] + rel[1] * step[1]) / seg_len2[:, None], 0.0, 1.0)
-        diff = zt - (start + t * step)
-        d = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])  # (k, n)
-        cols = np.arange(z.shape[0])
-        idx = np.argmin(d, axis=0)
-        dist = d[idx, cols]
-        grad = np.zeros_like(z)
-        pos = dist > 0
-        grad[pos] = diff[:, idx, cols].T[pos] / dist[pos, None]
-        return dist, grad
+        if len(self.start) == 0:
+            raise ValueError("the chart boundary has no segments")
+        zt = np.ascontiguousarray(np.atleast_2d(z).T, dtype=float)
+        n = zt.shape[1]
+        dist, diff = np.empty(n), np.empty((2, n))
+        t, d, off = np.empty(n), np.empty(n), np.empty((2, n))
+        closer = np.empty(n, dtype=bool)
+        for i, ((s0, s1), (e0, e1)) in enumerate(zip(self.start.tolist(), self.end.tolist())):
+            q0, q1 = e0 - s0, e1 - s1
+            len2 = max(q0 * q0 + q1 * q1, 1e-300)
+            np.subtract(zt[0], s0, out=off[0])
+            np.subtract(zt[1], s1, out=off[1])
+            np.multiply(off[0], q0, out=t)
+            np.multiply(off[1], q1, out=d)
+            t += d
+            t /= len2
+            np.clip(t, 0.0, 1.0, out=t)
+            for row, s_c, q_c in ((0, s0, q0), (1, s1, q1)):
+                np.multiply(t, q_c, out=d)
+                d += s_c
+                np.subtract(zt[row], d, out=off[row])
+            np.multiply(off[0], off[0], out=d)
+            np.multiply(off[1], off[1], out=t)
+            d += t
+            np.sqrt(d, out=d)
+            if i == 0:
+                dist[:], diff[:] = d, off
+                continue
+            np.less(d, dist, out=closer)
+            np.copyto(dist, d, where=closer)
+            np.copyto(diff, off, where=closer)
+        grad = np.zeros((2, n))
+        np.divide(diff, dist, out=grad, where=dist > 0)
+        return dist, np.ascontiguousarray(grad.T)
 
 
 def hemisphere_chart_segments(a0: float = 0.5 * np.pi, side: str = "greater") -> ChartSegments:

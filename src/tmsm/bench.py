@@ -175,8 +175,16 @@ class ExperimentConfig:
 
 
 def truth_params(config: ExperimentConfig) -> ModelParams:
-    """Materialize the configured ground-truth model."""
+    """Materialize the configured ground-truth model. Every number in the
+    truth must be finite: a NaN or infinite one is a ConfigError."""
     t = config.truth
+    try:
+        numbers = {k: np.asarray(v, dtype=float) for k, v in t.items() if k != "model"}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid truth spec {t}: {exc}") from exc
+    bad = sorted(k for k, v in numbers.items() if not np.all(np.isfinite(v)))
+    if bad:
+        raise ConfigError(f"truth {', '.join(bad)} must be finite, got {t}")
     try:
         mu = to_euclidean(float(t["mu_a"]), float(t["mu_b"]))
         if t.get("model", _EXPERIMENTS[config.experiment][0]) == "kent":

@@ -195,8 +195,8 @@ class _ScalingStats:
     not kept), the moments gbar = mean g, quad = mean
     g x x^T, first = mean g x and tgrad = mean tangential part of grad g
     (tgrad_abs = mean norm of that part). They are formed on (3, n) rows,
-    x^T taken once as a contiguous array and (grad g)^T read without a
-    copy when it already is one: quad = (g x^T)(x^T)^T / n is one matrix
+    x^T taken once as a contiguous array `xt` and (grad g)^T read without
+    a copy when it already is one: quad = (g x^T)(x^T)^T / n is one matrix
     product, the tangential part is formed row by row in `_dot`'s order,
     and first and tgrad are means along contiguous rows, which numpy sums
     pairwise (`tang` is kept as the (n, 3) transposed view). From them
@@ -214,7 +214,8 @@ class _ScalingStats:
         self.x = x
         self.g = g
         self.gbar = float(g.mean())
-        xt, grad_t = np.ascontiguousarray(x.T), np.ascontiguousarray(grad.T)
+        self.xt = xt = np.ascontiguousarray(x.T)
+        grad_t = np.ascontiguousarray(grad.T)
         gxt = g * xt
         self.quad = gxt @ xt.T / len(g)
         self.first = gxt.mean(axis=1)
@@ -244,15 +245,18 @@ class _ScalingStats:
         T4 = mean g (x(x)x)(x(x)x)^T (9x9) and G = mean t x^T, t the
         tangential part of grad g. vec is row-major, and <A^2, Q> is
         vec(A)^T (I (x) Q) vec(A) because A is symmetric. The vMF model is
-        A = 0, the eta block alone. W is filled in place block by block; the
-        Kent polish folds it with b into the per-fit (169, 13) map of
-        `_polish_form`, so each of its trial states is one product.
+        A = 0, the eta block alone. T3, T4 and G are products of contiguous
+        rows (the (9, n) rows of x(x)x, the (3, n) rows `xt` and those of t),
+        so they do not depend on the memory layout of the data. W is filled
+        in place block by block; the Kent polish folds it with b into the
+        per-fit (169, 13) map of `_polish_form`, so each of its trial states
+        is one product.
         """
-        x, n = self.x, self.x.shape[0]
-        xx = (x[:, :, None] * x[:, None, :]).reshape(n, 9)
-        gxx = self.g[:, None] * xx
-        t3 = gxx.T @ x / n
-        t4 = gxx.T @ xx / n
+        xt, n = self.xt, self.xt.shape[1]
+        xxt = (xt[:, None, :] * xt[None, :, :]).reshape(9, n)
+        gxxt = self.g * xxt
+        t3 = gxxt @ xt.T / n
+        t4 = gxxt @ xxt.T / n
         # W is [[m, I (x) f - T3^T], [., I (x) Q - T4]]: zeros less T3^T and
         # T4, then f and Q added on the diagonal blocks of the Kronecker terms
         w = np.zeros((12, 12))
@@ -264,7 +268,7 @@ class _ScalingStats:
         blocks[i + 1, :, i + 1] += self.quad
         w[3:, :3] = w[:3, 3:].T
         b_lap = np.concatenate([-2.0 * self.first, -3.0 * self.quad.ravel()])
-        b_gg = np.concatenate([self.tgrad, (self.tang.T @ x / n).ravel()])
+        b_gg = np.concatenate([self.tgrad, (self.tang.T @ xt.T / n).ravel()])
         return w, b_lap, b_gg
 
     @cached_property

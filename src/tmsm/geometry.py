@@ -13,6 +13,7 @@ plane, so x = (cos a, sin a cos b, sin a sin b). All angles are radians.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -42,12 +43,12 @@ def unit_vector(x: np.ndarray) -> np.ndarray:
         Array of the same shape with unit rows.
 
     Raises:
-        ValueError: if any input row has vanishing norm.
+        ValueError: if any input row has vanishing or non-finite norm.
     """
     x = np.asarray(x, dtype=float)
     norm = np.linalg.norm(x, axis=-1, keepdims=True)
-    if np.any(norm < 1e-300):
-        raise ValueError("cannot normalize a zero vector onto the sphere")
+    if not np.all((norm >= 1e-300) & (norm < np.inf)):
+        raise ValueError("cannot normalize a zero or non-finite vector onto the sphere")
     return x / norm
 
 
@@ -106,18 +107,36 @@ def complete_frame(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     Build two unit vectors completing mu to an orthonormal triad.
 
-    The completion is deterministic: the seed axis is whichever coordinate
-    axis is least aligned with mu.
+    The completion is deterministic: the seed axis e_k is the first
+    coordinate axis least aligned with mu (the first minimum of |mu|, as
+    np.argmin takes it), v1 = mu x e_k normalised and v2 = mu x v1.
+    A frame is three components, so it is worked out on Python floats in
+    the order of operations of the array forms: mu and v1 are divided by
+    the row norm sqrt((x0^2 + x1^2) + x2^2) of `unit_vector`, and each
+    cross product is np.cross's (a1 b2 - a2 b1, a2 b0 - a0 b2,
+    a0 b1 - a1 b0). The frame is the one those forms give, to the bit and
+    signs of zeros included.
 
     Args:
-        mu: Unit vector (3,).
+        mu: Nonzero finite vector (3,); it need not be a unit vector.
 
     Returns:
         (v1, v2) with {mu, v1, v2} orthonormal and right-handed.
+
+    Raises:
+        ValueError: if mu is zero or not finite.
     """
-    mu = unit_vector(np.asarray(mu, dtype=float))
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(mu)))] = 1.0
-    v1 = unit_vector(np.cross(mu, seed))
-    v2 = np.cross(mu, v1)
+    m0, m1, m2 = np.asarray(mu, dtype=float).tolist()
+    norm = math.sqrt((m0 * m0 + m1 * m1) + m2 * m2)
+    if not 1e-300 <= norm < math.inf:
+        raise ValueError("cannot complete a frame for a zero or non-finite vector")
+    m0, m1, m2 = m0 / norm, m1 / norm, m2 / norm
+    a0, a1, a2 = abs(m0), abs(m1), abs(m2)
+    k = 0 if a0 <= a1 and a0 <= a2 else 1 if a1 <= a2 else 2
+    b0, b1, b2 = float(k == 0), float(k == 1), float(k == 2)
+    c0, c1, c2 = m1 * b2 - m2 * b1, m2 * b0 - m0 * b2, m0 * b1 - m1 * b0
+    norm = math.sqrt((c0 * c0 + c1 * c1) + c2 * c2)
+    c0, c1, c2 = c0 / norm, c1 / norm, c2 / norm
+    v1 = np.array([c0, c1, c2])
+    v2 = np.array([m1 * c2 - m2 * c1, m2 * c0 - m0 * c2, m0 * c1 - m1 * c0])
     return v1, v2

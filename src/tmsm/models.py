@@ -32,7 +32,8 @@ class VmfParams:
     """
     von Mises-Fisher parameters: mean direction and concentration.
 
-    `mu` is normalized at construction; `kappa` must be positive.
+    `mu` is normalized at construction; `kappa` must be positive and
+    finite.
     """
 
     mu: np.ndarray
@@ -42,17 +43,17 @@ class VmfParams:
         mu = unit_vector(np.asarray(self.mu, dtype=float))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa", float(self.kappa))
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
 
 def _check_kent_shape(kappa: float, alpha: float) -> None:
-    """Raise ValueError unless kappa > 0, alpha >= 0 and 2 alpha < kappa
-    (unimodality); NaN fails too."""
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    """Raise ValueError unless kappa > 0 and alpha >= 0 are finite and
+    2 alpha < kappa (unimodality); NaN fails too."""
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     if not 2.0 * alpha < kappa:
         raise ValueError(
             f"unimodality requires 2*alpha < kappa, got alpha={alpha}, kappa={kappa}"

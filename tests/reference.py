@@ -19,6 +19,12 @@ expanded by hand and as products with the three constant 12x12 turn
 generators. `tmsm.estimator._frame_state` gets all three from one product
 of r (x) r, r = (mu, vec S, 1), with the per-fit (169, 13) map of
 `_polish_form`, and must match both.
+
+And two kernels in their array forms: the frame completion as
+`unit_vector` and `np.cross` build it, and the flat chart distance as a
+(2, k, n) broadcast with an argmin over the segments. The package works
+the frame out on Python floats and scans the segments one at a time, and
+must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from tmsm.boundary import (
     scaling_values,
 )
 from tmsm.estimator import ObjectiveTerms, _chart_grid
+from tmsm.geometry import unit_vector
 from tmsm.models import ModelParams, VmfParams, batch_terms, log_unnormalized_density, score
 
 
@@ -355,3 +362,36 @@ def frame_state_by_generators(
     cross = du @ dt.transpose(0, 2, 1)
     hess = 2.0 * (dt @ w) @ dt.transpose(0, 2, 1) + 0.5 * (cross + cross.transpose(0, 2, 1))
     return np.einsum("mi,ij,mj->m", t, w, t) + t @ b, np.einsum("mik,mk->mi", dt, u), hess
+
+
+def cross_frame(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`complete_frame` on arrays, for one vector (3,) or for rows (m, 3):
+    mu normalised by `unit_vector`, the seed axis at np.argmin of |mu|,
+    v1 = unit_vector(mu x seed) and v2 = mu x v1."""
+    mu = unit_vector(np.asarray(mu, dtype=float))
+    seed = np.eye(3)[np.argmin(np.abs(mu), axis=-1)]
+    v1 = unit_vector(np.cross(mu, seed))
+    v2 = np.cross(mu, v1)
+    return v1, v2
+
+
+def broadcast_chart_distance(segments, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`ChartSegments.distance` as one (2, k, n) broadcast over all k
+    segments, the nearest picked by np.argmin and gathered by fancy
+    indexing."""
+    z = np.atleast_2d(z)
+    seg = segments.end - segments.start  # (k, 2)
+    seg_len2 = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
+    # (2, k, n) rows: coordinate, segment, point
+    zt, start, step = z.T[:, None, :], segments.start.T[:, :, None], seg.T[:, :, None]
+    rel = zt - start
+    t = np.clip((rel[0] * step[0] + rel[1] * step[1]) / seg_len2[:, None], 0.0, 1.0)
+    diff = zt - (start + t * step)
+    d = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])  # (k, n)
+    cols = np.arange(z.shape[0])
+    idx = np.argmin(d, axis=0)
+    dist = d[idx, cols]
+    grad = np.zeros_like(z)
+    pos = dist > 0
+    grad[pos] = diff[:, idx, cols].T[pos] / dist[pos, None]
+    return dist, grad

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.spatial.transform import Rotation
 
+from reference import broadcast_chart_distance
 from tmsm.baselines import (
     LOG_PRECISION_BRACKET,
     ChartSegments,
@@ -127,6 +128,58 @@ def test_chart_segment_distance_vs_brute_force():
             t = min(max(np.dot(p - s, v) / np.dot(v, v), 0.0), 1.0)
             brute[i] = min(brute[i], np.linalg.norm(p - (s + t * v)))
     assert np.allclose(d, brute, atol=1e-12)
+
+
+def _same_distance(segs, z):
+    """Both forms give the same bits, signs of zeros included, and grad is
+    C-ordered whatever the layout of z."""
+    dist, grad = segs.distance(z)
+    ref_dist, ref_grad = broadcast_chart_distance(segs, z)
+    assert dist.tobytes() == ref_dist.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert grad.shape == z.shape and grad.flags.c_contiguous
+    return dist, grad
+
+
+@pytest.mark.parametrize("n", [50, 125, 250, 500, 1000, 2000])
+def test_chart_distance_matches_the_broadcast_form_on_harness_cells(n):
+    # cells as the harness draws them, charted as it hands them to truncsm
+    for a0, side, mu in ((np.pi / 2.0, "greater", MU), (1.2, "less", to_euclidean(0.9, 2.0))):
+        for replicate in range(2):
+            x = sample_truncated(VmfParams(mu, 6.0), ColatitudeBoundary(a0, side), n,
+                                 substream_rng(replicate, n)).x
+            a, b = Dataset(x).spherical()
+            z = np.stack([a, b], axis=1)
+            segs = hemisphere_chart_segments(a0, side)
+            _same_distance(segs, z)
+            _same_distance(segs, np.asfortranarray(z))
+
+
+def test_chart_distance_matches_the_broadcast_form_on_random_segments():
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        start, end = rng.uniform(-2.0, 2.0, (2, 5, 2))
+        if trial % 2:
+            end[:-1] = start[1:]  # a connected polyline: ends shared by two segments
+        if trial % 3 == 0:
+            end[2] = start[2]  # a zero-length segment
+            start[4], end[4] = start[0], end[0]  # a repeated segment ties with the first
+        if trial % 5 == 0:
+            start[1] = [-0.0, 0.0]
+            end[3] = [0.0, -0.0]
+        if trial % 4 == 0:
+            # segments 3 and 4 mirror 0 and 1 in the line y = 0: a point on
+            # it is exactly as far from a segment as from its mirror image
+            start[3:], end[3:] = start[:2] * [1.0, -1.0], end[:2] * [1.0, -1.0]
+        segs = ChartSegments(start, end)
+        on_ends = np.concatenate([start, end])
+        on_mirror = np.column_stack([rng.uniform(-3.0, 3.0, 20), np.zeros(20)])
+        z = np.concatenate([on_ends, rng.uniform(-3.0, 3.0, (40, 2)), on_mirror,
+                            [[-0.0, -0.0], [0.0, 0.0]]])
+        dist, grad = _same_distance(segs, z)
+        assert np.all(dist[:10] == 0.0) and np.all(grad[:10] == 0.0)
+    with pytest.raises(ValueError):
+        ChartSegments(np.empty((0, 2)), np.empty((0, 2))).distance(z)
 
 
 def test_hemisphere_chart_segments_shape():

@@ -669,6 +669,39 @@ def test_cli_vmf_truth_for_kent_experiment_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--mu-a", "nan"], ["--mu-b", "inf"], ["--kappa", "inf"], ["--kappa", "nan"],
+    ["--model", "kent", "--kappa", "inf"], ["--model", "kent", "--alpha", "nan"],
+])
+def test_cli_non_finite_truth_exit_2(tmp_path, flags):
+    # rejected before mu is formed: no sampling, no warning, no artifact
+    out = tmp_path / "simulate"
+    assert main(["simulate", *flags, "--n", "20", "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("truth", [
+    {"mu_a": float("nan")}, {"mu_b": float("-inf")}, {"kappa": None},
+    {"model": "kent", "gamma1": [0.0, float("nan"), 1.0]},
+])
+def test_config_non_finite_truth_exit_2(tmp_path, truth):
+    # benchmark reads its truth from a config file only; simulate reads one too
+    experiment = "kent_known_shape" if truth.get("model") == "kent" else "vmf_known_kappa"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "truth": truth, "n_grid": [50],
+                               "replicates": 1}))
+    out = tmp_path / "benchmark"
+    assert main(["benchmark", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    cfg.write_text(json.dumps({"truth": truth}))
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--config", str(cfg), "--n", "20", "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    config = ExperimentConfig.from_dict({"truth": truth})
+    with pytest.raises(ConfigError, match="must be finite"):
+        truth_params(config)
+
+
 def test_cli_data_error_exit_3(tmp_path):
     assert main(["estimate", "--data", str(tmp_path / "missing.csv")]) == 3
     border = tmp_path / "border.csv"

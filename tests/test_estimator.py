@@ -309,15 +309,23 @@ def test_fast_path_matches_general_terms(model):
 
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
 def test_kent_w_in_place_equals_block_formula(g_kind, axis):
-    # W filled block by block against np.block of the two Kronecker products
+    # W filled block by block against np.block of the two Kronecker products,
+    # built from the same (9, n) rows
     d = hemi_dataset(300, seed=40)
     stats = _scaling_stats(d, None if g_kind == "unit" else HEMI, g_kind, axis)
-    x, n = stats.x, stats.x.shape[0]
+    xt, n = stats.xt, stats.xt.shape[1]
+    xxt = (xt[:, None, :] * xt[None, :, :]).reshape(9, n)
+    gxxt = stats.g * xxt
+    cross = np.kron(np.eye(3), stats.first[None, :]) - (gxxt @ xt.T / n).T
+    ref = np.block([[stats.m, cross], [cross.T, np.kron(np.eye(3), stats.quad) - gxxt @ xxt.T / n]])
+    assert stats.kent_terms[0].tobytes() == ref.tobytes()
+    # and to rounding the block formula of the (n, 9) products
+    x = stats.x
     xx = (x[:, :, None] * x[:, None, :]).reshape(n, 9)
     gxx = stats.g[:, None] * xx
     cross = np.kron(np.eye(3), stats.first[None, :]) - (gxx.T @ x / n).T
-    ref = np.block([[stats.m, cross], [cross.T, np.kron(np.eye(3), stats.quad) - gxx.T @ xx / n]])
-    assert stats.kent_terms[0].tobytes() == ref.tobytes()
+    rows = np.block([[stats.m, cross], [cross.T, np.kron(np.eye(3), stats.quad) - gxx.T @ xx / n]])
+    assert np.max(np.abs(stats.kent_terms[0] - rows)) <= 1e-14
 
 
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
@@ -395,6 +403,23 @@ def test_estimate_kent_frame():
     g, grad, _ = scaling_values(HEMI, s.x, "haversine")
     reference = pointwise_terms(res.params, s.x, g, grad)
     assert res.objective == pytest.approx(reference.total, rel=1e-12)
+
+
+def test_estimate_kent_frame_is_free_of_the_data_layout():
+    # C- and F-ordered copies of the same points give the same fit, to the bit
+    g1 = np.array([0.0, 0.0, 1.0])
+    truth = KentParams(mu=MU, gamma1=g1, gamma2=np.cross(MU, g1), kappa=10.0, alpha=3.0)
+    for seed in range(3):
+        x = sample_truncated(truth, HEMI, 1000, substream_rng(seed, 1000), 1000).x
+        fits = [estimate(Dataset(layout), HEMI, model_kind="kent_frame",
+                         fixed={"kappa": 10.0, "alpha": 3.0})
+                for layout in (np.ascontiguousarray(x), np.asfortranarray(x))]
+        c, f = (fit.params for fit in fits)
+        assert c.frame().tobytes() == f.frame().tobytes()
+        assert fits[0].objective == fits[1].objective
+        terms = [_scaling_stats(Dataset(layout), HEMI, "haversine", None).kent_form
+                 for layout in (np.ascontiguousarray(x), np.asfortranarray(x))]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*terms))
 
 
 def test_estimate_kent_frame_rejects_bimodal_shape():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import laplace_beltrami, manifold_inner, projection
+from reference import cross_frame, laplace_beltrami, manifold_inner, projection
 from tmsm.geometry import (
     SphericalCoord,
     complete_frame,
@@ -120,3 +120,44 @@ def test_complete_frame_orthonormal_right_handed():
         assert np.allclose(triad @ triad.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(triad) == pytest.approx(1.0, abs=1e-12)
 
+
+# every sign pattern of the axes, |mu| ties, signed zeros, a denormal
+# component and vectors that are not of unit length
+FRAME_EDGE_CASES = [
+    *(sign * row for row in np.eye(3) for sign in (1.0, -1.0)),
+    [1.0, 1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, -1.0],
+    [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, -0.0, -2.0], [-0.0, 1.0, -0.0], [3.0, -0.0, 0.0],
+    [1.0, 5e-324, 0.0], [2e-310, -1.0, 1e-300], [3.0, -4.0, 12.0], [1e150, -1e149, 3e148],
+    [1e-150, 2e-150, -3e-150],
+]
+
+
+def test_complete_frame_matches_the_array_form_bit_for_bit():
+    # signs of zeros included: tobytes compares the raw bits
+    rng = np.random.default_rng(29)
+    mu = rng.standard_normal((100_000, 3)) * np.exp(rng.uniform(-20.0, 20.0, (100_000, 1)))
+    ref_v1, ref_v2 = cross_frame(mu)
+    # the row form is the one-vector form, row by row
+    for i in range(0, 100_000, 500):
+        v1, v2 = cross_frame(mu[i])
+        assert v1.tobytes() == ref_v1[i].tobytes() and v2.tobytes() == ref_v2[i].tobytes()
+    frames = [complete_frame(m) for m in mu]
+    assert np.array([f[0] for f in frames]).tobytes() == ref_v1.tobytes()
+    assert np.array([f[1] for f in frames]).tobytes() == ref_v2.tobytes()
+    for m in FRAME_EDGE_CASES:
+        got, ref = complete_frame(np.array(m)), cross_frame(np.array(m))
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes(), m
+    # a list is read as the array it holds
+    listed, array = complete_frame([3.0, -4.0, 12.0]), complete_frame(np.array([3.0, -4.0, 12.0]))
+    assert listed[1].tobytes() == array[1].tobytes()
+
+
+@pytest.mark.parametrize("mu", [
+    [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [5e-324, 0.0, 0.0],
+    [np.nan, 0.0, 1.0], [0.0, np.inf, 0.0], [-np.inf, 1.0, 1.0], [np.nan, np.nan, np.nan],
+])
+def test_complete_frame_rejects_a_zero_or_non_finite_vector(mu):
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        complete_frame(np.array(mu))
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        unit_vector(np.array(mu))

@@ -44,6 +44,32 @@ def test_vmf_params_normalizes_mu():
         VmfParams(mu=np.array([1.0, 0.0, 0.0]), kappa=-2.0)
 
 
+@pytest.mark.parametrize("kappa", [np.nan, np.inf])
+def test_vmf_params_reject_a_non_finite_kappa(kappa):
+    with pytest.raises(ValueError, match="positive and finite"):
+        VmfParams(mu=np.array([1.0, 0.0, 0.0]), kappa=kappa)
+
+
+@pytest.mark.parametrize("mu", [[np.nan, 0.0, 0.0], [0.0, np.inf, 1.0]])
+def test_params_reject_a_non_finite_mu(mu):
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        VmfParams(mu=np.array(mu), kappa=6.0)
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        KentParams(np.array(mu), [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], kappa=10.0, alpha=3.0)
+
+
+@pytest.mark.parametrize("kappa,alpha,match", [
+    (np.inf, 3.0, "kappa must be positive and finite"),
+    (np.nan, 3.0, "kappa must be positive and finite"),
+    (10.0, np.nan, "alpha must be nonnegative and finite"),
+    (10.0, np.inf, "alpha must be nonnegative and finite"),
+    (10.0, -1.0, "alpha must be nonnegative and finite"),
+])
+def test_kent_params_reject_a_non_finite_shape(kappa, alpha, match):
+    with pytest.raises(ValueError, match=match):
+        KentParams([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], kappa=kappa, alpha=alpha)
+
+
 def test_kent_params_gram_schmidt():
     # slightly non-orthogonal inputs are repaired into an exact frame
     mu = np.array([0.0, -1.0, 0.0])

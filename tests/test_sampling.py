@@ -3,8 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from reference import sphere_grid
-from tmsm.boundary import ColatitudeBoundary
+import tmsm.boundary
+import tmsm.sampling
+from reference import cross_frame, sphere_grid
+from tmsm.boundary import ColatitudeBoundary, load_boundary_csv
+from tmsm.geometry import to_euclidean
 from tmsm.models import KentParams, VmfParams, log_unnormalized_density
 from tmsm.sampling import (
     TruncatedSample,
@@ -188,3 +191,30 @@ def test_sample_truncated_substream_reproducible():
     # the substream is keyed by n, so a different size is a different stream
     other = draw(201)
     assert not np.array_equal(s1.x[:10], other.x[:10])
+
+
+def _draws():
+    """vMF draws, and truncated draws on the hemisphere and on the USA
+    outline (criterion 8's truth, outside it)."""
+    usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
+    hemi = ColatitudeBoundary(np.pi / 2.0)
+    rim = VmfParams(MU, 6.0)
+    storm = VmfParams(to_euclidean(1.1344640137963142, -1.3089969389957472), 6.0)
+    odd = VmfParams(np.array([-0.0, 1.0, 1.0]), 2.0)
+    return [
+        sample_vmf(rim, 1000, substream_rng(1, 0)),
+        sample_vmf(odd, 1000, substream_rng(1, 1)),
+        sample_truncated(rim, hemi, 800, substream_rng(2, 800)).x,
+        sample_truncated(storm, usa, 500, substream_rng(8, 500)).x,
+    ]
+
+
+def test_samplers_give_the_draws_of_the_array_frame(monkeypatch):
+    # the sampler's frame and the outline's frames all built by cross_frame
+    got = _draws()
+    with monkeypatch.context() as patch:
+        patch.setattr(tmsm.sampling, "complete_frame", cross_frame)
+        patch.setattr(tmsm.boundary, "complete_frame", cross_frame)
+        ref = _draws()
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()
