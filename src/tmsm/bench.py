@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import time
@@ -41,6 +42,7 @@ from .baselines import (
 from .boundary import (
     Boundary,
     ColatitudeBoundary,
+    _csv_text,
     latlon_to_spherical,
     load_boundary_csv,
     spherical_to_latlon,
@@ -496,15 +498,6 @@ def run_benchmark(config: ExperimentConfig) -> BenchmarkResult:
     return BenchmarkResult(rows, summary, csv_path, json_path)
 
 
-@dataclass
-class GeoEventRecord:
-    """One geolocated event row from an ingested file."""
-
-    event_id: str
-    lat: float
-    lon: float
-
-
 _LAT_ALIASES = ("lat", "latitude", "lat_deg", "begin_lat")
 _LON_ALIASES = ("lon", "longitude", "lon_deg", "lng", "begin_lon")
 _ID_ALIASES = ("event_id", "id", "episode_id")
@@ -520,7 +513,7 @@ def _pick_column(fieldnames: list[str], aliases: tuple[str, ...]) -> int | None:
     return None
 
 
-def ingest_events(path) -> tuple[Dataset, list[GeoEventRecord], int]:
+def ingest_events(path) -> tuple[Dataset, list[str], np.ndarray, int]:
     """
     Read geolocated events from CSV into unit vectors.
 
@@ -528,60 +521,62 @@ def ingest_events(path) -> tuple[Dataset, list[GeoEventRecord], int]:
     common aliases, and a repeated header name reads its last column. An
     id column is optional: without one, an event's id is its position
     among the non-blank data rows. Blank lines are ignored, so the header
-    is the first non-blank line. Rows with
-    unparseable or out-of-range coordinates, and rows too short to hold a
-    read column, are skipped with a warning. Rows are read by
-    `csv.reader` and indexed by column position.
+    is the first non-blank line, and a UTF-8 byte-order mark is dropped.
+    Rows with unparseable or out-of-range coordinates, and rows too short
+    to hold a read column, are skipped with a warning. Rows are read by
+    `csv.reader` and indexed by column position, into columns.
 
     Returns:
-        (dataset, records, skipped_count).
+        (dataset, ids, latlon, skipped_count): the kept events' ids as a
+        list of str and their (n, 2) degrees latitude and longitude, in
+        file order.
 
     Raises:
         DataError: unreadable file, missing coordinate columns, or zero
             valid rows.
     """
     try:
-        with open(path, newline="") as fh:
-            # csv.reader gives [] for a blank line: no header, no row and
-            # no positional id
-            reader = filter(None, csv.reader(fh))
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty events file")
-            lat_col = _pick_column(header, _LAT_ALIASES)
-            lon_col = _pick_column(header, _LON_ALIASES)
-            if lat_col is None or lon_col is None:
-                raise DataError(
-                    f"{path}: need latitude and longitude columns "
-                    f"(accepted: {_LAT_ALIASES} / {_LON_ALIASES})"
-                )
-            id_col = _pick_column(header, _ID_ALIASES)
-            records = []
-            skipped = 0
-            for i, row in enumerate(reader):
-                try:
-                    lat = float(row[lat_col])
-                    lon = float(row[lon_col])
-                    event_id = str(i) if id_col is None else row[id_col]
-                except (IndexError, ValueError):
-                    skipped += 1
-                    continue
-                if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                    skipped += 1
-                    continue
-                records.append(GeoEventRecord(event_id, lat, lon))
+        text = _csv_text(path)
     except OSError as exc:
         raise DataError(f"cannot read events file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    # csv.reader gives [] for a blank line: no header, no row and no
+    # positional id
+    reader = filter(None, csv.reader(io.StringIO(text, newline="")))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty events file")
+    lat_col = _pick_column(header, _LAT_ALIASES)
+    lon_col = _pick_column(header, _LON_ALIASES)
+    if lat_col is None or lon_col is None:
+        raise DataError(
+            f"{path}: need latitude and longitude columns "
+            f"(accepted: {_LAT_ALIASES} / {_LON_ALIASES})"
+        )
+    id_col = _pick_column(header, _ID_ALIASES)
+    ids, coords = [], []
+    skipped = 0
+    for i, row in enumerate(reader):
+        try:
+            lat = float(row[lat_col])
+            lon = float(row[lon_col])
+            event_id = str(i) if id_col is None else row[id_col]
+        except (IndexError, ValueError):
+            skipped += 1
+            continue
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            skipped += 1
+            continue
+        ids.append(event_id)
+        coords.append((lat, lon))
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} malformed event row(s)", UserWarning)
-    if not records:
+    if not ids:
         raise DataError(f"{path}: no valid event rows")
-    a, b = latlon_to_spherical(
-        np.array([r.lat for r in records]), np.array([r.lon for r in records])
-    )
-    return Dataset.from_spherical(a, b), records, skipped
+    latlon = np.array(coords)
+    a, b = latlon_to_spherical(latlon[:, 0], latlon[:, 1])
+    return Dataset.from_spherical(a, b), ids, latlon, skipped
 
 
 def initial_bearing_deg(lat1, lon1, lat2, lon2) -> float:
@@ -619,23 +614,26 @@ def run_storms(
     """
     Fit the mean direction of geolocated events inside a polyline border.
 
-    Ingests events, excludes any outside the boundary (with a warning:
-    that is a data mismatch, not a fatal error), then fits the rotational
-    model by truncation-blind maximum likelihood and by the truncated
-    estimator under both scaling functions. The JSON report carries each
-    fit in latitude/longitude and embedding coordinates, the bearing from
-    the MLE fit to each truncated fit, and the event coordinates for
-    external plotting. Both truncated fits are closed-form, so `seed` is
+    Ingests events as columns (ids and an (n, 2) latitude/longitude
+    array), excludes any outside the boundary (with a warning: that is a
+    data mismatch, not a fatal error), then fits the rotational model by
+    truncation-blind maximum likelihood and by the truncated estimator
+    under both scaling functions. The JSON report carries each fit in
+    latitude/longitude and embedding coordinates, the bearing from the
+    MLE fit to each truncated fit, and the event coordinates for external
+    plotting, as parsed. Both truncated fits are closed-form, so `seed` is
     only recorded in the report and no longer changes the fits. Membership
     is tested once: both truncated fits reuse the filter's mask. The
-    report goes to `storms_report.json` in `out_dir` as one line of JSON
-    with sorted keys (`python -m json.tool` pretty-prints it) and is also
-    returned.
+    border is read on every call but built once per distinct outline text
+    (`load_boundary_csv`), so reports for many seasons against one border
+    do only per-season work. The report goes to `storms_report.json` in
+    `out_dir` as one line of JSON with sorted keys (`python -m json.tool`
+    pretty-prints it) and is also returned.
     """
-    data, records, _ = ingest_events(events_path)
+    data, ids, latlon, _ = ingest_events(events_path)
     boundary = build_boundary({"type": "polyline_csv", "path": boundary_path})
     inside = np.asarray(boundary.contains(data.x))
-    excluded = [records[i].event_id for i in np.flatnonzero(~inside)]
+    excluded = [ids[i] for i in np.flatnonzero(~inside)]
     if excluded:
         warnings.warn(
             f"{len(excluded)} event(s) outside the boundary were excluded", UserWarning
@@ -643,7 +641,6 @@ def run_storms(
     if not np.any(inside):
         raise DataError("no events inside the boundary")
     data = Dataset(data.x[inside])
-    kept = [r for r, keep in zip(records, inside) if keep]
 
     fits = {}
     p_mle = mle_vmf(data, estimate_kappa=True)
@@ -666,7 +663,7 @@ def run_storms(
         "n_excluded": len(excluded),
         "excluded_ids": excluded,
         "fits": fits,
-        "events": [[r.lat, r.lon] for r in kept],
+        "events": latlon[inside].tolist(),
         "seed": seed,
     }
     out = Path(out_dir)

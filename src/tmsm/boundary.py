@@ -74,8 +74,10 @@ inner products downstream.
 
 from __future__ import annotations
 
+import copy
 import csv
-from functools import cached_property
+import io
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +122,10 @@ _AZIMUTH_BINS = 512
 _SIDE_ERROR = 16.0 * np.finfo(float).eps
 _AZIMUTH_SLACK = 1e-6
 _NEAR_AXIS = 1e-6
+
+# `load_boundary_csv` keeps the boundaries of this many distinct outline
+# files: a report per season against one border builds it once.
+_OUTLINES = 4
 
 
 class Boundary:
@@ -256,6 +262,14 @@ class PolylineBoundary(Boundary):
                 # +-c, so with the default hint c it takes no detour
                 far = unit_vector(complete_frame(centre)[0] - centre)
                 self._cap = (centre, cos_r - _CAP_SLACK, bool(self.contains(far)))
+
+    def _fresh(self) -> PolylineBoundary:
+        """A boundary sharing this one's vertices, arc table, arc index and
+        cap, with none of the state that queries build on first need."""
+        twin = copy.copy(self)
+        twin._projected = {}
+        twin.__dict__.pop("_via_index", None)
+        return twin
 
     @cached_property
     def _via_index(self) -> _ArcIndex:
@@ -1000,38 +1014,61 @@ def spherical_to_latlon(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     return lat, lon
 
 
-def _csv_columns(path, choices: tuple[tuple[str, str], ...], what: str):
+def _csv_text(path) -> str:
+    """A CSV file's text, read as UTF-8 less any leading byte-order mark
+    (Excel's "CSV UTF-8" writes one), whatever the locale."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        return fh.read()
+
+
+def _csv_columns(text: str, choices: tuple[tuple[str, str], ...], what: str):
     """
     (names, values): the first pair of column names in `choices` that the
-    header holds, and those two columns as an (n, 2) array. Blank lines are
-    ignored, so the header is the first non-blank line; its names are
-    stripped of spaces, in any column order, and other columns are
-    ignored. A row without one of the two columns raises `ValueError`
-    naming its line. Every `ValueError` it raises, a value that is not a
-    number too, starts with the path.
+    header of the CSV text holds, and those two columns as an (n, 2)
+    array. Blank lines are ignored, so the header is the first non-blank
+    line; its names are stripped of spaces, in any column order, and other
+    columns are ignored. A row without one of the two columns raises
+    `ValueError` naming its line, as does a value that is not a number.
     """
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            # csv.reader gives [] for a blank line
-            header = next(filter(None, reader), None)
-            if header is None:
-                raise ValueError(f"empty {what} file")
-            cols = [c.strip() for c in header]
-            names = next((pair for pair in choices if set(pair) <= set(cols)), None)
-            if names is None:
-                wanted = " or ".join(",".join(pair) for pair in choices)
-                raise ValueError(f"{what} CSV needs columns {wanted}")
-            at = [cols.index(name) for name in names]
-            rows = []
-            for row in filter(None, reader):
-                if len(row) <= max(at):
-                    missing = [n for n, i in zip(names, at) if i >= len(row)]
-                    raise ValueError(f"line {reader.line_num} has no {' or '.join(missing)} value")
-                rows.append([float(row[i]) for i in at])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # csv.reader gives [] for a blank line
+    header = next(filter(None, reader), None)
+    if header is None:
+        raise ValueError(f"empty {what} file")
+    cols = [c.strip() for c in header]
+    names = next((pair for pair in choices if set(pair) <= set(cols)), None)
+    if names is None:
+        wanted = " or ".join(",".join(pair) for pair in choices)
+        raise ValueError(f"{what} CSV needs columns {wanted}")
+    at = [cols.index(name) for name in names]
+    rows = []
+    for row in filter(None, reader):
+        if len(row) <= max(at):
+            missing = [n for n, i in zip(names, at) if i >= len(row)]
+            raise ValueError(f"line {reader.line_num} has no {' or '.join(missing)} value")
+        rows.append([float(row[i]) for i in at])
     return names, np.array(rows, dtype=float).reshape(-1, 2)
+
+
+@lru_cache(maxsize=_OUTLINES)
+def _outline(text: str, hint: bytes | None) -> PolylineBoundary:
+    """
+    The boundary of a boundary CSV's text and an interior hint's bytes,
+    built once for each of the last _OUTLINES distinct pairs; a failure is
+    not kept, so it raises again on the next call. The boundary itself is
+    never handed out, only `_fresh` copies that share its arrays, so those
+    are made read-only.
+    """
+    names, rows = _csv_columns(text, (("lat_deg", "lon_deg"), ("a_rad", "b_rad")), "boundary")
+    a, b = rows.T
+    if names[0] == "lat_deg":
+        a, b = latlon_to_spherical(a, b)
+    built = PolylineBoundary(to_euclidean(a, b), None if hint is None else np.frombuffer(hint))
+    for value in (built.vertices, built.interior_reference, built._cap[0], *built._arcs,
+                  *vars(built._index).values()):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return built
 
 
 def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> PolylineBoundary:
@@ -1042,11 +1079,19 @@ def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> Polyline
     `_csv_columns`: names stripped of spaces, any column order, other
     columns ignored); rows are ordered vertices of an implicitly closed
     curve. Blank lines are ignored, so the header is the first non-blank
-    line. A row without one of the two columns raises `ValueError` naming
-    its line.
+    line, and a UTF-8 byte-order mark is dropped. Every `ValueError` it
+    raises, a row without one of the two columns (naming its line) or a
+    curve that is not simple too, starts with the path.
+
+    The file is read on every call, and the boundary is built once per
+    distinct file text and hint (`_outline`), so every reader of an
+    unchanged outline parses and builds it once per process. Each call
+    returns a distinct boundary: it shares the arrays built from the text
+    (read-only) and starts with no projected tables and no second arc
+    index of its own.
     """
-    names, rows = _csv_columns(path, (("lat_deg", "lon_deg"), ("a_rad", "b_rad")), "boundary")
-    a, b = rows.T
-    if names[0] == "lat_deg":
-        a, b = latlon_to_spherical(a, b)
-    return PolylineBoundary(to_euclidean(a, b), interior_hint=interior_hint)
+    try:
+        hint = None if interior_hint is None else np.asarray(interior_hint, dtype=float).tobytes()
+        return _outline(_csv_text(path), hint)._fresh()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .boundary import Boundary, ColatitudeBoundary, _csv_columns, _dot, scaling_values
+from .boundary import Boundary, ColatitudeBoundary, _csv_columns, _csv_text, _dot, scaling_values
 from .geometry import to_euclidean, to_spherical
 from .models import (
     KAPPA_CAP,
@@ -132,11 +132,12 @@ class Dataset:
     def from_csv(cls, path) -> "Dataset":
         """Read the columns a_rad and b_rad of a CSV as `to_csv` writes it,
         the way `load_boundary_csv` reads its file: the header is the first
-        non-blank line, its names stripped of spaces, and a row without
-        either value raises `ValueError` naming its line. Every
-        `ValueError` it raises names the path once."""
-        a, b = _csv_columns(path, (("a_rad", "b_rad"),), "dataset")[1].T
+        non-blank line, its names stripped of spaces, a UTF-8 byte-order
+        mark is dropped, and a row without either value raises
+        `ValueError` naming its line. Every `ValueError` it raises names
+        the path once."""
         try:
+            a, b = _csv_columns(_csv_text(path), (("a_rad", "b_rad"),), "dataset")[1].T
             return cls.from_spherical(a, b)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
@@ -405,6 +406,12 @@ _PICK_PREFIX = 64
 # since it takes the full steps whose decrease J cannot resolve.
 _GRAD_TOL = 1e-6
 
+# J is unchanged by (gamma1, gamma2) -> (-gamma1, -gamma2), so polishes half
+# a turn apart end on the two signs of one frame with J equal up to
+# rounding. A fit reports the sign with gamma1 . _GAMMA_SIGN >= 0, for this
+# fixed generic unit vector, so the sign does not depend on which won.
+_GAMMA_SIGN = np.array([0.36, 0.48, 0.8])
+
 
 def _frame_distance(frames: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """
@@ -648,8 +655,9 @@ def _fit_kent_frames(stats_list: list[_ScalingStats], kappa: float,
     """
     Seed-free frame fit of each dataset's stats, all at once: score the
     fixed frame grid a direction at a time, polish each fit's separated
-    best frames by Newton on SO(3), keep its lowest. Every fit's result is
-    the one it gets alone, to the bit.
+    best frames by Newton on SO(3), keep its lowest, with the sign of
+    (gamma1, gamma2) fixed by `_GAMMA_SIGN`. Every fit's result is the one
+    it gets alone, to the bit.
     """
     _check_kent_shape(kappa, alpha)  # reject an invalid (kappa, alpha) first
     starts = _grid_starts(stats_list, kappa, alpha)
@@ -658,8 +666,11 @@ def _fit_kent_frames(stats_list: list[_ScalingStats], kappa: float,
     for f, count in enumerate(len(s) for s in starts):
         best = int(np.argmin(values[f, :count]))
         value = float(values[f, best])
+        mu, gamma1, gamma2 = frames[f, best]
+        if gamma1 @ _GAMMA_SIGN < 0.0:
+            gamma1, gamma2 = -gamma1, -gamma2
         results.append(EstimationResult(
-            params=KentParams(*frames[f, best], kappa, alpha),
+            params=KentParams(mu, gamma1, gamma2, kappa, alpha),
             objective=value,
             iterations=int(evals[f]),
             converged=bool(gnorm[f, best] <= _GRAD_TOL * max(1.0, abs(value))),

@@ -24,7 +24,8 @@ from tmsm.bench import (
     run_storms,
     truth_params,
 )
-from tmsm.boundary import ColatitudeBoundary, PolylineBoundary, spherical_to_latlon
+from tmsm.boundary import (ColatitudeBoundary, PolylineBoundary, _outline, latlon_to_spherical,
+                           load_boundary_csv, spherical_to_latlon)
 from tmsm.cli import main
 from tmsm.estimator import Dataset, estimate
 from tmsm.geometry import geodesic_angle, to_euclidean
@@ -379,9 +380,9 @@ def test_ingest_events_skips_malformed(tmp_path):
         ("e5", 0.0, 180.0),
     ])
     with pytest.warns(UserWarning, match="skipped 1"):
-        data, records, skipped = ingest_events(path)
+        data, ids, latlon, skipped = ingest_events(path)
     assert skipped == 1
-    assert [r.event_id for r in records] == ["e1", "e3", "e4", "e5"]
+    assert ids == ["e1", "e3", "e4", "e5"]
     assert data.n == 4
     # latitude 90 is the chart pole a = 0
     assert np.allclose(data.x[1], [1.0, 0.0, 0.0], atol=1e-12)
@@ -391,9 +392,9 @@ def test_ingest_events_header_aliases(tmp_path):
     path = tmp_path / "ev.csv"
     _write_events(path, [(1, 10.0, 20.0, "2019-06-01")],
                   header="ID,Latitude,Longitude,Date")
-    data, records, skipped = ingest_events(path)
+    data, ids, latlon, skipped = ingest_events(path)
     assert skipped == 0 and data.n == 1
-    assert records[0].event_id == "1"
+    assert ids[0] == "1"
 
 
 def test_ingest_events_errors(tmp_path):
@@ -412,7 +413,8 @@ def test_ingest_events_errors(tmp_path):
             ingest_events(off_range)
 
 
-# (file text, records, skipped, x) as the csv.DictReader ingest gave them
+# (file text, (id, lat, lon) of each kept event, skipped, x) as the
+# csv.DictReader ingest gave them
 INGEST_CASES = {
     # a blank line is not a row: neither skipped nor given a positional id
     "blank_line": ("lat,lon\n10.5,20\n\n-30,40.25\n",
@@ -450,8 +452,9 @@ def test_ingest_events_row_edge_cases(tmp_path, name):
     path.write_text(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        data, records, skipped = ingest_events(path)
-    assert [(r.event_id, r.lat, r.lon) for r in records] == expected
+        data, ids, latlon, skipped = ingest_events(path)
+    assert latlon.shape == (len(ids), 2)
+    assert [(i, lat, lon) for i, (lat, lon) in zip(ids, latlon.tolist())] == expected
     assert skipped == expected_skipped
     messages = [f"{path}: skipped {skipped} malformed event row(s)"] if skipped else []
     assert [str(w.message) for w in caught] == messages
@@ -463,9 +466,9 @@ def test_ingest_events_header_after_blank_lines(tmp_path):
     plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
     plain.write_text("lat,lon\n10,20\n-30,40.25\n")
     padded.write_text("\n\nlat,lon\n10,20\n\n-30,40.25\n")
-    data, records, skipped = ingest_events(padded)
-    ref_data, ref_records, _ = ingest_events(plain)
-    assert records == ref_records and skipped == 0
+    data, ids, latlon, skipped = ingest_events(padded)
+    ref_data, ref_ids, ref_latlon, _ = ingest_events(plain)
+    assert ids == ref_ids and np.array_equal(latlon, ref_latlon) and skipped == 0
     assert np.array_equal(data.x, ref_data.x)
     blank = tmp_path / "blank.csv"
     blank.write_text("\n\n")
@@ -479,8 +482,8 @@ def test_ingest_events_skips_a_row_without_its_id_cell(tmp_path):
     path = tmp_path / "ev.csv"
     path.write_text("lat,lon,event_id\n10,20,e1\n30,40\n")
     with pytest.warns(UserWarning, match="skipped 1"):
-        _, records, skipped = ingest_events(path)
-    assert [r.event_id for r in records] == ["e1"] and skipped == 1
+        _, ids, _, skipped = ingest_events(path)
+    assert ids == ["e1"] and skipped == 1
 
 
 def test_initial_bearing_cardinal_directions():
@@ -598,6 +601,30 @@ def test_storms_excludes_outside_events(tmp_path):
     with pytest.warns(UserWarning, match="outside"):
         with pytest.raises(DataError, match="inside"):
             run_storms(all_out, border, out_dir=str(tmp_path), seed=0)
+
+
+def test_storms_report_is_the_same_with_the_outline_memo_cold_and_warm(tmp_path):
+    # 300 USA draws and two events off the border: the first report builds
+    # the outline, the second reuses it, and the bytes agree
+    usa = "src/tmsm/data/usa_outline.csv"
+    truth = VmfParams(to_euclidean(*latlon_to_spherical(39.0, -98.5)), 20.0)
+    x = sample_truncated(truth, load_boundary_csv(usa), 300, substream_rng(5, 300), 1000).x
+    lat, lon = spherical_to_latlon(*Dataset(x).spherical())
+    rows = [(f"e{i}", f"{lat[i]:.17g}", f"{lon[i]:.17g}") for i in range(len(x))]
+    events = tmp_path / "events.csv"
+    _write_events(events, rows[:100] + [("sea1", 30.0, -60.0)] + rows[100:] + [("sea2", 0, 0)])
+    reports = []
+    for out in ("cold", "warm"):
+        if out == "cold":
+            _outline.cache_clear()
+        with pytest.warns(UserWarning, match="2 event"):
+            report = run_storms(events, usa, out_dir=str(tmp_path / out), seed=0)
+        assert _outline.cache_info().misses == 1
+        reports.append((tmp_path / out / "storms_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert report["excluded_ids"] == ["sea1", "sea2"]
+    # the events as parsed, in file order
+    assert report["events"] == [[float(r[1]), float(r[2])] for r in rows]
 
 
 def test_json_artifacts_parse_to_the_returned_objects(tmp_path, capsys):

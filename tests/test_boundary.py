@@ -10,6 +10,7 @@ from tmsm.boundary import (
     _arc_nearest,
     _arc_table,
     _least,
+    _outline,
     _nearest_on_arcs,
     _row_chunks,
     default_drop_axis,
@@ -28,7 +29,8 @@ from tmsm.geometry import (
     to_spherical,
     unit_vector,
 )
-from tmsm.bench import DataError, build_boundary
+from tmsm.bench import DataError, build_boundary, ingest_events
+from tmsm.estimator import Dataset
 from tmsm.models import VmfParams
 from tmsm.sampling import sample_truncated, substream_rng
 
@@ -1144,6 +1146,119 @@ def test_load_boundary_csv_short_row_is_a_data_error(tmp_path):
     # build_boundary reports it as bad data, which the CLI exits 3 on
     with pytest.raises(DataError, match="line 3"):
         build_boundary({"type": "polyline_csv", "path": str(short)})
+
+SQUARE = "lat_deg,lon_deg\n30,-100\n30,-80\n45,-80\n45,-100\n"
+
+
+def _counting_builds(monkeypatch) -> list:
+    """Clear the outline memo and count `PolylineBoundary` constructions."""
+    _outline.cache_clear()
+    builds, init = [], PolylineBoundary.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolylineBoundary, "__init__", counting)
+    return builds
+
+
+def test_load_boundary_csv_builds_each_outline_once(tmp_path, monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    path, copy = tmp_path / "square.csv", tmp_path / "copy.csv"
+    path.write_text(SQUARE)
+    copy.write_text(SQUARE)
+    first, second, third = (load_boundary_csv(p) for p in (path, path, copy))
+    # one text, one build, whatever the path
+    assert len(builds) == 1
+    assert first is not second and first is not third
+    assert first.vertices is second.vertices and first._index is second._index
+    # lazily built state is each boundary's own
+    x = to_euclidean(*latlon_to_spherical(np.array([35.0, 40.0]), np.array([-90.0, -95.0])))
+    g, _, _ = projected_scaling(first, x, 1)
+    assert list(first._projected) == [0] and second._projected == {}
+    first._via_index
+    assert "_via_index" not in vars(second)
+    assert np.array_equal(projected_scaling(second, x, 1)[0], g)
+    assert list(second._projected) == [0] and second._projected[0] is not first._projected[0]
+    # the shared arrays reject writes
+    for shared in (first.vertices, first.interior_reference, first._arcs.cols,
+                   first._index.cols, first._index.arcs):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+    # a hint is part of the key
+    load_boundary_csv(path, interior_hint=np.array(second.interior_reference))
+    assert len(builds) == 2
+
+
+def test_load_boundary_csv_rebuilds_an_edited_outline(tmp_path, monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    path = tmp_path / "square.csv"
+    path.write_text(SQUARE)
+    x = to_euclidean(*latlon_to_spherical(np.array([35.0, 44.0]), np.array([-90.0, -81.0])))
+    before = haversine_scaling(load_boundary_csv(path), x)[0]
+    # the same path, rewritten at once with one vertex moved
+    path.write_text(SQUARE.replace("45,-80", "46,-80"))
+    moved = load_boundary_csv(path)
+    assert len(builds) == 2
+    assert moved.vertices[2].tolist() == to_euclidean(
+        *latlon_to_spherical(46.0, -80.0)).tolist()
+    assert not np.array_equal(haversine_scaling(moved, x)[0], before)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("10,0\n0\n-10,-10\n5,20\n", "line 3 has no lon_deg value"),
+    ("20,0\n-10,20\n10,20\n-20,0\n", "arcs 0 and 2 cross"),
+    ("30,-100\nnan,-80\n45,-80\n45,-100\n", "vertices must be finite"),
+])
+def test_load_boundary_csv_failure_is_not_kept(tmp_path, monkeypatch, rows, message):
+    builds = _counting_builds(monkeypatch)
+    path = tmp_path / "bad.csv"
+    path.write_text("lat_deg,lon_deg\n" + rows)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message) as caught:
+            load_boundary_csv(path)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] and errors[0].startswith(f"{path}: ")
+    assert _outline.cache_info().currsize == 0
+    # a short row fails before any build; a bad curve fails in each build
+    assert len(builds) == (0 if "line" in message else 2)
+
+
+def test_csv_readers_drop_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, which is not part of
+    # the first header name
+    def bom_copy(path):
+        copy = path.with_name("bom_" + path.name)
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    outline = tmp_path / "outline.csv"
+    outline.write_text(SQUARE)
+    plain, bom = load_boundary_csv(outline), load_boundary_csv(bom_copy(outline))
+    assert plain.vertices.tobytes() == bom.vertices.tobytes()
+    assert plain.interior_reference.tobytes() == bom.interior_reference.tobytes()
+    samples = tmp_path / "samples.csv"
+    Dataset(sample_truncated(VmfParams(np.array([0.0, 0.0, 1.0]), 4.0), HEMI, 20,
+                             substream_rng(3, 20)).x).to_csv(samples)
+    assert Dataset.from_csv(samples).x.tobytes() == Dataset.from_csv(bom_copy(samples)).x.tobytes()
+    events = tmp_path / "events.csv"
+    events.write_text("lat,lon,event_id\n35.5,-97.25,a\n40,-90,b\n")
+    (d0, ids0, ll0, s0), (d1, ids1, ll1, s1) = (ingest_events(p) for p in (events, bom_copy(events)))
+    assert ids0 == ids1 == ["a", "b"] and s0 == s1 == 0
+    assert ll0.tobytes() == ll1.tobytes() and d0.x.tobytes() == d1.x.tobytes()
+
+
+def test_csv_readers_name_a_non_utf8_file_once(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("lat_deg,lon_deg,note\n30,-100,caf\xe9\n".encode("latin-1"))
+    for read, error in ((load_boundary_csv, ValueError), (Dataset.from_csv, ValueError),
+                        (ingest_events, DataError)):
+        with pytest.raises(error, match="can't decode") as caught:
+            read(path)
+        assert str(caught.value).count(str(path)) == 1
+
 
 def test_usa_outline_fixture_loads():
     assert len(USA.vertices) >= 150  # coarse but not a toy polygon

@@ -30,6 +30,7 @@ from tmsm.estimator import (
 )
 from tmsm.estimator import (
     _FRAME_GRID,
+    _GAMMA_SIGN,
     _START_SEPARATION,
     _eta_on_sphere,
     _fit_kent_frames,
@@ -420,6 +421,23 @@ def test_estimate_kent_frame_is_free_of_the_data_layout():
         terms = [_scaling_stats(Dataset(layout), HEMI, "haversine", None).kent_form
                  for layout in (np.ascontiguousarray(x), np.asfortranarray(x))]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*terms))
+
+
+def test_estimate_kent_frame_gamma_sign_is_free_of_the_row_order():
+    # J is even in (gamma1, gamma2), and the polishes of a permuted dataset
+    # can end on the other sign of the same frame; the reported sign is
+    # fixed by the frame (gamma1 . _GAMMA_SIGN >= 0), so the two fits agree
+    g1 = np.array([0.0, 0.0, 1.0])
+    truth = KentParams(mu=MU, gamma1=g1, gamma2=np.cross(MU, g1), kappa=10.0, alpha=3.0)
+    fixed = {"kappa": 10.0, "alpha": 3.0}
+    for n in (250, 1000):
+        for i in range(60):
+            x = sample_truncated(truth, HEMI, n, substream_rng(31, n, i), 1000).x
+            permuted = x[np.random.default_rng(i).permutation(n)]
+            a, b = (estimate(Dataset(d), HEMI, model_kind="kent_frame", fixed=fixed).params
+                    for d in (x, permuted))
+            assert a.gamma1 @ _GAMMA_SIGN >= 0.0 and b.gamma1 @ _GAMMA_SIGN >= 0.0
+            assert np.abs(a.frame() - b.frame()).max() < 1e-10, (n, i)
 
 
 def test_estimate_kent_frame_rejects_bimodal_shape():

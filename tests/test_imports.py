@@ -27,8 +27,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PUBLIC = {
     "baselines": ("ChartSegments", "MvnChartModel", "hemisphere_chart_segments", "mle_vmf",
                   "rmse_embedding", "solve_concentration", "truncsm_mvn"),
-    "bench": ("BenchmarkRow", "ExperimentConfig", "GeoEventRecord", "ingest_events",
-              "run_benchmark", "run_storms"),
+    "bench": ("BenchmarkRow", "ExperimentConfig", "ingest_events", "run_benchmark",
+              "run_storms"),
     "boundary": ("Boundary", "ColatitudeBoundary", "PolylineBoundary", "default_drop_axis",
                  "latlon_to_spherical", "load_boundary_csv", "spherical_to_latlon"),
     "estimator": ("Dataset", "EstimationResult", "ObjectiveTerms", "estimate",
@@ -135,7 +135,7 @@ def test_no_stage_loads_scipy(loaded):
 
 def test_public_names_import_from_their_modules():
     pairs = [(module, name) for module, names in PUBLIC.items() for name in names]
-    assert len(pairs) == 39
+    assert len(pairs) == 38
     for module, name in pairs:
         assert hasattr(importlib.import_module(f"tmsm.{module}"), name), (module, name)
 
