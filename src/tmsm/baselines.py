@@ -149,9 +149,9 @@ class ChartSegments:
         Planar distance from each point to the nearest segment and its
         gradient (unit vector away from the nearest segment point).
 
-        The segments are scanned one at a time on a contiguous (2, n) copy
-        of z: with q = end - start, t = clip(((z - start) . q) / max(|q|^2,
-        1e-300), 0, 1), the offset z - (start + t q) and its length. A
+        The segments are taken one at a time, each on whole rows of z: with
+        q = end - start, t = clip(((z - start) . q) / max(|q|^2, 1e-300),
+        0, 1), the offset z - (start + t q) and its length. A
         segment replaces the nearest so far only when strictly closer, so
         ties go to the first of them as np.argmin would take it. The
         gradient is the offset over the distance, and 0 where the distance
@@ -168,36 +168,19 @@ class ChartSegments:
         """
         if len(self.start) == 0:
             raise ValueError("the chart boundary has no segments")
-        zt = np.ascontiguousarray(np.atleast_2d(z).T, dtype=float)
-        n = zt.shape[1]
-        dist, diff = np.empty(n), np.empty((2, n))
-        t, d, off = np.empty(n), np.empty(n), np.empty((2, n))
-        closer = np.empty(n, dtype=bool)
-        for i, ((s0, s1), (e0, e1)) in enumerate(zip(self.start.tolist(), self.end.tolist())):
+        z0, z1 = np.ascontiguousarray(np.atleast_2d(z).T, dtype=float)
+        dist = diff = None
+        for (s0, s1), (e0, e1) in zip(self.start.tolist(), self.end.tolist()):
             q0, q1 = e0 - s0, e1 - s1
             len2 = max(q0 * q0 + q1 * q1, 1e-300)
-            np.subtract(zt[0], s0, out=off[0])
-            np.subtract(zt[1], s1, out=off[1])
-            np.multiply(off[0], q0, out=t)
-            np.multiply(off[1], q1, out=d)
-            t += d
-            t /= len2
-            np.clip(t, 0.0, 1.0, out=t)
-            for row, s_c, q_c in ((0, s0, q0), (1, s1, q1)):
-                np.multiply(t, q_c, out=d)
-                d += s_c
-                np.subtract(zt[row], d, out=off[row])
-            np.multiply(off[0], off[0], out=d)
-            np.multiply(off[1], off[1], out=t)
-            d += t
-            np.sqrt(d, out=d)
-            if i == 0:
-                dist[:], diff[:] = d, off
-                continue
-            np.less(d, dist, out=closer)
-            np.copyto(dist, d, where=closer)
-            np.copyto(diff, off, where=closer)
-        grad = np.zeros((2, n))
+            t = (((z0 - s0) * q0 + (z1 - s1) * q1) / len2).clip(0.0, 1.0)
+            off = np.array([z0 - (t * q0 + s0), z1 - (t * q1 + s1)])
+            d = np.sqrt(off[0] * off[0] + off[1] * off[1])
+            if dist is not None:
+                closer = d < dist
+                d, off = np.where(closer, d, dist), np.where(closer, off, diff)
+            dist, diff = d, off
+        grad = np.zeros_like(diff)
         np.divide(diff, dist, out=grad, where=dist > 0)
         return dist, np.ascontiguousarray(grad.T)
 

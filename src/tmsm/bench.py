@@ -9,7 +9,9 @@ truth. All randomness flows through substreams keyed by
 methods run, how many workers are used, or whether other replicates were
 added. Cells run in blocks of consecutive (n, replicate) pairs, and the
 Kent frames of a block are fitted together, each to the bits it gets
-alone, so no row depends on the block it falls in.
+alone, so no row depends on the block it falls in. With more than one
+worker, a process pool takes a block per task, sent with the run's
+config, truth and boundary.
 
 Artifacts are deterministic byte-for-byte for a given config and seed:
 rows are written in sorted (method, n, replicate) order with fixed float
@@ -28,6 +30,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -376,19 +379,6 @@ def _block_rows(
 # it; it bounds the memory of a block and keeps the pool's tasks many.
 _BLOCK_CELLS = 32
 
-# The run a pooled worker serves, set once per worker process by
-# _init_worker, so that each worker builds its boundary caches once.
-_WORKER_RUN: tuple[ExperimentConfig, ModelParams, Boundary] | None = None
-
-
-def _init_worker(config: ExperimentConfig, truth: ModelParams, boundary: Boundary) -> None:
-    global _WORKER_RUN
-    _WORKER_RUN = (config, truth, boundary)
-
-
-def _pooled_rows(block: list[tuple[int, int]]) -> list[BenchmarkRow]:
-    return _block_rows(*_WORKER_RUN, block)
-
 
 def _run_replicates(config: ExperimentConfig) -> list[BenchmarkRow]:
     truth = truth_params(config)
@@ -401,12 +391,8 @@ def _run_replicates(config: ExperimentConfig) -> list[BenchmarkRow]:
         from concurrent.futures import ProcessPoolExecutor
 
         # one block per task, so the blocks of every n spread over the workers
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(config, truth, boundary),
-        ) as pool:
-            chunks = list(pool.map(_pooled_rows, blocks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(partial(_block_rows, config, truth, boundary), blocks))
     else:
         chunks = [_block_rows(config, truth, boundary, block) for block in blocks]
     rows = [row for chunk in chunks for row in chunk]
@@ -645,9 +631,10 @@ def run_storms(
     fits = {}
     p_mle = mle_vmf(data, estimate_kappa=True)
     fits["mle"] = _method_report(p_mle.mu, p_mle.kappa)
-    for method, g_kind in (("tmsm_haversine", "haversine"), ("tmsm_projected", "projected")):
+    for method, g_kind, axis in (("tmsm_haversine", "haversine", None),
+                                 ("tmsm_projected", "projected", drop_axis)):
         # the kept events passed the membership filter above
-        stats = _scaling_stats(data, boundary, g_kind, drop_axis, inside[inside])
+        stats = _scaling_stats(data, boundary, g_kind, axis, inside[inside])
         res = _fit_vmf(stats, None)
         entry = _method_report(res.params.mu, res.params.kappa)
         entry["bearing_from_mle_deg"] = initial_bearing_deg(

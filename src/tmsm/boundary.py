@@ -52,6 +52,12 @@ the lowest arc (`_least`). So a query's distance, nearest point and
 gradient depend on that query alone, not on the batch it arrives in. The
 same bound limits the check, at construction, that no two arcs cross.
 
+`load_boundary_csv` builds the boundary of each distinct outline text
+once per process and hands every caller that one object, its arrays
+read-only. What a boundary builds on first need, the projected table of
+a drop axis and the second arc index, is a function of the vertices
+alone, so it too is built once and then shared.
+
 The per-pair steps of membership, haversine g and projected g run on
 columns: each arc's constants are stored as one column of a block of
 rows (`_Arcs.cols`, an `_ArcIndex`'s `cols`, the projected table of each
@@ -74,7 +80,6 @@ inner products downstream.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 from functools import cached_property, lru_cache
@@ -262,14 +267,6 @@ class PolylineBoundary(Boundary):
                 # +-c, so with the default hint c it takes no detour
                 far = unit_vector(complete_frame(centre)[0] - centre)
                 self._cap = (centre, cos_r - _CAP_SLACK, bool(self.contains(far)))
-
-    def _fresh(self) -> PolylineBoundary:
-        """A boundary sharing this one's vertices, arc table, arc index and
-        cap, with none of the state that queries build on first need."""
-        twin = copy.copy(self)
-        twin._projected = {}
-        twin.__dict__.pop("_via_index", None)
-        return twin
 
     @cached_property
     def _via_index(self) -> _ArcIndex:
@@ -984,8 +981,11 @@ def scaling_values(
     g_kind "unit" gives g = 1, grad = 0 everywhere (no boundary needed),
     reducing the truncated objective to the untruncated one. `inside` is
     `boundary.contains(x)` when the caller already has it, so membership
-    is not tested twice.
+    is not tested twice. A drop_axis with any g_kind but "projected"
+    raises `ValueError`, as only the projected g reads it.
     """
+    if drop_axis is not None and g_kind != "projected":
+        raise ValueError(f"g_kind {g_kind!r} does not use drop_axis")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if g_kind == "unit":
         n = x.shape[0]
@@ -1046,7 +1046,10 @@ def _csv_columns(text: str, choices: tuple[tuple[str, str], ...], what: str):
         if len(row) <= max(at):
             missing = [n for n, i in zip(names, at) if i >= len(row)]
             raise ValueError(f"line {reader.line_num} has no {' or '.join(missing)} value")
-        rows.append([float(row[i]) for i in at])
+        try:
+            rows.append([float(row[i]) for i in at])
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return names, np.array(rows, dtype=float).reshape(-1, 2)
 
 
@@ -1055,9 +1058,8 @@ def _outline(text: str, hint: bytes | None) -> PolylineBoundary:
     """
     The boundary of a boundary CSV's text and an interior hint's bytes,
     built once for each of the last _OUTLINES distinct pairs; a failure is
-    not kept, so it raises again on the next call. The boundary itself is
-    never handed out, only `_fresh` copies that share its arrays, so those
-    are made read-only.
+    not kept, so it raises again on the next call. Every caller gets this
+    one object, so the arrays built here are made read-only.
     """
     names, rows = _csv_columns(text, (("lat_deg", "lon_deg"), ("a_rad", "b_rad")), "boundary")
     a, b = rows.T
@@ -1085,13 +1087,14 @@ def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> Polyline
 
     The file is read on every call, and the boundary is built once per
     distinct file text and hint (`_outline`), so every reader of an
-    unchanged outline parses and builds it once per process. Each call
-    returns a distinct boundary: it shares the arrays built from the text
-    (read-only) and starts with no projected tables and no second arc
-    index of its own.
+    unchanged outline parses and builds it once per process. Calls on
+    one text and hint return one shared boundary: its arrays are
+    read-only, and the projected tables and second arc index it builds
+    on first need, being functions of the vertices alone, serve every
+    later caller.
     """
     try:
         hint = None if interior_hint is None else np.asarray(interior_hint, dtype=float).tobytes()
-        return _outline(_csv_text(path), hint)._fresh()
+        return _outline(_csv_text(path), hint)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

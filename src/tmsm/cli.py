@@ -32,6 +32,7 @@ from .bench import (
     ConfigError,
     DataError,
     ExperimentConfig,
+    _method_report,
     _write_json,
     build_boundary,
     ingest_events,
@@ -39,7 +40,6 @@ from .bench import (
     run_storms,
     truth_params,
 )
-from .boundary import spherical_to_latlon
 from .estimator import Dataset, estimate
 from .geometry import to_spherical
 from .sampling import sample_truncated, substream_rng
@@ -222,17 +222,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     a, b = to_spherical(result.params.mu)
-    lat, lon = spherical_to_latlon(float(a), float(b))
     report = {
         "model_kind": args.model_kind,
         "g_kind": args.g_kind,
         "n": data.n,
         "mu_a_rad": float(a),
         "mu_b_rad": float(b),
-        "mu_lat_deg": float(lat),
-        "mu_lon_deg": float(lon),
-        "mu_x": [float(v) for v in result.params.mu],
-        "kappa": float(result.params.kappa),
+        **_method_report(result.params.mu, result.params.kappa),
         "objective": result.objective,
         "converged": result.converged,
         "iterations": result.iterations,

@@ -473,10 +473,13 @@ def _grid_values(stats_list: list[_ScalingStats], kappa: float, alpha: float) ->
     return (np.concatenate([forms, h], axis=2) @ _ANGLE_FORMS).reshape(len(w), -1)
 
 
-def _grid_starts(stats_list: list[_ScalingStats], kappa: float, alpha: float) -> list[np.ndarray]:
-    """Each fit's grid frames that start its polishes, best first:
-    `_pick_starts` on its row of the `_grid_values`."""
-    return [_FRAME_GRID[_pick_starts(values)] for values in _grid_values(stats_list, kappa, alpha)]
+def _grid_starts(stats_list: list[_ScalingStats], kappa: float, alpha: float) -> np.ndarray:
+    """The (F, _POLISH_STARTS, 3, 3) grid frames that start each fit's
+    polishes, best first: `_pick_starts` on its row of the `_grid_values`.
+    The walk runs over the whole grid, and three picks rule out only a few
+    percent of SO(3), so finite values always give _POLISH_STARTS frames."""
+    return np.stack([_FRAME_GRID[_pick_starts(values)]
+                     for values in _grid_values(stats_list, kappa, alpha)])
 
 
 # L_i = [e_i]x, so L_i v = e_i x v. A turn R = exp([omega]x) maps mu to
@@ -567,9 +570,9 @@ def _turn(frames: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def _newton_polish(stats_list: list[_ScalingStats], kappa: float, alpha: float,
-                   starts: list[np.ndarray]):
+                   starts: np.ndarray):
     """
-    Safeguarded Newton on SO(3) from each fit's `starts` (m_f, 3, 3), all
+    Safeguarded Newton on SO(3) from `starts` (F, m, 3, 3), m per fit, all
     fits and starts at once.
 
     Each step solves with |H|, the Hessian with its eigenvalues replaced by
@@ -584,9 +587,7 @@ def _newton_polish(stats_list: list[_ScalingStats], kappa: float, alpha: float,
     at most 1e-10 max(1, |J|), or when halving finds no decrease above the
     rounding of J.
 
-    The starts run in lockstep as rows of fixed-shape arrays, m per fit
-    with m = max(_POLISH_STARTS, longest m_f): each fit's rows past its own
-    starts copy its first start and are stopped from the outset. Boolean
+    The starts run in lockstep as the rows of fixed-shape arrays. Boolean
     masks mark the rows still stepping (`live`) and those still halving
     in this step's line search (`todo`), a stopped row takes the null
     turn, and each line-search pass is one `_frame_state` call at all
@@ -599,25 +600,21 @@ def _newton_polish(stats_list: list[_ScalingStats], kappa: float, alpha: float,
 
     Returns:
         (frames, J, gradient norms, evaluations): the first three shaped
-        (F, m, ...), whose rows past m_f are padding; the evaluations (F,)
-        count each fit's Newton steps plus the line-search evaluations of
-        its starts.
+        (F, m, ...); the evaluations (F,) count each fit's Newton steps
+        plus the line-search evaluations of its starts.
     """
-    fits, m = len(starts), max(_POLISH_STARTS, *(len(s) for s in starts))
-    frames, live = np.empty((fits, m, 3, 3)), np.zeros((fits, m), dtype=bool)
+    fits, m = np.shape(starts)[:2]
+    frames = np.array(starts, dtype=float).reshape(-1, 3, 3)  # a copy: accepted trials overwrite it
     forms, floor = np.empty((fits, 169, 13)), np.empty((fits, m))
     scale = _table_scale(kappa, alpha)
     rho = np.hypot(kappa, np.sqrt(8.0) * alpha)
-    for f, (stats, start) in enumerate(zip(stats_list, starts)):
-        frames[f] = start[0]
-        frames[f, :len(start)] = start
-        live[f, :len(start)] = True
+    for f, stats in enumerate(stats_list):
         w, b = stats.kent_form
         forms[f] = _polish_form(w, b, scale)
         # |W| = max |lambda(W)|, the spectral norm of the symmetric W
         floor[f] = 4.0 * np.finfo(float).eps * (np.abs(np.linalg.eigvalsh(w)).max() * rho**2
                                                 + np.linalg.norm(b) * rho)
-    frames, live, floor = frames.reshape(-1, 3, 3), live.ravel(), floor.ravel()
+    floor, live = floor.ravel(), np.ones(len(frames), dtype=bool)
     state = _frame_state(forms, frames)
     value, grad = state[:, 0], state[:, 1:4]  # views: accepted trials update them
     evals = np.zeros(len(frames), dtype=int)  # per row, summed per fit at the end
@@ -663,8 +660,7 @@ def _fit_kent_frames(stats_list: list[_ScalingStats], kappa: float,
     starts = _grid_starts(stats_list, kappa, alpha)
     frames, values, gnorm, evals = _newton_polish(stats_list, kappa, alpha, starts)
     results = []
-    for f, count in enumerate(len(s) for s in starts):
-        best = int(np.argmin(values[f, :count]))
+    for f, best in enumerate(np.argmin(values, axis=1)):
         value = float(values[f, best])
         mu, gamma1, gamma2 = frames[f, best]
         if gamma1 @ _GAMMA_SIGN < 0.0:
@@ -674,7 +670,7 @@ def _fit_kent_frames(stats_list: list[_ScalingStats], kappa: float,
             objective=value,
             iterations=int(evals[f]),
             converged=bool(gnorm[f, best] <= _GRAD_TOL * max(1.0, abs(value))),
-            restarts_used=count,
+            restarts_used=starts.shape[1],
         ))
     return results
 
@@ -862,8 +858,6 @@ def _fit_inputs(data: Dataset, boundary: Boundary | None, g_kind: str, model_kin
     unused = sorted(fixed.keys() - set(needed))
     if unused:
         raise ValueError(f"model_kind {model_kind!r} does not use fixed {unused}")
-    if drop_axis is not None and g_kind != "projected":
-        raise ValueError(f"g_kind {g_kind!r} does not use drop_axis")
     return _scaling_stats(data, boundary, g_kind, drop_axis), kappa
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from tmsm.baselines import mle_vmf, rmse_embedding
 import tmsm.bench
+import tmsm.boundary
 import tmsm.estimator
 from tmsm.bench import (
     _BLOCK_CELLS,
@@ -603,9 +604,10 @@ def test_storms_excludes_outside_events(tmp_path):
             run_storms(all_out, border, out_dir=str(tmp_path), seed=0)
 
 
-def test_storms_report_is_the_same_with_the_outline_memo_cold_and_warm(tmp_path):
+def test_storms_report_is_the_same_with_the_outline_memo_cold_and_warm(tmp_path, monkeypatch):
     # 300 USA draws and two events off the border: the first report builds
-    # the outline, the second reuses it, and the bytes agree
+    # the outline and its projected table, the second reuses both, and the
+    # bytes agree
     usa = "src/tmsm/data/usa_outline.csv"
     truth = VmfParams(to_euclidean(*latlon_to_spherical(39.0, -98.5)), 20.0)
     x = sample_truncated(truth, load_boundary_csv(usa), 300, substream_rng(5, 300), 1000).x
@@ -613,6 +615,9 @@ def test_storms_report_is_the_same_with_the_outline_memo_cold_and_warm(tmp_path)
     rows = [(f"e{i}", f"{lat[i]:.17g}", f"{lon[i]:.17g}") for i in range(len(x))]
     events = tmp_path / "events.csv"
     _write_events(events, rows[:100] + [("sea1", 30.0, -60.0)] + rows[100:] + [("sea2", 0, 0)])
+    tables, build = [], tmsm.boundary._projected_table
+    monkeypatch.setattr(tmsm.boundary, "_projected_table",
+                        lambda *args: tables.append(args) or build(*args))
     reports = []
     for out in ("cold", "warm"):
         if out == "cold":
@@ -622,9 +627,28 @@ def test_storms_report_is_the_same_with_the_outline_memo_cold_and_warm(tmp_path)
         assert _outline.cache_info().misses == 1
         reports.append((tmp_path / out / "storms_report.json").read_bytes())
     assert reports[0] == reports[1]
+    assert len(tables) == 1
     assert report["excluded_ids"] == ["sea1", "sea2"]
     # the events as parsed, in file order
     assert report["events"] == [[float(r[1]), float(r[2])] for r in rows]
+
+
+def test_storms_drop_axis_reaches_only_the_projected_fit(tmp_path):
+    # the haversine fit reads no drop axis: its entry keeps its bytes, and
+    # the projected fit is the direct fit on that axis
+    usa = "src/tmsm/data/usa_outline.csv"
+    truth = VmfParams(to_euclidean(*latlon_to_spherical(39.0, -98.5)), 20.0)
+    x = sample_truncated(truth, load_boundary_csv(usa), 200, substream_rng(6, 200), 1000).x
+    lat, lon = spherical_to_latlon(*Dataset(x).spherical())
+    events = tmp_path / "events.csv"
+    _write_events(events, [(f"e{i}", f"{lat[i]:.17g}", f"{lon[i]:.17g}") for i in range(len(x))])
+    plain = run_storms(events, usa, out_dir=str(tmp_path / "plain"), seed=0)
+    axis1 = run_storms(events, usa, out_dir=str(tmp_path / "axis1"), seed=0, drop_axis=1)
+    assert axis1["fits"]["tmsm_haversine"] == plain["fits"]["tmsm_haversine"]
+    direct = estimate(ingest_events(events)[0], load_boundary_csv(usa), g_kind="projected",
+                      drop_axis=1)
+    assert axis1["fits"]["tmsm_projected"]["mu_x"] == direct.params.mu.tolist()
+    assert axis1["fits"]["tmsm_projected"] != plain["fits"]["tmsm_projected"]
 
 
 def test_json_artifacts_parse_to_the_returned_objects(tmp_path, capsys):

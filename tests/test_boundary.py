@@ -30,6 +30,7 @@ from tmsm.geometry import (
     unit_vector,
 )
 from tmsm.bench import DataError, build_boundary, ingest_events
+from tmsm.cli import main
 from tmsm.estimator import Dataset
 from tmsm.models import VmfParams
 from tmsm.sampling import sample_truncated, substream_rng
@@ -392,6 +393,7 @@ def test_cap_far_side_read_without_the_detour_index():
         centre, cos_r, far_inside = b._cap
         if cos_r > -np.inf:
             assert far_inside == all_arcs_contains(b, -centre[None])[0], name
+    _outline.cache_clear()  # a freshly built outline, not one other tests have queried
     usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
     assert "_via_index" not in usa.__dict__
     assert usa._cap[2] is False
@@ -1169,18 +1171,20 @@ def test_load_boundary_csv_builds_each_outline_once(tmp_path, monkeypatch):
     path.write_text(SQUARE)
     copy.write_text(SQUARE)
     first, second, third = (load_boundary_csv(p) for p in (path, path, copy))
-    # one text, one build, whatever the path
+    # one text, one build and one shared boundary, whatever the path
     assert len(builds) == 1
-    assert first is not second and first is not third
-    assert first.vertices is second.vertices and first._index is second._index
-    # lazily built state is each boundary's own
+    assert first is second and first is third
+    # what it builds on first need is built once and equals a fresh build
     x = to_euclidean(*latlon_to_spherical(np.array([35.0, 40.0]), np.array([-90.0, -95.0])))
     g, _, _ = projected_scaling(first, x, 1)
-    assert list(first._projected) == [0] and second._projected == {}
-    first._via_index
-    assert "_via_index" not in vars(second)
-    assert np.array_equal(projected_scaling(second, x, 1)[0], g)
-    assert list(second._projected) == [0] and second._projected[0] is not first._projected[0]
+    table = first._projected[0]
+    assert np.array_equal(projected_scaling(load_boundary_csv(path), x, 1)[0], g)
+    assert list(first._projected) == [0] and first._projected[0] is table
+    fresh = PolylineBoundary(to_euclidean(*latlon_to_spherical(
+        np.array([30.0, 30.0, 45.0, 45.0]), np.array([-100.0, -80.0, -80.0, -100.0]))))
+    assert fresh.vertices.tobytes() == first.vertices.tobytes()
+    assert fresh._projected_arcs(0).tobytes() == table.tobytes()
+    assert fresh._via_index.cols.tobytes() == load_boundary_csv(copy)._via_index.cols.tobytes()
     # the shared arrays reject writes
     for shared in (first.vertices, first.interior_reference, first._arcs.cols,
                    first._index.cols, first._index.arcs):
@@ -1188,7 +1192,7 @@ def test_load_boundary_csv_builds_each_outline_once(tmp_path, monkeypatch):
             shared[0] = 0.0
     # a hint is part of the key
     load_boundary_csv(path, interior_hint=np.array(second.interior_reference))
-    assert len(builds) == 2
+    assert len(builds) == 3  # with the fresh build above
 
 
 def test_load_boundary_csv_rebuilds_an_edited_outline(tmp_path, monkeypatch):
@@ -1224,6 +1228,21 @@ def test_load_boundary_csv_failure_is_not_kept(tmp_path, monkeypatch, rows, mess
     assert _outline.cache_info().currsize == 0
     # a short row fails before any build; a bad curve fails in each build
     assert len(builds) == (0 if "line" in message else 2)
+
+
+def test_csv_readers_name_the_line_of_a_value_that_is_not_a_number(tmp_path, capsys):
+    # csv counts the blank line, so the bad boundary row is line 4
+    border = tmp_path / "border.csv"
+    border.write_text("lat_deg,lon_deg\n10,0\n\n20,abc\n-10,-10\n")
+    with pytest.raises(ValueError, match="line 4: could not convert string to float: 'abc'"):
+        load_boundary_csv(border)
+    assert main(["simulate", "--boundary-csv", str(border), "--n", "10",
+                 "--out-dir", str(tmp_path)]) == 3
+    assert f"{border}: line 4: " in capsys.readouterr().err
+    data = tmp_path / "data.csv"
+    data.write_text("a_rad,b_rad\n2.0,1.0\n2.1,x\n")
+    with pytest.raises(ValueError, match="line 3: could not convert string to float: 'x'"):
+        Dataset.from_csv(data)
 
 
 def test_csv_readers_drop_a_byte_order_mark(tmp_path):

@@ -477,6 +477,21 @@ def test_estimate_rejects_drop_axis_without_projected_g(g_kind):
         estimate(d, HEMI, g_kind=g_kind, drop_axis=3)
 
 
+@pytest.mark.parametrize("g_kind", ["haversine", "unit"])
+def test_tmsm_objective_rejects_drop_axis_without_projected_g(g_kind):
+    # only the projected g reads a drop axis, so one given with another g
+    # is an error, as it is for `estimate`
+    d = hemi_dataset(50, seed=9)
+    with pytest.raises(ValueError, match="does not use drop_axis"):
+        tmsm_objective(VmfParams(MU, 6.0), d, HEMI, g_kind=g_kind, drop_axis=2)
+
+
+def test_ibp_identity_check_rejects_drop_axis_without_projected_g():
+    p = VmfParams(MU, 6.0)
+    with pytest.raises(ValueError, match="does not use drop_axis"):
+        ibp_identity_check(p, p, HEMI, g_kind="haversine", grid_resolution=(8, 8), drop_axis=2)
+
+
 def test_estimate_deterministic_per_seed():
     d = hemi_dataset(300, seed=10)
     r1 = estimate(d, HEMI, model_kind="vmf_mu_kappa", seed=5)
@@ -1023,25 +1038,6 @@ def test_kent_frames_fitted_together_match_each_fit_alone():
         # and in the reverse order, so no fit leads its batch every time
         reverse = _fit_kent_frames(stats[::-1], kappa, alpha)[::-1]
         assert [_result_bits(r) for r in reverse] == [_result_bits(r) for r in together]
-
-
-def test_newton_polish_pads_fits_with_fewer_starts():
-    # fits with 1, 3 and 4 starts polished together: the padding rows are
-    # stopped from the outset and change no fit's rows or evaluations
-    cases = _start_cases()[:3]
-    stats = [_scaling_stats(Dataset(x), boundary, g_kind, axis)
-             for x, boundary, g_kind, axis, _, _ in cases]
-    starts = [s[:k] for s, k in zip(_grid_starts(stats, 10.0, 3.0), (1, 3, 4))]
-    frames, value, gnorm, evals = _newton_polish(stats, 10.0, 3.0, starts)
-    assert frames.shape == (3, 4, 3, 3)
-    for i, (one, start) in enumerate(zip(stats, starts)):
-        f, v, g, e = _newton_polish([one], 10.0, 3.0, [start])
-        k = len(start)
-        assert f[0, :k].tobytes() == frames[i, :k].tobytes()
-        assert v[0, :k].tobytes() == value[i, :k].tobytes()
-        assert g[0, :k].tobytes() == gnorm[i, :k].tobytes()
-        assert e[0] == evals[i]
-        assert np.array_equal(frames[i, k:], np.broadcast_to(start[0], frames[i, k:].shape))
 
 
 def _euler_objective(stats, kappa, alpha, ref):

@@ -195,7 +195,9 @@ def test_sample_truncated_substream_reproducible():
 
 def _draws():
     """vMF draws, and truncated draws on the hemisphere and on the USA
-    outline (criterion 8's truth, outside it)."""
+    outline (criterion 8's truth, outside it). The outline is built anew,
+    not taken from the memo, so a patched `complete_frame` builds its frames."""
+    tmsm.boundary._outline.cache_clear()
     usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
     hemi = ColatitudeBoundary(np.pi / 2.0)
     rim = VmfParams(MU, 6.0)
