@@ -95,7 +95,9 @@ def _is_integer(value) -> bool:
 class ExperimentConfig:
     """Everything needed to reproduce one benchmark run.
 
-    An empty `methods` or `truth` takes the experiment's default.
+    An empty `methods` or `truth` takes the experiment's default. Method
+    truncsm needs a colatitude boundary: with a polyline_csv one the
+    config is rejected before any draw.
     """
 
     experiment: str = "vmf_known_kappa"
@@ -146,6 +148,10 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigError(f"unknown method(s) {bad}; expected subset of {METHODS}")
+        if "truncsm" in self.methods and isinstance(self.boundary, dict) \
+                and self.boundary.get("type") == "polyline_csv":
+            raise ConfigError("method truncsm, the flat chart baseline, supports colatitude "
+                              "boundaries only; list the methods without it")
         if not self.truth:
             self.truth = dict(_TRUTHS[model])
         truth_model = self.truth.get("model", model)
@@ -272,7 +278,9 @@ def _fit_one(
     boundary: Boundary,
     data: Dataset,
 ) -> tuple[np.ndarray, float | None]:
-    """Run one method on one replicate; (mu_hat, kappa_hat or None)."""
+    """Run one method on one replicate; (mu_hat, kappa_hat or None). The
+    config has checked the method, and that truncsm has a colatitude
+    boundary."""
     model_kind = _EXPERIMENTS[config.experiment][2]
     fixed = {name: getattr(truth, name) for name in _FIXED_PARAMS[model_kind]}
     estimates_kappa = "kappa" not in fixed
@@ -284,17 +292,13 @@ def _fit_one(
         res = estimate(data, boundary, g_kind=g_kind, model_kind=model_kind,
                        fixed=fixed, drop_axis=drop_axis)
         return res.params.mu, (res.params.kappa if estimates_kappa else None)
-    if method == "truncsm":
-        if not isinstance(boundary, ColatitudeBoundary):
-            raise ConfigError("the flat chart baseline supports colatitude boundaries only")
-        a, b = data.spherical()
-        model: MvnChartModel = truncsm_mvn(
-            np.stack([a, b], axis=1), hemisphere_chart_segments(boundary.a0, boundary.side),
-            estimate_precision=estimates_kappa,
-            kappa_inv=None if estimates_kappa else 1.0 / fixed["kappa"],
-        )
-        return model.mean_direction(), (1.0 / model.kappa_inv if estimates_kappa else None)
-    raise ConfigError(f"unknown method {method!r}")
+    a, b = data.spherical()  # truncsm
+    model: MvnChartModel = truncsm_mvn(
+        np.stack([a, b], axis=1), hemisphere_chart_segments(boundary.a0, boundary.side),
+        estimate_precision=estimates_kappa,
+        kappa_inv=None if estimates_kappa else 1.0 / fixed["kappa"],
+    )
+    return model.mean_direction(), (1.0 / model.kappa_inv if estimates_kappa else None)
 
 
 def _kent_fits(stats_list: list, kappa: float, alpha: float) -> list:
@@ -615,6 +619,12 @@ def run_storms(
     do only per-season work. The report goes to `storms_report.json` in
     `out_dir` as one line of JSON with sorted keys (`python -m json.tool`
     pretty-prints it) and is also returned.
+
+    Raises:
+        DataError: unreadable events or border, or no event inside it.
+        ConfigError: a drop axis whose projection would fold the border.
+        FloatingPointError: events too few or too alike to fit, with no
+            report written.
     """
     data, ids, latlon, _ = ingest_events(events_path)
     boundary = build_boundary({"type": "polyline_csv", "path": boundary_path})
@@ -629,12 +639,19 @@ def run_storms(
     data = Dataset(data.x[inside])
 
     fits = {}
-    p_mle = mle_vmf(data, estimate_kappa=True)
+    try:
+        p_mle = mle_vmf(data, estimate_kappa=True)
+    except ValueError as exc:
+        # one event, or coincident ones: the truncated fits fail alike
+        raise FloatingPointError(f"the events do not determine a vMF fit: {exc}") from exc
     fits["mle"] = _method_report(p_mle.mu, p_mle.kappa)
     for method, g_kind, axis in (("tmsm_haversine", "haversine", None),
                                  ("tmsm_projected", "projected", drop_axis)):
         # the kept events passed the membership filter above
-        stats = _scaling_stats(data, boundary, g_kind, axis, inside[inside])
+        try:
+            stats = _scaling_stats(data, boundary, g_kind, axis, inside[inside])
+        except ValueError as exc:  # a drop axis whose projection would fold the border
+            raise ConfigError(str(exc)) from exc
         res = _fit_vmf(stats, None)
         entry = _method_report(res.params.mu, res.params.kappa)
         entry["bearing_from_mle_deg"] = initial_bearing_deg(

@@ -53,10 +53,7 @@ gradient depend on that query alone, not on the batch it arrives in. The
 same bound limits the check, at construction, that no two arcs cross.
 
 `load_boundary_csv` builds the boundary of each distinct outline text
-once per process and hands every caller that one object, its arrays
-read-only. What a boundary builds on first need, the projected table of
-a drop axis and the second arc index, is a function of the vertices
-alone, so it too is built once and then shared.
+once per process and hands every caller that one object.
 
 The per-pair steps of membership, haversine g and projected g run on
 columns: each arc's constants are stored as one column of a block of
@@ -82,7 +79,7 @@ from __future__ import annotations
 
 import csv
 import io
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -138,11 +135,9 @@ class Boundary:
     Base class: a closed curve on the sphere plus the observed region it
     bounds.
 
-    Instances are immutable after construction, save what a polyline
-    builds on first need: its second arc index and its projected arc
-    table for each drop axis, each a pure function of the vertices, so
-    two threads that both build one store equal values; all queries are
-    otherwise read-only and thread-safe.
+    Construction builds everything a query reads and marks every array
+    it holds read-only, so instances are immutable and all queries are
+    thread-safe.
 
     Attributes:
         interior_reference: a unit vector inside the region; a polyline's
@@ -174,6 +169,7 @@ class ColatitudeBoundary(Boundary):
         self.side = side
         pole_a = np.pi if side == "greater" else 0.0
         self.interior_reference = to_euclidean(pole_a, 0.0)
+        self.interior_reference.flags.writeable = False
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -212,14 +208,16 @@ class PolylineBoundary(Boundary):
     or when the vertex mean vanishes, every query takes the parity test.
 
     The parity test itself runs through an `_ArcIndex` about the hint,
-    built here, which gives each query only the arcs whose endpoints can
-    straddle its path's plane. Queries within 1e-8 of +-hint detour
-    through a point a quarter turn away, with a second index about that
-    point built on first need.
+    which gives each query only the arcs whose endpoints can straddle its
+    path's plane. Queries within 1e-8 of +-hint detour through a point a
+    quarter turn away, with a second index about that point and that
+    point's parity from the hint.
 
-    Every query reads one table of the vertex arcs (`_arc_table`), built
-    here: the crossing and hint checks, both arc indexes, and both
-    scaling functions.
+    Every query reads one table of the vertex arcs (`_arc_table`): the
+    crossing and hint checks, both arc indexes, both scaling functions
+    and the `_projected_table` of each drop axis. All of it is built
+    here, as functions of the vertices and hint alone, and made
+    read-only.
     """
 
     def __init__(self, vertices: np.ndarray, interior_hint: np.ndarray | None = None):
@@ -236,13 +234,14 @@ class PolylineBoundary(Boundary):
                 f"boundary arcs {i[0]} and {j[0]} cross or start at one vertex; "
                 "the polyline must be simple"
             )
+        mean = vertices.mean(axis=0)
+        centre = unit_vector(mean) if np.linalg.norm(mean) >= 1e-9 else None
         if interior_hint is None:
-            mean = vertices.mean(axis=0)
-            if np.linalg.norm(mean) < 1e-9:
+            if centre is None:
                 raise ValueError(
                     "vertex mean is degenerate; pass interior_hint explicitly"
                 )
-            interior_hint = unit_vector(mean)
+            interior_hint = centre
         else:
             interior_hint = np.asarray(interior_hint, dtype=float)
             if not np.all(np.isfinite(interior_hint)):
@@ -254,31 +253,24 @@ class PolylineBoundary(Boundary):
         self.interior_reference = interior_hint
         self._arcs = arcs
         self._index = _ArcIndex(arcs, interior_hint)
-        self._projected: dict[int, np.ndarray] = {}
+        self._detour = _ArcIndex(arcs, complete_frame(interior_hint)[0])
+        # the parity of the detour index's origin, seen from the hint
+        self._detour_odd = bool(self._index.parity(self._detour.origin[None, :])[0])
+        self._projected = tuple(_projected_table(arcs, k) for k in range(3))
         # (centre, cos R less the slack, membership outside the cap); the
         # cap with cos R = -inf is the whole sphere.
         self._cap = (interior_hint, -np.inf, False)
-        mean = vertices.mean(axis=0)
-        if np.linalg.norm(mean) >= 1e-9:
-            centre = unit_vector(mean)
+        if centre is not None:
             cos_r = float(np.min(vertices @ centre))
             if cos_r > 1e-6:
                 # any point with x.c < 0 is outside the cap; this one is not
                 # +-c, so with the default hint c it takes no detour
                 far = unit_vector(complete_frame(centre)[0] - centre)
                 self._cap = (centre, cos_r - _CAP_SLACK, bool(self.contains(far)))
-
-    @cached_property
-    def _via_index(self) -> _ArcIndex:
-        """The arc index about a point a quarter turn from the hint."""
-        return _ArcIndex(self._arcs, complete_frame(self.interior_reference)[0])
-
-    def _projected_arcs(self, drop_idx: int) -> np.ndarray:
-        """The `_projected_table` for dropping coordinate drop_idx, built on first need."""
-        table = self._projected.get(drop_idx)
-        if table is None:
-            table = self._projected[drop_idx] = _projected_table(self._arcs, drop_idx)
-        return table
+        for value in (vertices, interior_hint, self._cap[0], *arcs, *self._projected,
+                      *vars(self._index).values(), *vars(self._detour).values()):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -291,8 +283,7 @@ class PolylineBoundary(Boundary):
         # a point a quarter turn away.
         bad = _norm(_cross(q.T, self.interior_reference[:, None])) < _DETOUR
         if np.any(bad):
-            via = self._via_index
-            odd[bad] = self._index.parity(via.origin[None, :])[0] ^ via.parity(q[bad])
+            odd[bad] = self._detour_odd ^ self._detour.parity(q[bad])
         inside[near] = ~odd
         return bool(inside) if inside.ndim == 0 else inside
 
@@ -959,7 +950,7 @@ def projected_scaling(
             nearest = np.stack([np.full(n, c0), np.clip(xe[1], -s0, s0)])
     else:
         nearest = np.zeros((2, n))
-        nearest[:, inside] = _nearest_projected(boundary._projected_arcs(drop_idx), xe[:, inside].T)
+        nearest[:, inside] = _nearest_projected(boundary._projected[drop_idx], xe[:, inside].T)
     diff = xe - nearest
     g = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
     ok = inside & (g > 1e-12)
@@ -1059,18 +1050,13 @@ def _outline(text: str, hint: bytes | None) -> PolylineBoundary:
     The boundary of a boundary CSV's text and an interior hint's bytes,
     built once for each of the last _OUTLINES distinct pairs; a failure is
     not kept, so it raises again on the next call. Every caller gets this
-    one object, so the arrays built here are made read-only.
+    one object, which is read-only.
     """
     names, rows = _csv_columns(text, (("lat_deg", "lon_deg"), ("a_rad", "b_rad")), "boundary")
     a, b = rows.T
     if names[0] == "lat_deg":
         a, b = latlon_to_spherical(a, b)
-    built = PolylineBoundary(to_euclidean(a, b), None if hint is None else np.frombuffer(hint))
-    for value in (built.vertices, built.interior_reference, built._cap[0], *built._arcs,
-                  *vars(built._index).values()):
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return built
+    return PolylineBoundary(to_euclidean(a, b), None if hint is None else np.frombuffer(hint))
 
 
 def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> PolylineBoundary:
@@ -1088,10 +1074,8 @@ def load_boundary_csv(path, interior_hint: np.ndarray | None = None) -> Polyline
     The file is read on every call, and the boundary is built once per
     distinct file text and hint (`_outline`), so every reader of an
     unchanged outline parses and builds it once per process. Calls on
-    one text and hint return one shared boundary: its arrays are
-    read-only, and the projected tables and second arc index it builds
-    on first need, being functions of the vertices alone, serve every
-    later caller.
+    one text and hint return one shared boundary, built whole and
+    read-only.
     """
     try:
         hint = None if interior_hint is None else np.asarray(interior_hint, dtype=float).tobytes()

@@ -209,7 +209,7 @@ def broadcast_projected(boundary, x: np.ndarray,
             nearest = np.column_stack([np.full(n, c0), np.clip(xe[:, 1], -s0, s0)])
     else:
         nearest = np.zeros_like(xe)
-        nearest[inside] = _nearest_projected(boundary._projected_arcs(drop_idx), xe[inside]).T
+        nearest[inside] = _nearest_projected(boundary._projected[drop_idx], xe[inside]).T
     diff = xe - nearest
     g = np.linalg.norm(diff, axis=1)
     ok = inside & (g > 1e-12)

@@ -606,8 +606,8 @@ def test_storms_excludes_outside_events(tmp_path):
 
 def test_storms_report_is_the_same_with_the_outline_memo_cold_and_warm(tmp_path, monkeypatch):
     # 300 USA draws and two events off the border: the first report builds
-    # the outline and its projected table, the second reuses both, and the
-    # bytes agree
+    # the outline with its projected tables, the second reuses them, and
+    # the bytes agree
     usa = "src/tmsm/data/usa_outline.csv"
     truth = VmfParams(to_euclidean(*latlon_to_spherical(39.0, -98.5)), 20.0)
     x = sample_truncated(truth, load_boundary_csv(usa), 300, substream_rng(5, 300), 1000).x
@@ -627,7 +627,7 @@ def test_storms_report_is_the_same_with_the_outline_memo_cold_and_warm(tmp_path,
         assert _outline.cache_info().misses == 1
         reports.append((tmp_path / out / "storms_report.json").read_bytes())
     assert reports[0] == reports[1]
-    assert len(tables) == 1
+    assert sorted(args[1] for args in tables) == [0, 1, 2]  # one per drop axis, once
     assert report["excluded_ids"] == ["sea1", "sea2"]
     # the events as parsed, in file order
     assert report["events"] == [[float(r[1]), float(r[2])] for r in rows]
@@ -996,6 +996,51 @@ def test_cli_storms_malformed_boundary_exit_3(tmp_path):
         assert not (out / "storms_report.json").exists()
         with pytest.raises(DataError):
             run_storms(events, outline, out_dir=str(out), seed=0)
+
+
+USA_OUTLINE = "src/tmsm/data/usa_outline.csv"
+
+
+@pytest.mark.parametrize("rows, flags, code", [
+    # the outline straddles the x2 = 0 plane asymmetrically: the drop axis
+    # is a configuration error, as `tmsm estimate` has it
+    ([("e0", 39.0, -98.5), ("e1", 35.0, -90.0), ("e2", 42.0, -105.0)], ["--drop-axis", "2"], 2),
+    # one event inside (the other is excluded), or coincident events: no
+    # vMF fit, a numerical failure, as `tmsm estimate` has it
+    ([("e0", 39.0, -98.5), ("sea", 30.0, -60.0)], [], 4),
+    ([("e0", 39.0, -98.5), ("e1", 39.0, -98.5), ("e2", 39.0, -98.5)], [], 4),
+])
+def test_cli_storms_exit_codes_match_estimate(tmp_path, rows, flags, code):
+    events = tmp_path / "events.csv"
+    _write_events(events, rows)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the excluded event
+        assert main(["storms", "--events", str(events), "--boundary-csv", USA_OUTLINE,
+                     "--out-dir", str(out), *flags]) == code
+    assert not (out / "storms_report.json").exists()
+    # estimate on the events inside exits with the same code
+    _write_events(events, [row for row in rows if row[0] != "sea"])
+    axis = flags or ["--drop-axis", "3"]
+    assert main(["estimate", "--data", str(events), "--degrees", "--boundary-csv",
+                 USA_OUTLINE, "--g", "projected", *axis, "--out-dir", str(out)]) == code
+
+
+@pytest.mark.parametrize("methods", [["truncsm", "mle"], ["truncsm"]])
+def test_truncsm_on_a_polyline_is_a_config_error_before_any_draw(tmp_path, monkeypatch, methods):
+    # the flat chart baseline needs a colatitude boundary; the config is
+    # rejected before the outline is read or a point is drawn
+    spec = {"type": "polyline_csv", "path": USA_OUTLINE}
+    with pytest.raises(ConfigError, match="truncsm"):
+        ExperimentConfig(experiment="vmf_unknown_kappa", methods=tuple(methods), boundary=spec)
+    draws = []
+    monkeypatch.setattr(tmsm.bench, "sample_truncated", lambda *a, **k: draws.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "vmf_unknown_kappa", "n_grid": [50],
+                               "replicates": 1, "methods": methods, "boundary": spec}))
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert draws == [] and not out.exists()
 
 
 def test_cli_simulate_kent_at_high_ovalness(tmp_path):

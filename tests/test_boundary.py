@@ -7,6 +7,7 @@ from tmsm.boundary import (
     ColatitudeBoundary,
     _AZIMUTH_BINS,
     PolylineBoundary,
+    _ArcIndex,
     _arc_nearest,
     _arc_table,
     _least,
@@ -386,16 +387,14 @@ def test_cap_shortcut_matches_crossing_parity():
 
 def test_cap_far_side_read_without_the_detour_index():
     # the membership outside the cap is read at a point with x.c < 0 that
-    # is not -hint, so construction builds no second arc index; the stored
-    # value is the reference membership at -c
+    # is not -hint, so it takes no detour; the stored value is the
+    # reference membership at -c
     for name, b in cap_regions():
-        assert "_via_index" not in b.__dict__, name
         centre, cos_r, far_inside = b._cap
         if cos_r > -np.inf:
             assert far_inside == all_arcs_contains(b, -centre[None])[0], name
     _outline.cache_clear()  # a freshly built outline, not one other tests have queried
     usa = load_boundary_csv("src/tmsm/data/usa_outline.csv")
-    assert "_via_index" not in usa.__dict__
     assert usa._cap[2] is False
 
 
@@ -439,7 +438,7 @@ def test_arc_index_matches_all_arcs_parity():
     # both indexes, about the hint and about the detour point, on every query
     x = unit_vector(np.random.default_rng(18).standard_normal((100_000, 3)))
     for name, b in cap_regions():
-        for index in (b._index, b._via_index):
+        for index in (b._index, b._detour):
             expected = all_arcs_parity(b.vertices, index.origin, x)
             assert np.array_equal(index.parity(x), expected), name
 
@@ -1174,17 +1173,17 @@ def test_load_boundary_csv_builds_each_outline_once(tmp_path, monkeypatch):
     # one text, one build and one shared boundary, whatever the path
     assert len(builds) == 1
     assert first is second and first is third
-    # what it builds on first need is built once and equals a fresh build
+    # its tables are built once, with it, and equal a fresh build's
     x = to_euclidean(*latlon_to_spherical(np.array([35.0, 40.0]), np.array([-90.0, -95.0])))
+    tables = first._projected
     g, _, _ = projected_scaling(first, x, 1)
-    table = first._projected[0]
     assert np.array_equal(projected_scaling(load_boundary_csv(path), x, 1)[0], g)
-    assert list(first._projected) == [0] and first._projected[0] is table
+    assert load_boundary_csv(copy)._projected is tables and len(tables) == 3
     fresh = PolylineBoundary(to_euclidean(*latlon_to_spherical(
         np.array([30.0, 30.0, 45.0, 45.0]), np.array([-100.0, -80.0, -80.0, -100.0]))))
     assert fresh.vertices.tobytes() == first.vertices.tobytes()
-    assert fresh._projected_arcs(0).tobytes() == table.tobytes()
-    assert fresh._via_index.cols.tobytes() == load_boundary_csv(copy)._via_index.cols.tobytes()
+    assert all(f.tobytes() == t.tobytes() for f, t in zip(fresh._projected, tables))
+    assert fresh._detour.cols.tobytes() == load_boundary_csv(copy)._detour.cols.tobytes()
     # the shared arrays reject writes
     for shared in (first.vertices, first.interior_reference, first._arcs.cols,
                    first._index.cols, first._index.arcs):
@@ -1193,6 +1192,45 @@ def test_load_boundary_csv_builds_each_outline_once(tmp_path, monkeypatch):
     # a hint is part of the key
     load_boundary_csv(path, interior_hint=np.array(second.interior_reference))
     assert len(builds) == 3  # with the fresh build above
+
+
+def held_arrays(value, name="boundary"):
+    """(name, array) of every ndarray held by value's attributes, tuples and their items."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from held_arrays(item, f"{name}[{i}]")
+    elif isinstance(value, (PolylineBoundary, ColatitudeBoundary, _ArcIndex)):
+        for key, item in vars(value).items():
+            yield from held_arrays(item, f"{name}.{key}")
+
+
+def test_every_boundary_array_is_read_only_from_construction(tmp_path):
+    path = tmp_path / "square.csv"
+    path.write_text(SQUARE)
+    square = latlon_polygon([30, 30, 45, 45], [-100, -80, -80, -100])
+    hint = to_euclidean(*latlon_to_spherical(40.0, -90.0))
+    built = {"direct": PolylineBoundary(square), "hinted": PolylineBoundary(square, hint),
+             "loaded": load_boundary_csv(path), "usa": USA}
+    for kind, b in built.items():
+        held = dict(held_arrays(b))
+        # vertices, hint, cap centre, the 7 arc fields, 6 arrays of each
+        # index and the 3 projected tables
+        assert len(held) == 3 + 7 + 2 * 6 + 3, (kind, sorted(held))
+        for name in ("boundary.vertices", "boundary.interior_reference", "boundary._cap[0]",
+                     "boundary._arcs[6]", "boundary._index.cols", "boundary._detour.arcs",
+                     "boundary._projected[2]"):
+            assert name in held, (kind, name)
+        writable = [name for name, array in held.items() if array.flags.writeable]
+        assert writable == [], (kind, writable)
+        with pytest.raises(ValueError, match="read-only"):
+            b._projected[0][0, 0] = 0.0
+    # the caller's arrays are copied, not frozen
+    assert square.flags.writeable and hint.flags.writeable
+    for b in (ColatitudeBoundary(1.0), ColatitudeBoundary(1.0, side="less")):
+        assert [name for name, _ in held_arrays(b)] == ["boundary.interior_reference"]
+        assert not b.interior_reference.flags.writeable
 
 
 def test_load_boundary_csv_rebuilds_an_edited_outline(tmp_path, monkeypatch):
