@@ -249,26 +249,10 @@ class BenchmarkRow:
     error: str = ""
 
 
-def _projected_drop_axis(config: ExperimentConfig, boundary: Boundary) -> int | None:
-    """Drop axis used by the projected scaling in this experiment.
-
-    An explicit config value wins. Colatitude regions default to axis 2:
-    folding across an axis orthogonal to the x1 pole keeps the projected
-    distance linear near the rim, where the axis-1 disk distance flattens
-    quadratically and costs estimation accuracy. Other boundaries fall
-    back to the module default (most-aligned axis).
-    """
-    if config.drop_axis is not None:
-        return config.drop_axis
-    if isinstance(boundary, ColatitudeBoundary):
-        return 2
-    return None
-
-
-def _tmsm_args(method: str, config: ExperimentConfig, boundary: Boundary) -> tuple[str, int | None]:
+def _tmsm_args(method: str, config: ExperimentConfig) -> tuple[str, int | None]:
     """(g_kind, drop_axis) of a tmsm method."""
     g_kind = method.removeprefix("tmsm_")
-    return g_kind, _projected_drop_axis(config, boundary) if g_kind == "projected" else None
+    return g_kind, config.drop_axis if g_kind == "projected" else None
 
 
 def _fit_one(
@@ -288,7 +272,7 @@ def _fit_one(
         p = mle_vmf(data, estimate_kappa=estimates_kappa, kappa=fixed.get("kappa"))
         return p.mu, (p.kappa if estimates_kappa else None)
     if method in ("tmsm_haversine", "tmsm_projected"):
-        g_kind, drop_axis = _tmsm_args(method, config, boundary)
+        g_kind, drop_axis = _tmsm_args(method, config)
         res = estimate(data, boundary, g_kind=g_kind, model_kind=model_kind,
                        fixed=fixed, drop_axis=drop_axis)
         return res.params.mu, (res.params.kappa if estimates_kappa else None)
@@ -301,21 +285,6 @@ def _fit_one(
     return model.mean_direction(), (1.0 / model.kappa_inv if estimates_kappa else None)
 
 
-def _kent_fits(stats_list: list, kappa: float, alpha: float) -> list:
-    """The block's Kent frame fits in one `_fit_kent_frames` call; should it
-    raise, each fit alone, so that an error stays on its own row."""
-    try:
-        return _fit_kent_frames(stats_list, kappa, alpha)
-    except Exception:
-        results = []
-        for stats in stats_list:
-            try:
-                results += _fit_kent_frames([stats], kappa, alpha)
-            except Exception as exc:
-                results.append(exc)
-        return results
-
-
 def _block_rows(
     config: ExperimentConfig, truth: ModelParams, boundary: Boundary, cells: list[tuple[int, int]]
 ) -> list[BenchmarkRow]:
@@ -325,7 +294,8 @@ def _block_rows(
     method but the Kent tmsm fits runs on it alone. Those build their
     stats per cell and fit together, in one `_fit_kent_frames` call for
     the block, which gives each the result it gets alone; a cell whose
-    data or stats fail is left out of it. With `timings`, such a row's
+    data or stats fail is left out of it, and should the call raise, each
+    row of the block carries its error. With `timings`, such a row's
     wall time is its stats time plus an equal share of the block's fit.
     """
     rows, batch = [], []
@@ -356,7 +326,7 @@ def _block_rows(
             t0 = time.perf_counter()
             try:
                 if kent and method.startswith("tmsm_"):
-                    g_kind, drop_axis = _tmsm_args(method, config, boundary)
+                    g_kind, drop_axis = _tmsm_args(method, config)
                     fixed = {"kappa": truth.kappa, "alpha": truth.alpha}
                     stats, _ = _fit_inputs(data, boundary, g_kind, "kent_frame", fixed, drop_axis)
                     batch.append((row, stats, time.perf_counter() - t0))
@@ -368,7 +338,10 @@ def _block_rows(
             score(row, mu_hat, kappa_hat, time.perf_counter() - t0)
     if batch:
         t0 = time.perf_counter()
-        results = _kent_fits([stats for _, stats, _ in batch], truth.kappa, truth.alpha)
+        try:
+            results = _fit_kent_frames([stats for _, stats, _ in batch], truth.kappa, truth.alpha)
+        except Exception as exc:
+            results = [exc] * len(batch)
         share = (time.perf_counter() - t0) / len(batch)
         for (row, _, seconds), res in zip(batch, results):
             if isinstance(res, Exception):

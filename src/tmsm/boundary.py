@@ -136,8 +136,8 @@ class Boundary:
     bounds.
 
     Construction builds everything a query reads and marks every array
-    it holds read-only, so instances are immutable and all queries are
-    thread-safe.
+    it holds read-only, and unpickling marks them again, so instances are
+    immutable and all queries are thread-safe.
 
     Attributes:
         interior_reference: a unit vector inside the region; a polyline's
@@ -149,6 +149,25 @@ class Boundary:
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         """Region membership for point(s) [..., 3]."""
         raise NotImplementedError
+
+    def __setstate__(self, state: dict) -> None:
+        # pickling drops the read-only flags, so a pool worker's copy marks
+        # its arrays again
+        self.__dict__.update(state)
+        _freeze(self)
+
+
+def _freeze(value) -> None:
+    """Mark every array in `value`, in its tuples and in its attributes,
+    read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            _freeze(item)
 
 
 class ColatitudeBoundary(Boundary):
@@ -169,7 +188,7 @@ class ColatitudeBoundary(Boundary):
         self.side = side
         pole_a = np.pi if side == "greater" else 0.0
         self.interior_reference = to_euclidean(pole_a, 0.0)
-        self.interior_reference.flags.writeable = False
+        _freeze(self)
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -267,10 +286,7 @@ class PolylineBoundary(Boundary):
                 # +-c, so with the default hint c it takes no detour
                 far = unit_vector(complete_frame(centre)[0] - centre)
                 self._cap = (centre, cos_r - _CAP_SLACK, bool(self.contains(far)))
-        for value in (vertices, interior_hint, self._cap[0], *arcs, *self._projected,
-                      *vars(self._index).values(), *vars(self._detour).values()):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        _freeze(self)
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -812,9 +828,16 @@ def haversine_scaling(
 
 def default_drop_axis(boundary: Boundary) -> int:
     """
-    Coordinate number (1, 2, or 3 for x1, x2, x3) of the embedding axis
-    best aligned with the region's interior reference.
+    Coordinate number (1, 2, or 3 for x1, x2, x3) of the axis projected g
+    drops when none is given. A colatitude region folds across x2: the
+    circle is mirror-symmetric in x2, so every cap folds onto its
+    boundary, and the folded distance stays linear near the rim, where the
+    axis-1 disk distance flattens quadratically and costs estimation
+    accuracy. A polyline drops the axis best aligned with its interior
+    reference.
     """
+    if isinstance(boundary, ColatitudeBoundary):
+        return 2
     return int(np.argmax(np.abs(boundary.interior_reference))) + 1
 
 

@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-kappa", type=float, help="known concentration")
     p.add_argument("--fixed-alpha", type=float, help="known ovalness (kent)")
     p.add_argument("--drop-axis", type=int, choices=(1, 2, 3),
-                   help="coordinate number (x1..x3) zeroed by --g projected")
+                   help="coordinate number (x1..x3) zeroed by --g projected (default 2 "
+                   "for a colatitude region, else the axis most aligned with the interior)")
 
     p = sub.add_parser("benchmark", help="replicate experiment -> CSV/JSON")
     _replicate_flags(p)

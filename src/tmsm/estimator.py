@@ -29,8 +29,9 @@ Mahony & Sepulchre 2008, ch. 6). The grid is scored a direction at a
 time: at a fixed mu the shape matrix over the gamma1 angle psi is
 S = cos 2 psi S0 + sin 2 psi S1, so J there is a 3x3 quadratic form in
 (1, cos 2 psi, sin 2 psi), and one product of the direction bases with W
-gives the 300 forms. The best separated frames are found by walking a
-partial sort (`np.partition`) of the grid values, not a full sort. A
+gives the 300 forms. Each direction stands for its best angle's frame,
+and the polishes start from the best directions whose mu are pairwise
+far apart, found by a full stable sort of the 300 direction minima. A
 rotation acts on theta = (kappa mu, 2 alpha vec S) by a linear map
 whatever kappa and alpha are, so J and its gradient and Hessian over
 rotations are quadratic forms in r = (mu, vec S, 1): once per fit they
@@ -393,14 +394,14 @@ def _grid_forms(frames: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarr
 
 # 300 directions x 12 gamma1 angles, built once per process with the
 # directions' `_grid_forms` (B_d^T is contiguous since the batched G_d
-# product reads it that way fastest). The _POLISH_STARTS best grid frames
-# that are pairwise more than _START_SEPARATION rad apart start the
-# polishes; the walk to them reads the _PICK_PREFIX lowest values first.
+# product reads it that way fastest). The polishes start from
+# _POLISH_STARTS directions whose mu are pairwise more than
+# _START_SEPARATION rad apart; _FAR_DIRECTIONS marks those pairs.
 _FRAME_GRID = _frame_grid(300, 12)
 _GRID_ROWS, _GRID_COLUMNS, _ANGLE_FORMS = _grid_forms(_FRAME_GRID[::12], 12)
 _POLISH_STARTS = 4
 _START_SEPARATION = 0.5
-_PICK_PREFIX = 64
+_FAR_DIRECTIONS = _FRAME_GRID[::12, 0] @ _FRAME_GRID[::12, 0].T < np.cos(_START_SEPARATION)
 # A polish counts as converged when its final gradient over rotations has
 # norm at most _GRAD_TOL max(1, |J|). Newton stops at 1e-10 max(1, |J|),
 # since it takes the full steps whose decrease J cannot resolve.
@@ -413,45 +414,26 @@ _GRAD_TOL = 1e-6
 _GAMMA_SIGN = np.array([0.36, 0.48, 0.8])
 
 
-def _frame_distance(frames: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """
-    Rotation angle between each of `frames` (m, 3, 3) and `frame` (3, 3),
-    the smaller of the two under (gamma1, gamma2) -> (-gamma1, -gamma2).
-    """
-    dots = np.einsum("mki,ki->mk", frames, frame)
-    trace = np.maximum(dots.sum(axis=1), dots[:, 0] - dots[:, 1] - dots[:, 2])
-    return np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
-
-
 def _pick_starts(values: np.ndarray) -> np.ndarray:
     """
-    Indices of the _POLISH_STARTS lowest grid frames pairwise more than
-    _START_SEPARATION rad apart, best first: the walk over the grid in
-    ascending order of `values` (ties lowest index first) that takes each
-    frame far from all frames taken before it.
-
-    The walk reads that order a prefix at a time: the values at most the
-    k-th lowest (by `np.partition`, k = _PICK_PREFIX), stably sorted. Such a
-    prefix is the head of the full stable order, ties included, so when
-    its frames run out before the picks do, the walk goes on into the
-    prefix of twice the size.
+    Grid indices (F, _POLISH_STARTS) of the frames that start each fit's
+    polishes, best first, from its row of grid values (F, 3,600). Each
+    direction stands for its best angle (the first of equal values). The
+    walk over the directions in stable ascending order of those minima
+    takes each direction whose mu is more than _START_SEPARATION rad from
+    the mu of every direction taken before it. A pick rules out at most 21
+    of the 300 directions, so the walk always takes _POLISH_STARTS.
     """
-    picked: list[int] = []
-    size = seen = 0
-    while len(picked) < _POLISH_STARTS and size < len(values):
-        size = min(max(2 * size, _PICK_PREFIX), len(values))
-        head = np.flatnonzero(values <= np.partition(values, size - 1)[size - 1])
-        order = head[np.argsort(values[head], kind="stable")][seen:]
-        seen += len(order)
-        frames = _FRAME_GRID[order]
-        far = np.ones(len(order), dtype=bool)
-        for k in picked:
-            far &= _frame_distance(frames, _FRAME_GRID[k]) > _START_SEPARATION
-        while len(picked) < _POLISH_STARTS and far.any():
-            k = order[np.argmax(far)]
-            picked.append(k)
-            far &= _frame_distance(frames, _FRAME_GRID[k]) > _START_SEPARATION
-    return np.array(picked)
+    by_direction = values.reshape(len(values), -1, 12)
+    angles = np.argmin(by_direction, axis=2)
+    best = np.take_along_axis(by_direction, angles[:, :, None], axis=2)[:, :, 0]
+    picks = np.empty((len(values), _POLISH_STARTS), dtype=int)
+    for f, order in enumerate(np.argsort(best, axis=1, kind="stable")):
+        free = np.ones(len(order), dtype=bool)
+        for j in range(_POLISH_STARTS):
+            picks[f, j] = d = order[np.argmax(free[order])]
+            free &= _FAR_DIRECTIONS[d]
+    return 12 * picks + np.take_along_axis(angles, picks, axis=1)
 
 
 def _grid_values(stats_list: list[_ScalingStats], kappa: float, alpha: float) -> np.ndarray:
@@ -475,11 +457,8 @@ def _grid_values(stats_list: list[_ScalingStats], kappa: float, alpha: float) ->
 
 def _grid_starts(stats_list: list[_ScalingStats], kappa: float, alpha: float) -> np.ndarray:
     """The (F, _POLISH_STARTS, 3, 3) grid frames that start each fit's
-    polishes, best first: `_pick_starts` on its row of the `_grid_values`.
-    The walk runs over the whole grid, and three picks rule out only a few
-    percent of SO(3), so finite values always give _POLISH_STARTS frames."""
-    return np.stack([_FRAME_GRID[_pick_starts(values)]
-                     for values in _grid_values(stats_list, kappa, alpha)])
+    polishes, best first: `_pick_starts` on the `_grid_values`."""
+    return _FRAME_GRID[_pick_starts(_grid_values(stats_list, kappa, alpha))]
 
 
 # L_i = [e_i]x, so L_i v = e_i x v. A turn R = exp([omega]x) maps mu to
@@ -797,11 +776,11 @@ def estimate(
       for mu times 12 gamma1 angles) is scored a direction at a time: at a
       fixed mu, J over the gamma1 angle psi is a 3x3 quadratic form in
       (1, cos 2 psi, sin 2 psi), so one product with the form gives all
-      300 of them. The 4 best grid frames that are pairwise more than
-      0.5 rad apart, found by walking a partial sort of the values, are
-      polished in lockstep by a safeguarded Newton iteration on the exact
-      gradient and Hessian over rotations, and the lowest polish wins.
-      Every evaluation reads the full quadratic form
+      300 of them. Each direction stands for its best angle's frame, and
+      the frames of the 4 best directions whose mu are pairwise more than
+      0.5 rad apart are polished in lockstep by a safeguarded Newton
+      iteration on the exact gradient and Hessian over rotations, and the
+      lowest polish wins. Every evaluation reads the full quadratic form
       `_ScalingStats.kent_form`, built once per call, so it is O(1) in
       the sample size.
 

@@ -20,6 +20,12 @@ generators. `tmsm.estimator._frame_state` gets all three from one product
 of r (x) r, r = (mu, vec S, 1), with the per-fit (169, 13) map of
 `_polish_form`, and must match both.
 
+And the start rule the Kent frame fit used before it picked by
+direction: the best grid frames pairwise more than 0.5 rad apart as
+rotations, by a full separation pass over all 3,600 grid frames per pick,
+and the objective a fit polished from those starts reaches. The package's
+rule must reach as low an objective.
+
 And two kernels in their array forms: the frame completion as
 `unit_vector` and `np.cross` build it, and the flat chart distance as a
 (2, k, n) broadcast with an argmin over the segments. The package works
@@ -42,7 +48,7 @@ from tmsm.boundary import (
     default_drop_axis,
     scaling_values,
 )
-from tmsm.estimator import ObjectiveTerms, _chart_grid
+from tmsm.estimator import _FRAME_GRID, ObjectiveTerms, _chart_grid, _grid_values, _newton_polish
 from tmsm.geometry import unit_vector
 from tmsm.models import ModelParams, VmfParams, batch_terms, log_unnormalized_density, score
 
@@ -395,3 +401,33 @@ def broadcast_chart_distance(segments, z: np.ndarray) -> tuple[np.ndarray, np.nd
     pos = dist > 0
     grad[pos] = diff[:, idx, cols].T[pos] / dist[pos, None]
     return dist, grad
+
+
+def frame_distance(frames: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """
+    Rotation angle between each of `frames` (m, 3, 3) and `frame` (3, 3),
+    the smaller of the two under (gamma1, gamma2) -> (-gamma1, -gamma2).
+    """
+    dots = np.einsum("mki,ki->mk", frames, frame)
+    trace = np.maximum(dots.sum(axis=1), dots[:, 0] - dots[:, 1] - dots[:, 2])
+    return np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
+
+
+def frame_separated_starts(values: np.ndarray, count: int = 4, separation: float = 0.5) -> np.ndarray:
+    """Grid indices of the `count` lowest of the 3,600 grid `values` whose
+    frames are pairwise more than `separation` rad apart, best first (ties
+    lowest index first), by a full separation pass per pick."""
+    free = np.ones(len(values), dtype=bool)
+    picked = []
+    while len(picked) < count and free.any():
+        k = np.flatnonzero(free)[np.argmin(values[free])]
+        picked.append(k)
+        free &= frame_distance(_FRAME_GRID, _FRAME_GRID[k]) > separation
+    return np.array(picked)
+
+
+def frame_separated_objective(stats, kappa: float, alpha: float) -> float:
+    """The lowest objective of the polishes from `frame_separated_starts`."""
+    [values] = _grid_values([stats], kappa, alpha)
+    starts = _FRAME_GRID[frame_separated_starts(values)]
+    return float(_newton_polish([stats], kappa, alpha, [starts])[1].min())

@@ -17,7 +17,7 @@ from tmsm.bench import (
     ConfigError,
     DataError,
     ExperimentConfig,
-    _projected_drop_axis,
+    _tmsm_args,
     build_boundary,
     ingest_events,
     initial_bearing_deg,
@@ -25,8 +25,8 @@ from tmsm.bench import (
     run_storms,
     truth_params,
 )
-from tmsm.boundary import (ColatitudeBoundary, PolylineBoundary, _outline, latlon_to_spherical,
-                           load_boundary_csv, spherical_to_latlon)
+from tmsm.boundary import (ColatitudeBoundary, PolylineBoundary, _outline, default_drop_axis,
+                           latlon_to_spherical, load_boundary_csv, spherical_to_latlon)
 from tmsm.cli import main
 from tmsm.estimator import Dataset, estimate
 from tmsm.geometry import geodesic_angle, to_euclidean
@@ -120,13 +120,17 @@ def test_build_boundary(tmp_path):
 
 
 def test_projected_drop_axis_selection(tmp_path):
-    hemi = ColatitudeBoundary(0.5 * np.pi)
-    assert _projected_drop_axis(ExperimentConfig(), hemi) == 2
-    assert _projected_drop_axis(ExperimentConfig(drop_axis=3), hemi) == 3
+    # the harness passes the configured axis through, to projected g alone,
+    # and without one projected g folds a colatitude region across axis 2
+    # and drops a polyline's most aligned axis
+    assert _tmsm_args("tmsm_projected", ExperimentConfig()) == ("projected", None)
+    assert _tmsm_args("tmsm_projected", ExperimentConfig(drop_axis=3)) == ("projected", 3)
+    assert _tmsm_args("tmsm_haversine", ExperimentConfig(drop_axis=3)) == ("haversine", None)
+    assert default_drop_axis(ColatitudeBoundary(0.5 * np.pi)) == 2
     tri = tmp_path / "tri.csv"
     tri.write_text("lat_deg,lon_deg\n10,0\n-10,10\n-10,-10\n")
     poly = build_boundary({"type": "polyline_csv", "path": str(tri)})
-    assert _projected_drop_axis(ExperimentConfig(), poly) is None
+    assert default_drop_axis(poly) == int(np.argmax(np.abs(poly.interior_reference))) + 1
 
 
 # ---------------------------------------------------------------- benchmark
@@ -335,25 +339,30 @@ def test_kent_block_keeps_a_failing_cell_on_its_own_row(tmp_path, monkeypatch):
         else:
             assert row == ref
 
-    # a fit that raises fails the joint call, and the block falls back to
-    # lone fits: the error lands on that cell's row alone
-    monkeypatch.setattr(tmsm.estimator, "scaling_values", real)
-    fit_frames = tmsm.bench._fit_kent_frames
+
+def test_kent_block_fit_error_lands_on_every_kent_row_of_the_block(tmp_path, monkeypatch):
+    # the block's Kent frames are fitted in one call: should it raise,
+    # every Kent tmsm row of the block carries the error, and the mle rows
+    # keep their values
+    config = ExperimentConfig(experiment="kent_known_shape", n_grid=(40,), replicates=6,
+                              seed=9, methods=("tmsm_haversine", "tmsm_projected", "mle"),
+                              out_dir=str(tmp_path / "clean"))
+    clean = run_benchmark(config).rows
 
     def failing_fit(stats_list, kappa, alpha):
-        if any(np.array_equal(stats.x, bad) for stats in stats_list):
-            raise FloatingPointError("fit failed")
-        return fit_frames(stats_list, kappa, alpha)
+        raise FloatingPointError("fit failed")
 
     monkeypatch.setattr(tmsm.bench, "_fit_kent_frames", failing_fit)
     config.out_dir = str(tmp_path / "failing_fit")
     rows = run_benchmark(config).rows
+    assert len(rows) == len(clean)
+    assert {row.method for row in rows} == {"mle", "tmsm_haversine", "tmsm_projected"}
     for row, ref in zip(rows, clean):
-        if (row.method, row.replicate) == ("tmsm_haversine", 3):
-            assert row == BenchmarkRow("tmsm_haversine", 40, 3, 9, None, None, None, None,
+        if row.method.startswith("tmsm_"):
+            assert row == BenchmarkRow(row.method, 40, row.replicate, 9, None, None, None, None,
                                        "FloatingPointError: fit failed")
         else:
-            assert row == ref
+            assert row == ref and row.error == ""
 
 
 def test_run_benchmark_refuses_storms(tmp_path):
@@ -955,6 +964,19 @@ def test_cli_drop_axis_without_projected_g_exit_2(tmp_path):
     assert main(["estimate", "--a0", "1.5708", "--data", str(tmp_path / "samples.csv"),
                  "--g", "haversine", "--drop-axis", "3", "--out-dir", str(out)]) == 2
     assert not (out / "estimate.json").exists()
+
+
+def test_cli_projected_estimate_on_a_cap_folds_axis_2_by_default(tmp_path):
+    # the cap a > 1.2 is larger than a hemisphere, so axis 1 would leave
+    # points on the far side of its projection plane; without --drop-axis
+    # the fit folds across axis 2, as the harness does
+    assert main(["simulate", "--a0", "1.2", "--n", "300", "--out-dir", str(tmp_path)]) == 0
+    samples = str(tmp_path / "samples.csv")
+    for name, axis in (("default", []), ("axis2", ["--drop-axis", "2"])):
+        assert main(["estimate", "--a0", "1.2", "--data", samples, "--g", "projected", *axis,
+                     "--out-dir", str(tmp_path / name)]) == 0
+    default, axis2 = ((tmp_path / name / "estimate.json").read_bytes() for name in ("default", "axis2"))
+    assert default == axis2
 
 
 def test_cli_non_finite_boundary_vertex_exit_3(tmp_path):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -831,7 +833,7 @@ def test_colatitude_gradient_unit_near_far_pole(side):
 
 
 def test_default_drop_axis_is_coordinate_number():
-    assert default_drop_axis(HEMI) == 1  # interior reference is the -x1 pole
+    assert default_drop_axis(HEMI) == 2  # a colatitude region folds across x2
     tri = to_euclidean([0.4] * 3, [0.0, 2.0, 4.0])
     assert default_drop_axis(PolylineBoundary(tri)) == 1
     assert default_drop_axis(USA) == 3
@@ -1231,6 +1233,23 @@ def test_every_boundary_array_is_read_only_from_construction(tmp_path):
     for b in (ColatitudeBoundary(1.0), ColatitudeBoundary(1.0, side="less")):
         assert [name for name, _ in held_arrays(b)] == ["boundary.interior_reference"]
         assert not b.interior_reference.flags.writeable
+
+
+def test_boundary_arrays_stay_read_only_through_a_pickle_round_trip():
+    # a pool worker gets its boundary by pickle, which drops the flags:
+    # unpickling marks every array read-only again, and queries do not move
+    rng = np.random.default_rng(36)
+    for b in (USA, ColatitudeBoundary(1.2)):
+        copy = pickle.loads(pickle.dumps(b))
+        held = dict(held_arrays(copy))
+        assert held.keys() == dict(held_arrays(b)).keys()
+        assert [name for name, array in held.items() if array.flags.writeable] == []
+        with pytest.raises(ValueError, match="read-only"):
+            copy.interior_reference[0] = 0.0
+        x = unit_vector(b.interior_reference + 0.4 * rng.standard_normal((500, 3)))
+        assert np.array_equal(copy.contains(x), b.contains(x))
+        inside = x[b.contains(x)]
+        assert _same_bits(haversine_scaling(copy, inside), haversine_scaling(b, inside))
 
 
 def test_load_boundary_csv_rebuilds_an_edited_outline(tmp_path, monkeypatch):

@@ -10,6 +10,8 @@ from scipy.spatial.transform import Rotation
 
 from reference import (
     frame_derivatives_by_turns,
+    frame_separated_objective,
+    frame_separated_starts,
     frame_state_by_generators,
     pointwise_identity_sides,
     pointwise_terms,
@@ -35,9 +37,7 @@ from tmsm.estimator import (
     _eta_on_sphere,
     _fit_kent_frames,
     _fit_vmf,
-    _frame_distance,
     _frame_state,
-    _PICK_PREFIX,
     _grid_starts,
     _grid_values,
     _newton_polish,
@@ -901,16 +901,27 @@ def _reference_grid_values(stats, kappa, alpha):
     return np.einsum("mi,ij,mj->m", t, w, t, optimize=True) + t @ b
 
 
-def _reference_grid_starts(stats, kappa, alpha):
-    """The start picks by a full separation pass over the grid per pick."""
-    values = _reference_grid_values(stats, kappa, alpha)
-    free = np.ones(len(values), dtype=bool)
+def _direction_picks(values):
+    """
+    Grid indices of the start picks from the 3,600 grid values, by brute
+    force over the 300 directions: each direction's lowest value and the
+    first of its 12 angles to hold it, then a full separation pass over
+    the directions per pick, the lowest free direction first (ties lowest
+    index first).
+    """
+    mu = _FRAME_GRID[::12, 0]
+    best, angle = np.empty(len(mu)), np.empty(len(mu), dtype=int)
+    for d in range(len(mu)):
+        row = list(values[12 * d:12 * d + 12])
+        best[d] = min(row)
+        angle[d] = row.index(best[d])
+    free = np.ones(len(mu), dtype=bool)
     picked = []
-    while len(picked) < 4 and free.any():
-        k = np.flatnonzero(free)[np.argmin(values[free])]
-        picked.append(k)
-        free &= _frame_distance(_FRAME_GRID, _FRAME_GRID[k]) > _START_SEPARATION
-    return _FRAME_GRID[picked]
+    while len(picked) < 4:
+        d = np.flatnonzero(free)[np.argmin(best[free])]
+        picked.append(12 * d + angle[d])
+        free &= geodesic_angle(mu, mu[d]) > _START_SEPARATION
+    return np.array(picked)
 
 
 def _start_cases():
@@ -930,16 +941,58 @@ def _start_cases():
         (sample_kent(kent, 300, substream_rng(25, 0)), None, "unit", None, 10.0, 3.0),
         (hemi_dataset(200, seed=26).x, HEMI, "haversine", None, 6.0, 1.0),
         (hemi_dataset(200, seed=27).x, None, "unit", None, 4.0, 1.5),
-        (multimodal, cap, "projected", None, 5.0919, 2.1407),
+        (multimodal, cap, "projected", 1, 5.0919, 2.1407),
     ]
 
 
 def test_grid_starts_match_full_separation_passes():
+    # the per-direction brute force on grid values scored directly, and
+    # starts whose mu are pairwise more than 0.5 rad apart
     for x, boundary, g_kind, axis, kappa, alpha in _start_cases():
         stats = _scaling_stats(Dataset(x), boundary, g_kind, axis)
         [starts] = _grid_starts([stats], kappa, alpha)
         assert len(starts) == 4
-        assert np.array_equal(starts, _reference_grid_starts(stats, kappa, alpha))
+        ref = _direction_picks(_reference_grid_values(stats, kappa, alpha))
+        assert np.array_equal(starts, _FRAME_GRID[ref])
+        far = geodesic_angle(starts[:, None, 0], starts[None, :, 0]) > _START_SEPARATION
+        assert np.array_equal(far, ~np.eye(4, dtype=bool))
+
+
+def _random_cap_fits(count, seed):
+    """(x, boundary, g_kind, drop_axis, kappa, alpha) of `count` random cap
+    fits: a > a0 for a0 in [1.2, 2.6], vMF and Kent truths with mu in or
+    near the cap, kappa in [2, 12] and alpha up to 0.49 kappa, n from 10 to
+    80, haversine, projected (drop axis 2) and unit g."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        a0 = rng.uniform(1.2, 2.6)
+        boundary = ColatitudeBoundary(a0)
+        kappa = rng.uniform(2.0, 12.0)
+        alpha = rng.uniform(0.0, 0.49 * kappa)
+        mu = to_euclidean(rng.uniform(a0 - 0.2, np.pi), rng.uniform(0.0, 2.0 * np.pi))
+        if i % 2:
+            g1 = unit_vector(np.cross(mu, rng.standard_normal(3)))
+            truth = KentParams(mu, g1, np.cross(mu, g1), kappa, alpha)
+        else:
+            truth = VmfParams(mu, kappa)
+        n = int(rng.integers(10, 81))
+        x = sample_truncated(truth, boundary, n, substream_rng(seed, n, i), 1000).x
+        g_kind, axis = [("haversine", None), ("projected", 2), ("unit", None)][i % 3]
+        cases.append((x, None if g_kind == "unit" else boundary, g_kind, axis, kappa, alpha))
+    return cases
+
+
+def test_kent_fit_reaches_the_frame_separated_starts_objective():
+    # the starts picked by direction polish to an objective no higher than
+    # the best frames pairwise 0.5 rad apart as rotations did, within
+    # rounding: on the start cases (the brute-force cases among them) and
+    # on 240 random caps
+    for x, boundary, g_kind, axis, kappa, alpha in _start_cases() + _random_cap_fits(240, 34):
+        stats = _scaling_stats(Dataset(x), boundary, g_kind, axis)
+        [res] = _fit_kent_frames([stats], kappa, alpha)
+        ref = frame_separated_objective(stats, kappa, alpha)
+        assert res.objective <= ref + 1e-12 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2), ("unit", None)])
@@ -959,44 +1012,20 @@ def test_grid_values_per_direction_match_direct_table_scoring(g_kind, axis):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _stable_sort_picks(values):
-    """The start picks by a full stable sort of the values (ties lowest
-    index first) and a full separation pass per pick."""
-    order = np.argsort(values, kind="stable")
-    free = np.ones(len(values), dtype=bool)
-    picked = []
-    while len(picked) < 4 and free.any():
-        k = order[free[order]][0]
-        picked.append(k)
-        free &= _frame_distance(_FRAME_GRID, _FRAME_GRID[k]) > _START_SEPARATION
-    return np.array(picked)
-
-
 def test_pick_starts_match_full_stable_sort_with_ties():
     rng = np.random.default_rng(33)
     cases = [np.zeros(len(_FRAME_GRID)), np.repeat(np.arange(300.0)[::-1], 12)]
     cases += [rng.integers(0, levels, len(_FRAME_GRID)).astype(float) for levels in (2, 5, 40, 400)]
     for values in cases:
         assert np.unique(values).size < len(values)  # every case holds exact ties
-        assert np.array_equal(_pick_starts(values), _stable_sort_picks(values))
-
-
-def test_pick_starts_walk_past_the_first_prefix():
-    # four frames more than 1 rad apart, each ranked just before the frames
-    # within 0.5 rad of it: the walk takes each in turn and passes over its
-    # near frames, so the 4th pick lies past two doublings of the prefix
-    anchors = [0, 1200, 2400, 3599]
-    values = np.full(len(_FRAME_GRID), 4.0)
-    for j, k in enumerate(anchors):
-        dist = _frame_distance(_FRAME_GRID, _FRAME_GRID[k])
-        assert np.all(dist[anchors[:j]] > 1.0)
-        near = dist <= _START_SEPARATION
-        values[near] = np.round(j + dist[near], 2)  # rounding makes ties
-    ref = _stable_sort_picks(values)
-    assert np.array_equal(ref, anchors)
-    rank = np.argsort(np.argsort(values, kind="stable"), kind="stable")
-    assert rank[ref[-1]] >= 2 * _PICK_PREFIX
-    assert np.array_equal(_pick_starts(values), ref)
+        assert np.array_equal(_pick_starts(values[None])[0], _direction_picks(values))
+    # equal values give 4 directions, where the best frames pairwise 0.5 rad
+    # apart as rotations are 4 angles of the first direction
+    assert np.array_equal(_pick_starts(cases[0][None])[0], [0, 204, 228, 276])
+    assert np.array_equal(frame_separated_starts(cases[0]), [0, 2, 4, 6])
+    # all at once, each row as alone
+    assert np.array_equal(_pick_starts(np.stack(cases)),
+                          np.stack([_pick_starts(values[None])[0] for values in cases]))
 
 
 def test_newton_polish_start_does_not_depend_on_its_batch():
@@ -1127,18 +1156,20 @@ def test_kent_frame_matches_brute_force(case):
     if case == "hemisphere":
         g1 = np.array([0.0, 0.0, 1.0])
         truth = KentParams(mu=MU, gamma1=g1, gamma2=np.cross(MU, g1), kappa=10.0, alpha=3.0)
-        boundary, g_kind, kappa, alpha = HEMI, "haversine", 10.0, 3.0
+        boundary, g_kind, axis, kappa, alpha = HEMI, "haversine", None, 10.0, 3.0
         x = sample_truncated(truth, boundary, 300, substream_rng(19, 300), 1000).x
     else:
-        # vMF data fitted with a strong Kent shape: the objective has close
-        # basins, and polishing only the best grid frame ends in the wrong one
+        # vMF data fitted with a strong Kent shape: the objective of the
+        # axis-1 projected g has close basins, and polishing only the best
+        # grid frame ends in the wrong one
         truth = VmfParams(to_euclidean(2.669, 2.1101), 7.773)
-        boundary, g_kind, kappa, alpha = ColatitudeBoundary(2.2), "projected", 5.0919, 2.1407
+        boundary, g_kind, axis = ColatitudeBoundary(2.2), "projected", 1
+        kappa, alpha = 5.0919, 2.1407
         x = sample_truncated(truth, boundary, 40, substream_rng(194, 40), 1000).x
     d = Dataset(x)
-    stats = _scaling_stats(d, boundary, g_kind, None)
+    stats = _scaling_stats(d, boundary, g_kind, axis)
     res = estimate(d, boundary, g_kind=g_kind, model_kind="kent_frame",
-                   fixed={"kappa": kappa, "alpha": alpha})
+                   fixed={"kappa": kappa, "alpha": alpha}, drop_axis=axis)
     best, p = _brute_force_kent(stats, kappa, alpha)
     assert res.objective <= best + 1e-10
     assert geodesic_angle(res.params.mu, p.mu) < 1e-6
