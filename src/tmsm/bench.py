@@ -48,10 +48,11 @@ from .boundary import (
     _csv_text,
     latlon_to_spherical,
     load_boundary_csv,
+    scaling_values,
     spherical_to_latlon,
 )
 from .estimator import (_FIXED_PARAMS, Dataset, _fit_inputs, _fit_kent_frames, _fit_vmf,
-                        _scaling_stats, estimate)
+                        _ScalingStats, estimate)
 from .geometry import geodesic_angle, to_euclidean, to_spherical, unit_vector
 from .models import KentParams, ModelParams, VmfParams
 from .sampling import MAX_DRAW_FACTOR, sample_truncated, substream_rng
@@ -95,9 +96,13 @@ def _is_integer(value) -> bool:
 class ExperimentConfig:
     """Everything needed to reproduce one benchmark run.
 
-    An empty `methods` or `truth` takes the experiment's default. Method
-    truncsm needs a colatitude boundary: with a polyline_csv one the
-    config is rejected before any draw.
+    An empty `methods` takes the experiment's default, and no method may
+    repeat. `truth` is completed here, once, from the default truth of its
+    model (by default the experiment's); a key that model does not read is
+    a ConfigError. Method truncsm needs a colatitude boundary: with a
+    polyline_csv one the config is rejected before any draw. A `drop_axis`
+    needs method tmsm_projected, the one that reads it; `estimate` and
+    `storms` take the default methods, which list it.
     """
 
     experiment: str = "vmf_known_kappa"
@@ -148,46 +153,50 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigError(f"unknown method(s) {bad}; expected subset of {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods {list(self.methods)} list a method twice")
         if "truncsm" in self.methods and isinstance(self.boundary, dict) \
                 and self.boundary.get("type") == "polyline_csv":
             raise ConfigError("method truncsm, the flat chart baseline, supports colatitude "
                               "boundaries only; list the methods without it")
-        if not self.truth:
-            self.truth = dict(_TRUTHS[model])
         truth_model = self.truth.get("model", model)
         if truth_model not in _TRUTHS:
             raise ConfigError(f"unknown truth model in {self.truth}; expected one of {tuple(_TRUTHS)}")
         if model == "kent" and truth_model != "kent":
             raise ConfigError(f"experiment {self.experiment!r} needs a kent truth, got {self.truth}")
+        unread = sorted(self.truth.keys() - _TRUTHS[truth_model].keys())
+        if unread:
+            raise ConfigError(f"a {truth_model} truth does not read key(s) {unread}")
+        self.truth = {**_TRUTHS[truth_model], **self.truth}
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.max_draw_factor < 1:
             raise ConfigError("max_draw_factor must be >= 1")
         if self.drop_axis is not None and self.drop_axis not in (1, 2, 3):
             raise ConfigError("drop_axis must be 1, 2, or 3 (coordinate number)")
+        if self.drop_axis is not None and "tmsm_projected" not in self.methods:
+            raise ConfigError(f"drop_axis is read by method tmsm_projected only, and the "
+                              f"methods {list(self.methods)} do not list it")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """
-        Config from settings as a config file holds them: an unknown key is
-        a ConfigError, and the keys a partial `truth` leaves out come from
-        the default truth of its model (by default the experiment's).
+        Config from settings as a config file holds them: an unknown key,
+        or a value of the wrong type, is a ConfigError.
         """
         unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
         try:
-            config = cls(**raw)
-            model = config.truth.get("model", _EXPERIMENTS[config.experiment][0])
+            return cls(**raw)
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(str(exc)) from exc
-        config.truth = {**_TRUTHS[model], **config.truth}
-        return config
 
 
 def truth_params(config: ExperimentConfig) -> ModelParams:
-    """Materialize the configured ground-truth model. Every number in the
-    truth must be finite: a NaN or infinite one is a ConfigError."""
+    """Materialize the configured ground-truth model, whose spec the
+    config holds whole. Every number in the truth must be finite: a NaN
+    or infinite one is a ConfigError."""
     t = config.truth
     try:
         numbers = {k: np.asarray(v, dtype=float) for k, v in t.items() if k != "model"}
@@ -198,12 +207,12 @@ def truth_params(config: ExperimentConfig) -> ModelParams:
         raise ConfigError(f"truth {', '.join(bad)} must be finite, got {t}")
     try:
         mu = to_euclidean(float(t["mu_a"]), float(t["mu_b"]))
-        if t.get("model", _EXPERIMENTS[config.experiment][0]) == "kent":
+        if t["model"] == "kent":
             gamma1 = unit_vector(np.asarray(t["gamma1"], dtype=float))
             gamma2 = np.cross(mu, gamma1)
             return KentParams(mu, gamma1, gamma2, float(t["kappa"]), float(t["alpha"]))
         return VmfParams(mu, float(t["kappa"]))
-    except (KeyError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid truth spec {t}: {exc}") from exc
 
 
@@ -219,6 +228,10 @@ def build_boundary(spec: dict) -> Boundary:
         path = spec.get("path")
         if not path:
             raise ConfigError("polyline_csv boundary spec needs a 'path'")
+        unread = sorted(spec.keys() - {"type", "path"})
+        if unread:
+            raise ConfigError(f"polyline_csv boundary spec reads only 'type' and 'path', "
+                              f"not {unread}")
         try:
             return load_boundary_csv(path)
         except OSError as exc:
@@ -586,10 +599,11 @@ def run_storms(
     MLE fit to each truncated fit, and the event coordinates for external
     plotting, as parsed. Both truncated fits are closed-form, so `seed` is
     only recorded in the report and no longer changes the fits. Membership
-    is tested once: both truncated fits reuse the filter's mask. The
-    border is read on every call but built once per distinct outline text
-    (`load_boundary_csv`), so reports for many seasons against one border
-    do only per-season work. The report goes to `storms_report.json` in
+    is tested once, by the filter: both truncated fits take the kept
+    events, and g does not test it again. The border is read on every
+    call but built once per distinct outline text (`load_boundary_csv`),
+    so reports for many seasons against one border do only per-season
+    work. The report goes to `storms_report.json` in
     `out_dir` as one line of JSON with sorted keys (`python -m json.tool`
     pretty-prints it) and is also returned.
 
@@ -622,7 +636,7 @@ def run_storms(
                                  ("tmsm_projected", "projected", drop_axis)):
         # the kept events passed the membership filter above
         try:
-            stats = _scaling_stats(data, boundary, g_kind, axis, inside[inside])
+            stats = _ScalingStats(data.x, *scaling_values(boundary, data.x, g_kind, axis))
         except ValueError as exc:  # a drop axis whose projection would fold the border
             raise ConfigError(str(exc)) from exc
         res = _fit_vmf(stats, None)

@@ -39,6 +39,13 @@ Two scaling functions are implemented, both zero exactly on the boundary:
   the same vertex arcs, uncut: the rules that let the projection fold
   keep each arc on one half of its ellipse.
 
+The scaling functions are geometry only. They take points of the closed
+region and return (g, grad). They never test membership: the code that
+holds the points checks it once (`Dataset.validate_membership`, or the
+storms report's event filter), and g outside the region is not
+specified. g is 0 within 1e-12 of the boundary (of its projection, for
+projected g), so g == 0 is the one sign that a point gets zero weight.
+
 Every polyline query reads one table of the vertex arcs (start, end,
 unit normal, unit midpoint, length and reach), built with the boundary.
 Both polyline distances run on one (query, arc) pair engine. Every
@@ -771,11 +778,10 @@ def _nearest_projected(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _on_arc(best_s[hit], take(a, hit), take(u, hit))[0]
 
 
-def haversine_scaling(
-    boundary: Boundary, x: np.ndarray, inside: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def haversine_scaling(boundary: Boundary, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
-    Vectorized geodesic-distance scaling for a batch of query points.
+    Vectorized geodesic-distance scaling for a batch of points of the
+    region.
 
     g is the great-circle distance to the boundary: |a - a0| for a
     colatitude circle, the exact distance to the nearest vertex arc for a
@@ -785,45 +791,41 @@ def haversine_scaling(
     Args:
         boundary: the region boundary; for a polyline the region is the
             side that holds its interior hint.
-        x: Queries (n, 3).
-        inside: `boundary.contains(x)` when the caller already has it.
+        x: Queries (n, 3) in the closed region. Membership is the caller's
+            to check; g at a point outside the region is not specified.
 
     Returns:
-        (g (n,), grad (n, 3), on_boundary (n,) bool); grad may be the
-        transposed view of (3, n) rows. Points outside the region or
-        within 1e-12 of the boundary get g = 0 and a zero gradient,
-        flagged on_boundary.
+        (g (n,), grad (n, 3)); grad may be the transposed view of (3, n)
+        rows. Points within 1e-12 of the boundary get g = 0 and a zero
+        gradient.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
-    inside = np.asarray(boundary.contains(x) if inside is None else inside).reshape(n)
 
     if isinstance(boundary, ColatitudeBoundary):
         # sin a and cos a from the coordinates, not from a: atan2 keeps a
         # exact near both poles, where arccos(x1) rounds to the pole within
-        # about 1e-8 rad. Every row is computed; rows off the region or on
-        # the boundary are zeroed after.
+        # about 1e-8 rad. Every row is computed; rows on the boundary are
+        # zeroed after.
         sa = np.hypot(x[:, 1], x[:, 2])
         a = np.arctan2(sa, x[:, 0])
         signed = a - boundary.a0 if boundary.side == "greater" else boundary.a0 - a
-        ok = inside & (signed > 1e-12)
+        ok = signed > 1e-12
         g = np.where(ok, signed, 0.0)
         cot = x[:, 0] / np.where(sa > 0, sa, 1.0)
         sign = 1.0 if boundary.side == "greater" else -1.0
         # Tangential projection of sign * grad(a): unit vector along -d/da.
         tang = np.stack([-sa, cot * x[:, 1], cot * x[:, 2]])
-        return g, np.where(ok, sign * tang, 0.0).T, ~ok
+        return g, np.where(ok, sign * tang, 0.0).T
 
-    g = np.zeros(n)
-    grad = np.zeros((3, n))
-    g[inside], near = _nearest_on_arcs(boundary._arcs, x[inside])
+    g, near = _nearest_on_arcs(boundary._arcs, x)
     ok = g > 1e-12
     xo = x[ok].T
     # (x x p) x x = p - (x.p) x, with norm sin g times |p|.
-    toward = _cross(_cross(xo, near[ok[inside]].T), xo)
+    toward = _cross(_cross(xo, near[ok].T), xo)
+    grad = np.zeros((3, x.shape[0]))
     grad[:, ok] = -toward / _norm(toward)
     g[~ok] = 0.0
-    return g, grad.T, ~ok
+    return g, grad.T
 
 
 def default_drop_axis(boundary: Boundary) -> int:
@@ -918,13 +920,11 @@ def _check_hemisphere(boundary: Boundary, drop_idx: int, x: np.ndarray) -> None:
 
 
 def projected_scaling(
-    boundary: Boundary,
-    x: np.ndarray,
-    drop_axis: int | None = None,
-    inside: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    boundary: Boundary, x: np.ndarray, drop_axis: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """
-    Vectorized projected-plane Euclidean scaling for a batch of queries.
+    Vectorized projected-plane Euclidean scaling for a batch of points of
+    the region.
 
     The sphere is projected onto the plane of the two kept coordinates by
     zeroing the `drop_axis` coordinate (numbered 1 to 3 for x1 to x3);
@@ -941,12 +941,13 @@ def projected_scaling(
     gives the nearest point as two rows (n0, n1) of the kept coordinates,
     and one tail forms g = sqrt(d0^2 + d1^2) and the two gradient rows
     from the offsets d. Queries within 1e-12 of the projected boundary get
-    g = 0. `inside` is `boundary.contains(x)` when the caller already has
-    it.
+    g = 0 and a zero gradient. Queries must lie in the closed region:
+    membership is the caller's to check, and g outside the region is not
+    specified.
 
     Returns:
-        (g (n,), grad (n, 3), on_boundary (n,) bool); grad may be the
-        transposed view of (3, n) rows.
+        (g (n,), grad (n, 3)); grad may be the transposed view of (3, n)
+        rows.
 
     Raises:
         ValueError: if the projection could place interior points on the
@@ -962,7 +963,6 @@ def projected_scaling(
     keep = [i for i in range(3) if i != drop_idx]
     xe = x.T[keep]
     n = x.shape[0]
-    inside = np.asarray(boundary.contains(x) if inside is None else inside).reshape(n)
 
     if isinstance(boundary, ColatitudeBoundary):
         c0, s0 = np.cos(boundary.a0), np.sin(boundary.a0)
@@ -972,14 +972,13 @@ def projected_scaling(
         else:
             nearest = np.stack([np.full(n, c0), np.clip(xe[1], -s0, s0)])
     else:
-        nearest = np.zeros((2, n))
-        nearest[:, inside] = _nearest_projected(boundary._projected[drop_idx], xe[:, inside].T)
+        nearest = _nearest_projected(boundary._projected[drop_idx], xe.T)
     diff = xe - nearest
     g = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
-    ok = inside & (g > 1e-12)
+    ok = g > 1e-12
     grad = np.zeros((3, n))
     grad[keep] = np.where(ok, diff / np.where(ok, g, 1.0), 0.0)
-    return np.where(ok, g, 0.0), grad.T, ~ok
+    return np.where(ok, g, 0.0), grad.T
 
 
 def scaling_values(
@@ -987,29 +986,29 @@ def scaling_values(
     x: np.ndarray,
     g_kind: str,
     drop_axis: int | None = None,
-    inside: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """
-    Dispatch to the configured scaling function for a batch of points.
+    Dispatch to the configured scaling function for a batch of points of
+    the region: (g (n,), grad (n, 3)).
 
     g_kind "unit" gives g = 1, grad = 0 everywhere (no boundary needed),
-    reducing the truncated objective to the untruncated one. `inside` is
-    `boundary.contains(x)` when the caller already has it, so membership
-    is not tested twice. A drop_axis with any g_kind but "projected"
-    raises `ValueError`, as only the projected g reads it.
+    reducing the truncated objective to the untruncated one. The other
+    kinds never test membership; the caller checks it once. A drop_axis
+    with any g_kind but "projected" raises `ValueError`, as only the
+    projected g reads it.
     """
     if drop_axis is not None and g_kind != "projected":
         raise ValueError(f"g_kind {g_kind!r} does not use drop_axis")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if g_kind == "unit":
         n = x.shape[0]
-        return np.ones(n), np.zeros((n, 3)), np.zeros(n, dtype=bool)
+        return np.ones(n), np.zeros((n, 3))
     if boundary is None:
         raise ValueError(f"g_kind={g_kind!r} requires a boundary")
     if g_kind == "haversine":
-        return haversine_scaling(boundary, x, inside)
+        return haversine_scaling(boundary, x)
     if g_kind == "projected":
-        return projected_scaling(boundary, x, drop_axis, inside)
+        return projected_scaling(boundary, x, drop_axis)
     raise ValueError(f"unknown g_kind {g_kind!r}")
 
 

@@ -110,8 +110,10 @@ class Dataset:
     def spherical(self) -> tuple[np.ndarray, np.ndarray]:
         return to_spherical(self.x)
 
-    def validate_membership(self, boundary: Boundary) -> np.ndarray:
-        """Membership mask of the points; raise if any falls outside the region."""
+    def validate_membership(self, boundary: Boundary) -> None:
+        """Raise if any point falls outside the region. It is the one
+        membership test of a fit: the scaling functions take points of the
+        region and do not test it."""
         inside = np.asarray(boundary.contains(self.x))
         if not np.all(inside):
             bad = int(np.flatnonzero(~inside)[0])
@@ -119,7 +121,6 @@ class Dataset:
                 f"{int((~inside).sum())} data point(s) outside the region "
                 f"(first at row {bad}); the scaling function is undefined there"
             )
-        return inside
 
     def to_csv(self, path) -> None:
         a, b = self.spherical()
@@ -282,21 +283,15 @@ class _ScalingStats:
 
 
 def _scaling_stats(
-    data: Dataset,
-    boundary: Boundary | None,
-    g_kind: str,
-    drop_axis: int | None,
-    inside: np.ndarray | None = None,
+    data: Dataset, boundary: Boundary | None, g_kind: str, drop_axis: int | None
 ) -> _ScalingStats:
-    """g and its gradient at the data; `inside` is a membership mask the
-    caller has already checked, else membership is validated here."""
-    if g_kind != "unit":
-        if boundary is None:
-            raise ValueError(f"g_kind={g_kind!r} requires a boundary")
-        if inside is None:
-            inside = data.validate_membership(boundary)
-    g, grad, _ = scaling_values(boundary, data.x, g_kind, drop_axis, inside)
-    return _ScalingStats(data.x, g, grad)
+    """g and its gradient at the data. Membership is validated here, once,
+    for every g_kind but "unit", which reads no boundary: the scaling
+    functions take points of the region and do not test it, and
+    `scaling_values` rejects a missing boundary."""
+    if g_kind != "unit" and boundary is not None:
+        data.validate_membership(boundary)
+    return _ScalingStats(data.x, *scaling_values(boundary, data.x, g_kind, drop_axis))
 
 
 def tmsm_objective(
@@ -871,7 +866,7 @@ def _identity_sides(params: ModelParams, trunc_params: ModelParams, boundary: Co
     log_q = log_unnormalized_density(trunc_params, nodes)
     q = np.exp(log_q - log_q.max())
     q /= w @ q
-    g, grad_g, _ = scaling_values(boundary, nodes, g_kind, drop_axis)
+    g, grad_g = scaling_values(boundary, nodes, g_kind, drop_axis)
     s = len(nodes) * w * q
     stats = _ScalingStats(nodes, s * g, s[:, None] * grad_g)
     wt, b = stats.kent_form

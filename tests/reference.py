@@ -164,36 +164,34 @@ def sphere_grid(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     return _chart_grid(0.0, np.pi, n_a, n_b)
 
 
-def broadcast_haversine(boundary, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def broadcast_haversine(boundary, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     `haversine_scaling` with the gradient as an (n, 3) array: stacked
     along the last axis and masked by ok[:, None] on a colatitude circle,
     assigned row by row on a polyline.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    inside = np.asarray(boundary.contains(x)).reshape(len(x))
     if isinstance(boundary, ColatitudeBoundary):
         sa = np.hypot(x[:, 1], x[:, 2])
         a = np.arctan2(sa, x[:, 0])
         signed = a - boundary.a0 if boundary.side == "greater" else boundary.a0 - a
-        ok = inside & (signed > 1e-12)
+        ok = signed > 1e-12
         cot = x[:, 0] / np.where(sa > 0, sa, 1.0)
         sign = 1.0 if boundary.side == "greater" else -1.0
         tang = np.stack([-sa, cot * x[:, 1], cot * x[:, 2]], axis=-1)
-        return np.where(ok, signed, 0.0), np.where(ok[:, None], sign * tang, 0.0), ~ok
-    g = np.zeros(len(x))
-    grad = np.zeros((len(x), 3))
-    g[inside], near = _nearest_on_arcs(boundary._arcs, x[inside])
+        return np.where(ok, signed, 0.0), np.where(ok[:, None], sign * tang, 0.0)
+    g, near = _nearest_on_arcs(boundary._arcs, x)
     ok = g > 1e-12
     xo = x[ok].T
-    toward = _cross(_cross(xo, near[ok[inside]].T), xo)
+    toward = _cross(_cross(xo, near[ok].T), xo)
+    grad = np.zeros((len(x), 3))
     grad[ok] = (-toward / _norm(toward)).T
     g[~ok] = 0.0
-    return g, grad, ~ok
+    return g, grad
 
 
 def broadcast_projected(boundary, x: np.ndarray,
-                      drop_axis: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        drop_axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """
     `projected_scaling` on (n, 2) arrays of the kept coordinates: the
     nearest point as an (n, 2) array for each boundary kind, g from
@@ -205,7 +203,6 @@ def broadcast_projected(boundary, x: np.ndarray,
     _check_hemisphere(boundary, drop_idx, x)
     keep = [i for i in range(3) if i != drop_idx]
     xe, n = x[:, keep], len(x)
-    inside = np.asarray(boundary.contains(x)).reshape(n)
     if isinstance(boundary, ColatitudeBoundary):
         c0, s0 = np.cos(boundary.a0), np.sin(boundary.a0)
         if drop_idx == 0:
@@ -214,14 +211,13 @@ def broadcast_projected(boundary, x: np.ndarray,
         else:
             nearest = np.column_stack([np.full(n, c0), np.clip(xe[:, 1], -s0, s0)])
     else:
-        nearest = np.zeros_like(xe)
-        nearest[inside] = _nearest_projected(boundary._projected[drop_idx], xe[inside]).T
+        nearest = _nearest_projected(boundary._projected[drop_idx], xe).T
     diff = xe - nearest
     g = np.linalg.norm(diff, axis=1)
-    ok = inside & (g > 1e-12)
+    ok = g > 1e-12
     grad = np.zeros((n, 3))
     grad[:, keep] = np.where(ok[:, None], diff / np.where(ok, g, 1.0)[:, None], 0.0)
-    return np.where(ok, g, 0.0), grad, ~ok
+    return np.where(ok, g, 0.0), grad
 
 
 def scaling_moments(x: np.ndarray, g: np.ndarray, grad: np.ndarray) -> dict:
@@ -272,7 +268,7 @@ def pointwise_identity_sides(
     log_q = log_unnormalized_density(trunc_params, nodes)
     q = np.exp(log_q - log_q.max())
     q /= w @ q
-    g, grad_g, _ = scaling_values(boundary, nodes, g_kind, drop_axis)
+    g, grad_g = scaling_values(boundary, nodes, g_kind, drop_axis)
 
     psi_q, inner_q, _ = batch_terms(trunc_params, nodes)
     psi_p, inner_p, lap_p = batch_terms(params, nodes)

@@ -119,7 +119,7 @@ def test_criterion_2_derivatives_match_finite_differences():
     g_err = 0.0
     g_checked = 0
     for g_kind, drop in (("haversine", None), ("projected", 2)):
-        g, grad, _ = scaling_values(HEMI, x, g_kind, drop)
+        g, grad = scaling_values(HEMI, x, g_kind, drop)
         f = lambda y: float(scaling_values(HEMI, y[None, :], g_kind, drop)[0][0])
         for i, (v1, v2) in enumerate(frames):
             for v in (v1, v2):

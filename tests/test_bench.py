@@ -99,8 +99,14 @@ def test_truth_params_defaults():
     assert isinstance(k, KentParams)
     assert np.allclose(k.gamma1, [0.0, 0.0, 1.0], atol=1e-12)
     assert k.kappa == 10.0 and k.alpha == 3.0
-    with pytest.raises(ConfigError, match="truth"):
-        truth_params(ExperimentConfig(truth={"model": "vmf", "kappa": 6.0}))
+    # a partial truth is completed by the config itself, not by from_dict alone
+    config = ExperimentConfig(truth={"kappa": 8.0})
+    assert config.truth == {**ExperimentConfig().truth, "kappa": 8.0}
+    assert truth_params(config).kappa == 8.0
+    with pytest.raises(ConfigError, match="invalid truth spec"):
+        truth_params(ExperimentConfig(truth={"model": "vmf", "kappa": "six"}))
+    with pytest.raises(ConfigError, match="does not read"):
+        ExperimentConfig(truth={"kappa": 6.0, "alpha": 3.0})
 
 
 def test_build_boundary(tmp_path):
@@ -1089,15 +1095,45 @@ def test_cli_simulate_kent_defaults_to_the_harness_truth(tmp_path):
 
 def test_cli_model_flag_overrides_config_truth(tmp_path):
     cfg = tmp_path / "kent.json"
-    cfg.write_text(json.dumps({"truth": {"model": "kent", "kappa": 20.0, "alpha": 9.9}}))
+    cfg.write_text(json.dumps({"truth": {"model": "kent", "kappa": 20.0}}))
     base = ["simulate", "--config", str(cfg), "--n", "200", "--seed", "5"]
     assert main(base + ["--out-dir", str(tmp_path / "kent")]) == 0
     assert main(base + ["--model", "vmf", "--out-dir", str(tmp_path / "vmf")]) == 0
+    # the config's alpha is a key the vMF truth does not read
+    oval = tmp_path / "oval.json"
+    oval.write_text(json.dumps({"truth": {"model": "kent", "kappa": 20.0, "alpha": 9.9}}))
+    assert main(["simulate", "--config", str(oval), "--model", "vmf", "--n", "200",
+                 "--out-dir", str(tmp_path / "oval")]) == 2
     assert main(["simulate", "--kappa", "20", "--n", "200", "--seed", "5",
                  "--out-dir", str(tmp_path / "direct")]) == 0
     vmf = (tmp_path / "vmf" / "samples.csv").read_bytes()
     assert vmf == (tmp_path / "direct" / "samples.csv").read_bytes()
     assert vmf != (tmp_path / "kent" / "samples.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["vmf_alpha", "misspelt_truth_key", "polyline_hint",
+                                  "drop_axis_unread", "repeated_method"])
+def test_cli_rejects_config_values_a_run_does_not_read(tmp_path, case):
+    # each value would be dropped, or read twice, by the run: exit code 2
+    # before any artifact is written
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    bench = ["benchmark", "--replicates", "1", "--n-grid", "20", "--out-dir", str(out)]
+    argv = {
+        "vmf_alpha": ["simulate", "--alpha", "3", "--n", "20", "--out-dir", str(out)],
+        "misspelt_truth_key": ["simulate", "--config", str(cfg), "--n", "20", "--out-dir", str(out)],
+        "polyline_hint": ["simulate", "--config", str(cfg), "--n", "20", "--out-dir", str(out)],
+        "drop_axis_unread": bench + ["--experiment", "vmf_unknown_kappa", "--config", str(cfg)],
+        "repeated_method": bench + ["--methods", "mle,mle"],
+    }[case]
+    cfg.write_text(json.dumps({
+        "misspelt_truth_key": {"truth": {"kapa": 50}},
+        "polyline_hint": {"boundary": {"type": "polyline_csv", "path": USA_OUTLINE,
+                                       "interior_hint": [1.0, 0.0, 0.0]}},
+        "drop_axis_unread": {"drop_axis": 2},
+    }.get(case, {})))
+    assert main(argv) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-5"],

@@ -617,7 +617,7 @@ def test_polyline_scaling_is_per_query(name):
     x = x[b.contains(x)][:300]
     assert len(x) == 300
     for scaling in (haversine_scaling, projected_scaling):
-        g, grad, _ = scaling(b, x)
+        g, grad = scaling(b, x)
         alone = [scaling(b, q) for q in x]
         assert np.array_equal(g, np.concatenate([a[0] for a in alone])), scaling.__name__
         assert np.array_equal(grad, np.vstack([a[1] for a in alone])), scaling.__name__
@@ -652,8 +652,8 @@ def _same_bits(got, ref):
 @pytest.mark.parametrize("side", ["greater", "less"])
 @pytest.mark.parametrize("a0", [0.3, np.pi / 2.0, 2.5])
 def test_colatitude_scaling_matches_broadcast_reference(a0, side):
-    # g, grad and on_boundary on (3, n) rows, bit for bit as the (n, 3)
-    # broadcasts; the queries hold both poles, rim points and outside points
+    # g and grad on (3, n) rows, bit for bit as the (n, 3) broadcasts; the
+    # queries hold both poles, rim points and outside points
     b = ColatitudeBoundary(a0, side)
     rng = np.random.default_rng(17)
     x = np.vstack([unit_vector(rng.standard_normal((3000, 3))), np.eye(3), -np.eye(3),
@@ -688,43 +688,42 @@ def test_haversine_colatitude_closed_form():
         a = rng.uniform(lo + 0.05, hi - 0.05, 40)
         az = rng.uniform(0.0, 2.0 * np.pi, 40)
         x = to_euclidean(a, az)
-        g, grad, on_b = haversine_scaling(b, x)
+        g, grad = haversine_scaling(b, x)
         assert np.allclose(g, np.abs(a - b.a0), atol=1e-12)
-        assert not np.any(on_b)
+        assert np.all(g > 0.0)
         # unit tangential gradients
         assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-10)
         assert np.allclose(np.sum(grad * x, axis=1), 0.0, atol=1e-10)
 
 
 def test_haversine_zero_outside_and_on_boundary():
+    # off the region g is not specified, but a colatitude circle gives 0
     x_out = to_euclidean(0.4, 1.0)  # outside the hemisphere
     x_on = to_euclidean(np.pi / 2.0, 1.0)
-    for b in (HEMI, USA):
-        g, grad, on_b = haversine_scaling(b, np.stack([x_out, x_on]))
-        assert np.all(g == 0.0) and np.all(on_b)
-        assert np.all(grad == 0.0)
+    g, grad = haversine_scaling(HEMI, np.stack([x_out, x_on]))
+    assert np.all(g == 0.0) and np.all(grad == 0.0)
     # a polyline vertex is on the boundary
-    g, _, on_b = haversine_scaling(USA, USA.vertices[:5])
-    assert np.all(g == 0.0) and np.all(on_b)
+    g, grad = haversine_scaling(USA, USA.vertices[:5])
+    assert np.all(g == 0.0) and np.all(grad == 0.0)
 
 
 @pytest.mark.parametrize("b", [HEMI, ColatitudeBoundary(0.9, side="less")], ids=["greater", "less"])
 def test_haversine_colatitude_zero_in_the_rim_band(b):
     # within 1e-12 of the rim, on either side of it, g is 0 with a zero
-    # gradient, flagged on_boundary; 2e-12 inside it is the distance
+    # gradient; 2e-12 inside it is the distance
     inward = 1.0 if b.side == "greater" else -1.0
     offsets = np.array([-5e-13, -1e-13, 0.0, 1e-13, 5e-13, 9e-13, 2e-12, 1e-6])
-    g, grad, on_b = haversine_scaling(b, to_euclidean(b.a0 + inward * offsets, 1.0))
+    g, grad = haversine_scaling(b, to_euclidean(b.a0 + inward * offsets, 1.0))
     band = offsets < 1e-12
-    assert np.all(g[band] == 0.0) and np.all(grad[band] == 0.0) and np.all(on_b[band])
-    assert not np.any(on_b[~band])
+    assert np.all(g[band] == 0.0) and np.all(grad[band] == 0.0)
+    assert np.all(g[~band] > 0.0)
     assert np.allclose(g[~band], offsets[~band], rtol=1e-3, atol=0.0)
 
 
 def test_haversine_gradient_matches_fd():
     rng = np.random.default_rng(3)
     x = hemisphere_points(rng, 60)
-    g, grad, _ = haversine_scaling(HEMI, x)
+    g, grad = haversine_scaling(HEMI, x)
     for i in range(60):
         v1 = unit_vector(np.cross(x[i], [0.0, 0.0, 1.0]))
         v2 = np.cross(x[i], v1)
@@ -744,8 +743,8 @@ def test_haversine_polyline_equator_matches_colatitude():
     )
     rng = np.random.default_rng(4)
     x = hemisphere_points(rng, 40)
-    g_poly, grad_poly, _ = haversine_scaling(eq, x)
-    g_circ, grad_circ, _ = haversine_scaling(HEMI, x)
+    g_poly, grad_poly = haversine_scaling(eq, x)
+    g_circ, grad_circ = haversine_scaling(HEMI, x)
     assert np.allclose(g_poly, g_circ, atol=1e-12)
     assert np.allclose(grad_poly, grad_circ, atol=1e-12)
 
@@ -765,8 +764,8 @@ def test_haversine_polyline_is_exact_minimum():
     # reach below it
     rng = np.random.default_rng(5)
     x = usa_interior_points(rng, 300)
-    g, _, on_b = haversine_scaling(USA, x)
-    assert not np.any(on_b)
+    g, _ = haversine_scaling(USA, x)
+    assert np.all(g > 0.0)
     dense = _resample_closed(USA.vertices, 400_000)
     nearest = dense[[np.argmax(dense @ q) for q in x]]
     brute = np.arctan2(np.linalg.norm(np.cross(x, nearest), axis=1), np.sum(x * nearest, axis=1))
@@ -777,7 +776,7 @@ def test_haversine_polyline_is_exact_minimum():
 def test_haversine_polyline_gradient_matches_fd():
     rng = np.random.default_rng(14)
     x = usa_interior_points(rng, 200)
-    _, grad, _ = haversine_scaling(USA, x)
+    _, grad = haversine_scaling(USA, x)
     assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-12)
     assert np.allclose(np.sum(grad * x, axis=1), 0.0, atol=1e-12)
     f = lambda y: haversine_scaling(USA, y[None, :])[0][0]
@@ -798,12 +797,12 @@ def test_chart_pole_fallback_gradient():
         interior_hint=np.array([-1.0, 0.0, 0.0]),
     )
     x = to_euclidean(np.pi - 1e-7, 0.9)[None, :]
-    g, grad, on_b = haversine_scaling(eq, x)
-    assert not on_b[0]
+    g, grad = haversine_scaling(eq, x)
+    assert g[0] > 0.0
     assert np.isfinite(grad).all()
     assert np.linalg.norm(grad[0]) == pytest.approx(1.0, abs=1e-6)
     assert abs(float(grad[0] @ x[0])) < 1e-9
-    _, grad_circ, _ = haversine_scaling(HEMI, x)
+    _, grad_circ = haversine_scaling(HEMI, x)
     assert np.allclose(grad[0], grad_circ[0], atol=1e-3)
     # -(e1 - x1 x) / sin a, written without cancellation
     x1, x2, x3 = x[0]
@@ -820,8 +819,8 @@ def test_colatitude_gradient_unit_near_far_pole(side):
     for eps in (1e-7, 1e-8):
         a = np.pi - eps if side == "greater" else eps
         x = to_euclidean(np.full(3, a), np.array([0.3, 2.0, 4.5]))
-        g, grad, on_b = haversine_scaling(boundary, x)
-        assert not on_b.any()
+        g, grad = haversine_scaling(boundary, x)
+        assert np.all(g > 0.0)
         assert np.allclose(g, np.pi / 2.0 - eps, rtol=0.0, atol=1e-15)
         assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, rtol=0.0, atol=1e-12)
         x1, x2, x3 = x.T
@@ -847,10 +846,10 @@ def test_projected_colatitude_disk_closed_form():
     a = rng.uniform(2.3, np.pi - 0.1, 30)
     az = rng.uniform(0.0, 2.0 * np.pi, 30)
     x = to_euclidean(a, az)
-    g, grad, on_b = projected_scaling(b, x, drop_axis=1)
+    g, grad = projected_scaling(b, x, drop_axis=1)
     r = np.hypot(x[:, 1], x[:, 2])
     assert np.allclose(g, np.sin(2.2) - r, atol=1e-12)
-    assert not np.any(on_b)
+    assert np.all(g > 0.0)
     # gradient points radially inward in the kept plane, zero dropped component
     assert np.allclose(grad[:, 0], 0.0)
     assert np.allclose(grad[:, 1:], -x[:, 1:] / r[:, None], atol=1e-12)
@@ -862,7 +861,7 @@ def test_projected_hemisphere_orthogonal_drop_is_linear():
     rng = np.random.default_rng(7)
     x = hemisphere_points(rng, 40)
     for axis in (2, 3):
-        g, grad, _ = projected_scaling(HEMI, x, drop_axis=axis)
+        g, grad = projected_scaling(HEMI, x, drop_axis=axis)
         assert np.max(np.abs(g - np.abs(x[:, 0]))) <= 1e-15
         assert np.allclose(grad[:, axis - 1], 0.0)
 
@@ -889,9 +888,9 @@ def test_projected_colatitude_closed_form_matches_brute_force(a0, side, drop_axi
     rng = np.random.default_rng(30 + drop_axis)
     x = to_euclidean(rng.uniform(lo + 0.02, hi - 0.02, 60), rng.uniform(0.0, TWO_PI, 60))
     x = np.vstack([x, to_euclidean(np.array([lo + 0.02, hi - 0.02]), np.array([0.0, 0.5 * np.pi]))])
-    g, grad, on_b = projected_scaling(b, x, drop_axis=drop_axis)
+    g, grad = projected_scaling(b, x, drop_axis=drop_axis)
     brute = projected_circle_brute_force(b, x, drop_axis)
-    assert not on_b.any()
+    assert np.all(g > 0.0)
     # the exact distance is never above the sample's minimum, and the
     # sample's chord gaps (below 1.6e-5) bound how far below it can be
     assert np.all(g <= brute + 1e-13)
@@ -912,8 +911,8 @@ def test_projected_axis1_outside_the_disk(a0, side, a_range):
     rng = np.random.default_rng(31)
     a = rng.uniform(a_range[0] + 0.01, a_range[1] - 0.01, 40)
     x = to_euclidean(a, rng.uniform(0.0, TWO_PI, 40))
-    g, grad, on_b = projected_scaling(b, x, drop_axis=1)
-    assert not on_b.any()
+    g, grad = projected_scaling(b, x, drop_axis=1)
+    assert np.all(g > 0.0)
     assert np.allclose(g, np.sin(a) - np.sin(a0), rtol=0.0, atol=1e-12)
     r = np.hypot(x[:, 1], x[:, 2])
     assert np.allclose(grad[:, 1:], x[:, 1:] / r[:, None], atol=1e-12)
@@ -945,9 +944,9 @@ def test_projected_symmetric_polyline_any_start_and_order():
     for start in range(4):
         for order in (1, -1):
             b = PolylineBoundary(np.roll(kite, -start, axis=0)[::order])
-            g, _, on_b = projected_scaling(b, x, drop_axis=3)
+            g, _ = projected_scaling(b, x, drop_axis=3)
             # the same arcs in any order and from any start give the same g
-            assert not on_b.any()
+            assert np.all(g > 0.0)
             assert np.allclose(g, reference, rtol=0.0, atol=1e-12)
     # moving one off-plane vertex breaks the symmetry
     bent = kite.copy()
@@ -977,7 +976,7 @@ def test_projected_gradient_matches_fd():
     cases.append((USA, 3, usa_interior_points(rng, 40)))
     h = 1e-5
     for boundary, axis, x in cases:
-        g, grad, _ = projected_scaling(boundary, x, drop_axis=axis)
+        g, grad = projected_scaling(boundary, x, drop_axis=axis)
         f = lambda y: projected_scaling(boundary, y[None, :], drop_axis=axis)[0][0]
         checked = 0
         for i in range(0, 40, 4):
@@ -1032,13 +1031,13 @@ def test_projected_polyline_matches_brute_force():
         accepted = []
         for axis in (1, 2, 3):
             try:
-                g, grad, on_b = projected_scaling(b, x, drop_axis=axis)
+                g, grad = projected_scaling(b, x, drop_axis=axis)
             except ValueError:
                 continue
             accepted.append(axis)
             keep = [i for i in range(3) if i != axis - 1]
             brute = cKDTree(dense[:, keep]).query(x[:, keep])[0]
-            assert not on_b.any(), (name, axis)
+            assert np.all(g > 0.0), (name, axis)
             assert np.all(g <= brute + 1e-12), (name, axis)
             assert np.all(brute - g <= 1e-5), (name, axis)
             assert np.allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-12)
@@ -1051,8 +1050,8 @@ def test_projected_polyline_zero_on_the_boundary():
     for b in (USA, PolylineBoundary(POLYGONS["concave_hexagon"])):
         mids = unit_vector(b.vertices + np.roll(b.vertices, -1, axis=0))
         on = np.vstack([b.vertices, mids])
-        g, grad, on_b = projected_scaling(b, on, drop_axis=3, inside=np.ones(len(on), bool))
-        assert np.all(g == 0.0) and np.all(on_b) and np.all(grad == 0.0)
+        g, grad = projected_scaling(b, on, drop_axis=3)
+        assert np.all(g == 0.0) and np.all(grad == 0.0)
 
 
 # ----------------------------------------------------------------- dispatch
@@ -1061,15 +1060,30 @@ def test_projected_polyline_zero_on_the_boundary():
 def test_scaling_values_unit_kind():
     rng = np.random.default_rng(11)
     x = hemisphere_points(rng, 7)
-    g, grad, on_b = scaling_values(None, x, "unit")
-    assert np.all(g == 1.0) and np.all(grad == 0.0) and not np.any(on_b)
+    g, grad = scaling_values(None, x, "unit")
+    assert np.all(g == 1.0) and np.all(grad == 0.0)
+
+
+@pytest.mark.parametrize("g_kind", ["haversine", "projected"])
+@pytest.mark.parametrize("region", ["hemi", "usa"])
+def test_scaling_values_never_tests_membership(region, g_kind, monkeypatch):
+    # g is geometry only: it takes points of the region, whose membership
+    # the caller checks once, and never calls `contains` itself
+    rng = np.random.default_rng(41)
+    b, x = (HEMI, hemisphere_points(rng, 50)) if region == "hemi" else (USA, usa_interior_points(rng, 50))
+    calls = []
+    contains = type(b).contains
+    monkeypatch.setattr(type(b), "contains", lambda self, q: calls.append(len(q)) or contains(self, q))
+    g, grad = scaling_values(b, x, g_kind)
+    assert calls == []
+    assert g.shape == (50,) and grad.shape == (50, 3) and np.all(g > 0.0)
 
 
 def test_scaling_values_dispatch_and_errors():
     rng = np.random.default_rng(12)
     x = hemisphere_points(rng, 5)
-    g_h, _, _ = scaling_values(HEMI, x, "haversine")
-    g_p, _, _ = scaling_values(HEMI, x, "projected", drop_axis=2)
+    g_h, _ = scaling_values(HEMI, x, "haversine")
+    g_p, _ = scaling_values(HEMI, x, "projected", drop_axis=2)
     assert np.allclose(g_h, haversine_scaling(HEMI, x)[0])
     assert np.allclose(g_p, projected_scaling(HEMI, x, 2)[0])
     with pytest.raises(ValueError):
@@ -1079,10 +1093,10 @@ def test_scaling_values_dispatch_and_errors():
 
 
 def test_projected_single_point():
-    g, _, on_b = projected_scaling(HEMI, to_euclidean(2.4, 0.8), drop_axis=1)
+    g, _ = projected_scaling(HEMI, to_euclidean(2.4, 0.8), drop_axis=1)
     assert g.shape == (1,)
     assert g[0] == pytest.approx(1.0 - np.sin(2.4), abs=1e-12)
-    assert not on_b[0]
+    assert g[0] > 0.0
 
 
 # -------------------------------------------------------------- geo helpers
@@ -1178,7 +1192,7 @@ def test_load_boundary_csv_builds_each_outline_once(tmp_path, monkeypatch):
     # its tables are built once, with it, and equal a fresh build's
     x = to_euclidean(*latlon_to_spherical(np.array([35.0, 40.0]), np.array([-90.0, -95.0])))
     tables = first._projected
-    g, _, _ = projected_scaling(first, x, 1)
+    g, _ = projected_scaling(first, x, 1)
     assert np.array_equal(projected_scaling(load_boundary_csv(path), x, 1)[0], g)
     assert load_boundary_csv(copy)._projected is tables and len(tables) == 3
     fresh = PolylineBoundary(to_euclidean(*latlon_to_spherical(

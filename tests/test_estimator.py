@@ -129,32 +129,41 @@ def test_dataset_membership_validation():
 
 
 class CountingHemisphere(ColatitudeBoundary):
-    """The hemisphere a > pi/2, counting its membership calls."""
+    """The hemisphere a > pi/2, recording the size of each membership call."""
 
     def __init__(self):
         super().__init__(np.pi / 2.0)
-        self.calls = 0
+        self.calls = []
 
     def contains(self, x):
-        self.calls += 1
+        self.calls.append(len(x))
         return super().contains(x)
 
 
 @pytest.mark.parametrize("g_kind,axis", [("haversine", None), ("projected", 2)])
-def test_estimate_tests_membership_once(g_kind, axis):
+def test_estimate_tests_membership_once(g_kind, axis, monkeypatch):
+    # one contains call of all n points per fit, on either boundary kind:
+    # g itself takes points of the region and never tests membership
     d = hemi_dataset(200, seed=15)
     for model_kind, fixed in (("vmf_mu_kappa", None), ("vmf_mu_only", {"kappa": 6.0}),
                               ("kent_frame", {"kappa": 6.0, "alpha": 1.0})):
         boundary = CountingHemisphere()
         estimate(d, boundary, g_kind=g_kind, model_kind=model_kind, fixed=fixed, drop_axis=axis)
-        assert boundary.calls == 1
+        assert boundary.calls == [d.n]
+    usa_data, usa = _usa_dataset(150)
+    calls = []
+    contains = PolylineBoundary.contains
+    monkeypatch.setattr(PolylineBoundary, "contains",
+                        lambda self, q: calls.append(len(q)) or contains(self, q))
+    estimate(usa_data, usa, g_kind=g_kind, model_kind="vmf_mu_kappa")
+    assert calls == [usa_data.n]
     x = d.x.copy()
     x[[3, 7], 0] *= -1.0  # mirror two points into the unobserved half
     boundary = CountingHemisphere()
     expect = r"^2 data point\(s\) outside the region \(first at row 3\)"
     with pytest.raises(ValueError, match=expect):
         estimate(Dataset(x), boundary, g_kind=g_kind, drop_axis=axis)
-    assert boundary.calls == 1
+    assert boundary.calls == [d.n]
 
 
 # ---------------------------------------------------------------- objective
@@ -243,7 +252,7 @@ def test_scaling_stats_moments_match_broadcast_reference(g_kind, axis):
 def test_scaling_stats_independent_of_memory_layout(g_kind, axis):
     # the moments are formed on (3, n) rows whatever the layout of x and grad g
     d = hemi_dataset(500, seed=12)
-    g, grad, _ = scaling_values(None if g_kind == "unit" else HEMI, d.x, g_kind, axis)
+    g, grad = scaling_values(None if g_kind == "unit" else HEMI, d.x, g_kind, axis)
     names = ("gbar", "quad", "first", "tang", "tgrad", "tgrad_abs", "m", "c")
     ref = _ScalingStats(np.ascontiguousarray(d.x), g, np.ascontiguousarray(grad))
     for x in (np.ascontiguousarray(d.x), np.asfortranarray(d.x)):
@@ -401,7 +410,7 @@ def test_estimate_kent_frame():
     f = res.params.frame()
     assert np.allclose(f.T @ f, np.eye(3), atol=1e-10)
     # the search value from the cached moments is the reference objective
-    g, grad, _ = scaling_values(HEMI, s.x, "haversine")
+    g, grad = scaling_values(HEMI, s.x, "haversine")
     reference = pointwise_terms(res.params, s.x, g, grad)
     assert res.objective == pytest.approx(reference.total, rel=1e-12)
 
