@@ -46,6 +46,7 @@ from .boundary import (
     Boundary,
     ColatitudeBoundary,
     _csv_text,
+    _fold_side,
     latlon_to_spherical,
     load_boundary_csv,
     scaling_values,
@@ -271,15 +272,15 @@ def _tmsm_args(method: str, config: ExperimentConfig) -> tuple[str, int | None]:
 def _fit_one(
     method: str,
     config: ExperimentConfig,
-    truth: ModelParams,
+    fixed: dict,
     boundary: Boundary,
     data: Dataset,
 ) -> tuple[np.ndarray, float | None]:
-    """Run one method on one replicate; (mu_hat, kappa_hat or None). The
-    config has checked the method, and that truncsm has a colatitude
-    boundary."""
+    """Run one method on one replicate, given the truth's values of the
+    parameters the experiment's model kind holds fixed; (mu_hat, kappa_hat
+    or None). The config has checked the method, and that truncsm has a
+    colatitude boundary."""
     model_kind = _EXPERIMENTS[config.experiment][2]
-    fixed = {name: getattr(truth, name) for name in _FIXED_PARAMS[model_kind]}
     estimates_kappa = "kappa" not in fixed
     if method == "mle":
         p = mle_vmf(data, estimate_kappa=estimates_kappa, kappa=fixed.get("kappa"))
@@ -312,7 +313,8 @@ def _block_rows(
     wall time is its stats time plus an equal share of the block's fit.
     """
     rows, batch = [], []
-    kent = _EXPERIMENTS[config.experiment][2] == "kent_frame"
+    model_kind = _EXPERIMENTS[config.experiment][2]
+    fixed = {name: getattr(truth, name) for name in _FIXED_PARAMS[model_kind]}
 
     def score(row, mu_hat, kappa_hat, seconds):
         row.rmse_embedding = rmse_embedding(mu_hat, truth.mu)
@@ -338,13 +340,12 @@ def _block_rows(
             rows.append(row)
             t0 = time.perf_counter()
             try:
-                if kent and method.startswith("tmsm_"):
+                if model_kind == "kent_frame" and method.startswith("tmsm_"):
                     g_kind, drop_axis = _tmsm_args(method, config)
-                    fixed = {"kappa": truth.kappa, "alpha": truth.alpha}
-                    stats, _ = _fit_inputs(data, boundary, g_kind, "kent_frame", fixed, drop_axis)
+                    stats, _ = _fit_inputs(data, boundary, g_kind, model_kind, fixed, drop_axis)
                     batch.append((row, stats, time.perf_counter() - t0))
                     continue
-                mu_hat, kappa_hat = _fit_one(method, config, truth, boundary, data)
+                mu_hat, kappa_hat = _fit_one(method, config, fixed, boundary, data)
             except Exception as exc:
                 row.error = f"{type(exc).__name__}: {exc}"
                 continue
@@ -373,6 +374,11 @@ _BLOCK_CELLS = 32
 def _run_replicates(config: ExperimentConfig) -> list[BenchmarkRow]:
     truth = truth_params(config)
     boundary = build_boundary(config.boundary)
+    if "tmsm_projected" in config.methods:
+        try:
+            _fold_side(boundary, config.drop_axis)
+        except ValueError as exc:  # a drop axis whose projection would fold the boundary
+            raise ConfigError(str(exc)) from exc
     cells = [(n, r) for n in config.n_grid for r in range(config.replicates)]
     blocks = [cells[i:i + _BLOCK_CELLS] for i in range(0, len(cells), _BLOCK_CELLS)]
     # a worker beyond one per block would get no work; a lone block runs here
@@ -441,6 +447,20 @@ def _write_json(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _out_dir(path) -> Path:
+    """
+    `path` as the directory the artifacts go to, checked before any draw,
+    fit or data read and not made here: a ConfigError names it when it,
+    or a directory above it, is an existing file.
+    """
+    path = Path(path)
+    # the nearest of it and the directories above it that exists
+    above = next((p for p in (path, *path.parents) if p.exists()), path)
+    if above.is_file():
+        raise ConfigError(f"output directory {path} cannot be made: {above} is a file")
+    return path
+
+
 @dataclass
 class BenchmarkResult:
     rows: list[BenchmarkRow]
@@ -457,8 +477,8 @@ def run_benchmark(config: ExperimentConfig) -> BenchmarkResult:
     Raises AllReplicatesFailed only when no replicate of any method
     produced a result; individual failures become tagged rows.
     """
+    out_dir = _out_dir(config.out_dir)
     rows = _run_replicates(config)
-    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.experiment}_rows.csv"
     json_path = out_dir / f"{config.experiment}_summary.json"
@@ -613,6 +633,7 @@ def run_storms(
         FloatingPointError: events too few or too alike to fit, with no
             report written.
     """
+    out = _out_dir(out_dir)
     data, ids, latlon, _ = ingest_events(events_path)
     boundary = build_boundary({"type": "polyline_csv", "path": boundary_path})
     inside = np.asarray(boundary.contains(data.x))
@@ -657,7 +678,6 @@ def run_storms(
         "events": latlon[inside].tolist(),
         "seed": seed,
     }
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(report, out / "storms_report.json")
     return report

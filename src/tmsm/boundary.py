@@ -37,7 +37,11 @@ Two scaling functions are implemented, both zero exactly on the boundary:
   a segment, whose nearest point has a closed form; a polyline projects
   to a curve of elliptic arcs, whose nearest point is found exactly on
   the same vertex arcs, uncut: the rules that let the projection fold
-  keep each arc on one half of its ellipse.
+  keep each arc on one half of its ellipse. Those fold rules depend on
+  the curve alone, so each boundary builds its rule for every drop axis
+  at construction: the axis is refused, or the queries must keep to one
+  side of the plane x_k = 0, or not reach both, or need no check; a
+  projected-g call checks only its queries against it.
 
 The scaling functions are geometry only. They take points of the closed
 region and return (g, grad). They never test membership: the code that
@@ -132,6 +136,10 @@ _SIDE_ERROR = 16.0 * np.finfo(float).eps
 _AZIMUTH_SLACK = 1e-6
 _NEAR_AXIS = 1e-6
 
+# Tolerance of the fold rules on the dropped coordinate of projected g:
+# a curve or query within it of the plane x_k = 0 counts as on the plane.
+_FOLD_TOL = 1e-9
+
 # `load_boundary_csv` keeps the boundaries of this many distinct outline
 # files: a report per season against one border builds it once.
 _OUTLINES = 4
@@ -195,6 +203,11 @@ class ColatitudeBoundary(Boundary):
         self.side = side
         pole_a = np.pi if side == "greater" else 0.0
         self.interior_reference = to_euclidean(pole_a, 0.0)
+        # the circle lies in the plane x1 = cos a0, and is mirror-symmetric
+        # in x2 and x3
+        c0, s0 = np.cos(self.a0), np.sin(self.a0)
+        self._folds = tuple(_fold_rule(k, lo, hi, True)
+                            for k, (lo, hi) in enumerate([(c0, c0), (-s0, s0), (-s0, s0)]))
         _freeze(self)
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
@@ -241,9 +254,9 @@ class PolylineBoundary(Boundary):
 
     Every query reads one table of the vertex arcs (`_arc_table`): the
     crossing and hint checks, both arc indexes, both scaling functions
-    and the `_projected_table` of each drop axis. All of it is built
-    here, as functions of the vertices and hint alone, and made
-    read-only.
+    and the `_projected_table` of each drop axis. All of it, and the fold
+    rule of each drop axis (`_fold_rule`), is built here, as functions of
+    the vertices and hint alone, and made read-only.
     """
 
     def __init__(self, vertices: np.ndarray, interior_hint: np.ndarray | None = None):
@@ -283,6 +296,10 @@ class PolylineBoundary(Boundary):
         # the parity of the detour index's origin, seen from the hint
         self._detour_odd = bool(self._index.parity(self._detour.origin[None, :])[0])
         self._projected = tuple(_projected_table(arcs, k) for k in range(3))
+        # a minor arc is a conic combination of its ends, so it keeps the
+        # sign they share: the vertices span the curve's exact extent
+        self._folds = tuple(_fold_rule(k, v.min(), v.max(), _mirror_symmetric(vertices, k))
+                            for k, v in enumerate(vertices.T))
         # (centre, cos R less the slack, membership outside the cap); the
         # cap with cos R = -inf is the whole sphere.
         self._cap = (interior_hint, -np.inf, False)
@@ -712,8 +729,8 @@ def _nearest_projected(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     normal n onto a centred ellipse with semi-axes 1 (along m, the unit
     vector along e_k x n) and b = |n_k|, at principal angle phi. Only the
     sign of x_k picks the half of the ellipse, phi in [0, pi] once the
-    axis w = n x m is taken toward the arc's midpoint, and the fold rules
-    of `_check_hemisphere` keep each arc on its half: a one-sided
+    axis w = n x m is taken toward the arc's midpoint, and the boundary's
+    fold rule (`_fold_rule`) keeps each arc on its half: a one-sided
     boundary's arcs cross the plane x_k = 0 only within the 1e-9 fold
     tolerance, and an arc of a simple mirror-symmetric boundary that
     crosses it is its own mirror image, so n_k = 0 and it projects to a
@@ -843,12 +860,6 @@ def default_drop_axis(boundary: Boundary) -> int:
     return int(np.argmax(np.abs(boundary.interior_reference))) + 1
 
 
-def _drop_index(drop_axis: int) -> int:
-    if drop_axis not in (1, 2, 3):
-        raise ValueError(f"drop_axis must be 1, 2, or 3 (coordinate number), got {drop_axis}")
-    return drop_axis - 1
-
-
 def _mirror_symmetric(vertices: np.ndarray, drop_idx: int) -> bool:
     """
     True when negating the dropped coordinate maps the closed vertex cycle
@@ -868,55 +879,49 @@ def _mirror_symmetric(vertices: np.ndarray, drop_idx: int) -> bool:
     return False
 
 
-def _check_hemisphere(boundary: Boundary, drop_idx: int, x: np.ndarray) -> None:
+def _fold_rule(drop_idx: int, lo: float, hi: float, mirrored: bool) -> float | str | None:
     """
-    Validate that the projection preserves the zero set of the distance.
+    The fold rule of dropping coordinate drop_idx from a boundary whose
+    curve spans [lo, hi] along it, mirror-symmetric in it when `mirrored`:
+    whether the projection keeps the zero set of the distance, for the
+    boundary's constructor to store.
 
-    Allowed: the boundary lies in one closed hemisphere of the dropped
-    axis (projection injective over the region side), or the boundary is
-    mirror-symmetric in that axis (the fold maps boundary onto boundary).
-    Anything else would let interior points project onto the projected
-    boundary, so it is rejected.
-
-    The extent of the boundary along the dropped axis is exact: a
-    colatitude circle lies in the plane x1 = cos a0 and is mirror-symmetric
-    in x2 and x3; a polyline's minor arcs are conic combinations of their
-    endpoints, so each keeps the sign its two vertices share.
+    Allowed are a curve in one closed hemisphere of the dropped axis,
+    where the projection is injective over the region's side, and a
+    mirror-symmetric curve, which the fold maps onto itself. So the rule,
+    with tolerance _FOLD_TOL, is the side (1.0 or -1.0) the queries must
+    keep to when the curve keeps to one side of the plane x_k = 0; 0.0
+    when it lies on the plane, and the queries must not reach both sides;
+    None when it straddles the plane mirror-symmetrically, and the queries
+    need no check; and the message that refuses the axis when it straddles
+    the plane otherwise, which would let interior points project onto the
+    projected boundary.
     """
-    if isinstance(boundary, ColatitudeBoundary):
-        c0, s0 = np.cos(boundary.a0), np.sin(boundary.a0)
-        lo, hi = (c0, c0) if drop_idx == 0 else (-s0, s0)
-    else:
-        coords = boundary.vertices[:, drop_idx]
-        lo, hi = coords.min(), coords.max()
-    tol = 1e-9
-    if lo < -tol and hi > tol:
-        # A straddling circle is mirror-symmetric; a polyline must be checked.
-        if isinstance(boundary, PolylineBoundary) and not _mirror_symmetric(boundary.vertices, drop_idx):
-            raise ValueError(
-                f"boundary straddles the drop-axis coordinate plane "
+    if lo < -_FOLD_TOL and hi > _FOLD_TOL:
+        if mirrored:
+            return None
+        return (f"boundary straddles the drop-axis coordinate plane "
                 f"asymmetrically (coordinate x{drop_idx + 1}); the projection "
-                "would place interior points on the projected boundary"
-            )
-        return
-    side = 0.0
-    if hi > tol:
-        side = 1.0
-    elif lo < -tol:
-        side = -1.0
-    q = x[:, drop_idx]
-    if side != 0.0:
-        if np.any(q * side < -tol):
-            raise ValueError(
-                "query points lie on the far side of the projection plane; "
-                "the region is not contained in one hemisphere of the dropped axis"
-            )
-    else:
-        if q.max() > tol and q.min() < -tol:
-            raise ValueError(
-                "query points span both hemispheres of the dropped axis; "
-                "projection would fold"
-            )
+                "would place interior points on the projected boundary")
+    return 1.0 if hi > _FOLD_TOL else -1.0 if lo < -_FOLD_TOL else 0.0
+
+
+def _fold_side(boundary: Boundary, drop_axis: int | None) -> tuple[int, float | None]:
+    """
+    (index of the dropped coordinate, fold side) of projected g along
+    drop_axis (`default_drop_axis` when None), read off the boundary's
+    stored fold rule: the side the queries must keep to, 0.0 when they
+    must not reach both sides, None when they need no check. Raises
+    ValueError for an axis other than 1-3, or one the rule refuses.
+    """
+    if drop_axis is None:
+        drop_axis = default_drop_axis(boundary)
+    if drop_axis not in (1, 2, 3):
+        raise ValueError(f"drop_axis must be 1, 2, or 3 (coordinate number), got {drop_axis}")
+    side = boundary._folds[drop_axis - 1]
+    if isinstance(side, str):
+        raise ValueError(side)
+    return drop_axis - 1, side
 
 
 def projected_scaling(
@@ -951,15 +956,25 @@ def projected_scaling(
 
     Raises:
         ValueError: if the projection could place interior points on the
-            projected boundary (boundary neither one-sided nor
-            mirror-symmetric in the dropped axis, or queries on the far
-            side of a one-sided boundary).
+            projected boundary: the boundary's fold rule, built with it
+            (`_fold_rule`), refuses the axis when the curve is neither
+            one-sided nor mirror-symmetric in the dropped coordinate, and
+            the queries are checked against it (on the far side of a
+            one-sided curve, or on both sides of a curve on the plane).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if drop_axis is None:
-        drop_axis = default_drop_axis(boundary)
-    drop_idx = _drop_index(drop_axis)
-    _check_hemisphere(boundary, drop_idx, x)
+    drop_idx, side = _fold_side(boundary, drop_axis)
+    q = x[:, drop_idx]
+    if side and np.any(q * side < -_FOLD_TOL):
+        raise ValueError(
+            "query points lie on the far side of the projection plane; "
+            "the region is not contained in one hemisphere of the dropped axis"
+        )
+    if side == 0.0 and q.max() > _FOLD_TOL and q.min() < -_FOLD_TOL:
+        raise ValueError(
+            "query points span both hemispheres of the dropped axis; "
+            "projection would fold"
+        )
     keep = [i for i in range(3) if i != drop_idx]
     xe = x.T[keep]
     n = x.shape[0]

@@ -14,8 +14,11 @@ optional JSON file (--config) whose keys are the ExperimentConfig keys the
 subcommand reads (`_READS`), overlaid with every flag given on the command
 line, validated by ExperimentConfig.from_dict as `benchmark` does, so a
 key the subcommand does not read or a bad value fails with exit code 2
-whichever subcommand reads it. Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numerical failure.
+whichever subcommand reads it. So does an output path that cannot take
+the artifacts: one under an existing file is refused before any draw,
+fit or data read (`_out_dir`), and an artifact that cannot be written
+exits 2 too. Exit codes: 0 success, 2 configuration error, 3 data error,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .bench import (
     DataError,
     ExperimentConfig,
     _method_report,
+    _out_dir,
     _write_json,
     build_boundary,
     ingest_events,
@@ -40,7 +44,7 @@ from .bench import (
     run_storms,
     truth_params,
 )
-from .estimator import Dataset, estimate
+from .estimator import MODEL_KINDS, Dataset, estimate
 from .geometry import to_spherical
 from .sampling import sample_truncated, substream_rng
 
@@ -120,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="haversine", help="scaling function variant (default haversine)")
     p.add_argument("--degrees", action="store_true",
                    help="ingest --data as latitude/longitude degree columns")
-    p.add_argument("--model-kind", default="vmf_mu_kappa",
-                   choices=("vmf_mu_only", "vmf_mu_kappa", "kent_frame"))
+    p.add_argument("--model-kind", default="vmf_mu_kappa", choices=MODEL_KINDS)
     p.add_argument("--fixed-kappa", type=float, help="known concentration")
     p.add_argument("--fixed-alpha", type=float, help="known ovalness (kent)")
     p.add_argument("--drop-axis", type=int, choices=(1, 2, 3),
@@ -192,12 +195,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     config = _settings(args)
+    out_path = Path(args.out) if args.out else Path(config.out_dir) / "samples.csv"
+    _out_dir(out_path.parent)
     params = truth_params(config)
     boundary = build_boundary(config.boundary)
     sample = sample_truncated(
         params, boundary, args.n, substream_rng(config.seed, args.n), config.max_draw_factor
     )
-    out_path = Path(args.out) if args.out else Path(config.out_dir) / "samples.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     Dataset(sample.x).to_csv(out_path)
     print(f"wrote {sample.x.shape[0]} samples to {out_path} "
@@ -207,6 +211,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _settings(args)
+    out_dir = _out_dir(config.out_dir)
     # each reader's message names the file once; a DataError is a ValueError
     try:
         data = ingest_events(args.data)[0] if args.degrees else Dataset.from_csv(args.data)
@@ -239,7 +244,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         report["gamma1"] = [float(v) for v in result.params.gamma1]
         report["gamma2"] = [float(v) for v in result.params.gamma2]
         report["alpha"] = float(result.params.alpha)
-    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report, out_dir / "estimate.json")
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -282,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:  # every read maps its own; this one wrote an artifact
+        print(f"config error: cannot write an artifact: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (AllReplicatesFailed, RuntimeError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

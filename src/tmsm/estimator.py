@@ -73,10 +73,10 @@ from .models import (
     log_unnormalized_density,
 )
 
-MODEL_KINDS = ("vmf_mu_only", "vmf_mu_kappa", "kent_frame")
-
-# The `fixed` parameters each model kind needs; it accepts no others.
+# The model kinds, each with the `fixed` parameters it needs; it accepts
+# no others.
 _FIXED_PARAMS = {"vmf_mu_only": ("kappa",), "vmf_mu_kappa": (), "kent_frame": ("kappa", "alpha")}
+MODEL_KINDS = tuple(_FIXED_PARAMS)
 
 
 @dataclass

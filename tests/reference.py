@@ -8,7 +8,9 @@ pass; these slower, term-by-term forms check it.
 Also here, for the boundary layer, the colatitude haversine g and the
 projected g of every boundary kind as (n, 3) and (n, 2) broadcasts: the
 package forms them on (3, n) and (2, n) rows and must match them bit for
-bit.
+bit. The projected g checks its fold rule the way the package once did,
+per call (`_check_hemisphere`): the package builds the rule with the
+boundary and must raise exactly where this does, with the same message.
 
 And for the fit layer, everything the package computes from the
 quadratic form of `_ScalingStats`, rebuilt point by point: the data moments
@@ -39,9 +41,9 @@ import numpy as np
 
 from tmsm.boundary import (
     ColatitudeBoundary,
-    _check_hemisphere,
+    PolylineBoundary,
     _cross,
-    _drop_index,
+    _mirror_symmetric,
     _nearest_on_arcs,
     _nearest_projected,
     _norm,
@@ -190,11 +192,69 @@ def broadcast_haversine(boundary, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return g, grad
 
 
+def _drop_index(drop_axis: int) -> int:
+    if drop_axis not in (1, 2, 3):
+        raise ValueError(f"drop_axis must be 1, 2, or 3 (coordinate number), got {drop_axis}")
+    return drop_axis - 1
+
+
+def _check_hemisphere(boundary, drop_idx: int, x: np.ndarray) -> None:
+    """
+    Validate that the projection preserves the zero set of the distance.
+
+    Allowed: the boundary lies in one closed hemisphere of the dropped
+    axis (projection injective over the region side), or the boundary is
+    mirror-symmetric in that axis (the fold maps boundary onto boundary).
+    Anything else would let interior points project onto the projected
+    boundary, so it is rejected.
+
+    The extent of the boundary along the dropped axis is exact: a
+    colatitude circle lies in the plane x1 = cos a0 and is mirror-symmetric
+    in x2 and x3; a polyline's minor arcs are conic combinations of their
+    endpoints, so each keeps the sign its two vertices share.
+    """
+    if isinstance(boundary, ColatitudeBoundary):
+        c0, s0 = np.cos(boundary.a0), np.sin(boundary.a0)
+        lo, hi = (c0, c0) if drop_idx == 0 else (-s0, s0)
+    else:
+        coords = boundary.vertices[:, drop_idx]
+        lo, hi = coords.min(), coords.max()
+    tol = 1e-9
+    if lo < -tol and hi > tol:
+        # A straddling circle is mirror-symmetric; a polyline must be checked.
+        if isinstance(boundary, PolylineBoundary) and not _mirror_symmetric(boundary.vertices, drop_idx):
+            raise ValueError(
+                f"boundary straddles the drop-axis coordinate plane "
+                f"asymmetrically (coordinate x{drop_idx + 1}); the projection "
+                "would place interior points on the projected boundary"
+            )
+        return
+    side = 0.0
+    if hi > tol:
+        side = 1.0
+    elif lo < -tol:
+        side = -1.0
+    q = x[:, drop_idx]
+    if side != 0.0:
+        if np.any(q * side < -tol):
+            raise ValueError(
+                "query points lie on the far side of the projection plane; "
+                "the region is not contained in one hemisphere of the dropped axis"
+            )
+    else:
+        if q.max() > tol and q.min() < -tol:
+            raise ValueError(
+                "query points span both hemispheres of the dropped axis; "
+                "projection would fold"
+            )
+
+
 def broadcast_projected(boundary, x: np.ndarray,
                         drop_axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """
     `projected_scaling` on (n, 2) arrays of the kept coordinates: the
-    nearest point as an (n, 2) array for each boundary kind, g from
+    fold rule worked out per call by `_check_hemisphere`, the nearest
+    point as an (n, 2) array for each boundary kind, g from
     `np.linalg.norm` along axis 1 and the gradient through [:, None]
     broadcasts.
     """

@@ -1071,6 +1071,49 @@ def test_truncsm_on_a_polyline_is_a_config_error_before_any_draw(tmp_path, monke
     assert draws == [] and not out.exists()
 
 
+def test_refused_drop_axis_is_a_config_error_before_any_draw(tmp_path, monkeypatch):
+    # the outline straddles the plane x2 = 0 asymmetrically: the benchmark
+    # looks the axis up once and refuses it before a point is drawn
+    draws = []
+    monkeypatch.setattr(tmsm.bench, "sample_truncated", lambda *a, **k: draws.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "vmf_unknown_kappa", "n_grid": [50], "replicates": 3,
+                               "methods": ["tmsm_projected", "mle"], "drop_axis": 2,
+                               "boundary": {"type": "polyline_csv", "path": USA_OUTLINE}}))
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert draws == [] and not out.exists()
+
+
+@pytest.mark.parametrize("case", ["simulate", "simulate_out", "simulate_out_is_a_directory",
+                                  "estimate", "benchmark", "storms"])
+def test_cli_output_path_that_cannot_take_the_artifacts_exit_2(tmp_path, capsys, case):
+    # an output directory that is, or lies under, an existing file is
+    # refused before any draw, fit or data read; a CSV path that names a
+    # directory fails on writing; both exit 2 and leave the file as it was
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    data = tmp_path / "data.csv"
+    Dataset(to_euclidean(np.array([2.0, 2.2, 2.4]), np.array([0.0, 1.0, 2.0]))).to_csv(data)
+    events = tmp_path / "events.csv"
+    _write_events(events, [("e0", 39.0, -98.5), ("e1", 35.0, -90.0), ("e2", 42.0, -105.0)])
+    small = ["--replicates", "1", "--n-grid", "20"]
+    argv = {
+        "simulate": ["simulate", "--n", "20", "--out-dir", str(blocker)],
+        "simulate_out": ["simulate", "--n", "20", "--out", str(blocker / "x.csv")],
+        "simulate_out_is_a_directory": ["simulate", "--n", "20", "--out", str(tmp_path)],
+        "estimate": ["estimate", "--data", str(data), "--out-dir", str(blocker)],
+        "benchmark": ["benchmark", *small, "--out-dir", str(blocker / "sub")],
+        "storms": ["storms", "--events", str(events), "--boundary-csv", USA_OUTLINE,
+                   "--out-dir", str(blocker)],
+    }[case]
+    assert main(argv) == 2
+    named = tmp_path if case == "simulate_out_is_a_directory" else blocker
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(named) in err
+    assert blocker.read_text() == "keep\n"
+
+
 def test_cli_simulate_kent_at_high_ovalness(tmp_path):
     # 2 alpha / kappa = 0.99: a valid shape the vMF-envelope sampler refused
     argv = ["simulate", "--model", "kent", "--kappa", "20", "--alpha", "9.9",

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from reference import broadcast_haversine, broadcast_projected
+import tmsm.boundary
 from tmsm.boundary import (
     ColatitudeBoundary,
     _AZIMUTH_BINS,
@@ -965,6 +966,117 @@ def test_projected_far_side_query_rejected():
 def test_projected_invalid_axis():
     with pytest.raises(ValueError):
         projected_scaling(HEMI, np.array([[-1.0, 0.0, 0.0]]), drop_axis=0)
+
+
+# Boundaries for the fold rules: colatitude circles from the pole to the
+# antipode, on both sides, with a0 within the rule's 1e-9 tolerance of the
+# pole and of the plane x1 = 0, and polylines one-sided, mirror-symmetric,
+# asymmetric across a plane, and on a plane.
+FOLD_A0 = [1e-10, 0.3, 1.2, np.pi / 2 - 5e-10, np.pi / 2, np.pi / 2 + 5e-10, 2.0, 2.5,
+           np.pi - 1e-10]
+_BENT_KITE = KITE.copy()
+_BENT_KITE[1] = to_euclidean(1.25, 0.4)
+FOLD_BOUNDARIES = {
+    **{f"colatitude_{a0!r}_{side}": (lambda a0=a0, side=side: ColatitudeBoundary(a0, side))
+       for a0 in FOLD_A0 for side in ("greater", "less")},
+    "usa": lambda: USA,
+    "kite": lambda: PolylineBoundary(KITE),
+    "bent_kite": lambda: PolylineBoundary(_BENT_KITE),
+    "straddling_wedge": lambda: PolylineBoundary(to_euclidean([0.7, 0.9, 0.5], [5.9, 0.6, 0.9])),
+    "equator_octagon": lambda: PolylineBoundary(
+        to_euclidean(np.full(8, np.pi / 2), np.arange(8) * np.pi / 4), np.array([-1.0, 0.0, 0.0])),
+}
+
+
+def _fold_queries(b, seed):
+    """
+    Query sets for a boundary's fold rules along each axis k: points of
+    the region, those of them on each side of the plane x_k = 0 and their
+    mirror images beyond it, pairs moved to either side of the plane just
+    within and just beyond the rule's 1e-9 tolerance, and points outside
+    the region.
+    """
+    rng = np.random.default_rng(seed)
+    if isinstance(b, ColatitudeBoundary):
+        lo, hi = b.a_interval()
+        inside = to_euclidean(rng.uniform(lo, hi, 300), rng.uniform(0.0, TWO_PI, 300))
+        outside = unit_vector(rng.standard_normal((300, 3)))
+    else:
+        x = unit_vector(b.interior_reference + 0.3 * rng.standard_normal((1200, 3)))
+        inside, outside = x[b.contains(x)], x[~b.contains(x)]
+    for k in range(3):
+        mirror = np.where(np.arange(3) == k, -1.0, 1.0)
+        for q in (inside, inside[inside[:, k] > 0.0], inside[inside[:, k] < 0.0]):
+            if len(q):
+                yield k + 1, q
+                yield k + 1, q * mirror
+        for offset in (0.5e-9, 1.5e-9):
+            pair = inside[:2].copy()
+            pair[:, k] = [offset, -offset]
+            yield k + 1, unit_vector(pair)
+        yield k + 1, outside[:100]
+
+
+def _outcome(scaling, *args):
+    """A scaling function's (g, grad), or the type and message it raised."""
+    try:
+        return scaling(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _raised(outcome) -> bool:
+    return isinstance(outcome[0], type)
+
+
+def _same_outcome(got, ref):
+    if _raised(ref):
+        return _raised(got) and got == ref
+    return not _raised(got) and _same_bits(got, ref)
+
+
+@pytest.mark.parametrize("name", FOLD_BOUNDARIES)
+def test_projected_fold_rules_match_the_per_call_rule(name):
+    # the rule built with the boundary raises exactly where the per-call
+    # rule did, with its message, and elsewhere gives the same bits
+    b = FOLD_BOUNDARIES[name]()
+    for axis, q in _fold_queries(b, seed=41):
+        ref = _outcome(broadcast_projected, b, q, axis)
+        assert _same_outcome(_outcome(projected_scaling, b, q, axis), ref), (axis, len(q))
+
+
+def test_projected_fold_rule_cases_reach_every_outcome():
+    # the cases above pass, and raise each of the rule's three messages
+    seen = set()
+    for build in FOLD_BOUNDARIES.values():
+        b = build()
+        for axis, q in _fold_queries(b, seed=41):
+            ref = _outcome(broadcast_projected, b, q, axis)
+            seen.add(" ".join(ref[1].split()[:3]) if _raised(ref) else "ok")
+    assert seen == {"ok", "boundary straddles the", "query points lie", "query points span"}
+
+
+def test_projected_g_builds_no_fold_rule_per_call(monkeypatch):
+    # the kite straddles x3 = 0 mirror-symmetrically; its rule is built
+    # with it, so no call runs the symmetry test again
+    kite = PolylineBoundary(KITE)
+    calls = []
+    symmetric = tmsm.boundary._mirror_symmetric
+    monkeypatch.setattr(tmsm.boundary, "_mirror_symmetric",
+                        lambda *a: calls.append(a) or symmetric(*a))
+    x = to_euclidean(np.array([1.2, 1.3, 1.25]), np.array([0.0, 0.1, -0.2]))
+    for _ in range(100):
+        projected_scaling(kite, x, drop_axis=3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", FOLD_BOUNDARIES)
+def test_projected_fold_rules_survive_a_pickle(name):
+    b = FOLD_BOUNDARIES[name]()
+    copy = pickle.loads(pickle.dumps(b))
+    for axis, q in _fold_queries(b, seed=42):
+        ref = _outcome(projected_scaling, b, q, axis)
+        assert _same_outcome(_outcome(projected_scaling, copy, q, axis), ref), (axis, len(q))
 
 
 def test_projected_gradient_matches_fd():
