@@ -52,8 +52,8 @@ from .boundary import (
     scaling_values,
     spherical_to_latlon,
 )
-from .estimator import (_FIXED_PARAMS, Dataset, _fit_inputs, _fit_kent_frames, _fit_vmf,
-                        _ScalingStats, estimate)
+from .estimator import (_FIXED_PARAMS, Dataset, EstimationResult, _fit_inputs, _fit_kent_frames,
+                        _fit_vmf, _ScalingStats, estimate)
 from .geometry import geodesic_angle, to_euclidean, to_spherical, unit_vector
 from .models import KentParams, ModelParams, VmfParams
 from .sampling import MAX_DRAW_FACTOR, sample_truncated, substream_rng
@@ -275,28 +275,29 @@ def _fit_one(
     fixed: dict,
     boundary: Boundary,
     data: Dataset,
-) -> tuple[np.ndarray, float | None]:
+) -> tuple[np.ndarray, float]:
     """Run one method on one replicate, given the truth's values of the
-    parameters the experiment's model kind holds fixed; (mu_hat, kappa_hat
-    or None). The config has checked the method, and that truncsm has a
-    colatitude boundary."""
+    parameters the experiment's model kind holds fixed; (mu_hat,
+    kappa_hat), kappa_hat being the fixed value when kappa is fixed. The
+    config has checked the method, and that truncsm has a colatitude
+    boundary."""
     model_kind = _EXPERIMENTS[config.experiment][2]
     estimates_kappa = "kappa" not in fixed
     if method == "mle":
         p = mle_vmf(data, estimate_kappa=estimates_kappa, kappa=fixed.get("kappa"))
-        return p.mu, (p.kappa if estimates_kappa else None)
+        return p.mu, p.kappa
     if method in ("tmsm_haversine", "tmsm_projected"):
         g_kind, drop_axis = _tmsm_args(method, config)
         res = estimate(data, boundary, g_kind=g_kind, model_kind=model_kind,
                        fixed=fixed, drop_axis=drop_axis)
-        return res.params.mu, (res.params.kappa if estimates_kappa else None)
+        return res.params.mu, res.params.kappa
     a, b = data.spherical()  # truncsm
     model: MvnChartModel = truncsm_mvn(
         np.stack([a, b], axis=1), hemisphere_chart_segments(boundary.a0, boundary.side),
         estimate_precision=estimates_kappa,
         kappa_inv=None if estimates_kappa else 1.0 / fixed["kappa"],
     )
-    return model.mean_direction(), (1.0 / model.kappa_inv if estimates_kappa else None)
+    return model.mean_direction(), 1.0 / model.kappa_inv
 
 
 def _block_rows(
@@ -319,7 +320,7 @@ def _block_rows(
     def score(row, mu_hat, kappa_hat, seconds):
         row.rmse_embedding = rmse_embedding(mu_hat, truth.mu)
         row.geodesic_error_rad = float(geodesic_angle(mu_hat, truth.mu))
-        if kappa_hat is not None:
+        if "kappa" not in fixed:
             row.kappa_error = abs(float(kappa_hat) - truth.kappa)
         if config.timings:
             row.wall_time_ms = seconds * 1e3
@@ -361,7 +362,7 @@ def _block_rows(
             if isinstance(res, Exception):
                 row.error = f"{type(res).__name__}: {res}"
             else:
-                score(row, res.params.mu, None, seconds + share)
+                score(row, res.params.mu, res.params.kappa, seconds + share)
     return rows
 
 
@@ -587,16 +588,26 @@ def initial_bearing_deg(lat1, lon1, lat2, lon2) -> float:
     return float(bearing)
 
 
-def _method_report(mu: np.ndarray, kappa: float | None) -> dict:
-    a, b = to_spherical(mu)
+def _fit_entry(params: ModelParams, result: EstimationResult | None = None) -> dict:
+    """
+    A fit as every report gives it: the mean direction in latitude and
+    longitude degrees and in embedding coordinates, and kappa; for Kent
+    parameters also the axes gamma1 and gamma2 and alpha; and given the
+    fit's EstimationResult, also its objective and whether it converged.
+    """
+    a, b = to_spherical(params.mu)
     lat, lon = spherical_to_latlon(float(a), float(b))
     entry = {
         "mu_lat_deg": float(lat),
         "mu_lon_deg": float(lon),
-        "mu_x": [float(v) for v in mu],
+        "mu_x": [float(v) for v in params.mu],
+        "kappa": float(params.kappa),
     }
-    if kappa is not None:
-        entry["kappa"] = float(kappa)
+    if isinstance(params, KentParams):
+        entry.update(gamma1=[float(v) for v in params.gamma1],
+                     gamma2=[float(v) for v in params.gamma2], alpha=float(params.alpha))
+    if result is not None:
+        entry.update(objective=result.objective, converged=result.converged)
     return entry
 
 
@@ -614,10 +625,10 @@ def run_storms(
     array), excludes any outside the boundary (with a warning: that is a
     data mismatch, not a fatal error), then fits the rotational model by
     truncation-blind maximum likelihood and by the truncated estimator
-    under both scaling functions. The JSON report carries each fit in
-    latitude/longitude and embedding coordinates, the bearing from the
-    MLE fit to each truncated fit, and the event coordinates for external
-    plotting, as parsed. Both truncated fits are closed-form, so `seed` is
+    under both scaling functions. The JSON report carries each fit as
+    `_fit_entry` gives it (a truncated fit with its objective and
+    convergence flag), the bearing from the MLE fit to each truncated fit,
+    and the event coordinates for external plotting, as parsed. Both truncated fits are closed-form, so `seed` is
     only recorded in the report and no longer changes the fits. Membership
     is tested once, by the filter: both truncated fits take the kept
     events, and g does not test it again. The border is read on every
@@ -652,7 +663,7 @@ def run_storms(
     except ValueError as exc:
         # one event, or coincident ones: the truncated fits fail alike
         raise FloatingPointError(f"the events do not determine a vMF fit: {exc}") from exc
-    fits["mle"] = _method_report(p_mle.mu, p_mle.kappa)
+    fits["mle"] = _fit_entry(p_mle)
     for method, g_kind, axis in (("tmsm_haversine", "haversine", None),
                                  ("tmsm_projected", "projected", drop_axis)):
         # the kept events passed the membership filter above
@@ -661,13 +672,11 @@ def run_storms(
         except ValueError as exc:  # a drop axis whose projection would fold the border
             raise ConfigError(str(exc)) from exc
         res = _fit_vmf(stats, None)
-        entry = _method_report(res.params.mu, res.params.kappa)
+        entry = _fit_entry(res.params, res)
         entry["bearing_from_mle_deg"] = initial_bearing_deg(
             fits["mle"]["mu_lat_deg"], fits["mle"]["mu_lon_deg"],
             entry["mu_lat_deg"], entry["mu_lon_deg"],
         )
-        entry["objective"] = res.objective
-        entry["converged"] = res.converged
         fits[method] = entry
 
     report = {

@@ -970,7 +970,7 @@ def projected_scaling(
             "query points lie on the far side of the projection plane; "
             "the region is not contained in one hemisphere of the dropped axis"
         )
-    if side == 0.0 and q.max() > _FOLD_TOL and q.min() < -_FOLD_TOL:
+    if side == 0.0 and np.any(q > _FOLD_TOL) and np.any(q < -_FOLD_TOL):
         raise ValueError(
             "query points span both hemispheres of the dropped axis; "
             "projection would fold"

@@ -3,7 +3,12 @@ Command-line interface.
 
 Subcommands:
     simulate   draw a truncated sample and write it to CSV
-    estimate   fit a model to a dataset file
+    estimate   fit a model to a dataset file -> estimate.json: the fit
+               entry of `bench._fit_entry`, as the storms report gives a
+               tmsm fit (mu in lat/lon degrees and as mu_x, kappa,
+               objective, converged; gamma1, gamma2 and alpha for
+               kent_frame), plus model_kind, g_kind, n, mu_a_rad,
+               mu_b_rad and iterations
     benchmark  replicate experiment -> rows CSV + summary JSON; the
                vmf_unknown_kappa rows and summary carry the concentration
                error |kappa_hat - kappa_true|
@@ -35,7 +40,7 @@ from .bench import (
     ConfigError,
     DataError,
     ExperimentConfig,
-    _method_report,
+    _fit_entry,
     _out_dir,
     _write_json,
     build_boundary,
@@ -234,16 +239,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "n": data.n,
         "mu_a_rad": float(a),
         "mu_b_rad": float(b),
-        **_method_report(result.params.mu, result.params.kappa),
-        "objective": result.objective,
-        "converged": result.converged,
         "iterations": result.iterations,
-        "restarts_used": result.restarts_used,
+        **_fit_entry(result.params, result),
     }
-    if args.model_kind == "kent_frame":
-        report["gamma1"] = [float(v) for v in result.params.gamma1]
-        report["gamma2"] = [float(v) for v in result.params.gamma2]
-        report["alpha"] = float(result.params.alpha)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report, out_dir / "estimate.json")
     print(json.dumps(report, indent=2, sort_keys=True))

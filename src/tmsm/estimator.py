@@ -167,6 +167,12 @@ class ObjectiveTerms:
 class EstimationResult:
     """Fitted parameters and how the fit was obtained.
 
+    Every report reads it one way, through `tmsm.bench._fit_entry`: a
+    storms fit entry and `tmsm estimate`'s `estimate.json` carry params,
+    objective and converged as that gives them, and the latter also
+    iterations. How many polishes a Kent fit runs is a constant of the
+    code (`_POLISH_STARTS`), not a property of the fit, and is not kept.
+
     Attributes:
         params: fitted model parameters.
         objective: objective total at `params`.
@@ -177,14 +183,12 @@ class EstimationResult:
             a gradient norm over rotations of at most
             1e-6 max(1, |objective|) (the frame is returned either way);
             always True for the closed-form vMF fits.
-        restarts_used: "kent_frame" polishes run; 0 for the vMF fits.
     """
 
     params: ModelParams
     objective: float
     iterations: int
     converged: bool
-    restarts_used: int
 
 
 class _ScalingStats:
@@ -644,7 +648,6 @@ def _fit_kent_frames(stats_list: list[_ScalingStats], kappa: float,
             objective=value,
             iterations=int(evals[f]),
             converged=bool(gnorm[f, best] <= _GRAD_TOL * max(1.0, abs(value))),
-            restarts_used=starts.shape[1],
         ))
     return results
 
@@ -743,7 +746,6 @@ def _fit_vmf(stats: _ScalingStats, kappa: float | None) -> EstimationResult:
         objective=float(eta @ m @ eta - 2.0 * c @ eta),
         iterations=0,
         converged=True,
-        restarts_used=0,
     )
 
 

@@ -666,6 +666,39 @@ def test_storms_drop_axis_reaches_only_the_projected_fit(tmp_path):
     assert axis1["fits"]["tmsm_projected"] != plain["fits"]["tmsm_projected"]
 
 
+_FIT_KEYS = {"mu_lat_deg", "mu_lon_deg", "mu_x", "kappa"}
+_ESTIMATE_KEYS = _FIT_KEYS | {"objective", "converged", "model_kind", "g_kind", "n", "mu_a_rad",
+                              "mu_b_rad", "iterations"}
+
+
+@pytest.mark.parametrize("model_kind, flags, extra", [
+    ("vmf_mu_kappa", [], set()),
+    ("kent_frame", ["--fixed-kappa", "6", "--fixed-alpha", "1"], {"gamma1", "gamma2", "alpha"}),
+])
+def test_cli_estimate_writes_exactly_the_fit_entry_and_its_run(tmp_path, capsys, model_kind,
+                                                              flags, extra):
+    assert main(["simulate", "--n", "100", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    assert main(["estimate", "--data", str(tmp_path / "samples.csv"), "--model-kind", model_kind,
+                 *flags, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "estimate.json").read_text())
+    assert set(report) == _ESTIMATE_KEYS | extra
+
+
+def test_storms_fit_entries_hold_exactly_their_keys(tmp_path):
+    # the MLE reports no objective; each truncated fit its objective,
+    # convergence flag and bearing from the MLE
+    border = tmp_path / "border.csv"
+    _write_hemisphere_boundary(border)
+    events = tmp_path / "events.csv"
+    _write_events(events, [(f"e{i}", -40.0 + i, -170.0 + 17.0 * i) for i in range(20)])
+    fits = run_storms(events, border, out_dir=str(tmp_path), seed=0)["fits"]
+    assert set(fits) == {"mle", "tmsm_haversine", "tmsm_projected"}
+    assert set(fits["mle"]) == _FIT_KEYS
+    for method in ("tmsm_haversine", "tmsm_projected"):
+        assert set(fits[method]) == _FIT_KEYS | {"objective", "converged", "bearing_from_mle_deg"}
+
+
 def test_json_artifacts_parse_to_the_returned_objects(tmp_path, capsys):
     # each artifact is one compact line with sorted keys, and parses back
     # to the object returned or printed

@@ -1466,3 +1466,18 @@ def test_usa_outline_fixture_loads():
     assert len(USA.vertices) >= 150  # coarse but not a toy polygon
     assert USA.contains(to_euclidean(*latlon_to_spherical(39.0, -98.5)))  # Kansas
     assert not USA.contains(to_euclidean(*latlon_to_spherical(25.0, -70.0)))
+
+
+@pytest.mark.parametrize("boundary, axis", [
+    (HEMI, 1), (HEMI, 2), (HEMI, 3),
+    (ColatitudeBoundary(1.2), 1), (ColatitudeBoundary(1.2), 2), (ColatitudeBoundary(1.2), 3),
+    (USA, 1), (USA, 3),
+], ids=["hemi-1", "hemi-2", "hemi-3", "cap-1", "cap-2", "cap-3", "usa-1", "usa-3"])
+def test_every_rule_takes_an_empty_batch(boundary, axis):
+    # the hemisphere's rim lies on the plane x1 = 0 that axis 1 projects
+    # onto: its both-sides check must not reduce over no queries
+    empty = np.empty((0, 3))
+    for g_kind, drop_axis in (("projected", axis), ("haversine", None), ("unit", None)):
+        g, grad = scaling_values(boundary, empty, g_kind, drop_axis)
+        assert g.shape == (0,) and grad.shape == (0, 3)
+    assert np.asarray(boundary.contains(empty)).shape == (0,)

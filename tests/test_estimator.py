@@ -568,7 +568,7 @@ def test_closed_form_vmf_matches_brute_force(g_kind, axis):
             assert res.params.kappa == pytest.approx(kappa, rel=1e-6)
             assert res.objective <= best + 1e-12
             assert res.objective == _eta_objective(stats, res.params.kappa * res.params.mu)
-            assert (res.iterations, res.restarts_used, res.converged) == (0, 0, True)
+            assert (res.iterations, res.converged) == (0, True)
 
 
 @pytest.mark.parametrize("interleaved", [True, False])
@@ -1055,8 +1055,7 @@ def test_newton_polish_start_does_not_depend_on_its_batch():
 
 def _result_bits(res):
     """Everything a fit reports, as exact values."""
-    return (res.params.frame().tobytes(), res.objective, res.iterations, res.converged,
-            res.restarts_used)
+    return res.params.frame().tobytes(), res.objective, res.iterations, res.converged
 
 
 def test_kent_frames_fitted_together_match_each_fit_alone():
@@ -1183,7 +1182,7 @@ def test_kent_frame_matches_brute_force(case):
     assert res.objective <= best + 1e-10
     assert geodesic_angle(res.params.mu, p.mu) < 1e-6
     assert _axis_angle(res.params.gamma1, p.gamma1) < 1e-6
-    assert res.converged and res.restarts_used == 4 and res.iterations > 0
+    assert res.converged and res.iterations > 0
     [starts] = _grid_starts([stats], kappa, alpha)
     single = _newton_polish([stats], kappa, alpha, [starts[:1]])[1][0, 0]
     if case == "multimodal":
